@@ -1,8 +1,9 @@
 """Radial analysis of the flow: travel time, effective potential, orbits.
 
 For zero angular momentum the radial travel time is an explicit
-primitive, computable two independent ways: adaptive quadrature of
-sqrt(1-r^2)/(1+r^2)^{3/2}, or the hypergeometric double series
+primitive, computable two independent ways: fixed 16-node
+Gauss-Legendre quadrature of sqrt(1-r^2)/(1+r^2)^{3/2} in the variable
+phi = asin r, or the hypergeometric double series
 R F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2).  Both give the finite equator
 arrival time t = 0.599070... / sqrt(I1) from the pole.
 
@@ -17,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._backend import kernels
 from .errors import ConvergenceError, DomainError, NoOrbitError
-from .geodesics import MIN_ORBIT_RATIO, Termination, Trajectory
+from .geodesics import MIN_ORBIT_RATIO, Termination, Trajectory, effective_potential
 
 #: radius of the circular orbit, the minimiser of the effective potential
 CRITICAL_RADIUS = math.sqrt(2.0 - math.sqrt(3.0))
@@ -32,32 +32,26 @@ SERIES_TAIL_TOL = 1e-14
 #: hard cap on the number of anti-diagonals
 SERIES_MAX_DIAGONALS = 10_000
 
-#: above this radius the series converges slowly; blowup_time switches
-#: to quadrature there
-SERIES_RADIUS_LIMIT = 0.95
-
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
-
-
-def _integrand(r):
-    return math.sqrt(1.0 - r * r) / (1.0 + r * r) ** 1.5
+#: 16-node Gauss-Legendre rule on [-1, 1]; 12 nodes leave errors near
+#: 1e-11, 16 reach rounding level on all of [0, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def radial_quadrature(big_r: float) -> float:
     """Travel-time primitive int_0^R sqrt(1-r^2)/(1+r^2)^{3/2} dr.
 
-    Adaptive quadrature, absolute error below 1e-12; the integrand is
-    bounded on [0, 1] with a square-root zero at r = 1.
+    Substituting r = sin(phi) turns it into
+    int_0^{asin R} cos^2(phi)/(1+sin^2(phi))^{3/2} dphi, whose integrand
+    is analytic, so a fixed 16-node Gauss-Legendre rule converges to
+    rounding level (about 1e-15) on all of [0, 1], R = 1 included.
     """
     big_r = float(big_r)
     if not 0.0 <= big_r <= 1.0:
         raise DomainError(f"radius must lie in [0, 1], got {big_r}")
-    if big_r == 0.0:
-        return 0.0
-    value, abserr = quad(_integrand, 0.0, big_r, **_QUAD_OPTS)
-    if abserr > 1e-12:
-        raise ConvergenceError(f"quadrature error estimate {abserr:.2e} exceeds 1e-12")
-    return value
+    half = 0.5 * math.asin(big_r)
+    phi = half * (_GL_NODES + 1.0)
+    sin_phi = np.sin(phi)
+    return float(half * np.dot(_GL_WEIGHTS, np.cos(phi) ** 2 / (1.0 + sin_phi**2) ** 1.5))
 
 
 def appell_f1_series(big_r: float) -> float:
@@ -85,26 +79,11 @@ def appell_f1_series(big_r: float) -> float:
 def blowup_time(i1: float, r_start: float = 0.0) -> float:
     """Parameter time for a zero-angular-momentum geodesic to reach the
     equator from radius ``r_start``: (Q(1) - Q(R_start)) / sqrt(I1)."""
-    if i1 <= 0.0:
-        raise DomainError(f"I1 must be positive, got {i1}")
+    if not (math.isfinite(i1) and i1 > 0.0):
+        raise DomainError(f"I1 must be positive and finite, got {i1}")
     if not 0.0 <= r_start < 1.0:
         raise DomainError(f"start radius must lie in [0, 1), got {r_start}")
-    if r_start == 0.0:
-        travelled = 0.0
-    elif r_start <= SERIES_RADIUS_LIMIT:
-        travelled = appell_f1_series(r_start)
-    else:
-        travelled = radial_quadrature(r_start)
-    return (radial_quadrature(1.0) - travelled) * i1**-0.5
-
-
-def effective_potential(big_r: float) -> float:
-    """U(R) = (1+R^2)^3 / ((1-R^2) R^2) on 0 < R < 1."""
-    big_r = float(big_r)
-    if not 0.0 < big_r < 1.0:
-        raise DomainError(f"effective potential has poles at 0 and 1; got R = {big_r}")
-    r2 = big_r * big_r
-    return (1.0 + r2) ** 3 / ((1.0 - r2) * r2)
+    return (radial_quadrature(1.0) - radial_quadrature(r_start)) * i1**-0.5
 
 
 @dataclass(frozen=True)
@@ -143,9 +122,11 @@ def turning_points(i1: float, i2: float) -> TurningPoints:
     NoOrbitError
         If the ratio lies below the potential minimum 6*sqrt(3).
     DomainError
-        If I2 = 0 (radial motion has no turning points; use
-        ``blowup_time``).
+        If I1 or I2 is not finite, I1 <= 0, or I2 = 0 (radial motion has
+        no turning points; use ``blowup_time``).
     """
+    if not (math.isfinite(i1) and math.isfinite(i2)):
+        raise DomainError(f"I1 and I2 must be finite, got I1 = {i1}, I2 = {i2}")
     if i2 == 0.0:
         raise DomainError("I2 = 0 is radial motion; use blowup_time instead")
     if i1 <= 0.0:

@@ -54,6 +54,18 @@ def _random_tangent(rng, base):
     return TangentVector(base, complex(z[0], z[1]), complex(z[2], z[3]))
 
 
+def _pairing_scale(u, v):
+    """Size of the terms the metric and the symplectic form sum before
+    they cancel: 2(1+4|xi||eta|/(1+|xi|^2)) |u| |v| / (1+|xi|^2)^2.
+    A near-cancelling pairing has |result| far below its rounding error,
+    which scales with this size instead."""
+    pp = 1.0 + abs(u.base.xi) ** 2
+    norm_u = math.hypot(abs(u.dxi), abs(u.deta))
+    norm_v = math.hypot(abs(v.dxi), abs(v.deta))
+    twist = 4.0 * abs(u.base.xi) * abs(u.base.eta) / pp
+    return 2.0 * (1.0 + twist) * norm_u * norm_v / pp**2
+
+
 def _invariance_check(name, form, samples, rng, threshold):
     worst = 0.0
     for _ in range(samples):
@@ -64,7 +76,7 @@ def _invariance_check(name, form, samples, rng, threshold):
         m = _random_motion(rng)
         before = form(u, v)
         after = form(line_space.push_forward(m, u), line_space.push_forward(m, v))
-        worst = max(worst, abs(after - before) / max(abs(before), 1e-30))
+        worst = max(worst, abs(after - before) / max(abs(before), _pairing_scale(u, v)))
     return CheckResult(name, worst < threshold, threshold, worst, f"{samples} samples")
 
 

@@ -167,7 +167,11 @@ def first_integrals_arrays(xi: np.ndarray, xidot: np.ndarray):
     return f * (xidot * xidot.conjugate()).real, f * (xi.conjugate() * xidot).imag
 
 
-def _effective_potential(big_r: float) -> float:
+def effective_potential(big_r: float) -> float:
+    """U(R) = (1+R^2)^3 / ((1-R^2) R^2) on 0 < R < 1."""
+    big_r = float(big_r)
+    if not 0.0 < big_r < 1.0:
+        raise DomainError(f"effective potential has poles at 0 and 1; got R = {big_r}")
     r2 = big_r * big_r
     return (1.0 + r2) ** 3 / ((1.0 - r2) * r2)
 
@@ -202,7 +206,7 @@ def state_from_integrals(
     r2 = r0 * r0
     f = (1.0 - r2) / (1.0 + r2) ** 3
     thetadot = i2 / (f * r2)
-    disc = (i1 - _effective_potential(r0) * i2 * i2) / f
+    disc = (i1 - effective_potential(r0) * i2 * i2) / f
     if disc < -1e-12 * max(i1, 1.0) / f:
         raise DomainError(
             f"radius {r0} is outside the orbit annulus for I1={i1}, I2={i2} "
@@ -290,13 +294,16 @@ def integrate(
     Raises
     ------
     DomainError
-        If the sphere is not twisting (c <= 0), tol <= 0, the initial
-        point sits inside the cutoff band, or t_max <= initial.t.
+        If the sphere is not twisting (c <= 0), tol is not positive and
+        finite, t_max is not finite, the initial point sits inside the
+        cutoff band, or t_max <= initial.t.
     """
     if sphere.c <= 0.0:
         raise DomainError("geodesic flow requires a twisting sphere (c > 0)")
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    if not math.isfinite(t_max):
+        raise DomainError(f"t_max must be finite, got {t_max}")
     if t_max <= initial.t:
         raise DomainError(f"t_max = {t_max} does not exceed initial time {initial.t}")
     s0 = 1.0 - abs(initial.xi) ** 2
@@ -334,6 +341,7 @@ def integrate(
         max_drift=drift,
         termination=termination,
         t_hit=(float(t_hit) + initial.t) if termination is Termination.EQUATOR_REACHED else None,
+        _cache={"integrals": (i1s, i2s)},
     )
 
 

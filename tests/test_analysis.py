@@ -42,6 +42,14 @@ def mp_reference(big_r):
     return float(v)
 
 
+def mp_quad_reference(big_r):
+    """High-precision tanh-sinh quadrature of the primitive in r itself,
+    valid up to R = 1 where the hypergeometric oracle is not."""
+    with mpmath.workdps(40):
+        v = mpmath.quad(lambda r: mpmath.sqrt(1 - r * r) / (1 + r * r) ** 1.5, [0, big_r])
+    return float(v)
+
+
 # -- quadrature -----------------------------------------------------------------
 
 
@@ -77,6 +85,9 @@ def test_series_leading_term():
 def test_series_against_high_precision_oracle():
     for big_r in (0.1, 0.3, 0.5, 0.7, 0.9):
         assert abs(appell_f1_series(big_r) - mp_reference(big_r)) < 1e-13
+    # the fixed Gauss-Legendre rule has no error estimate of its own
+    for big_r in (0.1, 0.3, 0.5, 0.7, 0.9, 0.999999, 1.0):
+        assert abs(radial_quadrature(big_r) - mp_quad_reference(big_r)) < 1e-14
 
 
 def test_series_against_quadrature():
@@ -126,6 +137,9 @@ def test_blowup_time_domain():
         blowup_time(0.0)
     with pytest.raises(DomainError):
         blowup_time(1.0, 1.0)
+    for i1 in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            blowup_time(i1)
 
 
 def test_blowup_time_matches_ode_hit():
@@ -201,6 +215,9 @@ def test_turning_points_no_orbit():
 def test_turning_points_radial_rejected():
     with pytest.raises(DomainError):
         turning_points(1.0, 0.0)
+    for i1, i2 in ((math.nan, 1.0), (20.0, math.nan), (math.inf, 1.0), (20.0, math.inf)):
+        with pytest.raises(DomainError):
+            turning_points(i1, i2)
 
 
 # -- oscillation check -------------------------------------------------------------------

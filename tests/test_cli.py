@@ -152,6 +152,25 @@ def test_geodesic_on_equator_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--t-max", "nan"],
+        ["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--t-max", "inf"],
+        ["geodesic", "--xi", "0.2", "0", "--xidot", "0", "1", "--tol", "nan"],
+        ["analyze", "blowup", "--I1", "nan"],
+        ["analyze", "blowup", "--I1", "inf"],
+        ["analyze", "turning-points", "--I1", "nan", "--I2", "1"],
+        ["analyze", "turning-points", "--I1", "20", "--I2", "nan"],
+    ],
+)
+def test_non_finite_inputs_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "must be" in err
+
+
 # -- analyze ------------------------------------------------------------------
 
 
@@ -245,6 +264,45 @@ def test_check_detects_injected_bias(capsys):
     assert "energy_identity" in failed
 
 
+# seeds whose suite pairs near-cancelling tangent vectors: the metric or
+# symplectic value there is far smaller than the terms it is summed from
+NEAR_CANCELLING_SEEDS = [70, 72, 380, 437, 534]
+INVARIANCE_CHECKS = {"isometry_metric", "symplectomorphism"}
+
+
+@pytest.mark.parametrize("seed", NEAR_CANCELLING_SEEDS + [2025])
+def test_check_invariance_passes_near_cancelling_seeds(capsys, seed):
+    # the invariance checks draw first from the seeded stream, so a short
+    # trajectory span leaves their samples unchanged
+    code, out, _ = run_cli(
+        capsys, "check", "--seed", str(seed), "--trajectories", "1", "--t-span", "2"
+    )
+    report = json.loads(out)
+    assert code == 0 and report["all_passed"] is True
+    for c in report["checks"]:
+        if c["name"] in INVARIANCE_CHECKS:
+            assert c["observed"] < 1e-13
+
+
+def test_check_detects_tampered_push_forward(capsys, monkeypatch):
+    from linegeo import TangentVector, line_space
+
+    exact = line_space.push_forward
+
+    def tampered(m, u):
+        w = exact(m, u)
+        return TangentVector(w.base, w.dxi * (1.0 + 1e-8), w.deta)
+
+    monkeypatch.setattr(line_space, "push_forward", tampered)
+    for seed in NEAR_CANCELLING_SEEDS:
+        code, out, _ = run_cli(
+            capsys, "check", "--seed", str(seed), "--trajectories", "1", "--t-span", "2"
+        )
+        assert code == 1
+        failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+        assert failed == INVARIANCE_CHECKS
+
+
 # -- determinism and logging (subprocess level) ----------------------------------
 
 
@@ -283,6 +341,29 @@ def test_geodesic_log_env_controls_stderr():
     noisy = _run(args, {"GEODESIC_LOG": "info"})
     assert "linegeo.cli" in noisy.stderr
     assert _run(args).stderr == ""
+
+
+SCIPY_MODULES = (
+    "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+    "file=sys.stderr)"
+)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import linegeo",
+        "from linegeo.cli import main; main(['analyze', 'blowup', '--I1', '1'])",
+    ],
+)
+def test_no_scipy_module_is_loaded(code):
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}; {SCIPY_MODULES}"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.strip() == "[]"
 
 
 def test_console_entry_point_exists():

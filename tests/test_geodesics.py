@@ -253,6 +253,11 @@ def test_integrate_preconditions():
         integrate(st, SPHERE, -1.0, 1e-8)
     with pytest.raises(DomainError):
         integrate(GeodesicState(0.0, 1.0, 1.0), SPHERE, 1.0, 1e-8)  # on the equator
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            integrate(st, SPHERE, bad, 1e-8)
+        with pytest.raises(DomainError):
+            integrate(st, SPHERE, 1.0, bad)
 
 
 def test_integrate_nonzero_start_time():
