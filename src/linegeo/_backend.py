@@ -1,30 +1,10 @@
-"""Kernel backend selection.
+"""Name of the kernel module, reported as ``linegeo.BACKEND`` and in the
+``check`` report.
 
-The hot numerical loops (geodesic integration, hypergeometric series)
-exist twice: as a compiled Cython extension ``linegeo._kernels`` and as
-the pure-Python module ``linegeo._kernels_py``.  The compiled version is
-preferred when importable.  Set the environment variable
-``LINEGEO_BACKEND=python`` or ``LINEGEO_BACKEND=compiled`` to force one.
+``bench/`` patches ``_backend.kernels.geod_integrate`` and reads
+``BACKEND``; this alias exists only so those names keep resolving.
 """
 
-import os
+from . import _kernels_py as kernels
 
-_requested = os.environ.get("LINEGEO_BACKEND", "").strip().lower()
-
-if _requested not in ("", "auto", "python", "compiled"):
-    raise ImportError(
-        f"LINEGEO_BACKEND={_requested!r} not recognised; "
-        "use 'python', 'compiled' or leave unset"
-    )
-
-if _requested == "python":
-    from . import _kernels_py as kernels
-elif _requested == "compiled":
-    from . import _kernels as kernels  # ImportError here means no built extension
-else:
-    try:
-        from . import _kernels as kernels
-    except ImportError:
-        from . import _kernels_py as kernels
-
-BACKEND = "compiled" if kernels.IS_COMPILED else "python"
+BACKEND = "python"

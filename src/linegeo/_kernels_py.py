@@ -1,17 +1,14 @@
-"""Pure-Python numerical kernels.
+"""Numerical kernels: the adaptive geodesic stepper and the Appell F1 series.
 
-Same call signatures and semantics as the compiled module ``_kernels``;
-this module is the fallback selected at import time when the extension
-is unavailable (see ``_backend``).
+Plain Python on complex scalars; ``geodesics`` and ``analysis`` wrap
+them with input validation.
 """
 
 import math
 
 import numpy as np
 
-IS_COMPILED = False
-
-# termination codes shared with the compiled kernel
+# termination codes of geod_integrate
 STATUS_TIME_LIMIT = 0
 STATUS_EQUATOR = 1
 STATUS_UNDERFLOW = 2
@@ -38,9 +35,15 @@ _ERR = tuple(
 
 
 def geod_christoffel(xi):
-    """Gamma^xi_xixi of the induced metric, d/dxi of ln[(1-xi xibar)/(1+xi xibar)^3]."""
+    """Gamma^xi_xixi of the induced metric, d/dxi of ln[(1-xi xibar)/(1+xi xibar)^3].
+
+    Complex NaN exactly on the equator |xi| = 1, so that a trial stage
+    landing there is rejected by the stepper instead of raising.
+    """
     xb = xi.conjugate()
     m = (xi * xb).real
+    if m == 1.0:
+        return complex(math.nan, math.nan)
     return -xb / (1.0 - m) - 3.0 * xb / (1.0 + m)
 
 

@@ -19,9 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .errors import ConvergenceError, DomainError, NoOrbitError
-from .geodesics import MIN_ORBIT_RATIO, Termination, Trajectory, effective_potential
+from .geodesics import (
+    MIN_ORBIT_RATIO,
+    FirstIntegrals,
+    Termination,
+    Trajectory,
+    effective_potential,
+)
 
 #: radius of the circular orbit, the minimiser of the effective potential
 CRITICAL_RADIUS = math.sqrt(2.0 - math.sqrt(3.0))
@@ -58,8 +64,8 @@ def appell_f1_series(big_r: float) -> float:
     """The same primitive as a hypergeometric double series.
 
     Evaluates R F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2) by anti-diagonal
-    summation with Pochhammer recurrences (see the kernel).  Valid for
-    0 <= R < 1 where the double series converges.
+    summation with Pochhammer recurrences (``_kernels_py.appell_f1``).
+    Valid for 0 <= R < 1 where the double series converges.
     """
     big_r = float(big_r)
     if not 0.0 <= big_r < 1.0:
@@ -122,8 +128,9 @@ def turning_points(i1: float, i2: float) -> TurningPoints:
     NoOrbitError
         If the ratio lies below the potential minimum 6*sqrt(3).
     DomainError
-        If I1 or I2 is not finite, I1 <= 0, or I2 = 0 (radial motion has
-        no turning points; use ``blowup_time``).
+        If I1 or I2 is not finite, I1 <= 0, I2 = 0 (radial motion has
+        no turning points; use ``blowup_time``), or I1/I2^2 is not a
+        finite double.
     """
     if not (math.isfinite(i1) and math.isfinite(i2)):
         raise DomainError(f"I1 and I2 must be finite, got I1 = {i1}, I2 = {i2}")
@@ -131,7 +138,7 @@ def turning_points(i1: float, i2: float) -> TurningPoints:
         raise DomainError("I2 = 0 is radial motion; use blowup_time instead")
     if i1 <= 0.0:
         raise DomainError(f"I1 must be positive, got {i1}")
-    ratio = i1 / (i2 * i2)
+    ratio = FirstIntegrals(i1, i2).ratio
     if ratio < MIN_ORBIT_RATIO - 1e-12 * max(1.0, ratio):
         raise NoOrbitError(
             f"no orbit: I1/I2^2 = {ratio:.6f} below 6*sqrt(3) = {MIN_ORBIT_RATIO:.6f}"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .errors import DegeneracyError, DomainError, NoOrbitError
 from .sections import StandardSphere
 
@@ -128,10 +128,20 @@ class FirstIntegrals:
 
     @property
     def ratio(self) -> float:
-        """I1 / I2^2, the level against the effective potential."""
+        """I1 / I2^2, the level against the effective potential.
+
+        Raises DomainError when I2 = 0 or the quotient is not a finite
+        double (I2^2 underflows to zero or I1 / I2^2 overflows).
+        """
         if self.I2 == 0.0:
             raise DomainError("ratio undefined for zero angular momentum")
-        return self.I1 / (self.I2 * self.I2)
+        i2_sq = self.I2 * self.I2
+        ratio = self.I1 / i2_sq if i2_sq != 0.0 else math.inf
+        if not math.isfinite(ratio):
+            raise DomainError(
+                f"I1/I2^2 must be a finite double, got I1 = {self.I1!r}, I2 = {self.I2!r}"
+            )
+        return ratio
 
 
 def christoffel(xi: complex) -> complex:
@@ -192,17 +202,19 @@ def state_from_integrals(
         If I2 != 0 and I1/I2^2 lies below the potential minimum 6*sqrt(3),
         so no radius admits real radial motion.
     DomainError
-        If the requested radius itself gives a negative Rdot^2.
+        If the requested radius itself gives a negative Rdot^2, or
+        I1/I2^2 is not a finite double.
     """
     if not (0.0 < r0 < 1.0):
         raise DomainError(f"launch radius must lie in (0, 1), got {r0}")
     if i1 <= 0.0:
         raise DomainError(f"I1 must be positive on the upper hemisphere, got {i1}")
-    if i2 != 0.0 and i1 / (i2 * i2) < MIN_ORBIT_RATIO * (1.0 - 1e-12):
-        raise NoOrbitError(
-            f"no orbit: I1/I2^2 = {i1 / (i2 * i2):.6f} below 6*sqrt(3) "
-            f"= {MIN_ORBIT_RATIO:.6f}"
-        )
+    if i2 != 0.0:
+        ratio = FirstIntegrals(i1, i2).ratio
+        if ratio < MIN_ORBIT_RATIO * (1.0 - 1e-12):
+            raise NoOrbitError(
+                f"no orbit: I1/I2^2 = {ratio:.6f} below 6*sqrt(3) = {MIN_ORBIT_RATIO:.6f}"
+            )
     r2 = r0 * r0
     f = (1.0 - r2) / (1.0 + r2) ** 3
     thetadot = i2 / (f * r2)

@@ -27,6 +27,7 @@ from linegeo import (
     state_from_integrals,
     turning_points,
 )
+from linegeo import _kernels_py
 
 SPHERE = StandardSphere(1.0)
 
@@ -104,6 +105,12 @@ def test_series_convergence_domain():
 
 def test_series_close_to_one_still_converges():
     assert abs(appell_f1_series(0.99) - radial_quadrature(0.99)) < 1e-10
+
+
+def test_series_kernel_reports_non_convergence():
+    _, used, converged = _kernels_py.appell_f1(0.999999, 1e-14, 50)
+    assert converged is False
+    assert used == 50
 
 
 # -- blow-up time ------------------------------------------------------------------
@@ -215,7 +222,14 @@ def test_turning_points_no_orbit():
 def test_turning_points_radial_rejected():
     with pytest.raises(DomainError):
         turning_points(1.0, 0.0)
-    for i1, i2 in ((math.nan, 1.0), (20.0, math.nan), (math.inf, 1.0), (20.0, math.inf)):
+    for i1, i2 in (
+        (math.nan, 1.0),
+        (20.0, math.nan),
+        (math.inf, 1.0),
+        (20.0, math.inf),
+        (1.0, 1e-200),  # I2^2 underflows to zero
+        (1e300, 1e-10),  # I1/I2^2 overflows
+    ):
         with pytest.raises(DomainError):
             turning_points(i1, i2)
 

@@ -88,6 +88,18 @@ def test_geodesic_radial_summary(tmp_path, capsys):
     assert len(lines) == summary["n_samples"] + 1
 
 
+def test_geodesic_trial_stage_exactly_on_equator(tmp_path, capsys):
+    # stage 2 of the first step lands exactly on xi = 1 + 0j; the stepper
+    # must reject that step and go on to the equator, not raise
+    code, out, _ = run_cli(
+        capsys, "geodesic", "--xi", "0.9999999850988388", "0",
+        "--xidot", "7.450580590301892e-06", "0", "--t-max", "1",
+        "--output", str(tmp_path / "t.csv"),
+    )
+    assert code == 0
+    assert json.loads(out)["termination"] == "equator_reached"
+
+
 def test_geodesic_csv_to_stdout_summary_to_stderr(capsys):
     code, out, err = run_cli(
         capsys, "geodesic", "--xi", "0.2", "0", "--xidot", "0", "0.5", "--t-max", "1"
@@ -162,6 +174,10 @@ def test_geodesic_on_equator_exit_3(capsys):
         ["analyze", "blowup", "--I1", "inf"],
         ["analyze", "turning-points", "--I1", "nan", "--I2", "1"],
         ["analyze", "turning-points", "--I1", "20", "--I2", "nan"],
+        # I1/I2^2 underflows the denominator or overflows the quotient
+        ["analyze", "turning-points", "--I1", "1", "--I2", "1e-200"],
+        ["analyze", "turning-points", "--I1", "1e300", "--I2", "1e-10"],
+        ["geodesic", "--integrals", "1", "1e-200", "0.5"],
     ],
 )
 def test_non_finite_inputs_exit_3(capsys, argv):
