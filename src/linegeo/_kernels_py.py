@@ -33,6 +33,18 @@ _ERR = tuple(
     )
 )
 
+# the tableau as scalars for the straight-line stepper in geod_integrate
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_A71, _A72, _A73, _A74, _A75, _A76),
+) = _A[1:]
+_B57 = _B5[6]
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _ERR
+
 
 def geod_christoffel(xi):
     """Gamma^xi_xixi of the induced metric, d/dxi of ln[(1-xi xibar)/(1+xi xibar)^3].
@@ -59,22 +71,20 @@ def geod_first_integrals(xi, xidot):
     return f * (xidot * xidot.conjugate()).real, f * (xi.conjugate() * xidot).imag
 
 
-def _err_norm(e0, e1, y0a, y1a, y0b, y1b, tol):
-    # max over the 4 real components, scaled by tol*(1 + component magnitude)
-    err = abs(e0.real) / (1.0 + max(abs(y0a.real), abs(y1a.real)))
-    err = max(err, abs(e0.imag) / (1.0 + max(abs(y0a.imag), abs(y1a.imag))))
-    err = max(err, abs(e1.real) / (1.0 + max(abs(y0b.real), abs(y1b.real))))
-    err = max(err, abs(e1.imag) / (1.0 + max(abs(y0b.imag), abs(y1b.imag))))
-    return err / tol
-
-
 def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     """Adaptive Dormand-Prince 5(4) integration of the geodesic system.
 
-    Integrates from t=0 to t=t_span, recording every accepted step.
+    Integrates from t=0 to t=t_span, recording every accepted step;
+    ``max_steps`` caps the step attempts, accepted or rejected.
     Returns (t, xi, xidot, status, t_hit) with ``t_hit`` the linear
     interpolation of the equator crossing 1-|xi|^2 = 0 (NaN unless
     status is STATUS_EQUATOR).
+
+    The stages are written out by hand.  Each weighted sum starts from
+    0.0j and keeps its zero-weight terms, in tableau order: a NaN stage
+    (a trial point exactly on the equator) then reaches the error norm
+    and the step is rejected, and the arithmetic matches a generic loop
+    over ``_A``, ``_B5`` and ``_ERR`` bit for bit.
     """
     t = 0.0
     y0, y1 = complex(xi0), complex(xidot0)
@@ -85,8 +95,9 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     # modest initial step; the controller adapts within a few steps
     h = min(1e-2, 1e-2 * (1.0 + abs(y0)) / (1.0 + abs(y1)), t_span)
 
-    k = [None] * 7
-    k[0] = geod_rhs(y0, y1)
+    # stage k_i = (p_i, q_i) = rhs(xi, xidot) = (xidot, -Gamma(xi) xidot^2)
+    p1 = y1
+    q1 = -geod_christoffel(y0) * y1 * y1
     status = STATUS_MAX_STEPS
     t_hit = math.nan
 
@@ -94,32 +105,62 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
         clipped = t + h >= t_span
         if clipped:
             h = t_span - t
-        for i in range(1, 7):
-            a = _A[i]
-            s0 = 0.0j
-            s1 = 0.0j
-            for j in range(i):
-                s0 += a[j] * k[j][0]
-                s1 += a[j] * k[j][1]
-            k[i] = geod_rhs(y0 + h * s0, y1 + h * s1)
-        i0 = 0.0j
-        i1 = 0.0j
-        e0 = 0.0j
-        e1 = 0.0j
-        for i in range(7):
-            i0 += _B5[i] * k[i][0]
-            i1 += _B5[i] * k[i][1]
-            e0 += _ERR[i] * k[i][0]
-            e1 += _ERR[i] * k[i][1]
-        y0n = y0 + h * i0
-        y1n = y1 + h * i1
-        err = _err_norm(h * e0, h * e1, y0, y0n, y1, y1n, tol)
+        p2 = y1 + h * (0.0j + _A21 * q1)
+        q2 = -geod_christoffel(y0 + h * (0.0j + _A21 * p1)) * p2 * p2
+        p3 = y1 + h * (0.0j + _A31 * q1 + _A32 * q2)
+        q3 = -geod_christoffel(y0 + h * (0.0j + _A31 * p1 + _A32 * p2)) * p3 * p3
+        p4 = y1 + h * (0.0j + _A41 * q1 + _A42 * q2 + _A43 * q3)
+        q4 = -geod_christoffel(y0 + h * (0.0j + _A41 * p1 + _A42 * p2 + _A43 * p3)) * p4 * p4
+        p5 = y1 + h * (0.0j + _A51 * q1 + _A52 * q2 + _A53 * q3 + _A54 * q4)
+        q5 = (
+            -geod_christoffel(y0 + h * (0.0j + _A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4))
+            * p5
+            * p5
+        )
+        p6 = y1 + h * (0.0j + _A61 * q1 + _A62 * q2 + _A63 * q3 + _A64 * q4 + _A65 * q5)
+        q6 = (
+            -geod_christoffel(
+                y0 + h * (0.0j + _A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+            )
+            * p6
+            * p6
+        )
+        s1 = 0.0j + _A71 * q1 + _A72 * q2 + _A73 * q3 + _A74 * q4 + _A75 * q5 + _A76 * q6
+        p7 = y1 + h * s1
+        s0 = 0.0j + _A71 * p1 + _A72 * p2 + _A73 * p3 + _A74 * p4 + _A75 * p5 + _A76 * p6
+        q7 = -geod_christoffel(y0 + h * s0) * p7 * p7
+        # row 7 of _A is _B5[:6] (FSAL): the fifth-order sums are stage 7's
+        # sums plus the last, zero, weight
+        y0n = y0 + h * (s0 + _B57 * p7)
+        y1n = y1 + h * (s1 + _B57 * q7)
+        d0 = h * (
+            0.0j
+            + _E1 * p1 + _E2 * p2 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7
+        )
+        d1 = h * (
+            0.0j
+            + _E1 * q1 + _E2 * q2 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6 + _E7 * q7
+        )
+        # max over the 4 real components, scaled by tol*(1 + component
+        # magnitude); `b if b > a else a` is max(a, b) without a call, NaN included
+        a, b = abs(y0.real), abs(y0n.real)
+        err = abs(d0.real) / (1.0 + (b if b > a else a))
+        a, b = abs(y0.imag), abs(y0n.imag)
+        c = abs(d0.imag) / (1.0 + (b if b > a else a))
+        err = c if c > err else err
+        a, b = abs(y1.real), abs(y1n.real)
+        c = abs(d1.real) / (1.0 + (b if b > a else a))
+        err = c if c > err else err
+        a, b = abs(y1.imag), abs(y1n.imag)
+        c = abs(d1.imag) / (1.0 + (b if b > a else a))
+        err = c if c > err else err
+        err = err / tol
 
         if err <= 1.0:
             y0o = y0
             t = t_span if clipped else t + h
             y0, y1 = y0n, y1n
-            k[0] = k[6]  # FSAL: stage 7 was evaluated at the accepted point
+            p1, q1 = p7, q7  # FSAL: stage 7 was evaluated at the accepted point
             ts.append(t)
             xis.append(y0)
             xds.append(y1)

@@ -50,12 +50,14 @@ class Termination(enum.Enum):
     TIME_LIMIT = "time_limit"
     EQUATOR_REACHED = "equator_reached"
     STEP_UNDERFLOW = "step_underflow"
+    MAX_STEPS = "max_steps"
 
 
 _STATUS_TO_TERMINATION = {
     kernels.STATUS_TIME_LIMIT: Termination.TIME_LIMIT,
     kernels.STATUS_EQUATOR: Termination.EQUATOR_REACHED,
     kernels.STATUS_UNDERFLOW: Termination.STEP_UNDERFLOW,
+    kernels.STATUS_MAX_STEPS: Termination.MAX_STEPS,
 }
 
 
@@ -254,13 +256,6 @@ class Trajectory:
         return len(self.t)
 
     @property
-    def samples(self) -> list[GeodesicState]:
-        return [
-            GeodesicState(float(tt), complex(x), complex(xd))
-            for tt, x, xd in zip(self.t, self.xi, self.xidot)
-        ]
-
-    @property
     def radius(self) -> np.ndarray:
         if "radius" not in self._cache:
             self._cache["radius"] = np.abs(self.xi)
@@ -301,7 +296,9 @@ def integrate(
       roughly in proportion to the remaining parameter span, so at very
       tight tolerances (around 1e-9 and below for I1 of order one) the
       step may underflow just before the cutoff band is reached; use a
-      moderate tolerance (1e-6 .. 1e-7) when the goal is the hit time.
+      moderate tolerance (1e-6 .. 1e-7) when the goal is the hit time;
+    * ``MAX_STEPS`` -- ``max_steps`` step attempts (accepted or rejected)
+      ran out first; the trajectory holds the steps accepted until then.
 
     Raises
     ------
@@ -333,8 +330,6 @@ def integrate(
         min_step,
         max_steps,
     )
-    if status == kernels.STATUS_MAX_STEPS:
-        raise RuntimeError(f"integration exceeded {max_steps} steps; raise max_steps")
     ts = ts + initial.t
 
     i1s, i2s = first_integrals_arrays(xis, xds)
@@ -360,28 +355,33 @@ def integrate(
 CSV_HEADER = "t,R,theta,xi_re,xi_im,xidot_re,xidot_im,I1,I2"
 
 
-def trajectory_csv_lines(traj: Trajectory):
-    """Trajectory rows in the export schema, 17 significant digits."""
-    i1s, i2s = traj.integral_series()
-    big_r = traj.radius
-    theta = np.angle(traj.xi)
-    yield CSV_HEADER
-    for j in range(len(traj)):
-        row = (
-            traj.t[j],
-            big_r[j],
-            theta[j],
-            traj.xi[j].real,
-            traj.xi[j].imag,
-            traj.xidot[j].real,
-            traj.xidot[j].imag,
-            i1s[j],
-            i2s[j],
-        )
-        yield ",".join(f"{v:.17g}" for v in row)
+#: rows stacked, formatted and written at a time; bounds what the export holds
+CSV_CHUNK_ROWS = 1024
+
+_CSV_ROW = ",".join(["%.17g"] * 9) + "\n"
 
 
 def write_csv(traj: Trajectory, stream):
-    """Write the trajectory CSV to a file-like object."""
-    for line in trajectory_csv_lines(traj):
-        stream.write(line + "\n")
+    """Write the trajectory CSV to a file-like object.
+
+    One header line, then one row per sample with the columns of
+    ``CSV_HEADER``, every value to 17 significant digits (round-trips).
+    Rows are stacked, formatted and written a chunk at a time, so the
+    export never holds a copy of the whole table.
+    """
+    i1s, i2s = traj.integral_series()
+    columns = (
+        traj.t,
+        traj.radius,
+        np.angle(traj.xi),
+        traj.xi.real,
+        traj.xi.imag,
+        traj.xidot.real,
+        traj.xidot.imag,
+        i1s,
+        i2s,
+    )
+    stream.write(CSV_HEADER + "\n")
+    for lo in range(0, len(traj), CSV_CHUNK_ROWS):
+        rows = np.column_stack([c[lo : lo + CSV_CHUNK_ROWS] for c in columns]).tolist()
+        stream.write("".join([_CSV_ROW % tuple(row) for row in rows]))

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import functools
 import json
 import math
 import os
@@ -9,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from linegeo import CRITICAL_RADIUS, MIN_ORBIT_RATIO, blowup_time, turning_points
+import linegeo
+from linegeo import CRITICAL_RADIUS, MIN_ORBIT_RATIO, blowup_time, geodesics, turning_points
 from linegeo.cli import main
 
 
@@ -108,6 +110,33 @@ def test_geodesic_csv_to_stdout_summary_to_stderr(capsys):
     assert out.startswith("t,R,theta,")
     summary = json.loads(err)
     assert summary["termination"] == "time_limit"
+
+
+def test_geodesic_output_file_matches_stdout_bytes(tmp_path, capsys):
+    args = ["geodesic", "--integrals", "0.6", "0.16", "0.5", "--t-max", "10", "--tol", "1e-10"]
+    path = tmp_path / "t.csv"
+    code, csv_text, summary_to_stderr = run_cli(capsys, *args, "--output", "-")
+    assert code == 0
+    code, summary_to_stdout, _ = run_cli(capsys, *args, "--output", str(path))
+    assert code == 0
+    assert path.read_bytes() == csv_text.encode()
+    assert summary_to_stdout == summary_to_stderr
+    assert len(csv_text.splitlines()) == json.loads(summary_to_stdout)["n_samples"] + 1
+
+
+def test_geodesic_summary_reports_max_steps(tmp_path, capsys, monkeypatch):
+    # the first 50 step attempts from this start are all accepted
+    capped = functools.partial(geodesics.integrate, max_steps=50)
+    monkeypatch.setattr(geodesics, "integrate", capped)
+    code, out, _ = run_cli(
+        capsys, "geodesic", "--xi", "0.3", "0", "--xidot", "0.2", "0.1",
+        "--t-max", "100", "--tol", "1e-10", "--output", str(tmp_path / "t.csv"),
+    )
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["termination"] == "max_steps"
+    assert summary["n_samples"] == 51
+    assert summary["t_hit"] is None
 
 
 def test_geodesic_oscillation_range(tmp_path, capsys):
@@ -322,16 +351,18 @@ def test_check_detects_tampered_push_forward(capsys, monkeypatch):
 # -- determinism and logging (subprocess level) ----------------------------------
 
 
-def _run(args, env_extra=None):
+def _python(args, env_extra=None):
+    """Run a child interpreter that imports the same linegeo as this process."""
     env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(linegeo.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "linegeo.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run(args, env_extra=None):
+    return _python(["-m", "linegeo.cli", *args], env_extra)
 
 
 def test_cli_outputs_are_deterministic():
@@ -373,11 +404,7 @@ SCIPY_MODULES = (
     ],
 )
 def test_no_scipy_module_is_loaded(code):
-    result = subprocess.run(
-        [sys.executable, "-c", f"{code}; {SCIPY_MODULES}"],
-        capture_output=True,
-        text=True,
-    )
+    result = _python(["-c", f"{code}; {SCIPY_MODULES}"])
     assert result.returncode == 0, result.stderr
     assert result.stderr.strip() == "[]"
 

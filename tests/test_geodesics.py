@@ -24,7 +24,8 @@ from linegeo import (
     turning_points,
     write_csv,
 )
-from linegeo.geodesics import CSV_HEADER
+from linegeo import _kernels_py as kernels
+from linegeo.geodesics import CSV_CHUNK_ROWS, CSV_HEADER, EQUATOR_CUTOFF, MIN_STEP
 
 RNG = np.random.default_rng(91003)
 SPHERE = StandardSphere(1.0)
@@ -230,9 +231,8 @@ def test_integrate_lower_hemisphere():
 def test_integrate_samples_strictly_increasing():
     traj = integrate(random_orbit_state(), SPHERE, 4.0, 1e-8)
     assert np.all(np.diff(traj.t) > 0.0)
-    states = traj.samples
-    assert len(states) == len(traj)
-    assert states[0].t == 0.0 and isinstance(states[0], GeodesicState)
+    assert len(traj.xi) == len(traj.xidot) == len(traj)
+    assert traj.t[0] == 0.0 and isinstance(traj.final_state(), GeodesicState)
 
 
 def test_integrate_step_underflow_reported():
@@ -267,7 +267,165 @@ def test_integrate_nonzero_start_time():
     assert traj.t[-1] == 3.0
 
 
+def test_integrate_max_steps_returns_partial_trajectory():
+    # the first 50 step attempts from this start are all accepted
+    traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 100.0, 1e-10, max_steps=50)
+    assert traj.termination is Termination.MAX_STEPS
+    assert traj.termination.value == "max_steps"
+    assert len(traj) == 51
+    assert 0.0 < traj.t[-1] < 100.0
+    assert traj.t_hit is None
+
+
+# -- kernel against the generic tableau loop ------------------------------------------
+
+
+def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
+    """The Dormand-Prince stepper as a generic loop over the tableau tuples;
+    ``geod_integrate`` must reproduce it bit for bit."""
+    t = 0.0
+    y0, y1 = complex(xi0), complex(xidot0)
+    ts = [0.0]
+    xis = [y0]
+    xds = [y1]
+    h = min(1e-2, 1e-2 * (1.0 + abs(y0)) / (1.0 + abs(y1)), t_span)
+    k = [None] * 7
+    k[0] = kernels.geod_rhs(y0, y1)
+    status = kernels.STATUS_MAX_STEPS
+    t_hit = math.nan
+    for _ in range(max_steps):
+        clipped = t + h >= t_span
+        if clipped:
+            h = t_span - t
+        for i in range(1, 7):
+            a = kernels._A[i]
+            s0 = 0.0j
+            s1 = 0.0j
+            for j in range(i):
+                s0 += a[j] * k[j][0]
+                s1 += a[j] * k[j][1]
+            k[i] = kernels.geod_rhs(y0 + h * s0, y1 + h * s1)
+        i0 = i1 = e0 = e1 = 0.0j
+        for i in range(7):
+            i0 += kernels._B5[i] * k[i][0]
+            i1 += kernels._B5[i] * k[i][1]
+            e0 += kernels._ERR[i] * k[i][0]
+            e1 += kernels._ERR[i] * k[i][1]
+        y0n = y0 + h * i0
+        y1n = y1 + h * i1
+        e0 *= h
+        e1 *= h
+        err = abs(e0.real) / (1.0 + max(abs(y0.real), abs(y0n.real)))
+        err = max(err, abs(e0.imag) / (1.0 + max(abs(y0.imag), abs(y0n.imag))))
+        err = max(err, abs(e1.real) / (1.0 + max(abs(y1.real), abs(y1n.real))))
+        err = max(err, abs(e1.imag) / (1.0 + max(abs(y1.imag), abs(y1n.imag))))
+        err /= tol
+        if err <= 1.0:
+            y0o = y0
+            t = t_span if clipped else t + h
+            y0, y1 = y0n, y1n
+            k[0] = k[6]
+            ts.append(t)
+            xis.append(y0)
+            xds.append(y1)
+            s_new = 1.0 - (y0 * y0.conjugate()).real
+            if abs(s_new) <= equator_cut:
+                s_old = 1.0 - (y0o * y0o.conjugate()).real
+                t_hit = t + s_new * (ts[-1] - ts[-2]) / (s_old - s_new)
+                status = kernels.STATUS_EQUATOR
+                break
+            if t >= t_span:
+                status = kernels.STATUS_TIME_LIMIT
+                break
+        if err == 0.0:
+            fac = 5.0
+        elif math.isnan(err):
+            fac = 0.2
+        else:
+            fac = min(5.0, max(0.2, 0.9 * err**-0.2))
+        h *= fac
+        if h < h_min:
+            status = kernels.STATUS_UNDERFLOW
+            break
+    return (
+        np.asarray(ts, dtype=np.float64),
+        np.asarray(xis, dtype=np.complex128),
+        np.asarray(xds, dtype=np.complex128),
+        status,
+        t_hit,
+    )
+
+
+_ORACLE_RUNS = [
+    # tol-1e-10 orbits
+    pytest.param(0.3, 0.2 + 0.1j, 8.0, 1e-10, kernels.STATUS_TIME_LIMIT, id="orbit-a"),
+    pytest.param(0.5j, -0.4 + 0.7j, 8.0, 1e-10, kernels.STATUS_TIME_LIMIT, id="orbit-b"),
+    pytest.param(-0.25 + 0.4j, 0.9 - 0.3j, 8.0, 1e-10, kernels.STATUS_TIME_LIMIT, id="orbit-c"),
+    pytest.param(0.7, 0.05j, 8.0, 1e-10, kernels.STATUS_TIME_LIMIT, id="orbit-d"),
+    # radial runs from the pole: to the equator, and step underflow before it
+    pytest.param(0.0, 0.6 + 0.8j, 10.0, 1e-6, kernels.STATUS_EQUATOR, id="radial-1e-6"),
+    pytest.param(0.0, 1.0, 10.0, 1e-12, kernels.STATUS_UNDERFLOW, id="radial-1e-12"),
+    # a trial stage of the first step lands exactly on xi = 1
+    pytest.param(
+        0.9999999850988388, 7.450580590301892e-06, 1.0, 1e-6, kernels.STATUS_EQUATOR,
+        id="equator-trial-stage",
+    ),
+]
+
+
+@pytest.mark.parametrize("xi0, xidot0, t_span, tol, status", _ORACLE_RUNS)
+def test_kernel_matches_generic_tableau_loop(xi0, xidot0, t_span, tol, status):
+    args = (xi0, xidot0, t_span, tol, EQUATOR_CUTOFF, MIN_STEP, 1_000_000)
+    t, xi, xidot, got_status, t_hit = kernels.geod_integrate(*args)
+    t_ref, xi_ref, xidot_ref, ref_status, t_hit_ref = reference_geod_integrate(*args)
+    assert got_status == ref_status == status
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(xi, xi_ref)
+    assert np.array_equal(xidot, xidot_ref)
+    assert t_hit == t_hit_ref or (math.isnan(t_hit) and math.isnan(t_hit_ref))
+
+
+def test_kernel_matches_generic_tableau_loop_at_step_cap():
+    # the controller rejects several of the first attempts from this start
+    args = (0.2, 0.5j, 100.0, 1e-8, EQUATOR_CUTOFF, MIN_STEP, 50)
+    got = kernels.geod_integrate(*args)
+    ref = reference_geod_integrate(*args)
+    assert got[3] == ref[3] == kernels.STATUS_MAX_STEPS
+    assert len(got[0]) < 51
+    for a, b in zip(got[:3], ref[:3]):
+        assert np.array_equal(a, b)
+
+
 # -- trajectory export -------------------------------------------------------------
+
+
+def reference_csv(traj):
+    """The export schema written value by value with format(v, ".17g")."""
+    i1s, i2s = traj.integral_series()
+    theta = np.angle(traj.xi)
+    lines = [CSV_HEADER]
+    for j in range(len(traj)):
+        row = (
+            traj.t[j], traj.radius[j], theta[j], traj.xi[j].real, traj.xi[j].imag,
+            traj.xidot[j].real, traj.xidot[j].imag, i1s[j], i2s[j],
+        )
+        lines.append(",".join(format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_bytes_match_per_value_formatting():
+    long_traj = integrate(state_from_integrals(0.6, 0.16, 0.5), SPHERE, 20.0, 1e-10)
+    assert len(long_traj) > 2 * CSV_CHUNK_ROWS and len(long_traj) % CSV_CHUNK_ROWS != 0
+    short_traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 1e-3, 1e-10)
+    assert len(short_traj) == 2
+    for traj in (long_traj, short_traj):
+        buf = io.StringIO()
+        write_csv(traj, buf)
+        # as lists of lines, so that a failure reports the first differing line
+        # instead of diffing the whole text
+        got = buf.getvalue().splitlines(keepends=True)
+        assert got == reference_csv(traj).splitlines(keepends=True)
+
 
 
 def test_csv_schema_and_round_trip():
