@@ -1,10 +1,10 @@
-"""Name of the kernel module, reported as ``linegeo.BACKEND`` and in the
-``check`` report.
+"""``linegeo.BACKEND`` and the ``kernels`` alias of the module holding
+the geodesic stepper.
 
 ``bench/`` patches ``_backend.kernels.geod_integrate`` and reads
 ``BACKEND``; this alias exists only so those names keep resolving.
 """
 
-from . import _kernels_py as kernels
+from . import geodesics as kernels
 
 BACKEND = "python"

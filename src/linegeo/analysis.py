@@ -4,8 +4,9 @@ For zero angular momentum the radial travel time is an explicit
 primitive, computable two independent ways: fixed 16-node
 Gauss-Legendre quadrature of sqrt(1-r^2)/(1+r^2)^{3/2} in the variable
 phi = asin r, or the hypergeometric double series
-R F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2).  Both give the finite equator
-arrival time t = 0.599070... / sqrt(I1) from the pole.
+R F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2), summed here in plain Python by
+``_appell_f1``.  Both give the finite equator arrival time
+t = 0.599070... / sqrt(I1) from the pole.
 
 For nonzero angular momentum the radial motion is governed by the
 effective potential U(R) = (1+R^2)^3/((1-R^2)R^2): real radial speed
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels_py as kernels
 from .errors import ConvergenceError, DomainError, NoOrbitError
 from .geodesics import (
     MIN_ORBIT_RATIO,
@@ -60,11 +60,54 @@ def radial_quadrature(big_r: float) -> float:
     return float(half * np.dot(_GL_WEIGHTS, np.cos(phi) ** 2 / (1.0 + sin_phi**2) ** 1.5))
 
 
+def _appell_f1(R, tail_tol, max_diagonals):
+    """R * F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2) by anti-diagonal summation.
+
+    The double sum over (k, l) is grouped by m = k + l.  Pochhammer
+    symbols follow the recurrence (a)_{k+1} = (a)_k (a+k); they are kept
+    as the per-term ratios (-1/2)_k/k!, (-1)^l (3/2)_l/l! and
+    (1/2)_m/(3/2)_m, since the raw values overflow a double near m=150.
+
+    Summation stops once three consecutive anti-diagonal contributions
+    are below ``tail_tol`` in magnitude and non-increasing (the decay
+    check; for R^2 < 1 the tail decays geometrically).
+
+    Returns (value, diagonals_used, converged).
+    """
+    x = R * R
+    a = [1.0]  # (-1/2)_k / k!
+    b = [1.0]  # (-1)^l (3/2)_l / l!
+    ratio = 1.0  # (1/2)_m / (3/2)_m
+    total = 0.0
+    rpow = R  # R^(2m+1)
+    small = 0
+    prev = math.inf
+    for m in range(max_diagonals):
+        if m > 0:
+            a.append(a[-1] * (-0.5 + m - 1) / m)
+            b.append(b[-1] * (-(1.5 + m - 1)) / m)
+            ratio *= (0.5 + m - 1) / (1.5 + m - 1)
+            rpow *= x
+        conv = 0.0
+        for kk in range(m + 1):
+            conv += a[kk] * b[m - kk]
+        term = ratio * conv * rpow
+        total += term
+        if abs(term) <= tail_tol and abs(term) <= prev:
+            small += 1
+            if small >= 3:
+                return total, m + 1, True
+        else:
+            small = 0
+        prev = abs(term)
+    return total, max_diagonals, False
+
+
 def appell_f1_series(big_r: float) -> float:
     """The same primitive as a hypergeometric double series.
 
     Evaluates R F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2) by anti-diagonal
-    summation with Pochhammer recurrences (``_kernels_py.appell_f1``).
+    summation with Pochhammer recurrences (``_appell_f1``).
     Valid for 0 <= R < 1 where the double series converges.
     """
     big_r = float(big_r)
@@ -73,7 +116,7 @@ def appell_f1_series(big_r: float) -> float:
             f"series converges only for 0 <= R < 1, got {big_r}; "
             "use radial_quadrature at R = 1"
         )
-    value, _, converged = kernels.appell_f1(big_r, SERIES_TAIL_TOL, SERIES_MAX_DIAGONALS)
+    value, _, converged = _appell_f1(big_r, SERIES_TAIL_TOL, SERIES_MAX_DIAGONALS)
     if not converged:
         raise ConvergenceError(
             f"series did not meet the tail threshold within "
@@ -132,13 +175,12 @@ def turning_points(i1: float, i2: float) -> TurningPoints:
         no turning points; use ``blowup_time``), or I1/I2^2 is not a
         finite double.
     """
-    if not (math.isfinite(i1) and math.isfinite(i2)):
-        raise DomainError(f"I1 and I2 must be finite, got I1 = {i1}, I2 = {i2}")
+    integrals = FirstIntegrals(i1, i2)
     if i2 == 0.0:
         raise DomainError("I2 = 0 is radial motion; use blowup_time instead")
     if i1 <= 0.0:
         raise DomainError(f"I1 must be positive, got {i1}")
-    ratio = FirstIntegrals(i1, i2).ratio
+    ratio = integrals.ratio
     if ratio < MIN_ORBIT_RATIO - 1e-12 * max(1.0, ratio):
         raise NoOrbitError(
             f"no orbit: I1/I2^2 = {ratio:.6f} below 6*sqrt(3) = {MIN_ORBIT_RATIO:.6f}"

@@ -13,7 +13,6 @@ errors, 3 domain errors (invalid region, no orbit, chart exit).  Set
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -21,8 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import analysis, checks, geodesics, sections
-from ._backend import BACKEND
-from .errors import LineGeoError
+from .errors import DomainError, LineGeoError
 
 logger = logging.getLogger("linegeo.cli")
 
@@ -150,6 +148,8 @@ def cmd_analyze(args) -> int:
         return 0
 
     # series-check
+    if args.num < 1:
+        raise DomainError(f"need at least 1 sample, got {args.num}")
     rs = np.linspace(args.r_lo, args.r_hi, args.num)
     rows = analysis.series_quadrature_table(rs)
     with _out_stream(args.output) as fh:
@@ -166,18 +166,15 @@ def cmd_check(args) -> int:
         tol=args.tol,
         t_span=args.t_span,
         seed=args.seed,
-        i2_bias=args.inject_i2_bias,
     )
     all_passed = all(r.passed for r in results)
     report = {
-        "backend": BACKEND,
         "config": {
             "samples": args.samples,
             "trajectories": args.trajectories,
             "tol": args.tol,
             "t_span": args.t_span,
             "seed": args.seed,
-            "inject_i2_bias": args.inject_i2_bias,
         },
         "all_passed": all_passed,
         "checks": [r.to_dict() for r in results],
@@ -275,13 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--tol", type=float, default=1e-10)
     p_chk.add_argument("--t-span", type=float, default=6.0)
     p_chk.add_argument("--seed", type=int, default=2025)
-    p_chk.add_argument(
-        "--inject-i2-bias",
-        type=float,
-        default=0.0,
-        help="testing hook: offset the angular-momentum evaluations to "
-        "demonstrate the suite detects tampering",
-    )
     p_chk.add_argument("--output")
     p_chk.set_defaults(handler=cmd_check)
 

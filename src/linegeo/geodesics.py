@@ -14,18 +14,21 @@ cuts off just before the equator and reports an interpolated hit time.
 
 All integration happens in the Cartesian (xi, xidot) variables; polar
 coordinates (R, theta) are provided for initial data and reporting but
-are singular at xi = 0, which radial geodesics cross.
+are singular at xi = 0, which radial geodesics cross.  The stepper,
+``geod_integrate``, is plain Python on complex scalars; ``integrate``
+validates its input and wraps the result in a ``Trajectory``, which
+carries the first integrals at every sample and their drift.
 """
 
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels_py as kernels
 from .errors import DegeneracyError, DomainError, NoOrbitError
+from .line_space import finite_complex
 from .sections import StandardSphere
 
 #: integration stops once |1 - |xi|^2| falls below this
@@ -53,21 +56,6 @@ class Termination(enum.Enum):
     MAX_STEPS = "max_steps"
 
 
-_STATUS_TO_TERMINATION = {
-    kernels.STATUS_TIME_LIMIT: Termination.TIME_LIMIT,
-    kernels.STATUS_EQUATOR: Termination.EQUATOR_REACHED,
-    kernels.STATUS_UNDERFLOW: Termination.STEP_UNDERFLOW,
-    kernels.STATUS_MAX_STEPS: Termination.MAX_STEPS,
-}
-
-
-def _finite_complex(name, z):
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"{name} must be finite, got {z!r}")
-    return z
-
-
 @dataclass(frozen=True)
 class GeodesicState:
     """Instantaneous state (t, xi, xidot) of the flow."""
@@ -78,8 +66,8 @@ class GeodesicState:
 
     def __post_init__(self):
         object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "xi", _finite_complex("xi", self.xi))
-        object.__setattr__(self, "xidot", _finite_complex("xidot", self.xidot))
+        object.__setattr__(self, "xi", finite_complex("xi", self.xi))
+        object.__setattr__(self, "xidot", finite_complex("xidot", self.xidot))
 
     @property
     def radius(self) -> float:
@@ -128,6 +116,12 @@ class FirstIntegrals:
     I1: float
     I2: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.I1) and math.isfinite(self.I2)):
+            raise DomainError(
+                f"first integrals must be finite doubles, got I1 = {self.I1!r}, I2 = {self.I2!r}"
+            )
+
     @property
     def ratio(self) -> float:
         """I1 / I2^2, the level against the effective potential.
@@ -153,27 +147,34 @@ def christoffel(xi: complex) -> complex:
     ln[(1-|xi|^2)/(1+|xi|^2)^3].  The mixed and conjugate symbols vanish
     identically for a conformal metric of this form.
     """
-    xi = _finite_complex("xi", xi)
+    xi = finite_complex("xi", xi)
     if abs(1.0 - (xi * xi.conjugate()).real) < DEGENERACY_TOL:
         raise DegeneracyError(f"metric degenerate at |xi| = 1 (xi = {xi!r})")
-    return kernels.geod_christoffel(xi)
+    return _christoffel(xi)
 
 
 def rhs(state: GeodesicState) -> tuple[complex, complex]:
     """Time derivative (xidot, xiddot) of the state."""
     if abs(1.0 - (state.xi * state.xi.conjugate()).real) < DEGENERACY_TOL:
         raise DegeneracyError(f"metric degenerate at |xi| = 1 (xi = {state.xi!r})")
-    return kernels.geod_rhs(state.xi, state.xidot)
+    return state.xidot, -_christoffel(state.xi) * state.xidot * state.xidot
 
 
 def first_integrals(state: GeodesicState) -> FirstIntegrals:
-    """Evaluate both conserved quantities at a state."""
-    i1, i2 = kernels.geod_first_integrals(state.xi, state.xidot)
+    """Evaluate both conserved quantities at a state.
+
+    Raises DomainError when either is not a finite double.
+    """
+    try:
+        i1, i2 = first_integrals_arrays(state.xi, state.xidot)
+    except OverflowError:  # a float power overflows here instead of giving inf
+        i1 = i2 = math.inf
     return FirstIntegrals(i1, i2)
 
 
-def first_integrals_arrays(xi: np.ndarray, xidot: np.ndarray):
-    """Vectorised first integrals along sample arrays."""
+def first_integrals_arrays(xi, xidot):
+    """First integrals (I1, I2) along sample arrays, or at one state when
+    given complex scalars."""
     m = (xi * xi.conjugate()).real
     f = (1.0 - m) / (1.0 + m) ** 3
     return f * (xidot * xidot.conjugate()).real, f * (xi.conjugate() * xidot).imag
@@ -237,9 +238,10 @@ class Trajectory:
     """An integrated geodesic: per-step samples plus diagnostics.
 
     ``t``, ``xi``, ``xidot`` are aligned arrays with one entry per
-    accepted step (including the initial state).  ``max_drift`` is the
-    peak relative deviation of (I1, I2) from their initial values, with
-    a 1e-30 floor on the normalisation.
+    accepted step (including the initial state), and
+    ``integral_series()`` gives the first integrals at those samples.
+    ``max_drift`` is the peak relative deviation of (I1, I2) from their
+    initial values, with a 1e-30 floor on the normalisation.
     """
 
     sphere: StandardSphere
@@ -249,26 +251,192 @@ class Trajectory:
     integrals0: FirstIntegrals
     max_drift: tuple[float, float]
     termination: Termination
+    _integrals: tuple[np.ndarray, np.ndarray]
     t_hit: float | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self):
         return len(self.t)
 
     @property
     def radius(self) -> np.ndarray:
-        if "radius" not in self._cache:
-            self._cache["radius"] = np.abs(self.xi)
-        return self._cache["radius"]
+        return np.abs(self.xi)
 
-    def integral_series(self):
+    def integral_series(self) -> tuple[np.ndarray, np.ndarray]:
         """(I1, I2) arrays along the samples."""
-        if "integrals" not in self._cache:
-            self._cache["integrals"] = first_integrals_arrays(self.xi, self.xidot)
-        return self._cache["integrals"]
+        return self._integrals
 
     def final_state(self) -> GeodesicState:
         return GeodesicState(float(self.t[-1]), complex(self.xi[-1]), complex(self.xidot[-1]))
+
+
+# -- the adaptive stepper -----------------------------------------------------
+
+# Dormand-Prince 5(4) tableau; row 7 equals the 5th-order weights (FSAL)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_ERR = tuple(
+    b5 - b4
+    for b5, b4 in zip(
+        _B5,
+        (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),
+    )
+)
+
+# the tableau as scalars for the straight-line stepper in geod_integrate
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_A71, _A72, _A73, _A74, _A75, _A76),
+) = _A[1:]
+_B57 = _B5[6]
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _ERR
+
+
+def _christoffel(xi):
+    """Gamma^xi_xixi of the induced metric, d/dxi of ln[(1-xi xibar)/(1+xi xibar)^3].
+
+    Complex NaN exactly on the equator |xi| = 1, so that a trial stage
+    landing there is rejected by the stepper instead of raising.
+    """
+    xb = xi.conjugate()
+    m = (xi * xb).real
+    if m == 1.0:
+        return complex(math.nan, math.nan)
+    return -xb / (1.0 - m) - 3.0 * xb / (1.0 + m)
+
+
+def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
+    """Adaptive Dormand-Prince 5(4) integration of the geodesic system.
+
+    Integrates from t=0 to t=t_span, recording every accepted step;
+    ``max_steps`` caps the step attempts, accepted or rejected.
+    Returns (t, xi, xidot, termination, t_hit) with ``termination`` a
+    ``Termination`` and ``t_hit`` the linear interpolation of the equator
+    crossing 1-|xi|^2 = 0 (None unless the equator was reached).
+
+    The stages are written out by hand.  Each weighted sum starts from
+    0.0j and keeps its zero-weight terms, in tableau order: a NaN stage
+    (a trial point exactly on the equator) then reaches the error norm
+    and the step is rejected, and the arithmetic matches a generic loop
+    over ``_A``, ``_B5`` and ``_ERR`` bit for bit.
+    """
+    t = 0.0
+    y0, y1 = complex(xi0), complex(xidot0)
+    ts = [0.0]
+    xis = [y0]
+    xds = [y1]
+
+    # modest initial step; the controller adapts within a few steps
+    h = min(1e-2, 1e-2 * (1.0 + abs(y0)) / (1.0 + abs(y1)), t_span)
+
+    # stage k_i = (p_i, q_i) = rhs(xi, xidot) = (xidot, -Gamma(xi) xidot^2)
+    p1 = y1
+    q1 = -_christoffel(y0) * y1 * y1
+    status = Termination.MAX_STEPS
+    t_hit = None
+
+    for _ in range(max_steps):
+        clipped = t + h >= t_span
+        if clipped:
+            h = t_span - t
+        p2 = y1 + h * (0.0j + _A21 * q1)
+        q2 = -_christoffel(y0 + h * (0.0j + _A21 * p1)) * p2 * p2
+        p3 = y1 + h * (0.0j + _A31 * q1 + _A32 * q2)
+        q3 = -_christoffel(y0 + h * (0.0j + _A31 * p1 + _A32 * p2)) * p3 * p3
+        p4 = y1 + h * (0.0j + _A41 * q1 + _A42 * q2 + _A43 * q3)
+        q4 = -_christoffel(y0 + h * (0.0j + _A41 * p1 + _A42 * p2 + _A43 * p3)) * p4 * p4
+        p5 = y1 + h * (0.0j + _A51 * q1 + _A52 * q2 + _A53 * q3 + _A54 * q4)
+        q5 = (
+            -_christoffel(y0 + h * (0.0j + _A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4))
+            * p5
+            * p5
+        )
+        p6 = y1 + h * (0.0j + _A61 * q1 + _A62 * q2 + _A63 * q3 + _A64 * q4 + _A65 * q5)
+        q6 = (
+            -_christoffel(
+                y0 + h * (0.0j + _A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+            )
+            * p6
+            * p6
+        )
+        s1 = 0.0j + _A71 * q1 + _A72 * q2 + _A73 * q3 + _A74 * q4 + _A75 * q5 + _A76 * q6
+        p7 = y1 + h * s1
+        s0 = 0.0j + _A71 * p1 + _A72 * p2 + _A73 * p3 + _A74 * p4 + _A75 * p5 + _A76 * p6
+        q7 = -_christoffel(y0 + h * s0) * p7 * p7
+        # row 7 of _A is _B5[:6] (FSAL): the fifth-order sums are stage 7's
+        # sums plus the last, zero, weight
+        y0n = y0 + h * (s0 + _B57 * p7)
+        y1n = y1 + h * (s1 + _B57 * q7)
+        d0 = h * (
+            0.0j
+            + _E1 * p1 + _E2 * p2 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7
+        )
+        d1 = h * (
+            0.0j
+            + _E1 * q1 + _E2 * q2 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6 + _E7 * q7
+        )
+        # max over the 4 real components, scaled by tol*(1 + component
+        # magnitude); `b if b > a else a` is max(a, b) without a call, NaN included
+        a, b = abs(y0.real), abs(y0n.real)
+        err = abs(d0.real) / (1.0 + (b if b > a else a))
+        a, b = abs(y0.imag), abs(y0n.imag)
+        c = abs(d0.imag) / (1.0 + (b if b > a else a))
+        err = c if c > err else err
+        a, b = abs(y1.real), abs(y1n.real)
+        c = abs(d1.real) / (1.0 + (b if b > a else a))
+        err = c if c > err else err
+        a, b = abs(y1.imag), abs(y1n.imag)
+        c = abs(d1.imag) / (1.0 + (b if b > a else a))
+        err = c if c > err else err
+        err = err / tol
+
+        if err <= 1.0:
+            y0o = y0
+            t = t_span if clipped else t + h
+            y0, y1 = y0n, y1n
+            p1, q1 = p7, q7  # FSAL: stage 7 was evaluated at the accepted point
+            ts.append(t)
+            xis.append(y0)
+            xds.append(y1)
+            s_new = 1.0 - (y0 * y0.conjugate()).real
+            if abs(s_new) <= equator_cut:
+                s_old = 1.0 - (y0o * y0o.conjugate()).real
+                t_hit = t + s_new * (ts[-1] - ts[-2]) / (s_old - s_new)
+                status = Termination.EQUATOR_REACHED
+                break
+            if t >= t_span:
+                status = Termination.TIME_LIMIT
+                break
+
+        if err == 0.0:
+            fac = 5.0
+        elif math.isnan(err):  # a trial stage hit the degeneracy exactly
+            fac = 0.2
+        else:
+            fac = min(5.0, max(0.2, 0.9 * err ** -0.2))
+        h *= fac
+        if h < h_min:
+            status = Termination.STEP_UNDERFLOW
+            break
+
+    return (
+        np.asarray(ts, dtype=np.float64),
+        np.asarray(xis, dtype=np.complex128),
+        np.asarray(xds, dtype=np.complex128),
+        status,
+        t_hit,
+    )
 
 
 def integrate(
@@ -304,8 +472,9 @@ def integrate(
     ------
     DomainError
         If the sphere is not twisting (c <= 0), tol is not positive and
-        finite, t_max is not finite, the initial point sits inside the
-        cutoff band, or t_max <= initial.t.
+        finite, t_max is not finite, t_max <= initial.t, the initial I1
+        or I2 is not a finite double, or the initial point sits inside
+        the cutoff band.
     """
     if sphere.c <= 0.0:
         raise DomainError("geodesic flow requires a twisting sphere (c > 0)")
@@ -315,13 +484,14 @@ def integrate(
         raise DomainError(f"t_max must be finite, got {t_max}")
     if t_max <= initial.t:
         raise DomainError(f"t_max = {t_max} does not exceed initial time {initial.t}")
+    first_integrals(initial)  # DomainError unless I1 and I2 are finite doubles
     s0 = 1.0 - abs(initial.xi) ** 2
     if abs(s0) <= equator_cutoff:
         raise DomainError(
             f"initial point is within the equator cutoff band (1-|xi|^2 = {s0:.3e})"
         )
 
-    ts, xis, xds, status, t_hit = kernels.geod_integrate(
+    ts, xis, xds, termination, t_hit = geod_integrate(
         initial.xi,
         initial.xidot,
         t_max - initial.t,
@@ -338,7 +508,6 @@ def integrate(
         float(np.max(np.abs(i1s - i1s[0])) / max(abs(i1s[0]), 1e-30)),
         float(np.max(np.abs(i2s - i2s[0])) / max(abs(i2s[0]), 1e-30)),
     )
-    termination = _STATUS_TO_TERMINATION[status]
     return Trajectory(
         sphere=sphere,
         t=ts,
@@ -347,8 +516,8 @@ def integrate(
         integrals0=integrals0,
         max_drift=drift,
         termination=termination,
-        t_hit=(float(t_hit) + initial.t) if termination is Termination.EQUATOR_REACHED else None,
-        _cache={"integrals": (i1s, i2s)},
+        _integrals=(i1s, i2s),
+        t_hit=None if t_hit is None else t_hit + initial.t,
     )
 
 

@@ -30,10 +30,12 @@ SOUTH_POLE_TOL = 1e-14
 _IMAG_TOL = 1e-12
 
 
-def _require_finite(name, *values):
-    for v in values:
-        if not (cmath.isfinite(complex(v))):
-            raise DomainError(f"{name} must be finite, got {v!r}")
+def finite_complex(name, value) -> complex:
+    """``value`` as a complex; DomainError unless both parts are finite."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -44,9 +46,8 @@ class ComplexPair:
     eta: complex
 
     def __post_init__(self):
-        _require_finite("ComplexPair coordinates", self.xi, self.eta)
-        object.__setattr__(self, "xi", complex(self.xi))
-        object.__setattr__(self, "eta", complex(self.eta))
+        object.__setattr__(self, "xi", finite_complex("xi", self.xi))
+        object.__setattr__(self, "eta", finite_complex("eta", self.eta))
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,11 @@ class Translation:
     a1: float
 
     def __post_init__(self):
-        _require_finite("Translation parameters", self.alpha1, self.a1)
-        if complex(self.a1).imag != 0.0:
+        a1 = finite_complex("a1", self.a1)
+        if a1.imag != 0.0:
             raise DomainError("translation component a1 must be real")
-        object.__setattr__(self, "alpha1", complex(self.alpha1))
-        object.__setattr__(self, "a1", float(complex(self.a1).real))
+        object.__setattr__(self, "alpha1", finite_complex("alpha1", self.alpha1))
+        object.__setattr__(self, "a1", a1.real)
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class Rotation:
     alpha3: complex
 
     def __post_init__(self):
-        _require_finite("Rotation parameters", self.alpha2, self.alpha3)
-        a2, a3 = complex(self.alpha2), complex(self.alpha3)
+        a2 = finite_complex("alpha2", self.alpha2)
+        a3 = finite_complex("alpha3", self.alpha3)
         n = abs(a2) ** 2 + abs(a3) ** 2
         if n < 1e-12:
             raise DomainError("rotation spinor is numerically zero")
@@ -96,13 +97,8 @@ class TangentVector:
     deta: complex
 
     def __post_init__(self):
-        _require_finite("TangentVector components", self.dxi, self.deta)
-        object.__setattr__(self, "dxi", complex(self.dxi))
-        object.__setattr__(self, "deta", complex(self.deta))
-
-
-IDENTITY_ROTATION = Rotation(1.0, 0.0)
-IDENTITY_TRANSLATION = Translation(0.0, 0.0)
+        object.__setattr__(self, "dxi", finite_complex("dxi", self.dxi))
+        object.__setattr__(self, "deta", finite_complex("deta", self.deta))
 
 
 def apply_translation(m: Translation, p: ComplexPair) -> ComplexPair:

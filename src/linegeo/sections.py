@@ -10,7 +10,6 @@ symplectic form vanishes only on the equator |xi| = 1, where the induced
 metric degenerates as well.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,19 +23,13 @@ from .line_space import (
     Translation,
     apply_motion,
     compose_rotations,
+    finite_complex,
     metric,
 )
 
 #: below this, the post-translation constant coefficient is treated as zero
 #: and no rotation is needed
 GAMMA_TOL = 1e-13
-
-
-def _require_finite_complex(name, value):
-    value = complex(value)
-    if not cmath.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ class QuadraticSection:
 
     def __post_init__(self):
         for name in ("beta1", "beta2", "beta3"):
-            object.__setattr__(self, name, _require_finite_complex(name, getattr(self, name)))
+            object.__setattr__(self, name, finite_complex(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,7 @@ class NormalizationCertificate:
 
 def evaluate(s: QuadraticSection, xi: complex) -> ComplexPair:
     """The point of the sphere over the direction xi."""
-    xi = _require_finite_complex("xi", xi)
+    xi = finite_complex("xi", xi)
     return ComplexPair(xi, s.beta1 + s.beta2 * xi + s.beta3 * xi * xi)
 
 
@@ -188,7 +181,7 @@ def lagrangian_defect(s: StandardSphere, xi: complex) -> float:
     """Scalar multiplying i dxi ^ dxibar in the symplectic form pulled
     back to the sphere: 4c(1-|xi|^2)/(1+|xi|^2)^3.  Zero exactly at the
     points where the sphere is Lagrangian."""
-    xi = _require_finite_complex("xi", xi)
+    xi = finite_complex("xi", xi)
     m = (xi * xi.conjugate()).real
     return 4.0 * s.c * (1.0 - m) / (1.0 + m) ** 3
 
@@ -197,7 +190,7 @@ def induced_metric_factor(s: StandardSphere, xi: complex) -> float:
     """Conformal factor g of the induced metric ds^2 = g dxi dxibar:
     -4c(1-|xi|^2)/(1+|xi|^2)^3.  Negative inside the equator, zero on it,
     positive outside."""
-    xi = _require_finite_complex("xi", xi)
+    xi = finite_complex("xi", xi)
     m = (xi * xi.conjugate()).real
     return -4.0 * s.c * (1.0 - m) / (1.0 + m) ** 3
 
@@ -209,7 +202,7 @@ def pullback_consistency_check(s: StandardSphere, xi: complex) -> float:
     d/dxi through the embedding and evaluates the ambient metric on it.
     Contract: below 1e-9 everywhere.
     """
-    xi = _require_finite_complex("xi", xi)
+    xi = finite_complex("xi", xi)
     base = ComplexPair(xi, 1j * s.c * xi)
     tangent = TangentVector(base, 1.0, 1j * s.c)  # d(eta) = c i d(xi) along the sphere
     numeric = metric(tangent, tangent)

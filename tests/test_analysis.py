@@ -27,7 +27,7 @@ from linegeo import (
     state_from_integrals,
     turning_points,
 )
-from linegeo import _kernels_py
+from linegeo import analysis
 
 SPHERE = StandardSphere(1.0)
 
@@ -108,7 +108,7 @@ def test_series_close_to_one_still_converges():
 
 
 def test_series_kernel_reports_non_convergence():
-    _, used, converged = _kernels_py.appell_f1(0.999999, 1e-14, 50)
+    _, used, converged = analysis._appell_f1(0.999999, 1e-14, 50)
     assert converged is False
     assert used == 50
 

@@ -207,6 +207,9 @@ def test_geodesic_on_equator_exit_3(capsys):
         ["analyze", "turning-points", "--I1", "1", "--I2", "1e-200"],
         ["analyze", "turning-points", "--I1", "1e300", "--I2", "1e-10"],
         ["geodesic", "--integrals", "1", "1e-200", "0.5"],
+        # the initial I1 overflows (|xi|^2 or |xidot|^2 past the double range)
+        ["geodesic", "--xi", "1e300", "0", "--xidot", "1", "0", "--t-max", "1"],
+        ["geodesic", "--xi", "0.5", "0", "--xidot", "1e300", "0", "--t-max", "1"],
     ],
 )
 def test_non_finite_inputs_exit_3(capsys, argv):
@@ -300,13 +303,37 @@ def test_check_passes(capsys):
         assert c["passed"] and c["margin"] > 1.0
 
 
-def test_check_detects_injected_bias(capsys):
-    code, out, _ = run_cli(capsys, *CHECK_ARGS, "--inject-i2-bias", "1e-3")
+def test_check_detects_injected_bias(capsys, monkeypatch):
+    exact = geodesics.first_integrals_arrays
+
+    def biased(xi, xidot):
+        i1, i2 = exact(xi, xidot)
+        return i1, i2 + 1e-3
+
+    monkeypatch.setattr(geodesics, "first_integrals_arrays", biased)
+    code, out, _ = run_cli(capsys, *CHECK_ARGS)
     assert code == 1
     report = json.loads(out)
     assert report["all_passed"] is False
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "energy_identity" in failed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "series-check", "--num", "0"],
+        ["analyze", "series-check", "--num", "-1"],
+        ["check", "--samples", "-1", "--trajectories", "0"],
+        ["check", "--samples", "0"],
+        ["check", "--trajectories", "0"],
+    ],
+)
+def test_empty_sample_counts_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "at least 1" in err
 
 
 # seeds whose suite pairs near-cancelling tangent vectors: the metric or

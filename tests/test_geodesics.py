@@ -24,7 +24,7 @@ from linegeo import (
     turning_points,
     write_csv,
 )
-from linegeo import _kernels_py as kernels
+from linegeo import geodesics
 from linegeo.geodesics import CSV_CHUNK_ROWS, CSV_HEADER, EQUATOR_CUTOFF, MIN_STEP
 
 RNG = np.random.default_rng(91003)
@@ -280,6 +280,10 @@ def test_integrate_max_steps_returns_partial_trajectory():
 # -- kernel against the generic tableau loop ------------------------------------------
 
 
+def reference_rhs(xi, xidot):
+    return xidot, -geodesics._christoffel(xi) * xidot * xidot
+
+
 def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     """The Dormand-Prince stepper as a generic loop over the tableau tuples;
     ``geod_integrate`` must reproduce it bit for bit."""
@@ -290,27 +294,27 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
     xds = [y1]
     h = min(1e-2, 1e-2 * (1.0 + abs(y0)) / (1.0 + abs(y1)), t_span)
     k = [None] * 7
-    k[0] = kernels.geod_rhs(y0, y1)
-    status = kernels.STATUS_MAX_STEPS
-    t_hit = math.nan
+    k[0] = reference_rhs(y0, y1)
+    status = Termination.MAX_STEPS
+    t_hit = None
     for _ in range(max_steps):
         clipped = t + h >= t_span
         if clipped:
             h = t_span - t
         for i in range(1, 7):
-            a = kernels._A[i]
+            a = geodesics._A[i]
             s0 = 0.0j
             s1 = 0.0j
             for j in range(i):
                 s0 += a[j] * k[j][0]
                 s1 += a[j] * k[j][1]
-            k[i] = kernels.geod_rhs(y0 + h * s0, y1 + h * s1)
+            k[i] = reference_rhs(y0 + h * s0, y1 + h * s1)
         i0 = i1 = e0 = e1 = 0.0j
         for i in range(7):
-            i0 += kernels._B5[i] * k[i][0]
-            i1 += kernels._B5[i] * k[i][1]
-            e0 += kernels._ERR[i] * k[i][0]
-            e1 += kernels._ERR[i] * k[i][1]
+            i0 += geodesics._B5[i] * k[i][0]
+            i1 += geodesics._B5[i] * k[i][1]
+            e0 += geodesics._ERR[i] * k[i][0]
+            e1 += geodesics._ERR[i] * k[i][1]
         y0n = y0 + h * i0
         y1n = y1 + h * i1
         e0 *= h
@@ -332,10 +336,10 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
             if abs(s_new) <= equator_cut:
                 s_old = 1.0 - (y0o * y0o.conjugate()).real
                 t_hit = t + s_new * (ts[-1] - ts[-2]) / (s_old - s_new)
-                status = kernels.STATUS_EQUATOR
+                status = Termination.EQUATOR_REACHED
                 break
             if t >= t_span:
-                status = kernels.STATUS_TIME_LIMIT
+                status = Termination.TIME_LIMIT
                 break
         if err == 0.0:
             fac = 5.0
@@ -345,7 +349,7 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
             fac = min(5.0, max(0.2, 0.9 * err**-0.2))
         h *= fac
         if h < h_min:
-            status = kernels.STATUS_UNDERFLOW
+            status = Termination.STEP_UNDERFLOW
             break
     return (
         np.asarray(ts, dtype=np.float64),
@@ -358,16 +362,16 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
 
 _ORACLE_RUNS = [
     # tol-1e-10 orbits
-    pytest.param(0.3, 0.2 + 0.1j, 8.0, 1e-10, kernels.STATUS_TIME_LIMIT, id="orbit-a"),
-    pytest.param(0.5j, -0.4 + 0.7j, 8.0, 1e-10, kernels.STATUS_TIME_LIMIT, id="orbit-b"),
-    pytest.param(-0.25 + 0.4j, 0.9 - 0.3j, 8.0, 1e-10, kernels.STATUS_TIME_LIMIT, id="orbit-c"),
-    pytest.param(0.7, 0.05j, 8.0, 1e-10, kernels.STATUS_TIME_LIMIT, id="orbit-d"),
+    pytest.param(0.3, 0.2 + 0.1j, 8.0, 1e-10, Termination.TIME_LIMIT, id="orbit-a"),
+    pytest.param(0.5j, -0.4 + 0.7j, 8.0, 1e-10, Termination.TIME_LIMIT, id="orbit-b"),
+    pytest.param(-0.25 + 0.4j, 0.9 - 0.3j, 8.0, 1e-10, Termination.TIME_LIMIT, id="orbit-c"),
+    pytest.param(0.7, 0.05j, 8.0, 1e-10, Termination.TIME_LIMIT, id="orbit-d"),
     # radial runs from the pole: to the equator, and step underflow before it
-    pytest.param(0.0, 0.6 + 0.8j, 10.0, 1e-6, kernels.STATUS_EQUATOR, id="radial-1e-6"),
-    pytest.param(0.0, 1.0, 10.0, 1e-12, kernels.STATUS_UNDERFLOW, id="radial-1e-12"),
+    pytest.param(0.0, 0.6 + 0.8j, 10.0, 1e-6, Termination.EQUATOR_REACHED, id="radial-1e-6"),
+    pytest.param(0.0, 1.0, 10.0, 1e-12, Termination.STEP_UNDERFLOW, id="radial-1e-12"),
     # a trial stage of the first step lands exactly on xi = 1
     pytest.param(
-        0.9999999850988388, 7.450580590301892e-06, 1.0, 1e-6, kernels.STATUS_EQUATOR,
+        0.9999999850988388, 7.450580590301892e-06, 1.0, 1e-6, Termination.EQUATOR_REACHED,
         id="equator-trial-stage",
     ),
 ]
@@ -376,21 +380,22 @@ _ORACLE_RUNS = [
 @pytest.mark.parametrize("xi0, xidot0, t_span, tol, status", _ORACLE_RUNS)
 def test_kernel_matches_generic_tableau_loop(xi0, xidot0, t_span, tol, status):
     args = (xi0, xidot0, t_span, tol, EQUATOR_CUTOFF, MIN_STEP, 1_000_000)
-    t, xi, xidot, got_status, t_hit = kernels.geod_integrate(*args)
+    t, xi, xidot, got_status, t_hit = geodesics.geod_integrate(*args)
     t_ref, xi_ref, xidot_ref, ref_status, t_hit_ref = reference_geod_integrate(*args)
-    assert got_status == ref_status == status
+    assert got_status is ref_status is status
     assert np.array_equal(t, t_ref)
     assert np.array_equal(xi, xi_ref)
     assert np.array_equal(xidot, xidot_ref)
-    assert t_hit == t_hit_ref or (math.isnan(t_hit) and math.isnan(t_hit_ref))
+    assert t_hit == t_hit_ref
+    assert (t_hit is None) == (status is not Termination.EQUATOR_REACHED)
 
 
 def test_kernel_matches_generic_tableau_loop_at_step_cap():
     # the controller rejects several of the first attempts from this start
     args = (0.2, 0.5j, 100.0, 1e-8, EQUATOR_CUTOFF, MIN_STEP, 50)
-    got = kernels.geod_integrate(*args)
+    got = geodesics.geod_integrate(*args)
     ref = reference_geod_integrate(*args)
-    assert got[3] == ref[3] == kernels.STATUS_MAX_STEPS
+    assert got[3] is ref[3] is Termination.MAX_STEPS
     assert len(got[0]) < 51
     for a, b in zip(got[:3], ref[:3]):
         assert np.array_equal(a, b)
