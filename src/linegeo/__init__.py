@@ -57,7 +57,6 @@ from .line_space import (
     apply_rotation,
     apply_translation,
     compose_rotations,
-    inverse_rotation,
     metric,
     metric_matrix,
     push_forward,
@@ -68,16 +67,12 @@ from .sections import (
     NormalizationCertificate,
     QuadraticSection,
     StandardSphere,
-    certificate_from_dict,
     certificate_to_dict,
     evaluate,
     induced_metric_factor,
     lagrangian_defect,
     normalize,
     pullback_consistency_check,
-    refit_quadratic,
-    section_from_dict,
-    section_to_dict,
     transform_section,
 )
 
@@ -113,7 +108,6 @@ __all__ = [
     "apply_rotation",
     "apply_translation",
     "blowup_time",
-    "certificate_from_dict",
     "certificate_to_dict",
     "christoffel",
     "compose_rotations",
@@ -123,7 +117,6 @@ __all__ = [
     "first_integrals_arrays",
     "induced_metric_factor",
     "integrate",
-    "inverse_rotation",
     "lagrangian_defect",
     "metric",
     "metric_matrix",
@@ -133,10 +126,7 @@ __all__ = [
     "pullback_consistency_check",
     "push_forward",
     "radial_quadrature",
-    "refit_quadratic",
     "rhs",
-    "section_from_dict",
-    "section_to_dict",
     "series_quadrature_table",
     "state_from_integrals",
     "symplectic_form",

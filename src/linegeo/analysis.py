@@ -18,8 +18,6 @@ are the two roots of U(R) = I1/I2^2 around the potential minimum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, NoOrbitError
 from .geodesics import (
     MIN_ORBIT_RATIO,
@@ -38,9 +36,21 @@ SERIES_TAIL_TOL = 1e-14
 #: hard cap on the number of anti-diagonals
 SERIES_MAX_DIAGONALS = 10_000
 
-#: 16-node Gauss-Legendre rule on [-1, 1]; 12 nodes leave errors near
+#: 16-node Gauss-Legendre rule on [-1, 1], the values of
+#: numpy.polynomial.legendre.leggauss(16); 12 nodes leave errors near
 #: 1e-11, 16 reach rounding level on all of [0, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES = (
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GL_WEIGHTS = (
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
 
 
 def radial_quadrature(big_r: float) -> float:
@@ -55,9 +65,12 @@ def radial_quadrature(big_r: float) -> float:
     if not 0.0 <= big_r <= 1.0:
         raise DomainError(f"radius must lie in [0, 1], got {big_r}")
     half = 0.5 * math.asin(big_r)
-    phi = half * (_GL_NODES + 1.0)
-    sin_phi = np.sin(phi)
-    return float(half * np.dot(_GL_WEIGHTS, np.cos(phi) ** 2 / (1.0 + sin_phi**2) ** 1.5))
+    total = 0.0
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        phi = half * (node + 1.0)
+        sin_phi = math.sin(phi)
+        total += weight * math.cos(phi) ** 2 / (1.0 + sin_phi * sin_phi) ** 1.5
+    return half * total
 
 
 def _appell_f1(R, tail_tol, max_diagonals):
@@ -238,14 +251,14 @@ def oscillation_check(traj: Trajectory) -> OscillationReport:
     predicted = turning_points(traj.integrals0.I1, i2)
 
     big_r = traj.radius
-    obs_min = float(np.min(big_r))
-    obs_max = float(np.max(big_r))
+    obs_min = min(big_r)
+    obs_max = max(big_r)
 
-    # Rdot = Re(conj(xi) xidot)/R; R > 0 along orbits with I2 != 0
-    rdot = (traj.xi.conjugate() * traj.xidot).real / np.where(big_r > 0.0, big_r, 1.0)
-    signs = np.sign(rdot)
-    signs = signs[signs != 0.0]
-    turnings = int(np.count_nonzero(signs[1:] != signs[:-1])) if len(signs) > 1 else 0
+    # Rdot = Re(conj(xi) xidot)/R has the sign of its numerator; R > 0
+    # along orbits with I2 != 0
+    rdots = [(xi.conjugate() * xidot).real for xi, xidot in zip(traj.xi, traj.xidot)]
+    signs = [rdot > 0.0 for rdot in rdots if rdot != 0.0]
+    turnings = sum(a != b for a, b in zip(signs, signs[1:]))
 
     collapsed = predicted.R_max - predicted.R_min < 1e-6 and obs_max - obs_min < 1e-6
     conclusive = turnings >= 2 or collapsed
@@ -263,17 +276,27 @@ def oscillation_check(traj: Trajectory) -> OscillationReport:
     )
 
 
-def potential_curve(r_lo: float = 0.05, r_hi: float = 0.95, num: int = 181) -> np.ndarray:
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` evenly spaced floats from ``start`` to ``stop``, bit for bit
+    the values of numpy.linspace: start + i*step, the last one ``stop``."""
+    if num == 1:
+        return [start]
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [stop]
+
+
+def potential_curve(
+    r_lo: float = 0.05, r_hi: float = 0.95, num: int = 181
+) -> list[tuple[float, float]]:
     """Sampled (R, U(R)) rows for plotting."""
     if not (0.0 < r_lo < r_hi < 1.0):
         raise DomainError(f"need 0 < r_lo < r_hi < 1, got ({r_lo}, {r_hi})")
     if num < 2:
         raise DomainError(f"need at least 2 samples, got {num}")
-    rs = np.linspace(r_lo, r_hi, num)
-    return np.column_stack([rs, [effective_potential(r) for r in rs]])
+    return [(r, effective_potential(r)) for r in linspace(r_lo, r_hi, num)]
 
 
-def series_quadrature_table(r_values) -> np.ndarray:
+def series_quadrature_table(r_values) -> list[tuple[float, float, float, float]]:
     """Rows (R, series, quadrature, difference) comparing the two
     evaluations of the travel-time primitive."""
     rows = []
@@ -281,4 +304,4 @@ def series_quadrature_table(r_values) -> np.ndarray:
         s = appell_f1_series(big_r)
         q = radial_quadrature(big_r)
         rows.append((big_r, s, q, s - q))
-    return np.array(rows)
+    return rows

@@ -17,8 +17,6 @@ import os
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
 from . import analysis, checks, geodesics, sections
 from .errors import DomainError, LineGeoError
 
@@ -64,15 +62,21 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-def _initial_state(args) -> geodesics.GeodesicState:
+def _initial_state_usage_error(args) -> str | None:
+    """What is wrong with the initial-condition flags of ``geodesic``, if
+    anything (argparse cannot express these combinations)."""
+    if args.xidot is not None and args.xi is None:
+        return "--xidot requires --xi"
     given = [args.xi is not None, args.polar is not None, args.integrals is not None]
     if sum(given) != 1:
-        raise SystemExit2(
-            "give exactly one of --xi/--xidot, --polar or --integrals"
-        )
+        return "give exactly one of --xi/--xidot, --polar or --integrals"
+    if args.xi is not None and args.xidot is None:
+        return "--xi requires --xidot"
+    return None
+
+
+def _initial_state(args) -> geodesics.GeodesicState:
     if args.xi is not None:
-        if args.xidot is None:
-            raise SystemExit2("--xi requires --xidot")
         return geodesics.GeodesicState(0.0, _complex_flag(args.xi), _complex_flag(args.xidot))
     if args.polar is not None:
         big_r, theta, rdot, thetadot = args.polar
@@ -83,13 +87,7 @@ def _initial_state(args) -> geodesics.GeodesicState:
     )
 
 
-class SystemExit2(Exception):
-    """Usage error detected after argparse (still exit code 2)."""
-
-
 def cmd_geodesic(args) -> int:
-    if args.xidot is not None and args.xi is None:
-        raise SystemExit2("--xidot requires --xi")
     state = _initial_state(args)
     sphere = sections.StandardSphere(args.c)
     traj = geodesics.integrate(state, sphere, args.t_max, args.tol)
@@ -104,14 +102,14 @@ def cmd_geodesic(args) -> int:
     summary = {
         "termination": traj.termination.value,
         "t_hit": traj.t_hit,
-        "t_final": float(traj.t[-1]),
+        "t_final": traj.t[-1],
         "I1": traj.integrals0.I1,
         "I2": traj.integrals0.I2,
         "max_drift_I1": traj.max_drift[0],
         "max_drift_I2": traj.max_drift[1],
         "n_samples": len(traj),
-        "observed_R_min": float(np.min(big_r)),
-        "observed_R_max": float(np.max(big_r)),
+        "observed_R_min": min(big_r),
+        "observed_R_max": max(big_r),
     }
     # keep the CSV stream clean: summary goes to stderr when the CSV
     # occupies stdout, to stdout once the CSV went to a file
@@ -150,7 +148,7 @@ def cmd_analyze(args) -> int:
     # series-check
     if args.num < 1:
         raise DomainError(f"need at least 1 sample, got {args.num}")
-    rs = np.linspace(args.r_lo, args.r_hi, args.num)
+    rs = analysis.linspace(args.r_lo, args.r_hi, args.num)
     rows = analysis.series_quadrature_table(rs)
     with _out_stream(args.output) as fh:
         fh.write("R,series,quadrature,diff\n")
@@ -291,12 +289,12 @@ def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "geodesic":
+        problem = _initial_state_usage_error(args)
+        if problem is not None:
+            parser.error(problem)  # exits with code 2
     try:
         return args.handler(args)
-    except SystemExit2 as exc:
-        parser.print_usage(sys.stderr)
-        print(f"linegeo: error: {exc}", file=sys.stderr)
-        return 2
     except LineGeoError as exc:
         print(f"linegeo: {exc}", file=sys.stderr)
         return 3

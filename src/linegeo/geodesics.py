@@ -23,11 +23,10 @@ carries the first integrals at every sample and their drift.
 import cmath
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DegeneracyError, DomainError, NoOrbitError
+from .errors import ChartExitError, DegeneracyError, DomainError, NoOrbitError
 from .line_space import finite_complex
 from .sections import StandardSphere
 
@@ -166,18 +165,26 @@ def first_integrals(state: GeodesicState) -> FirstIntegrals:
     Raises DomainError when either is not a finite double.
     """
     try:
-        i1, i2 = first_integrals_arrays(state.xi, state.xidot)
-    except OverflowError:  # a float power overflows here instead of giving inf
+        (i1,), (i2,) = first_integrals_arrays((state.xi,), (state.xidot,))
+    except OverflowError:
         i1 = i2 = math.inf
     return FirstIntegrals(i1, i2)
 
 
-def first_integrals_arrays(xi, xidot):
-    """First integrals (I1, I2) along sample arrays, or at one state when
-    given complex scalars."""
-    m = (xi * xi.conjugate()).real
-    f = (1.0 - m) / (1.0 + m) ** 3
-    return f * (xidot * xidot.conjugate()).real, f * (xi.conjugate() * xidot).imag
+def first_integrals_arrays(xis, xidots):
+    """First integrals along samples: the lists (I1, I2), one entry per
+    (xi, xidot) pair.
+
+    Raises OverflowError when a float power overflows.
+    """
+    i1s, i2s = [], []
+    for xi, xidot in zip(xis, xidots):
+        xb = xi.conjugate()
+        m = (xi * xb).real
+        f = (1.0 - m) / (1.0 + m) ** 3
+        i1s.append(f * (xidot * xidot.conjugate()).real)
+        i2s.append(f * (xb * xidot).imag)
+    return i1s, i2s
 
 
 def effective_potential(big_r: float) -> float:
@@ -237,36 +244,37 @@ def state_from_integrals(
 class Trajectory:
     """An integrated geodesic: per-step samples plus diagnostics.
 
-    ``t``, ``xi``, ``xidot`` are aligned arrays with one entry per
-    accepted step (including the initial state), and
-    ``integral_series()`` gives the first integrals at those samples.
+    ``t``, ``xi``, ``xidot`` are aligned sequences of floats and complex
+    numbers with one entry per accepted step (including the initial
+    state), and ``integral_series()`` gives the first integrals at those
+    samples.
     ``max_drift`` is the peak relative deviation of (I1, I2) from their
     initial values, with a 1e-30 floor on the normalisation.
     """
 
     sphere: StandardSphere
-    t: np.ndarray
-    xi: np.ndarray
-    xidot: np.ndarray
+    t: Sequence[float]
+    xi: Sequence[complex]
+    xidot: Sequence[complex]
     integrals0: FirstIntegrals
     max_drift: tuple[float, float]
     termination: Termination
-    _integrals: tuple[np.ndarray, np.ndarray]
+    _integrals: tuple[Sequence[float], Sequence[float]]
     t_hit: float | None = None
 
     def __len__(self):
         return len(self.t)
 
     @property
-    def radius(self) -> np.ndarray:
-        return np.abs(self.xi)
+    def radius(self) -> list[float]:
+        return [abs(xi) for xi in self.xi]
 
-    def integral_series(self) -> tuple[np.ndarray, np.ndarray]:
-        """(I1, I2) arrays along the samples."""
+    def integral_series(self) -> tuple[Sequence[float], Sequence[float]]:
+        """(I1, I2) along the samples."""
         return self._integrals
 
     def final_state(self) -> GeodesicState:
-        return GeodesicState(float(self.t[-1]), complex(self.xi[-1]), complex(self.xidot[-1]))
+        return GeodesicState(self.t[-1], self.xi[-1], self.xidot[-1])
 
 
 # -- the adaptive stepper -----------------------------------------------------
@@ -321,9 +329,10 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
 
     Integrates from t=0 to t=t_span, recording every accepted step;
     ``max_steps`` caps the step attempts, accepted or rejected.
-    Returns (t, xi, xidot, termination, t_hit) with ``termination`` a
-    ``Termination`` and ``t_hit`` the linear interpolation of the equator
-    crossing 1-|xi|^2 = 0 (None unless the equator was reached).
+    Returns (t, xi, xidot, termination, t_hit): the samples as lists,
+    ``termination`` a ``Termination`` and ``t_hit`` the linear
+    interpolation of the equator crossing 1-|xi|^2 = 0 (None unless the
+    equator was reached).
 
     The stages are written out by hand.  Each weighted sum starts from
     0.0j and keeps its zero-weight terms, in tableau order: a NaN stage
@@ -430,13 +439,7 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
             status = Termination.STEP_UNDERFLOW
             break
 
-    return (
-        np.asarray(ts, dtype=np.float64),
-        np.asarray(xis, dtype=np.complex128),
-        np.asarray(xds, dtype=np.complex128),
-        status,
-        t_hit,
-    )
+    return ts, xis, xds, status, t_hit
 
 
 def integrate(
@@ -475,6 +478,9 @@ def integrate(
         finite, t_max is not finite, t_max <= initial.t, the initial I1
         or I2 is not a finite double, or the initial point sits inside
         the cutoff band.
+    ChartExitError
+        If the orbit runs out towards xi = infinity until its first
+        integrals overflow a double.
     """
     if sphere.c <= 0.0:
         raise DomainError("geodesic flow requires a twisting sphere (c > 0)")
@@ -500,20 +506,24 @@ def integrate(
         min_step,
         max_steps,
     )
-    ts = ts + initial.t
-
-    i1s, i2s = first_integrals_arrays(xis, xds)
-    integrals0 = FirstIntegrals(float(i1s[0]), float(i2s[0]))
+    try:
+        i1s, i2s = first_integrals_arrays(xis, xds)
+    except OverflowError:
+        raise ChartExitError(
+            "first integrals must be finite doubles along the trajectory, which "
+            f"leaves the chart: |xi| reaches {max(map(abs, xis)):.3e}"
+        ) from None
+    i10, i20 = i1s[0], i2s[0]
     drift = (
-        float(np.max(np.abs(i1s - i1s[0])) / max(abs(i1s[0]), 1e-30)),
-        float(np.max(np.abs(i2s - i2s[0])) / max(abs(i2s[0]), 1e-30)),
+        max([abs(i1 - i10) for i1 in i1s]) / max(abs(i10), 1e-30),
+        max([abs(i2 - i20) for i2 in i2s]) / max(abs(i20), 1e-30),
     )
     return Trajectory(
         sphere=sphere,
-        t=ts,
+        t=[t + initial.t for t in ts],
         xi=xis,
         xidot=xds,
-        integrals0=integrals0,
+        integrals0=FirstIntegrals(i10, i20),
         max_drift=drift,
         termination=termination,
         _integrals=(i1s, i2s),
@@ -524,7 +534,7 @@ def integrate(
 CSV_HEADER = "t,R,theta,xi_re,xi_im,xidot_re,xidot_im,I1,I2"
 
 
-#: rows stacked, formatted and written at a time; bounds what the export holds
+#: rows formatted and written at a time; bounds what the export holds
 CSV_CHUNK_ROWS = 1024
 
 _CSV_ROW = ",".join(["%.17g"] * 9) + "\n"
@@ -535,22 +545,16 @@ def write_csv(traj: Trajectory, stream):
 
     One header line, then one row per sample with the columns of
     ``CSV_HEADER``, every value to 17 significant digits (round-trips).
-    Rows are stacked, formatted and written a chunk at a time, so the
-    export never holds a copy of the whole table.
+    Rows are formatted and written a chunk at a time, R and theta
+    included, so the export never holds a copy of the whole table.
     """
     i1s, i2s = traj.integral_series()
-    columns = (
-        traj.t,
-        traj.radius,
-        np.angle(traj.xi),
-        traj.xi.real,
-        traj.xi.imag,
-        traj.xidot.real,
-        traj.xidot.imag,
-        i1s,
-        i2s,
-    )
+    phase = cmath.phase
     stream.write(CSV_HEADER + "\n")
     for lo in range(0, len(traj), CSV_CHUNK_ROWS):
-        rows = np.column_stack([c[lo : lo + CSV_CHUNK_ROWS] for c in columns]).tolist()
-        stream.write("".join([_CSV_ROW % tuple(row) for row in rows]))
+        hi = lo + CSV_CHUNK_ROWS
+        rows = zip(traj.t[lo:hi], traj.xi[lo:hi], traj.xidot[lo:hi], i1s[lo:hi], i2s[lo:hi])
+        stream.write("".join([
+            _CSV_ROW % (t, abs(xi), phase(xi), xi.real, xi.imag, xidot.real, xidot.imag, i1, i2)
+            for t, xi, xidot, i1, i2 in rows
+        ]))

@@ -15,8 +15,6 @@ locking.
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ChartExitError, DomainError
 
 #: |xi| beyond this is treated as having left the chart
@@ -168,11 +166,6 @@ def compose_rotations(outer: Rotation, inner: Rotation) -> Rotation:
     return Rotation(p * r - q * s.conjugate(), p * s + q * r.conjugate())
 
 
-def inverse_rotation(m: Rotation) -> Rotation:
-    """The inverse rotation."""
-    return Rotation(m.alpha2.conjugate(), -m.alpha3)
-
-
 def _check_same_base(u: TangentVector, v: TangentVector):
     if u.base.xi != v.base.xi or u.base.eta != v.base.eta:
         raise DomainError(
@@ -265,15 +258,16 @@ def _coordinate_frame(p: ComplexPair):
     )
 
 
-def symplectic_matrix(p: ComplexPair) -> np.ndarray:
+def symplectic_matrix(p: ComplexPair) -> tuple[tuple[float, ...], ...]:
     """4x4 real antisymmetric matrix of the symplectic form at ``p`` in the
-    coordinate frame (Re xi, Im xi, Re eta, Im eta)."""
+    coordinate frame (Re xi, Im xi, Re eta, Im eta), as rows."""
     frame = _coordinate_frame(p)
-    return np.array([[symplectic_form(a, b) for b in frame] for a in frame])
+    return tuple(tuple(symplectic_form(a, b) for b in frame) for a in frame)
 
 
-def metric_matrix(p: ComplexPair) -> np.ndarray:
+def metric_matrix(p: ComplexPair) -> tuple[tuple[float, ...], ...]:
     """4x4 real symmetric matrix of the metric at ``p`` in the coordinate
-    frame (Re xi, Im xi, Re eta, Im eta); its eigenvalue signs are (2,2)."""
+    frame (Re xi, Im xi, Re eta, Im eta), as rows; its eigenvalue signs
+    are (2,2)."""
     frame = _coordinate_frame(p)
-    return np.array([[metric(a, b) for b in frame] for a in frame])
+    return tuple(tuple(metric(a, b) for b in frame) for a in frame)

@@ -1,0 +1,100 @@
+"""Test-only oracles: a pointwise route to a moved sphere, a least-squares
+refit of its coefficients, the inverse rotation, and the JSON readers of
+the section and certificate wire format (the CLI only writes it)."""
+
+import numpy as np
+
+from linegeo import (
+    ChartExitError,
+    DomainError,
+    NormalizationCertificate,
+    QuadraticSection,
+    Rotation,
+    StandardSphere,
+    Translation,
+    apply_motion,
+    evaluate,
+)
+from linegeo.sections import _c2j
+
+
+def inverse_rotation(m: Rotation) -> Rotation:
+    """The inverse rotation."""
+    return Rotation(m.alpha2.conjugate(), -m.alpha3)
+
+
+def refit_quadratic(points) -> tuple[QuadraticSection, float]:
+    """Fit eta = b1 + b2 xi + b3 xi^2 through sampled points of a sphere.
+
+    ``points`` is an iterable of (xi, eta) pairs; five samples at
+    xi in {0, 1, -1, i, -i} overdetermine the quadratic, and the returned
+    residual is the largest fit deviation (a consistency check that the
+    samples really lie on a quadratic).
+    """
+    pts = [(complex(x), complex(e)) for x, e in points]
+    if len(pts) < 3:
+        raise DomainError("need at least three samples to determine a quadratic")
+    xs = np.array([x for x, _ in pts])
+    es = np.array([e for _, e in pts])
+    vand = np.column_stack([np.ones_like(xs), xs, xs * xs])
+    coef, *_ = np.linalg.lstsq(vand, es, rcond=None)
+    residual = float(np.max(np.abs(vand @ coef - es)))
+    return QuadraticSection(coef[0], coef[1], coef[2]), residual
+
+
+REFIT_SAMPLE_DIRECTIONS = (0.0, 1.0, -1.0, 1.0j, -1.0j)
+
+
+def transform_pointwise(s: QuadraticSection, motions, xi_samples=REFIT_SAMPLE_DIRECTIONS):
+    """Image points of a sphere under a sequence of motions, evaluated
+    pointwise (independent of the coefficient transformation rules).
+
+    Sample directions that a rotation sends out of the chart are
+    skipped; the default five directions leave at least three points,
+    which still determine the quadratic.
+    """
+    out = []
+    for xi in xi_samples:
+        p = evaluate(s, xi)
+        try:
+            for m in motions:
+                p = apply_motion(m, p)
+        except ChartExitError:
+            continue
+        out.append((p.xi, p.eta))
+    if len(out) < 3:
+        raise DomainError("fewer than three sample directions stayed in the chart")
+    return out
+
+
+# -- JSON wire format -------------------------------------------------------
+
+
+def _j2c(pair) -> complex:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise DomainError(f"expected [re, im] pair, got {pair!r}")
+    return complex(float(pair[0]), float(pair[1]))
+
+
+def section_to_dict(s: QuadraticSection) -> dict:
+    return {"beta1": _c2j(s.beta1), "beta2": _c2j(s.beta2), "beta3": _c2j(s.beta3)}
+
+
+def section_from_dict(d: dict) -> QuadraticSection:
+    try:
+        return QuadraticSection(_j2c(d["beta1"]), _j2c(d["beta2"]), _j2c(d["beta3"]))
+    except KeyError as missing:
+        raise DomainError(f"section object lacks field {missing}") from None
+
+
+def certificate_from_dict(d: dict) -> NormalizationCertificate:
+    try:
+        return NormalizationCertificate(
+            translation=Translation(_j2c(d["translation"]["alpha1"]), float(d["translation"]["a1"])),
+            rotation=Rotation(_j2c(d["rotation"]["alpha2"]), _j2c(d["rotation"]["alpha3"])),
+            result=StandardSphere(float(d["result"]["c"])),
+            intermediate_gamma=_j2c(d["intermediate_gamma"]),
+            intermediate_c=float(d["intermediate_c"]),
+        )
+    except KeyError as missing:
+        raise DomainError(f"certificate object lacks field {missing}") from None

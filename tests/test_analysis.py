@@ -62,6 +62,12 @@ def test_quadrature_full_interval():
     assert abs(radial_quadrature(1.0) - FULL_TRAVEL_TIME) < 1e-12
 
 
+def test_quadrature_nodes_are_leggauss_16():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert analysis._GL_NODES == tuple(nodes.tolist())
+    assert analysis._GL_WEIGHTS == tuple(weights.tolist())
+
+
 def test_quadrature_domain():
     with pytest.raises(DomainError):
         radial_quadrature(-0.1)
@@ -256,7 +262,7 @@ def test_oscillation_circular_orbit():
     i2 = math.sqrt(i1 / MIN_ORBIT_RATIO)
     st = state_from_integrals(i1, i2, CRITICAL_RADIUS)
     traj = integrate(st, SPHERE, 10.0, 1e-10)
-    assert np.max(np.abs(traj.radius - CRITICAL_RADIUS)) < 1e-6
+    assert np.max(np.abs(np.asarray(traj.radius) - CRITICAL_RADIUS)) < 1e-6
     report = oscillation_check(traj)
     assert report.conclusive
 
@@ -287,13 +293,14 @@ def test_energy_identity_along_trajectories():
             1.0, math.sqrt(1.0 / (rng.uniform(1.2, 4.0) * MIN_ORBIT_RATIO)), 0.45
         )
         traj = integrate(st, SPHERE, 8.0, 1e-10)
-        i1s, i2s = first_integrals_arrays(traj.xi, traj.xidot)
-        big_r = traj.radius
+        xi, xidot = np.asarray(traj.xi), np.asarray(traj.xidot)
+        i1s, i2s = map(np.asarray, first_integrals_arrays(traj.xi, traj.xidot))
+        big_r = np.abs(xi)
         keep = (big_r >= 1e-3) & (big_r <= 1.0 - 1e-3)
         r2 = big_r[keep] ** 2
         u = (1.0 + r2) ** 3 / ((1.0 - r2) * r2)
         f = (1.0 - r2) / (1.0 + r2) ** 3
-        rdot = (traj.xi[keep].conjugate() * traj.xidot[keep]).real / big_r[keep]
+        rdot = (xi[keep].conjugate() * xidot[keep]).real / big_r[keep]
         resid = i1s[keep] - u * i2s[keep] ** 2 - f * rdot**2
         assert np.max(np.abs(resid)) < 1e-8
 
@@ -301,8 +308,17 @@ def test_energy_identity_along_trajectories():
 # -- table emitters -----------------------------------------------------------------------
 
 
+def test_linspace_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(91005)
+    cases = [(0.05, 0.95, 19), (0.3, 0.3, 4), (0.2, 0.8, 1), (0.2, 0.8, 2), (0.95, 0.05, 7)]
+    cases += [(rng.uniform(0.0, 0.3), rng.uniform(0.6, 0.95), int(rng.integers(1, 200)))
+              for _ in range(200)]
+    for start, stop, num in cases:
+        assert analysis.linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+
+
 def test_potential_curve_rows():
-    rows = potential_curve(0.1, 0.9, 17)
+    rows = np.asarray(potential_curve(0.1, 0.9, 17))
     assert rows.shape == (17, 2)
     assert rows[0, 0] == 0.1 and rows[-1, 0] == 0.9
     for big_r, u in rows:
@@ -312,7 +328,7 @@ def test_potential_curve_rows():
 
 
 def test_series_quadrature_table():
-    rows = series_quadrature_table([0.1, 0.5, 0.9])
+    rows = np.asarray(series_quadrature_table([0.1, 0.5, 0.9]))
     assert rows.shape == (3, 4)
     assert np.all(np.abs(rows[:, 3]) < 1e-10)
     assert np.all(np.abs(rows[:, 1] - rows[:, 2] - rows[:, 3]) == 0.0)

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import linegeo
@@ -179,13 +178,21 @@ def test_geodesic_inadmissible_integrals_exit_3(capsys):
 
 
 def test_geodesic_conflicting_initial_conditions_exit_2(capsys):
-    code, _, err = run_cli(
-        capsys, "geodesic", "--xi", "0", "0", "--xidot", "1", "0",
-        "--polar", "0.5", "0", "0", "1",
-    )
-    assert code == 2
-    code, _, err = run_cli(capsys, "geodesic")
-    assert code == 2
+    # a usage error exits through argparse, as a malformed flag does
+    for argv, message in [
+        (["--xi", "0", "0", "--xidot", "1", "0", "--polar", "0.5", "0", "0", "1"],
+         "give exactly one of"),
+        ([], "give exactly one of"),
+        (["--xi", "0", "0"], "--xi requires --xidot"),
+        (["--xidot", "1", "0", "--polar", "0.5", "0", "0", "1"], "--xidot requires --xi"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["geodesic", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: linegeo ")
+        assert f"\nlinegeo: error: {message}" in captured.err
 
 
 def test_geodesic_on_equator_exit_3(capsys):
@@ -210,6 +217,8 @@ def test_geodesic_on_equator_exit_3(capsys):
         # the initial I1 overflows (|xi|^2 or |xidot|^2 past the double range)
         ["geodesic", "--xi", "1e300", "0", "--xidot", "1", "0", "--t-max", "1"],
         ["geodesic", "--xi", "0.5", "0", "--xidot", "1e300", "0", "--t-max", "1"],
+        # a lower-hemisphere orbit runs out past |xi| ~ 1e51, where I1 overflows
+        ["geodesic", "--xi", "1e50", "0", "--xidot", "1e40", "0", "--t-max", "1e11"],
     ],
 )
 def test_non_finite_inputs_exit_3(capsys, argv):
@@ -306,9 +315,9 @@ def test_check_passes(capsys):
 def test_check_detects_injected_bias(capsys, monkeypatch):
     exact = geodesics.first_integrals_arrays
 
-    def biased(xi, xidot):
-        i1, i2 = exact(xi, xidot)
-        return i1, i2 + 1e-3
+    def biased(xis, xidots):
+        i1s, i2s = exact(xis, xidots)
+        return i1s, [i2 + 1e-3 for i2 in i2s]
 
     monkeypatch.setattr(geodesics, "first_integrals_arrays", biased)
     code, out, _ = run_cli(capsys, *CHECK_ARGS)
@@ -336,13 +345,16 @@ def test_empty_sample_counts_exit_3(capsys, argv):
     assert "at least 1" in err
 
 
-# seeds whose suite pairs near-cancelling tangent vectors: the metric or
-# symplectic value there is far smaller than the terms it is summed from
-NEAR_CANCELLING_SEEDS = [70, 72, 380, 437, 534]
+# a seed whose suite pairs near-cancelling tangent vectors: a metric value
+# there is about 3e-5 of the size of the terms it is summed from, and its
+# rounding error relative to the value alone exceeds the 1e-10 threshold
+NEAR_CANCELLING_SEEDS = [82]
+#: the near-cancelling seed and some ordinary ones, the default among them
+INVARIANCE_SEEDS = NEAR_CANCELLING_SEEDS + [70, 72, 380, 437, 534, 2025]
 INVARIANCE_CHECKS = {"isometry_metric", "symplectomorphism"}
 
 
-@pytest.mark.parametrize("seed", NEAR_CANCELLING_SEEDS + [2025])
+@pytest.mark.parametrize("seed", INVARIANCE_SEEDS)
 def test_check_invariance_passes_near_cancelling_seeds(capsys, seed):
     # the invariance checks draw first from the seeded stream, so a short
     # trajectory span leaves their samples unchanged
@@ -366,13 +378,19 @@ def test_check_detects_tampered_push_forward(capsys, monkeypatch):
         return TangentVector(w.base, w.dxi * (1.0 + 1e-8), w.deta)
 
     monkeypatch.setattr(line_space, "push_forward", tampered)
-    for seed in NEAR_CANCELLING_SEEDS:
+    for seed in INVARIANCE_SEEDS:
         code, out, _ = run_cli(
             capsys, "check", "--seed", str(seed), "--trajectories", "1", "--t-span", "2"
         )
         assert code == 1
         failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
         assert failed == INVARIANCE_CHECKS
+
+
+@pytest.mark.parametrize("seed", range(0, 600, 37))
+def test_check_passes_across_seeds(capsys, seed):
+    code, out, _ = run_cli(capsys, "check", "--seed", str(seed))
+    assert code == 0 and json.loads(out)["all_passed"] is True
 
 
 # -- determinism and logging (subprocess level) ----------------------------------
@@ -432,6 +450,33 @@ SCIPY_MODULES = (
 )
 def test_no_scipy_module_is_loaded(code):
     result = _python(["-c", f"{code}; {SCIPY_MODULES}"])
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.strip() == "[]"
+
+
+NUMPY_MODULES = (
+    "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'), "
+    "file=sys.stderr)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["analyze", "blowup", "--I1", "1"],
+        ["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0"],
+        ["analyze", "series-check"],
+        ["geodesic", "--xi", "0", "0", "--xidot", "1", "0"],
+        ["check", "--samples", "10", "--trajectories", "1"],
+    ],
+)
+def test_no_numpy_module_is_loaded(argv):
+    code = "import linegeo"
+    if argv is not None:
+        argv = [*argv, "--output", os.devnull]
+        code = f"from linegeo.cli import main; assert main({argv!r}) == 0"
+    result = _python(["-c", f"{code}; {NUMPY_MODULES}"])
     assert result.returncode == 0, result.stderr
     assert result.stderr.strip() == "[]"
 

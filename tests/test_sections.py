@@ -13,19 +13,21 @@ from linegeo import (
     StandardSphere,
     Translation,
     apply_motion,
-    certificate_from_dict,
     certificate_to_dict,
     evaluate,
     induced_metric_factor,
     lagrangian_defect,
     normalize,
     pullback_consistency_check,
+    transform_section,
+)
+from oracles import (
+    certificate_from_dict,
     refit_quadratic,
     section_from_dict,
     section_to_dict,
-    transform_section,
+    transform_pointwise,
 )
-from linegeo.sections import transform_pointwise
 
 RNG = np.random.default_rng(91002)
 
