@@ -16,7 +16,6 @@ are the two roots of U(R) = I1/I2^2 around the potential minimum
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, NoOrbitError
 from .geodesics import (
@@ -26,6 +25,7 @@ from .geodesics import (
     Trajectory,
     effective_potential,
 )
+from .line_space import Record
 
 #: radius of the circular orbit, the minimiser of the effective potential
 CRITICAL_RADIUS = math.sqrt(2.0 - math.sqrt(3.0))
@@ -148,13 +148,13 @@ def blowup_time(i1: float, r_start: float = 0.0) -> float:
     return (radial_quadrature(1.0) - radial_quadrature(r_start)) * i1**-0.5
 
 
-@dataclass(frozen=True)
-class TurningPoints:
+class TurningPoints(Record):
     """Orbit annulus [R_min, R_max] at level ratio = I1/I2^2."""
 
-    R_min: float
-    R_max: float
-    ratio: float
+    __slots__ = ("R_min", "R_max", "ratio")
+
+    def __init__(self, R_min: float, R_max: float, ratio: float):
+        self._init_fields(R_min, R_max, ratio)
 
 
 def _bisect(fn, lo, hi, flo):
@@ -222,19 +222,20 @@ def turning_points(i1: float, i2: float) -> TurningPoints:
     return TurningPoints(r_min, r_max, ratio)
 
 
-@dataclass(frozen=True)
-class OscillationReport:
+class OscillationReport(Record):
     """Observed radial extremes of a trajectory against the predicted
     annulus.  ``conclusive`` is False when the trajectory span did not
     cover a full radial sweep, so an extreme may not have been attained."""
 
-    observed_min: float
-    observed_max: float
-    predicted: TurningPoints
-    discrepancy_min: float
-    discrepancy_max: float
-    radial_turnings: int
-    conclusive: bool
+    __slots__ = (
+        "observed_min", "observed_max", "predicted", "discrepancy_min", "discrepancy_max",
+        "radial_turnings", "conclusive",
+    )
+
+    def __init__(self, observed_min, observed_max, predicted, discrepancy_min, discrepancy_max,
+                 radial_turnings, conclusive):
+        self._init_fields(observed_min, observed_max, predicted, discrepancy_min,
+                          discrepancy_max, radial_turnings, conclusive)
 
 
 def oscillation_check(traj: Trajectory) -> OscillationReport:

@@ -7,22 +7,21 @@ against its threshold, and reports a margin.
 import logging
 import math
 import random
-from dataclasses import dataclass
 
 from . import analysis, geodesics, line_space, sections
 from .errors import DomainError
-from .line_space import ComplexPair, Rotation, TangentVector, Translation
+from .line_space import ComplexPair, Record, Rotation, TangentVector, Translation
 
 logger = logging.getLogger("linegeo.checks")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    threshold: float
-    observed: float
-    detail: str = ""
+class CheckResult(Record):
+    """One check's outcome: the worst observed error against its threshold."""
+
+    __slots__ = ("name", "passed", "threshold", "observed", "detail")
+
+    def __init__(self, name, passed, threshold, observed, detail=""):
+        self._init_fields(name, passed, threshold, observed, detail)
 
     @property
     def margin(self) -> float:

@@ -17,7 +17,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from . import analysis, checks, geodesics, sections
+from . import analysis, geodesics, sections
 from .errors import DomainError, LineGeoError
 
 logger = logging.getLogger("linegeo.cli")
@@ -158,6 +158,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import checks  # only this subcommand needs the invariant suite
+
     results = checks.run_checks(
         samples=args.samples,
         trajectories=args.trajectories,

@@ -17,17 +17,18 @@ coordinates (R, theta) are provided for initial data and reporting but
 are singular at xi = 0, which radial geodesics cross.  The stepper,
 ``geod_integrate``, is plain Python on complex scalars; ``integrate``
 validates its input and wraps the result in a ``Trajectory``, which
-carries the first integrals at every sample and their drift.
+carries the first integrals at every sample and their drift.  All value
+types here are immutable ``line_space.Record``s; a trajectory's sample
+lists are not copied and are read-only by convention.
 """
 
 import cmath
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .errors import ChartExitError, DegeneracyError, DomainError, NoOrbitError
-from .line_space import finite_complex
+from .line_space import CHART_BOUND, Record, finite_complex
 from .sections import StandardSphere
 
 #: integration stops once |1 - |xi|^2| falls below this
@@ -55,18 +56,15 @@ class Termination(enum.Enum):
     MAX_STEPS = "max_steps"
 
 
-@dataclass(frozen=True)
-class GeodesicState:
+class GeodesicState(Record):
     """Instantaneous state (t, xi, xidot) of the flow."""
 
-    t: float
-    xi: complex
-    xidot: complex
+    __slots__ = ("t", "xi", "xidot")
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "xi", finite_complex("xi", self.xi))
-        object.__setattr__(self, "xidot", finite_complex("xidot", self.xidot))
+    def __init__(self, t: float, xi: complex, xidot: complex):
+        object.__setattr__(self, "t", float(t))
+        object.__setattr__(self, "xi", finite_complex("xi", xi))
+        object.__setattr__(self, "xidot", finite_complex("xidot", xidot))
 
     @property
     def radius(self) -> float:
@@ -82,19 +80,14 @@ class GeodesicState:
         return PolarState(big_r, theta, w.real, w.imag / big_r, t=self.t)
 
 
-@dataclass(frozen=True)
-class PolarState:
+class PolarState(Record):
     """Polar parameterisation xi = R e^{i theta} of a geodesic state."""
 
-    R: float
-    theta: float
-    Rdot: float
-    thetadot: float
-    t: float = 0.0
+    __slots__ = ("R", "theta", "Rdot", "thetadot", "t")
 
-    def __post_init__(self):
-        for name in ("R", "theta", "Rdot", "thetadot", "t"):
-            v = float(getattr(self, name))
+    def __init__(self, R: float, theta: float, Rdot: float, thetadot: float, t: float = 0.0):
+        for name, v in zip(self.__slots__, (R, theta, Rdot, thetadot, t)):
+            v = float(v)
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
@@ -108,18 +101,18 @@ class PolarState:
         return GeodesicState(self.t, xi, xidot)
 
 
-@dataclass(frozen=True)
-class FirstIntegrals:
+class FirstIntegrals(Record):
     """The conserved pair: I1 the squared speed, I2 the angular momentum."""
 
-    I1: float
-    I2: float
+    __slots__ = ("I1", "I2")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.I1) and math.isfinite(self.I2)):
+    def __init__(self, I1: float, I2: float):
+        if not (math.isfinite(I1) and math.isfinite(I2)):
             raise DomainError(
-                f"first integrals must be finite doubles, got I1 = {self.I1!r}, I2 = {self.I2!r}"
+                f"first integrals must be finite doubles, got I1 = {I1!r}, I2 = {I2!r}"
             )
+        object.__setattr__(self, "I1", I1)
+        object.__setattr__(self, "I2", I2)
 
     @property
     def ratio(self) -> float:
@@ -240,8 +233,7 @@ def state_from_integrals(
     return PolarState(r0, theta0, rdot, thetadot).to_state()
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """An integrated geodesic: per-step samples plus diagnostics.
 
     ``t``, ``xi``, ``xidot`` are aligned sequences of floats and complex
@@ -252,15 +244,15 @@ class Trajectory:
     initial values, with a 1e-30 floor on the normalisation.
     """
 
-    sphere: StandardSphere
-    t: Sequence[float]
-    xi: Sequence[complex]
-    xidot: Sequence[complex]
-    integrals0: FirstIntegrals
-    max_drift: tuple[float, float]
-    termination: Termination
-    _integrals: tuple[Sequence[float], Sequence[float]]
-    t_hit: float | None = None
+    __slots__ = (
+        "sphere", "t", "xi", "xidot", "integrals0", "max_drift", "termination", "_integrals",
+        "t_hit",
+    )
+
+    def __init__(self, sphere, t, xi, xidot, integrals0, max_drift, termination, _integrals,
+                 t_hit=None):
+        self._init_fields(sphere, t, xi, xidot, integrals0, max_drift, termination, _integrals,
+                          t_hit)
 
     def __len__(self):
         return len(self.t)
@@ -442,6 +434,13 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     return ts, xis, xds, status, t_hit
 
 
+def _check_in_chart(xi, which):
+    if abs(xi) > CHART_BOUND:
+        raise ChartExitError(
+            f"|xi| must be within the chart bound {CHART_BOUND:g}; {which} |xi| = {abs(xi):.3e}"
+        )
+
+
 def integrate(
     initial: GeodesicState,
     sphere: StandardSphere,
@@ -479,8 +478,8 @@ def integrate(
         or I2 is not a finite double, or the initial point sits inside
         the cutoff band.
     ChartExitError
-        If the orbit runs out towards xi = infinity until its first
-        integrals overflow a double.
+        If the initial or the final sample lies past |xi| = CHART_BOUND,
+        or the first integrals overflow a double.
     """
     if sphere.c <= 0.0:
         raise DomainError("geodesic flow requires a twisting sphere (c > 0)")
@@ -491,6 +490,7 @@ def integrate(
     if t_max <= initial.t:
         raise DomainError(f"t_max = {t_max} does not exceed initial time {initial.t}")
     first_integrals(initial)  # DomainError unless I1 and I2 are finite doubles
+    _check_in_chart(initial.xi, "initial")
     s0 = 1.0 - abs(initial.xi) ** 2
     if abs(s0) <= equator_cutoff:
         raise DomainError(
@@ -506,6 +506,7 @@ def integrate(
         min_step,
         max_steps,
     )
+    _check_in_chart(xis[-1], "final")
     try:
         i1s, i2s = first_integrals_arrays(xis, xds)
     except OverflowError:

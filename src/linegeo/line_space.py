@@ -8,12 +8,12 @@ rotations in these coordinates, exact push-forwards of tangent vectors,
 and pointwise evaluation of the canonical symplectic form and the
 neutral (signature (2,2)) Kahler metric.
 
-All functions are pure and all types immutable; concurrent use needs no
-locking.
+The package's value types derive from ``Record``: slotted classes whose
+fields are validated and set once, at construction.  All functions are
+pure and all types immutable; concurrent use needs no locking.
 """
 
 import cmath
-from dataclasses import dataclass
 
 from .errors import ChartExitError, DomainError
 
@@ -36,47 +36,89 @@ def finite_complex(name, value) -> complex:
     return value
 
 
-@dataclass(frozen=True)
-class ComplexPair:
+class Record:
+    """Base of the value types: an immutable record of named fields.
+
+    A subclass names its fields in ``__slots__``; its ``__init__``
+    validates, then sets each field once with ``object.__setattr__``
+    (directly, or through ``_init_fields``).  Records compare, hash and
+    print by type and field values, and copies and pickles are rebuilt
+    from those values without validation.
+    """
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _init_fields(self, *values):
+        """Set every field once, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._values())
+
+
+def _rebuild(cls, values):
+    """A ``Record`` of type ``cls`` holding ``values``, not validated."""
+    record = object.__new__(cls)
+    record._init_fields(*values)
+    return record
+
+
+class ComplexPair(Record):
     """An oriented line in chart coordinates (xi, eta)."""
 
-    xi: complex
-    eta: complex
+    __slots__ = ("xi", "eta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "xi", finite_complex("xi", self.xi))
-        object.__setattr__(self, "eta", finite_complex("eta", self.eta))
+    def __init__(self, xi: complex, eta: complex):
+        object.__setattr__(self, "xi", finite_complex("xi", xi))
+        object.__setattr__(self, "eta", finite_complex("eta", eta))
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(Record):
     """Euclidean translation, split into a horizontal complex part and a
     vertical real part."""
 
-    alpha1: complex
-    a1: float
+    __slots__ = ("alpha1", "a1")
 
-    def __post_init__(self):
-        a1 = finite_complex("a1", self.a1)
+    def __init__(self, alpha1: complex, a1: float):
+        a1 = finite_complex("a1", a1)
         if a1.imag != 0.0:
             raise DomainError("translation component a1 must be real")
-        object.__setattr__(self, "alpha1", finite_complex("alpha1", self.alpha1))
+        object.__setattr__(self, "alpha1", finite_complex("alpha1", alpha1))
         object.__setattr__(self, "a1", a1.real)
 
 
-@dataclass(frozen=True)
-class Rotation:
+class Rotation(Record):
     """Euclidean rotation, parameterised by a unit spinor (alpha2, alpha3).
 
     The pair is normalised to |alpha2|^2 + |alpha3|^2 = 1 at construction.
     """
 
-    alpha2: complex
-    alpha3: complex
+    __slots__ = ("alpha2", "alpha3")
 
-    def __post_init__(self):
-        a2 = finite_complex("alpha2", self.alpha2)
-        a3 = finite_complex("alpha3", self.alpha3)
+    def __init__(self, alpha2: complex, alpha3: complex):
+        a2 = finite_complex("alpha2", alpha2)
+        a3 = finite_complex("alpha3", alpha3)
         n = abs(a2) ** 2 + abs(a3) ** 2
         if n < 1e-12:
             raise DomainError("rotation spinor is numerically zero")
@@ -85,18 +127,16 @@ class Rotation:
         object.__setattr__(self, "alpha3", a3 * scale)
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(Record):
     """A real tangent vector at ``base``, stored through its complex
     components (dxi, deta); the conjugate components are implied."""
 
-    base: ComplexPair
-    dxi: complex
-    deta: complex
+    __slots__ = ("base", "dxi", "deta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dxi", finite_complex("dxi", self.dxi))
-        object.__setattr__(self, "deta", finite_complex("deta", self.deta))
+    def __init__(self, base: ComplexPair, dxi: complex, deta: complex):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "dxi", finite_complex("dxi", dxi))
+        object.__setattr__(self, "deta", finite_complex("deta", deta))
 
 
 def apply_translation(m: Translation, p: ComplexPair) -> ComplexPair:

@@ -11,11 +11,11 @@ metric degenerates as well.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .line_space import (
     ComplexPair,
+    Record,
     Rotation,
     TangentVector,
     Translation,
@@ -29,28 +29,24 @@ from .line_space import (
 GAMMA_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class QuadraticSection:
+class QuadraticSection(Record):
     """Coefficients of the sphere eta(xi) = beta1 + beta2 xi + beta3 xi^2."""
 
-    beta1: complex
-    beta2: complex
-    beta3: complex
+    __slots__ = ("beta1", "beta2", "beta3")
 
-    def __post_init__(self):
-        for name in ("beta1", "beta2", "beta3"):
-            object.__setattr__(self, name, finite_complex(name, getattr(self, name)))
+    def __init__(self, beta1: complex, beta2: complex, beta3: complex):
+        for name, value in zip(self.__slots__, (beta1, beta2, beta3)):
+            object.__setattr__(self, name, finite_complex(name, value))
 
 
-@dataclass(frozen=True)
-class StandardSphere:
+class StandardSphere(Record):
     """The normal form eta = c i xi; c = 0 is the non-twisting case (the
     oriented lines through the origin)."""
 
-    c: float
+    __slots__ = ("c",)
 
-    def __post_init__(self):
-        c = float(self.c)
+    def __init__(self, c: float):
+        c = float(c)
         if not math.isfinite(c) or c < 0.0:
             raise DomainError(f"standard-form coefficient must be finite and >= 0, got {c!r}")
         object.__setattr__(self, "c", c)
@@ -59,8 +55,7 @@ class StandardSphere:
         return QuadraticSection(0.0, 1j * self.c, 0.0)
 
 
-@dataclass(frozen=True)
-class NormalizationCertificate:
+class NormalizationCertificate(Record):
     """The motions that carry a quadratic sphere to standard form.
 
     Applying ``translation`` then ``rotation`` to the input section gives
@@ -69,11 +64,10 @@ class NormalizationCertificate:
     linear part after the translation alone.
     """
 
-    translation: Translation
-    rotation: Rotation
-    result: StandardSphere
-    intermediate_gamma: complex
-    intermediate_c: float
+    __slots__ = ("translation", "rotation", "result", "intermediate_gamma", "intermediate_c")
+
+    def __init__(self, translation, rotation, result, intermediate_gamma, intermediate_c):
+        self._init_fields(translation, rotation, result, intermediate_gamma, intermediate_c)
 
 
 def evaluate(s: QuadraticSection, xi: complex) -> ComplexPair:

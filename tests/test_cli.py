@@ -217,8 +217,11 @@ def test_geodesic_on_equator_exit_3(capsys):
         # the initial I1 overflows (|xi|^2 or |xidot|^2 past the double range)
         ["geodesic", "--xi", "1e300", "0", "--xidot", "1", "0", "--t-max", "1"],
         ["geodesic", "--xi", "0.5", "0", "--xidot", "1e300", "0", "--t-max", "1"],
-        # a lower-hemisphere orbit runs out past |xi| ~ 1e51, where I1 overflows
+        # a start past the chart bound |xi| = 1e8, with finite first integrals
         ["geodesic", "--xi", "1e50", "0", "--xidot", "1e40", "0", "--t-max", "1e11"],
+        ["geodesic", "--xi", "1e9", "0", "--xidot", "1", "0", "--t-max", "1"],
+        # a lower-hemisphere orbit that runs out past the chart bound
+        ["geodesic", "--xi", "1.5", "0", "--xidot", "1", "0", "--t-max", "10"],
     ],
 )
 def test_non_finite_inputs_exit_3(capsys, argv):
@@ -479,6 +482,37 @@ def test_no_numpy_module_is_loaded(argv):
     result = _python(["-c", f"{code}; {NUMPY_MODULES}"])
     assert result.returncode == 0, result.stderr
     assert result.stderr.strip() == "[]"
+
+
+#: modules a cold call should not pay for: the dataclasses machinery (with
+#: the inspect import it brings) and the invariant suite behind ``check``
+LAZY_MODULES = ("dataclasses", "inspect", "linegeo.checks")
+LOADED_LAZY_MODULES = (
+    f"import sys; print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules), "
+    "file=sys.stderr)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (None, []),
+        (["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0"], []),
+        (["analyze", "blowup", "--I1", "1"], []),
+        (["analyze", "turning-points", "--I1", "20", "--I2", "1"], []),
+        (["analyze", "series-check"], []),
+        (["geodesic", "--xi", "0", "0", "--xidot", "1", "0"], []),
+        (["check", "--samples", "10", "--trajectories", "1"], ["linegeo.checks"]),
+    ],
+)
+def test_cold_calls_import_only_what_they_use(argv, loaded):
+    code = "import linegeo"
+    if argv is not None:
+        argv = [*argv, "--output", os.devnull]
+        code = f"from linegeo.cli import main; assert main({argv!r}) == 0"
+    result = _python(["-c", f"{code}; {LOADED_LAZY_MODULES}"])
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.strip() == repr(loaded)
 
 
 def test_console_entry_point_exists():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from linegeo import (
+    ChartExitError,
     DegeneracyError,
     DomainError,
     GeodesicState,
@@ -26,6 +27,7 @@ from linegeo import (
 )
 from linegeo import geodesics
 from linegeo.geodesics import CSV_CHUNK_ROWS, CSV_HEADER, EQUATOR_CUTOFF, MIN_STEP
+from linegeo.line_space import CHART_BOUND
 
 RNG = np.random.default_rng(91003)
 SPHERE = StandardSphere(1.0)
@@ -226,6 +228,20 @@ def test_integrate_lower_hemisphere():
     assert traj.integrals0.I1 < 0.0
     assert traj.termination is Termination.EQUATOR_REACHED
     assert traj.max_drift[0] < 1e-4
+
+
+def test_integrate_orbit_running_out_is_a_chart_exit():
+    # radially outward from R = 1.5: the orbit runs out towards xi = infinity
+    # and its last sample lies far past the chart bound
+    with pytest.raises(ChartExitError, match="final"):
+        integrate(GeodesicState(0.0, 1.5, 1.0), SPHERE, 10.0, 1e-6)
+    # a start past the bound is rejected before any step is taken
+    with pytest.raises(ChartExitError, match="initial"):
+        integrate(GeodesicState(0.0, 1e9, 1.0), SPHERE, 1.0, 1e-6)
+    # just inside the bound, a short run that stays inside is fine
+    traj = integrate(GeodesicState(0.0, CHART_BOUND / 2, 1.0), SPHERE, 1.0, 1e-6)
+    assert traj.termination is Termination.TIME_LIMIT
+    assert max(traj.radius) <= CHART_BOUND
 
 
 def test_integrate_samples_strictly_increasing():
