@@ -1,10 +1,7 @@
-"""``linegeo.BACKEND`` and the ``kernels`` alias of the module holding
-the geodesic stepper.
+"""The ``kernels`` alias of the module holding the geodesic stepper.
 
-``bench/`` patches ``_backend.kernels.geod_integrate`` and reads
-``BACKEND``; this alias exists only so those names keep resolving.
+``bench/`` patches ``_backend.kernels.geod_integrate``; this alias
+exists only so that name keeps resolving.
 """
 
 from . import geodesics as kernels
-
-BACKEND = "python"

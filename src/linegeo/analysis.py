@@ -13,19 +13,15 @@ effective potential U(R) = (1+R^2)^3/((1-R^2)R^2): real radial speed
 requires U(R) <= I1/I2^2, confining the orbit to an annulus whose edges
 are the two roots of U(R) = I1/I2^2 around the potential minimum
 6*sqrt(3) at R = sqrt(2-sqrt(3)).
+
+The functions of the flow import ``geodesics`` when called, so that the
+travel-time evaluations load no other module of the package than
+``errors``.
 """
 
 import math
 
-from .errors import ConvergenceError, DomainError, NoOrbitError
-from .geodesics import (
-    MIN_ORBIT_RATIO,
-    FirstIntegrals,
-    Termination,
-    Trajectory,
-    effective_potential,
-)
-from .line_space import Record
+from .errors import ConvergenceError, DomainError, NoOrbitError, Record
 
 #: radius of the circular orbit, the minimiser of the effective potential
 CRITICAL_RADIUS = math.sqrt(2.0 - math.sqrt(3.0))
@@ -188,6 +184,8 @@ def turning_points(i1: float, i2: float) -> TurningPoints:
         no turning points; use ``blowup_time``), or I1/I2^2 is not a
         finite double.
     """
+    from .geodesics import MIN_ORBIT_RATIO, FirstIntegrals, effective_potential
+
     integrals = FirstIntegrals(i1, i2)
     if i2 == 0.0:
         raise DomainError("I2 = 0 is radial motion; use blowup_time instead")
@@ -238,7 +236,7 @@ class OscillationReport(Record):
                           discrepancy_max, radial_turnings, conclusive)
 
 
-def oscillation_check(traj: Trajectory) -> OscillationReport:
+def oscillation_check(traj: "geodesics.Trajectory") -> OscillationReport:
     """Compare a trajectory's radial extremes to the potential's roots.
 
     Counts interior sign changes of Rdot along the samples; fewer than
@@ -246,6 +244,8 @@ def oscillation_check(traj: Trajectory) -> OscillationReport:
     the report is flagged inconclusive (a near-circular orbit with a
     collapsed annulus is treated as conclusive directly).
     """
+    from .geodesics import Termination
+
     i2 = traj.integrals0.I2
     if i2 == 0.0:
         raise DomainError("oscillation check requires nonzero angular momentum")
@@ -290,6 +290,8 @@ def potential_curve(
     r_lo: float = 0.05, r_hi: float = 0.95, num: int = 181
 ) -> list[tuple[float, float]]:
     """Sampled (R, U(R)) rows for plotting."""
+    from .geodesics import effective_potential
+
     if not (0.0 < r_lo < r_hi < 1.0):
         raise DomainError(f"need 0 < r_lo < r_hi < 1, got ({r_lo}, {r_hi})")
     if num < 2:

@@ -1,18 +1,18 @@
 """Cross-module invariant suite behind the ``check`` CLI command.
 
 Each check samples randomly (seeded), records the worst observed error
-against its threshold, and reports a margin.
+against its threshold, and reports a margin.  Results are logged on
+``linegeo.checks`` at info level once ``logging`` is loaded (the CLI
+loads it when ``GEODESIC_LOG`` is set).
 """
 
-import logging
 import math
 import random
+import sys
 
 from . import analysis, geodesics, line_space, sections
-from .errors import DomainError
-from .line_space import ComplexPair, Record, Rotation, TangentVector, Translation
-
-logger = logging.getLogger("linegeo.checks")
+from .errors import DomainError, Record
+from .line_space import ComplexPair, Rotation, TangentVector, Translation
 
 
 class CheckResult(Record):
@@ -219,9 +219,12 @@ def run_checks(
         _energy_identity_check(tol, t_span, rng, 1e-8),
         _normalization_check(max(samples // 5, 10), rng, 1e-9, 1e-10),
     ]
-    for r in results:
-        logger.info(
-            "check %-24s %s observed=%.3e threshold=%.1e",
-            r.name, "PASS" if r.passed else "FAIL", r.observed, r.threshold,
-        )
+    logging = sys.modules.get("logging")  # unloaded, it has no handler to show them
+    if logging is not None:
+        logger = logging.getLogger("linegeo.checks")
+        for r in results:
+            logger.info(
+                "check %-24s %s observed=%.3e threshold=%.1e",
+                r.name, "PASS" if r.passed else "FAIL", r.observed, r.threshold,
+            )
     return results

@@ -3,24 +3,29 @@
 Subcommands: ``normalize`` (sphere to standard form), ``geodesic``
 (trajectory integration with CSV export), ``analyze`` (blow-up time,
 effective potential, turning points, series cross-check) and ``check``
-(the cross-module invariant suite).
+(the cross-module invariant suite).  Each handler imports the modules
+it runs, so a cold call loads only those.
 
 Exit codes: 0 success, 1 internal error or failed checks, 2 usage
 errors, 3 domain errors (invalid region, no orbit, chart exit).  Set
-``GEODESIC_LOG=debug`` or ``info`` for diagnostics on stderr.
+``GEODESIC_LOG=debug`` or ``info`` for diagnostics on stderr; ``logging``
+is imported only then or on an internal error.
 """
 
 import argparse
-import json
-import logging
 import os
 import sys
 from contextlib import contextmanager
 
-from . import analysis, geodesics, sections
 from .errors import DomainError, LineGeoError
 
-logger = logging.getLogger("linegeo.cli")
+
+def _log_info(msg, *args):
+    # without `logging` loaded no handler exists that could show the record;
+    # _configure_logging loads it when GEODESIC_LOG asks, or a host program has
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("linegeo.cli").info(msg, *args)
 
 
 def _fmt(value: float) -> str:
@@ -37,6 +42,8 @@ def _out_stream(path):
 
 
 def _write_json(obj, path, fallback=None):
+    import json
+
     text = json.dumps(obj, indent=2) + "\n"
     if path is None or path == "-":
         (fallback if fallback is not None else sys.stdout).write(text)
@@ -53,11 +60,13 @@ def _complex_flag(values) -> complex:
 
 
 def cmd_normalize(args) -> int:
+    from . import sections
+
     sec = sections.QuadraticSection(
         _complex_flag(args.beta1), _complex_flag(args.beta2), _complex_flag(args.beta3)
     )
     cert = sections.normalize(sec)
-    logger.info("normalized section to c = %.17g", cert.result.c)
+    _log_info("normalized section to c = %.17g", cert.result.c)
     _write_json(sections.certificate_to_dict(cert), args.output)
     return 0
 
@@ -75,7 +84,9 @@ def _initial_state_usage_error(args) -> str | None:
     return None
 
 
-def _initial_state(args) -> geodesics.GeodesicState:
+def _initial_state(args) -> "geodesics.GeodesicState":
+    from . import geodesics
+
     if args.xi is not None:
         return geodesics.GeodesicState(0.0, _complex_flag(args.xi), _complex_flag(args.xidot))
     if args.polar is not None:
@@ -88,12 +99,12 @@ def _initial_state(args) -> geodesics.GeodesicState:
 
 
 def cmd_geodesic(args) -> int:
+    from . import geodesics, sections
+
     state = _initial_state(args)
     sphere = sections.StandardSphere(args.c)
     traj = geodesics.integrate(state, sphere, args.t_max, args.tol)
-    logger.info(
-        "integrated %d samples, termination %s", len(traj), traj.termination.value
-    )
+    _log_info("integrated %d samples, termination %s", len(traj), traj.termination.value)
 
     with _out_stream(args.output) as fh:
         geodesics.write_csv(traj, fh)
@@ -119,6 +130,8 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+
     if args.what == "blowup":
         value = analysis.blowup_time(args.I1, args.r_start)
         if args.format == "json":
@@ -280,10 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _configure_logging():
     level_name = os.environ.get("GEODESIC_LOG", "").strip().lower()
-    level = {"debug": logging.DEBUG, "info": logging.INFO}.get(level_name)
-    if level is not None:
+    if level_name in ("debug", "info"):
+        import logging
+
         logging.basicConfig(
-            stream=sys.stderr, level=level, format="%(name)s %(levelname)s: %(message)s"
+            stream=sys.stderr,
+            level=level_name.upper(),
+            format="%(name)s %(levelname)s: %(message)s",
         )
 
 
@@ -301,7 +317,9 @@ def main(argv=None) -> int:
         print(f"linegeo: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # internal failure
-        logger.exception("internal error")
+        import logging  # with no handler configured, its last resort prints to stderr
+
+        logging.getLogger("linegeo.cli").exception("internal error")
         print(f"linegeo: internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ are singular at xi = 0, which radial geodesics cross.  The stepper,
 ``geod_integrate``, is plain Python on complex scalars; ``integrate``
 validates its input and wraps the result in a ``Trajectory``, which
 carries the first integrals at every sample and their drift.  All value
-types here are immutable ``line_space.Record``s; a trajectory's sample
+types here are immutable ``errors.Record``s; a trajectory's sample
 lists are not copied and are read-only by convention.
 """
 
@@ -27,8 +27,15 @@ import enum
 import math
 from collections.abc import Sequence
 
-from .errors import ChartExitError, DegeneracyError, DomainError, NoOrbitError
-from .line_space import CHART_BOUND, Record, finite_complex
+from .errors import (
+    ChartExitError,
+    DegeneracyError,
+    DomainError,
+    NoOrbitError,
+    Record,
+    finite_complex,
+)
+from .line_space import CHART_BOUND
 from .sections import StandardSphere
 
 #: integration stops once |1 - |xi|^2| falls below this
@@ -302,6 +309,10 @@ _ERR = tuple(
 _B57 = _B5[6]
 _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _ERR
 
+#: |xi|^2 past which an accepted sample is checked against CHART_BOUND;
+#: the margin keeps rounding in |xi|^2 from hiding an exit
+_CHART_CHECK_SQ = (0.5 * CHART_BOUND) ** 2
+
 
 def _christoffel(xi):
     """Gamma^xi_xixi of the induced metric, d/dxi of ln[(1-xi xibar)/(1+xi xibar)^3].
@@ -321,6 +332,8 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
 
     Integrates from t=0 to t=t_span, recording every accepted step;
     ``max_steps`` caps the step attempts, accepted or rejected.
+    Raises ChartExitError at the first accepted sample past
+    |xi| = CHART_BOUND.
     Returns (t, xi, xidot, termination, t_hit): the samples as lists,
     ``termination`` a ``Termination`` and ``t_hit`` the linear
     interpolation of the equator crossing 1-|xi|^2 = 0 (None unless the
@@ -410,7 +423,10 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
             ts.append(t)
             xis.append(y0)
             xds.append(y1)
-            s_new = 1.0 - (y0 * y0.conjugate()).real
+            m = (y0 * y0.conjugate()).real
+            if m > _CHART_CHECK_SQ:
+                _check_in_chart(y0, "final")  # the run ends at the first sample out
+            s_new = 1.0 - m
             if abs(s_new) <= equator_cut:
                 s_old = 1.0 - (y0o * y0o.conjugate()).real
                 t_hit = t + s_new * (ts[-1] - ts[-2]) / (s_old - s_new)
@@ -478,8 +494,8 @@ def integrate(
         or I2 is not a finite double, or the initial point sits inside
         the cutoff band.
     ChartExitError
-        If the initial or the final sample lies past |xi| = CHART_BOUND,
-        or the first integrals overflow a double.
+        If any sample, the initial one included, lies past
+        |xi| = CHART_BOUND, or the first integrals overflow a double.
     """
     if sphere.c <= 0.0:
         raise DomainError("geodesic flow requires a twisting sphere (c > 0)")
@@ -506,7 +522,6 @@ def integrate(
         min_step,
         max_steps,
     )
-    _check_in_chart(xis[-1], "final")
     try:
         i1s, i2s = first_integrals_arrays(xis, xds)
     except OverflowError:

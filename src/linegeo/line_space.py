@@ -8,14 +8,11 @@ rotations in these coordinates, exact push-forwards of tangent vectors,
 and pointwise evaluation of the canonical symplectic form and the
 neutral (signature (2,2)) Kahler metric.
 
-The package's value types derive from ``Record``: slotted classes whose
-fields are validated and set once, at construction.  All functions are
-pure and all types immutable; concurrent use needs no locking.
+All functions are pure and all types immutable ``errors.Record``s;
+concurrent use needs no locking.
 """
 
-import cmath
-
-from .errors import ChartExitError, DomainError
+from .errors import ChartExitError, DomainError, Record, finite_complex
 
 #: |xi| beyond this is treated as having left the chart
 CHART_BOUND = 1e8
@@ -26,62 +23,6 @@ SOUTH_POLE_TOL = 1e-14
 #: imaginary residue allowed when a real-valued tensor is evaluated
 #: through complex arithmetic
 _IMAG_TOL = 1e-12
-
-
-def finite_complex(name, value) -> complex:
-    """``value`` as a complex; DomainError unless both parts are finite."""
-    value = complex(value)
-    if not cmath.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-class Record:
-    """Base of the value types: an immutable record of named fields.
-
-    A subclass names its fields in ``__slots__``; its ``__init__``
-    validates, then sets each field once with ``object.__setattr__``
-    (directly, or through ``_init_fields``).  Records compare, hash and
-    print by type and field values, and copies and pickles are rebuilt
-    from those values without validation.
-    """
-
-    __slots__ = ()
-
-    def _values(self):
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def _init_fields(self, *values):
-        """Set every field once, in ``__slots__`` order."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return _rebuild, (type(self), self._values())
-
-
-def _rebuild(cls, values):
-    """A ``Record`` of type ``cls`` holding ``values``, not validated."""
-    record = object.__new__(cls)
-    record._init_fields(*values)
-    return record
 
 
 class ComplexPair(Record):

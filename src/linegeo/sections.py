@@ -12,15 +12,13 @@ metric degenerates as well.
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, Record, finite_complex
 from .line_space import (
     ComplexPair,
-    Record,
     Rotation,
     TangentVector,
     Translation,
     compose_rotations,
-    finite_complex,
     metric,
 )
 

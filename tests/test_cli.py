@@ -2,6 +2,7 @@
 
 import functools
 import json
+import logging
 import math
 import os
 import subprocess
@@ -10,7 +11,14 @@ import sys
 import pytest
 
 import linegeo
-from linegeo import CRITICAL_RADIUS, MIN_ORBIT_RATIO, blowup_time, geodesics, turning_points
+from linegeo import (
+    CRITICAL_RADIUS,
+    MIN_ORBIT_RATIO,
+    analysis,
+    blowup_time,
+    geodesics,
+    turning_points,
+)
 from linegeo.cli import main
 
 
@@ -222,6 +230,11 @@ def test_geodesic_on_equator_exit_3(capsys):
         ["geodesic", "--xi", "1e9", "0", "--xidot", "1", "0", "--t-max", "1"],
         # a lower-hemisphere orbit that runs out past the chart bound
         ["geodesic", "--xi", "1.5", "0", "--xidot", "1", "0", "--t-max", "10"],
+        # ... and orbits with a little angular momentum, which pass the bound
+        # (R near 3.5e8, 3.5e10, 3.5e12) and come back to the equator
+        ["geodesic", "--xi", "1.5", "0", "--xidot", "1", "1e-8", "--t-max", "10"],
+        ["geodesic", "--xi", "1.5", "0", "--xidot", "1", "1e-10", "--t-max", "10"],
+        ["geodesic", "--xi", "1.5", "0", "--xidot", "1", "1e-12", "--t-max", "10"],
     ],
 )
 def test_non_finite_inputs_exit_3(capsys, argv):
@@ -229,6 +242,23 @@ def test_non_finite_inputs_exit_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert "must be" in err
+
+
+def _boom(*args):
+    raise RuntimeError("boom")
+
+
+def test_internal_error_exit_1_with_traceback(capsys, monkeypatch):
+    monkeypatch.delenv("GEODESIC_LOG", raising=False)
+    # as in a process that configured no logging (pytest's capture handlers
+    # sit on the root logger): the last-resort handler writes to stderr
+    monkeypatch.setattr(logging.root, "handlers", [])
+    monkeypatch.setattr(analysis, "blowup_time", _boom)
+    code, out, err = run_cli(capsys, "analyze", "blowup", "--I1", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error\nTraceback (most recent call last):\n")
+    assert err.endswith("\nRuntimeError: boom\nlinegeo: internal error: boom\n")
 
 
 # -- analyze ------------------------------------------------------------------
@@ -484,9 +514,14 @@ def test_no_numpy_module_is_loaded(argv):
     assert result.stderr.strip() == "[]"
 
 
-#: modules a cold call should not pay for: the dataclasses machinery (with
-#: the inspect import it brings) and the invariant suite behind ``check``
-LAZY_MODULES = ("dataclasses", "inspect", "linegeo.checks")
+#: modules a cold call should load only when its subcommand runs them: the
+#: dataclasses machinery (with the inspect import it brings), logging (only
+#: for GEODESIC_LOG), the stepper, the radial analysis, the invariant suite
+#: and the line-space geometry
+LAZY_MODULES = (
+    "dataclasses", "inspect", "logging", "linegeo.analysis", "linegeo.checks",
+    "linegeo.geodesics", "linegeo.line_space",
+)
 LOADED_LAZY_MODULES = (
     f"import sys; print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules), "
     "file=sys.stderr)"
@@ -497,22 +532,70 @@ LOADED_LAZY_MODULES = (
     "argv, loaded",
     [
         (None, []),
-        (["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0"], []),
-        (["analyze", "blowup", "--I1", "1"], []),
-        (["analyze", "turning-points", "--I1", "20", "--I2", "1"], []),
-        (["analyze", "series-check"], []),
-        (["geodesic", "--xi", "0", "0", "--xidot", "1", "0"], []),
-        (["check", "--samples", "10", "--trajectories", "1"], ["linegeo.checks"]),
+        (
+            ["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0"],
+            ["linegeo.line_space"],
+        ),
+        (["analyze", "blowup", "--I1", "1"], ["linegeo.analysis"]),
+        (
+            ["analyze", "turning-points", "--I1", "20", "--I2", "1"],
+            ["linegeo.analysis", "linegeo.geodesics", "linegeo.line_space"],
+        ),
+        (["analyze", "series-check"], ["linegeo.analysis"]),
+        (
+            ["geodesic", "--xi", "0", "0", "--xidot", "1", "0"],
+            ["linegeo.geodesics", "linegeo.line_space"],
+        ),
+        (
+            ["check", "--samples", "10", "--trajectories", "1"],
+            ["linegeo.analysis", "linegeo.checks", "linegeo.geodesics", "linegeo.line_space"],
+        ),
+        # leading NAME=value items set the environment, as in a shell
+        (["GEODESIC_LOG=debug", "analyze", "blowup", "--I1", "1"], ["linegeo.analysis", "logging"]),
     ],
 )
 def test_cold_calls_import_only_what_they_use(argv, loaded):
     code = "import linegeo"
+    env = {}
     if argv is not None:
+        while "=" in argv[0]:
+            name, value = argv[0].split("=", 1)
+            env[name] = value
+            argv = argv[1:]
         argv = [*argv, "--output", os.devnull]
         code = f"from linegeo.cli import main; assert main({argv!r}) == 0"
-    result = _python(["-c", f"{code}; {LOADED_LAZY_MODULES}"])
+    result = _python(["-c", f"{code}; {LOADED_LAZY_MODULES}"], env)
     assert result.returncode == 0, result.stderr
-    assert result.stderr.strip() == repr(loaded)
+    assert result.stderr.strip().splitlines()[-1] == repr(loaded)
+
+
+def test_cold_package_names_resolve_on_first_access():
+    code = (
+        "import sys, linegeo\n"
+        "assert not [m for m in sys.modules if m.startswith('linegeo.')]\n"
+        "assert linegeo.BACKEND == 'python'\n"
+        "assert linegeo.turning_points is linegeo.analysis.turning_points\n"
+        "assert linegeo.geodesics.integrate is linegeo.integrate\n"
+        "assert {'integrate', 'sections'} <= set(dir(linegeo))\n"
+    )
+    result = _python(["-c", code])
+    assert result.returncode == 0, result.stderr
+
+
+def test_cold_internal_error_exit_1_with_traceback():
+    # the failure path imports logging on demand; unconfigured, its
+    # last-resort handler prints the traceback
+    code = (
+        "import sys; from linegeo import analysis; from linegeo.cli import main\n"
+        "def boom(*args): raise RuntimeError('boom')\n"
+        "analysis.blowup_time = boom\n"
+        "sys.exit(main(['analyze', 'blowup', '--I1', '1']))"
+    )
+    result = _python(["-c", code], {"GEODESIC_LOG": ""})
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("internal error\nTraceback (most recent call last):\n")
+    assert result.stderr.endswith("\nRuntimeError: boom\nlinegeo: internal error: boom\n")
 
 
 def test_console_entry_point_exists():
