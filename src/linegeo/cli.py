@@ -121,6 +121,8 @@ def cmd_geodesic(args) -> int:
         "n_samples": len(traj),
         "observed_R_min": min(big_r),
         "observed_R_max": max(big_r),
+        "rejected_steps": traj.rejected_steps,
+        "rhs_evals": traj.stats["rhs_evals"],
     }
     # keep the CSV stream clean: summary goes to stderr when the CSV
     # occupies stdout, to stdout once the CSV went to a file

@@ -15,9 +15,11 @@ cuts off just before the equator and reports an interpolated hit time.
 All integration happens in the Cartesian (xi, xidot) variables; polar
 coordinates (R, theta) are provided for initial data and reporting but
 are singular at xi = 0, which radial geodesics cross.  The stepper,
-``geod_integrate``, is plain Python on complex scalars; ``integrate``
+``geod_integrate``, is the Dormand-Prince 8(5,3) pair (DOP853) with
+adaptive steps, in plain Python on complex scalars; ``integrate``
 validates its input and wraps the result in a ``Trajectory``, which
-carries the first integrals at every sample and their drift.  All value
+carries the first integrals at every sample, their drift and the count
+of rejected steps.  All value
 types here are immutable ``errors.Record``s; a trajectory's sample
 lists are not copied and are read-only by convention.
 """
@@ -249,17 +251,19 @@ class Trajectory(Record):
     samples.
     ``max_drift`` is the peak relative deviation of (I1, I2) from their
     initial values, with a 1e-30 floor on the normalisation.
+    ``rejected_steps`` counts the step attempts the error control
+    rejected.
     """
 
     __slots__ = (
         "sphere", "t", "xi", "xidot", "integrals0", "max_drift", "termination", "_integrals",
-        "t_hit",
+        "t_hit", "rejected_steps",
     )
 
     def __init__(self, sphere, t, xi, xidot, integrals0, max_drift, termination, _integrals,
-                 t_hit=None):
+                 t_hit=None, rejected_steps=0):
         self._init_fields(sphere, t, xi, xidot, integrals0, max_drift, termination, _integrals,
-                          t_hit)
+                          t_hit, rejected_steps)
 
     def __len__(self):
         return len(self.t)
@@ -275,39 +279,128 @@ class Trajectory(Record):
     def final_state(self) -> GeodesicState:
         return GeodesicState(self.t[-1], self.xi[-1], self.xidot[-1])
 
+    @property
+    def stats(self) -> dict:
+        """What the run cost: accepted and rejected step attempts, and
+        right-hand-side evaluations (one at the start and
+        RHS_EVALS_PER_STEP per attempt; an attempt cut short by a stage
+        exactly on the equator counts in full)."""
+        accepted = len(self.t) - 1
+        return {
+            "accepted_steps": accepted,
+            "rejected_steps": self.rejected_steps,
+            "rhs_evals": 1 + RHS_EVALS_PER_STEP * (accepted + self.rejected_steps),
+        }
+
 
 # -- the adaptive stepper -----------------------------------------------------
 
-# Dormand-Prince 5(4) tableau; row 7 equals the 5th-order weights (FSAL)
+# Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving
+# Ordinary Differential Equations I, section II.10, and Hairer's dop853.f).
+# _Ai_j is the weight of stage j in stage i, _Bj the eighth-order weight of
+# stage j, _E5_j the weight of stage j in the fifth-order error estimate, and
+# _BHHj that of the third-order pair, whose estimate is sum_j (_Bj - _BHHj) k_j.
+# Omitted weights are zero.  The flow is autonomous, so the nodes are not
+# needed; they are the row sums of _A.
+_A2_1 = 5.26001519587677318785587544488e-2
+_A3_1 = 1.97250569845378994544595329183e-2
+_A3_2 = 5.91751709536136983633785987549e-2
+_A4_1 = 2.95875854768068491816892993775e-2
+_A4_3 = 8.87627564304205475450678981324e-2
+_A5_1 = 2.41365134159266685502369798665e-1
+_A5_3 = -8.84549479328286085344864962717e-1
+_A5_4 = 9.24834003261792003115737966543e-1
+_A6_1 = 3.7037037037037037037037037037e-2
+_A6_4 = 1.70828608729473871279604482173e-1
+_A6_5 = 1.25467687566822425016691814123e-1
+_A7_1 = 3.7109375e-2
+_A7_4 = 1.70252211019544039314978060272e-1
+_A7_5 = 6.02165389804559606850219397283e-2
+_A7_6 = -1.7578125e-2
+_A8_1 = 3.70920001185047927108779319836e-2
+_A8_4 = 1.70383925712239993810214054705e-1
+_A8_5 = 1.07262030446373284651809199168e-1
+_A8_6 = -1.53194377486244017527936158236e-2
+_A8_7 = 8.27378916381402288758473766002e-3
+_A9_1 = 6.24110958716075717114429577812e-1
+_A9_4 = -3.36089262944694129406857109825
+_A9_5 = -8.68219346841726006818189891453e-1
+_A9_6 = 2.75920996994467083049415600797e1
+_A9_7 = 2.01540675504778934086186788979e1
+_A9_8 = -4.34898841810699588477366255144e1
+_A10_1 = 4.77662536438264365890433908527e-1
+_A10_4 = -2.48811461997166764192642586468
+_A10_5 = -5.90290826836842996371446475743e-1
+_A10_6 = 2.12300514481811942347288949897e1
+_A10_7 = 1.52792336328824235832596922938e1
+_A10_8 = -3.32882109689848629194453265587e1
+_A10_9 = -2.03312017085086261358222928593e-2
+_A11_1 = -9.3714243008598732571704021658e-1
+_A11_4 = 5.18637242884406370830023853209
+_A11_5 = 1.09143734899672957818500254654
+_A11_6 = -8.14978701074692612513997267357
+_A11_7 = -1.85200656599969598641566180701e1
+_A11_8 = 2.27394870993505042818970056734e1
+_A11_9 = 2.49360555267965238987089396762
+_A11_10 = -3.0467644718982195003823669022
+_A12_1 = 2.27331014751653820792359768449
+_A12_4 = -1.05344954667372501984066689879e1
+_A12_5 = -2.00087205822486249909675718444
+_A12_6 = -1.79589318631187989172765950534e1
+_A12_7 = 2.79488845294199600508499808837e1
+_A12_8 = -2.85899827713502369474065508674
+_A12_9 = -8.87285693353062954433549289258
+_A12_10 = 1.23605671757943030647266201528e1
+_A12_11 = 6.43392746015763530355970484046e-1
+_B1 = 5.42937341165687622380535766363e-2
+_B6 = 4.45031289275240888144113950566
+_B7 = 1.89151789931450038304281599044
+_B8 = -5.8012039600105847814672114227
+_B9 = 3.1116436695781989440891606237e-1
+_B10 = -1.52160949662516078556178806805e-1
+_B11 = 2.01365400804030348374776537501e-1
+_B12 = 4.47106157277725905176885569043e-2
+_E5_1 = 1.312004499419488073250102996e-2
+_E5_6 = -1.225156446376204440720569753
+_E5_7 = -4.957589496572501915214079952e-1
+_E5_8 = 1.664377182454986536961530415
+_E5_9 = -3.503288487499736816886487290e-1
+_E5_10 = 3.341791187130174790297318841e-1
+_E5_11 = 8.192320648511571246570742613e-2
+_E5_12 = -2.235530786388629525884427845e-2
+_BHH1 = 2.44094488188976377952755905512e-1
+_BHH9 = 7.33846688281611857341361741547e-1
+_BHH12 = 2.20588235294117647058823529412e-2
+
+# the same tableau as rows of stage weights, zeros included
 _A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (_A2_1,),
+    (_A3_1, _A3_2),
+    (_A4_1, 0.0, _A4_3),
+    (_A5_1, 0.0, _A5_3, _A5_4),
+    (_A6_1, 0.0, 0.0, _A6_4, _A6_5),
+    (_A7_1, 0.0, 0.0, _A7_4, _A7_5, _A7_6),
+    (_A8_1, 0.0, 0.0, _A8_4, _A8_5, _A8_6, _A8_7),
+    (_A9_1, 0.0, 0.0, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8),
+    (_A10_1, 0.0, 0.0, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9),
+    (_A11_1, 0.0, 0.0, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10),
+    (_A12_1, 0.0, 0.0, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_ERR = tuple(
-    b5 - b4
-    for b5, b4 in zip(
-        _B5,
-        (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),
-    )
-)
+_B = (_B1, 0.0, 0.0, 0.0, 0.0, _B6, _B7, _B8, _B9, _B10, _B11, _B12)
+_E5 = (_E5_1, 0.0, 0.0, 0.0, 0.0, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12)
+_BHH = (_BHH1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, _BHH9, 0.0, 0.0, _BHH12)
 
-# the tableau as scalars for the straight-line stepper in geod_integrate
-(
-    (_A21,),
-    (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-    (_A71, _A72, _A73, _A74, _A75, _A76),
-) = _A[1:]
-_B57 = _B5[6]
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _ERR
+#: step-size control: safety factor on the optimal step (0.9 rejects about
+#: a fifth of the attempts on long orbits at tol 1e-10, 0.8 about 4%), and
+#: the bounds on the factor by which one attempt changes the step
+_SAFETY = 0.8
+_FAC_MIN = 1.0 / 3.0
+_FAC_MAX = 6.0
+
+#: right-hand-side evaluations per step attempt: 11 new stages and the 13th
+#: at the proposed point, which becomes stage 1 of the next step
+RHS_EVALS_PER_STEP = 12
 
 #: |xi|^2 past which an accepted sample is checked against CHART_BOUND;
 #: the margin keeps rounding in |xi|^2 from hiding an exit
@@ -317,33 +410,44 @@ _CHART_CHECK_SQ = (0.5 * CHART_BOUND) ** 2
 def _christoffel(xi):
     """Gamma^xi_xixi of the induced metric, d/dxi of ln[(1-xi xibar)/(1+xi xibar)^3].
 
-    Complex NaN exactly on the equator |xi| = 1, so that a trial stage
-    landing there is rejected by the stepper instead of raising.
+    Complex NaN exactly on the equator |xi| = 1.  The stepper inlines
+    this expression, which divides by zero there.
     """
     xb = xi.conjugate()
     m = (xi * xb).real
     if m == 1.0:
         return complex(math.nan, math.nan)
-    return -xb / (1.0 - m) - 3.0 * xb / (1.0 + m)
+    return -xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m))
 
 
 def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
-    """Adaptive Dormand-Prince 5(4) integration of the geodesic system.
+    """Adaptive Dormand-Prince 8(5,3) integration of the geodesic system.
 
     Integrates from t=0 to t=t_span, recording every accepted step;
     ``max_steps`` caps the step attempts, accepted or rejected.
     Raises ChartExitError at the first accepted sample past
     |xi| = CHART_BOUND.
-    Returns (t, xi, xidot, termination, t_hit): the samples as lists,
-    ``termination`` a ``Termination`` and ``t_hit`` the linear
+    Returns (t, xi, xidot, termination, t_hit, rejected): the samples as
+    lists, ``termination`` a ``Termination``, ``t_hit`` the linear
     interpolation of the equator crossing 1-|xi|^2 = 0 (None unless the
-    equator was reached).
+    equator was reached) and ``rejected`` the number of rejected step
+    attempts.  Each attempt evaluates the right-hand side
+    RHS_EVALS_PER_STEP times, after one evaluation at the start.
 
-    The stages are written out by hand.  Each weighted sum starts from
-    0.0j and keeps its zero-weight terms, in tableau order: a NaN stage
-    (a trial point exactly on the equator) then reaches the error norm
-    and the step is rejected, and the arithmetic matches a generic loop
-    over ``_A``, ``_B5`` and ``_ERR`` bit for bit.
+    The error of a step is the fifth-order estimate e5 damped by the
+    third-order one e3, err = h e5^2 / sqrt(e5^2 + 0.01 e3^2) / tol, with
+    both estimates the max-norm over the 4 real components, each scaled
+    by 1 + max(|y|, |y_new|).  The step is accepted when err <= 1.
+    After each attempt the step is scaled by
+    min(6, max(1/3, 0.8 err^(-1/8))) (``_FAC_MAX``, ``_FAC_MIN``,
+    ``_SAFETY``), by 6 when err = 0, and by at most 1 after a rejection.
+
+    The stages are written out by hand with the Christoffel symbol
+    inlined; each weighted sum takes its nonzero terms in tableau order,
+    so the arithmetic matches a generic loop over ``_A``, ``_B``, ``_E5``
+    and ``_BHH`` that skips the zero weights bit for bit.  A stage
+    exactly on the equator divides by zero; the attempt is then rejected
+    and the step shrinks fivefold.
     """
     t = 0.0
     y0, y1 = complex(xi0), complex(xidot0)
@@ -353,78 +457,161 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
 
     # modest initial step; the controller adapts within a few steps
     h = min(1e-2, 1e-2 * (1.0 + abs(y0)) / (1.0 + abs(y1)), t_span)
+    facmax = _FAC_MAX
 
     # stage k_i = (p_i, q_i) = rhs(xi, xidot) = (xidot, -Gamma(xi) xidot^2)
     p1 = y1
     q1 = -_christoffel(y0) * y1 * y1
     status = Termination.MAX_STEPS
     t_hit = None
+    rejected = 0
 
     for _ in range(max_steps):
         clipped = t + h >= t_span
         if clipped:
             h = t_span - t
-        p2 = y1 + h * (0.0j + _A21 * q1)
-        q2 = -_christoffel(y0 + h * (0.0j + _A21 * p1)) * p2 * p2
-        p3 = y1 + h * (0.0j + _A31 * q1 + _A32 * q2)
-        q3 = -_christoffel(y0 + h * (0.0j + _A31 * p1 + _A32 * p2)) * p3 * p3
-        p4 = y1 + h * (0.0j + _A41 * q1 + _A42 * q2 + _A43 * q3)
-        q4 = -_christoffel(y0 + h * (0.0j + _A41 * p1 + _A42 * p2 + _A43 * p3)) * p4 * p4
-        p5 = y1 + h * (0.0j + _A51 * q1 + _A52 * q2 + _A53 * q3 + _A54 * q4)
-        q5 = (
-            -_christoffel(y0 + h * (0.0j + _A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4))
-            * p5
-            * p5
-        )
-        p6 = y1 + h * (0.0j + _A61 * q1 + _A62 * q2 + _A63 * q3 + _A64 * q4 + _A65 * q5)
-        q6 = (
-            -_christoffel(
-                y0 + h * (0.0j + _A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+        try:
+            x = y0 + h * (_A2_1 * p1)
+            p2 = y1 + h * (_A2_1 * q1)
+            xb = x.conjugate()
+            m = (x * xb).real
+            q2 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p2 * p2
+            x = y0 + h * (_A3_1 * p1 + _A3_2 * p2)
+            p3 = y1 + h * (_A3_1 * q1 + _A3_2 * q2)
+            xb = x.conjugate()
+            m = (x * xb).real
+            q3 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p3 * p3
+            x = y0 + h * (_A4_1 * p1 + _A4_3 * p3)
+            p4 = y1 + h * (_A4_1 * q1 + _A4_3 * q3)
+            xb = x.conjugate()
+            m = (x * xb).real
+            q4 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p4 * p4
+            x = y0 + h * (_A5_1 * p1 + _A5_3 * p3 + _A5_4 * p4)
+            p5 = y1 + h * (_A5_1 * q1 + _A5_3 * q3 + _A5_4 * q4)
+            xb = x.conjugate()
+            m = (x * xb).real
+            q5 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p5 * p5
+            x = y0 + h * (_A6_1 * p1 + _A6_4 * p4 + _A6_5 * p5)
+            p6 = y1 + h * (_A6_1 * q1 + _A6_4 * q4 + _A6_5 * q5)
+            xb = x.conjugate()
+            m = (x * xb).real
+            q6 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p6 * p6
+            x = y0 + h * (_A7_1 * p1 + _A7_4 * p4 + _A7_5 * p5 + _A7_6 * p6)
+            p7 = y1 + h * (_A7_1 * q1 + _A7_4 * q4 + _A7_5 * q5 + _A7_6 * q6)
+            xb = x.conjugate()
+            m = (x * xb).real
+            q7 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p7 * p7
+            x = y0 + h * (_A8_1 * p1 + _A8_4 * p4 + _A8_5 * p5 + _A8_6 * p6 + _A8_7 * p7)
+            p8 = y1 + h * (_A8_1 * q1 + _A8_4 * q4 + _A8_5 * q5 + _A8_6 * q6 + _A8_7 * q7)
+            xb = x.conjugate()
+            m = (x * xb).real
+            q8 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p8 * p8
+            x = y0 + h * (
+                _A9_1 * p1 + _A9_4 * p4 + _A9_5 * p5 + _A9_6 * p6 + _A9_7 * p7 + _A9_8 * p8
             )
-            * p6
-            * p6
-        )
-        s1 = 0.0j + _A71 * q1 + _A72 * q2 + _A73 * q3 + _A74 * q4 + _A75 * q5 + _A76 * q6
-        p7 = y1 + h * s1
-        s0 = 0.0j + _A71 * p1 + _A72 * p2 + _A73 * p3 + _A74 * p4 + _A75 * p5 + _A76 * p6
-        q7 = -_christoffel(y0 + h * s0) * p7 * p7
-        # row 7 of _A is _B5[:6] (FSAL): the fifth-order sums are stage 7's
-        # sums plus the last, zero, weight
-        y0n = y0 + h * (s0 + _B57 * p7)
-        y1n = y1 + h * (s1 + _B57 * q7)
-        d0 = h * (
-            0.0j
-            + _E1 * p1 + _E2 * p2 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7
-        )
-        d1 = h * (
-            0.0j
-            + _E1 * q1 + _E2 * q2 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6 + _E7 * q7
-        )
-        # max over the 4 real components, scaled by tol*(1 + component
-        # magnitude); `b if b > a else a` is max(a, b) without a call, NaN included
-        a, b = abs(y0.real), abs(y0n.real)
-        err = abs(d0.real) / (1.0 + (b if b > a else a))
-        a, b = abs(y0.imag), abs(y0n.imag)
-        c = abs(d0.imag) / (1.0 + (b if b > a else a))
-        err = c if c > err else err
-        a, b = abs(y1.real), abs(y1n.real)
-        c = abs(d1.real) / (1.0 + (b if b > a else a))
-        err = c if c > err else err
-        a, b = abs(y1.imag), abs(y1n.imag)
-        c = abs(d1.imag) / (1.0 + (b if b > a else a))
-        err = c if c > err else err
-        err = err / tol
+            p9 = y1 + h * (
+                _A9_1 * q1 + _A9_4 * q4 + _A9_5 * q5 + _A9_6 * q6 + _A9_7 * q7 + _A9_8 * q8
+            )
+            xb = x.conjugate()
+            m = (x * xb).real
+            q9 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p9 * p9
+            x = y0 + h * (
+                _A10_1 * p1 + _A10_4 * p4 + _A10_5 * p5 + _A10_6 * p6 + _A10_7 * p7
+                + _A10_8 * p8 + _A10_9 * p9
+            )
+            p10 = y1 + h * (
+                _A10_1 * q1 + _A10_4 * q4 + _A10_5 * q5 + _A10_6 * q6 + _A10_7 * q7
+                + _A10_8 * q8 + _A10_9 * q9
+            )
+            xb = x.conjugate()
+            m = (x * xb).real
+            q10 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p10 * p10
+            x = y0 + h * (
+                _A11_1 * p1 + _A11_4 * p4 + _A11_5 * p5 + _A11_6 * p6 + _A11_7 * p7
+                + _A11_8 * p8 + _A11_9 * p9 + _A11_10 * p10
+            )
+            p11 = y1 + h * (
+                _A11_1 * q1 + _A11_4 * q4 + _A11_5 * q5 + _A11_6 * q6 + _A11_7 * q7
+                + _A11_8 * q8 + _A11_9 * q9 + _A11_10 * q10
+            )
+            xb = x.conjugate()
+            m = (x * xb).real
+            q11 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p11 * p11
+            x = y0 + h * (
+                _A12_1 * p1 + _A12_4 * p4 + _A12_5 * p5 + _A12_6 * p6 + _A12_7 * p7
+                + _A12_8 * p8 + _A12_9 * p9 + _A12_10 * p10 + _A12_11 * p11
+            )
+            p12 = y1 + h * (
+                _A12_1 * q1 + _A12_4 * q4 + _A12_5 * q5 + _A12_6 * q6 + _A12_7 * q7
+                + _A12_8 * q8 + _A12_9 * q9 + _A12_10 * q10 + _A12_11 * q11
+            )
+            xb = x.conjugate()
+            m = (x * xb).real
+            q12 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p12 * p12
+            s0 = (
+                _B1 * p1 + _B6 * p6 + _B7 * p7 + _B8 * p8 + _B9 * p9 + _B10 * p10
+                + _B11 * p11 + _B12 * p12
+            )
+            s1 = (
+                _B1 * q1 + _B6 * q6 + _B7 * q7 + _B8 * q8 + _B9 * q9 + _B10 * q10
+                + _B11 * q11 + _B12 * q12
+            )
+            y0n = y0 + h * s0
+            y1n = y1 + h * s1
+            # the 13th evaluation, at the proposed point: stage 1 of the next step
+            xb = y0n.conjugate()
+            m = (y0n * xb).real
+            q13 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * y1n * y1n
+        except ZeroDivisionError:  # a stage exactly on the equator
+            err = math.nan
+        else:
+            e50 = (
+                _E5_1 * p1 + _E5_6 * p6 + _E5_7 * p7 + _E5_8 * p8 + _E5_9 * p9
+                + _E5_10 * p10 + _E5_11 * p11 + _E5_12 * p12
+            )
+            e51 = (
+                _E5_1 * q1 + _E5_6 * q6 + _E5_7 * q7 + _E5_8 * q8 + _E5_9 * q9
+                + _E5_10 * q10 + _E5_11 * q11 + _E5_12 * q12
+            )
+            e30 = s0 - (_BHH1 * p1 + _BHH9 * p9 + _BHH12 * p12)
+            e31 = s1 - (_BHH1 * q1 + _BHH9 * q9 + _BHH12 * q12)
+            # max over the 4 real components, each scaled by 1 + its larger
+            # magnitude; `b if b > a else a` is max(a, b) without a call
+            a, b = abs(y0.real), abs(y0n.real)
+            w = 1.0 + (b if b > a else a)
+            e5 = abs(e50.real) / w
+            e3 = abs(e30.real) / w
+            a, b = abs(y0.imag), abs(y0n.imag)
+            w = 1.0 + (b if b > a else a)
+            c = abs(e50.imag) / w
+            e5 = c if c > e5 else e5
+            c = abs(e30.imag) / w
+            e3 = c if c > e3 else e3
+            a, b = abs(y1.real), abs(y1n.real)
+            w = 1.0 + (b if b > a else a)
+            c = abs(e51.real) / w
+            e5 = c if c > e5 else e5
+            c = abs(e31.real) / w
+            e3 = c if c > e3 else e3
+            a, b = abs(y1.imag), abs(y1n.imag)
+            w = 1.0 + (b if b > a else a)
+            c = abs(e51.imag) / w
+            e5 = c if c > e5 else e5
+            c = abs(e31.imag) / w
+            e3 = c if c > e3 else e3
+            e5 *= e5
+            deno = e5 + 0.01 * e3 * e3
+            err = h * e5 / math.sqrt(deno) / tol if deno else 0.0
 
         if err <= 1.0:
             y0o = y0
             t = t_span if clipped else t + h
             y0, y1 = y0n, y1n
-            p1, q1 = p7, q7  # FSAL: stage 7 was evaluated at the accepted point
+            p1, q1 = y1n, q13
             ts.append(t)
             xis.append(y0)
             xds.append(y1)
-            m = (y0 * y0.conjugate()).real
-            if m > _CHART_CHECK_SQ:
+            if m > _CHART_CHECK_SQ:  # m = |y0|^2 from the 13th evaluation
                 _check_in_chart(y0, "final")  # the run ends at the first sample out
             s_new = 1.0 - m
             if abs(s_new) <= equator_cut:
@@ -435,19 +622,21 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
             if t >= t_span:
                 status = Termination.TIME_LIMIT
                 break
-
-        if err == 0.0:
-            fac = 5.0
-        elif math.isnan(err):  # a trial stage hit the degeneracy exactly
-            fac = 0.2
+            fac = facmax if err == 0.0 else min(facmax, max(_FAC_MIN, _SAFETY * err**-0.125))
+            facmax = _FAC_MAX
         else:
-            fac = min(5.0, max(0.2, 0.9 * err ** -0.2))
+            rejected += 1
+            if math.isnan(err):  # a stage hit the degeneracy exactly
+                fac = 0.2
+            else:
+                fac = max(_FAC_MIN, _SAFETY * err**-0.125)
+            facmax = 1.0  # the step after a rejection does not grow
         h *= fac
         if h < h_min:
             status = Termination.STEP_UNDERFLOW
             break
 
-    return ts, xis, xds, status, t_hit
+    return ts, xis, xds, status, t_hit, rejected
 
 
 def _check_in_chart(xi, which):
@@ -468,9 +657,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate the geodesic flow from ``initial`` until ``t_max``.
 
-    Uses an adaptive embedded Runge-Kutta 5(4) pair with per-step
-    relative error bounded by ``tol``.  Every accepted step is recorded.
-    Termination:
+    Uses the adaptive Dormand-Prince 8(5,3) pair (``geod_integrate``)
+    with per-step relative error bounded by ``tol``.  Every accepted step
+    is recorded; ``Trajectory.stats`` reports accepted and rejected steps
+    and right-hand-side evaluations.  Termination:
 
     * ``TIME_LIMIT`` -- reached ``t_max``;
     * ``EQUATOR_REACHED`` -- ``1 - |xi|^2`` crossed ``equator_cutoff``;
@@ -479,10 +669,12 @@ def integrate(
       of order cutoff^{3/2}, far below the interpolation error);
     * ``STEP_UNDERFLOW`` -- error control pushed the step below
       ``min_step``.  Near the blow-up the controller shrinks steps
-      roughly in proportion to the remaining parameter span, so at very
-      tight tolerances (around 1e-9 and below for I1 of order one) the
-      step may underflow just before the cutoff band is reached; use a
-      moderate tolerance (1e-6 .. 1e-7) when the goal is the hit time;
+      roughly in proportion to the remaining parameter span, so at tight
+      tolerances the step may underflow just before the cutoff band is
+      reached: from the pole at speed 1 the run reaches the equator at
+      tol 1e-10 and underflows at 1e-12, and at speeds 0.5 .. 3 some
+      runs underflow from 1e-8 down; use a moderate tolerance
+      (1e-6 .. 1e-7) when the goal is the hit time;
     * ``MAX_STEPS`` -- ``max_steps`` step attempts (accepted or rejected)
       ran out first; the trajectory holds the steps accepted until then.
 
@@ -513,7 +705,7 @@ def integrate(
             f"initial point is within the equator cutoff band (1-|xi|^2 = {s0:.3e})"
         )
 
-    ts, xis, xds, termination, t_hit = geod_integrate(
+    ts, xis, xds, termination, t_hit, rejected = geod_integrate(
         initial.xi,
         initial.xidot,
         t_max - initial.t,
@@ -544,6 +736,7 @@ def integrate(
         termination=termination,
         _integrals=(i1s, i2s),
         t_hit=None if t_hit is None else t_hit + initial.t,
+        rejected_steps=rejected,
     )
 
 

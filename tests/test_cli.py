@@ -102,11 +102,13 @@ def test_geodesic_trial_stage_exactly_on_equator(tmp_path, capsys):
     # must reject that step and go on to the equator, not raise
     code, out, _ = run_cli(
         capsys, "geodesic", "--xi", "0.9999999850988388", "0",
-        "--xidot", "7.450580590301892e-06", "0", "--t-max", "1",
+        "--xidot", "2.832912194916926e-05", "0", "--t-max", "1",
         "--output", str(tmp_path / "t.csv"),
     )
     assert code == 0
-    assert json.loads(out)["termination"] == "equator_reached"
+    summary = json.loads(out)
+    assert summary["termination"] == "equator_reached"
+    assert summary["rejected_steps"] >= 1
 
 
 def test_geodesic_csv_to_stdout_summary_to_stderr(capsys):
@@ -136,14 +138,34 @@ def test_geodesic_summary_reports_max_steps(tmp_path, capsys, monkeypatch):
     capped = functools.partial(geodesics.integrate, max_steps=50)
     monkeypatch.setattr(geodesics, "integrate", capped)
     code, out, _ = run_cli(
-        capsys, "geodesic", "--xi", "0.3", "0", "--xidot", "0.2", "0.1",
+        capsys, "geodesic", "--xi", "0.6", "0", "--xidot", "0", "0.1",
         "--t-max", "100", "--tol", "1e-10", "--output", str(tmp_path / "t.csv"),
     )
     assert code == 0
     summary = json.loads(out)
     assert summary["termination"] == "max_steps"
     assert summary["n_samples"] == 51
+    assert summary["rejected_steps"] == 0
+    assert summary["rhs_evals"] == 1 + 12 * 50
     assert summary["t_hit"] is None
+
+
+def test_geodesic_summary_reports_step_cost(tmp_path, capsys):
+    # the two cost keys are appended to the existing ones; every step
+    # attempt costs 12 right-hand-side evaluations, after one at the start
+    code, out, _ = run_cli(
+        capsys, "geodesic", "--xi", "0.3", "0", "--xidot", "0.2", "0.1",
+        "--t-max", "10", "--tol", "1e-10", "--output", str(tmp_path / "t.csv"),
+    )
+    assert code == 0
+    summary = json.loads(out)
+    assert list(summary) == [
+        "termination", "t_hit", "t_final", "I1", "I2", "max_drift_I1", "max_drift_I2",
+        "n_samples", "observed_R_min", "observed_R_max", "rejected_steps", "rhs_evals",
+    ]
+    assert summary["rejected_steps"] > 0
+    attempts = summary["n_samples"] - 1 + summary["rejected_steps"]
+    assert summary["rhs_evals"] == 1 + 12 * attempts
 
 
 def test_geodesic_oscillation_range(tmp_path, capsys):

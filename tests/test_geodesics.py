@@ -4,6 +4,7 @@ import cmath
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -193,6 +194,31 @@ def test_integrate_conservation_drift():
         assert traj.max_drift[1] < 1e-8
 
 
+@pytest.mark.parametrize("xi0, xidot0", [(0.3, 0.2 + 0.1j), (0.5j, -0.4 + 0.7j),
+                                          (-0.25 + 0.4j, 0.9 - 0.3j)])
+def test_integrate_endpoint_error_follows_tolerance(xi0, xidot0):
+    # the global error at t = 10, against a tol-1e-13 run, stays within a
+    # small multiple of the requested tolerance (at most 4.9 x tol here)
+    st = GeodesicState(0.0, xi0, xidot0)
+    ref = integrate(st, SPHERE, 10.0, 1e-13).final_state()
+    for tol in (1e-6, 1e-8, 1e-10):
+        end = integrate(st, SPHERE, 10.0, tol).final_state()
+        assert end.t == ref.t == 10.0
+        assert abs(end.xi - ref.xi) <= 10.0 * tol
+        assert abs(end.xidot - ref.xidot) <= 10.0 * tol
+
+
+def test_integrate_eccentric_orbit_drift_to_t_100():
+    # I1/I2^2 = 22, the most eccentric orbits of the benchmark, over its longest span
+    i1 = 0.6
+    i2 = math.sqrt(i1 / 22.0)
+    tp = turning_points(i1, i2)
+    st = state_from_integrals(i1, i2, 0.5 * (tp.R_min + tp.R_max))
+    traj = integrate(st, SPHERE, 100.0, 1e-10)
+    assert traj.termination is Termination.TIME_LIMIT
+    assert max(traj.max_drift) < 1e-8
+
+
 def test_integrate_radial_invariance_of_argument():
     st = GeodesicState(0.0, 0.3 * cmath.exp(0.7j), 0.5 * cmath.exp(0.7j))
     assert abs(first_integrals(st).I2) < 1e-16
@@ -252,11 +278,12 @@ def test_integrate_samples_strictly_increasing():
 
 
 def test_integrate_step_underflow_reported():
-    # a min_step above the natural step size forces underflow on any
-    # curving orbit at a tight tolerance
-    traj = integrate(random_orbit_state(), SPHERE, 10.0, 1e-10, min_step=5e-2)
+    # this orbit's natural steps at tol 1e-10 range from 5e-3 to 0.5: the run
+    # grows its step past min_step, then underflows where the orbit curves
+    traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 10.0, 1e-10, min_step=5e-2)
     assert traj.termination is Termination.STEP_UNDERFLOW
     assert traj.t_hit is None
+    assert len(traj) > 2 and 0.0 < traj.t[-1] < 10.0
 
 
 def test_integrate_preconditions():
@@ -285,12 +312,57 @@ def test_integrate_nonzero_start_time():
 
 def test_integrate_max_steps_returns_partial_trajectory():
     # the first 50 step attempts from this start are all accepted
-    traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 100.0, 1e-10, max_steps=50)
+    traj = integrate(GeodesicState(0.0, 0.6, 0.1j), SPHERE, 100.0, 1e-10, max_steps=50)
     assert traj.termination is Termination.MAX_STEPS
     assert traj.termination.value == "max_steps"
     assert len(traj) == 51
+    assert traj.stats == {"accepted_steps": 50, "rejected_steps": 0, "rhs_evals": 601}
     assert 0.0 < traj.t[-1] < 100.0
     assert traj.t_hit is None
+
+
+def test_integrate_max_steps_counts_rejected_attempts():
+    # from this start the controller rejects some of the first 50 attempts;
+    # accepted and rejected attempts together spend the cap exactly
+    traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 100.0, 1e-10, max_steps=50)
+    assert traj.termination is Termination.MAX_STEPS
+    stats = traj.stats
+    assert stats["rejected_steps"] > 0
+    assert stats["accepted_steps"] == len(traj) - 1
+    assert stats["accepted_steps"] + stats["rejected_steps"] == 50
+    assert stats["rhs_evals"] == 1 + 12 * 50
+
+
+# -- the DOP853 tableau ---------------------------------------------------------------
+
+
+def test_dop853_tableau_order_conditions():
+    """Every sum in exact arithmetic on the double coefficients: each may
+    differ from its exact value by no more than the rounding of its terms
+    to doubles, 2^-52 times the sum of their magnitudes."""
+    with mpmath.workdps(50):
+        s6 = mpmath.sqrt(6)
+        nodes = [mpmath.mpf(0), (12 - 2 * s6) / 135, (6 - s6) / 45, (6 - s6) / 30, (6 + s6) / 30]
+        nodes += [mpmath.mpf(p) / q for p, q in ((1, 3), (1, 4), (4, 13), (127, 195), (3, 5),
+                                                 (6, 7), (1, 1))]
+
+        def check(weights, powers, expected):
+            terms = [mpmath.mpf(w) * c**powers for w, c in zip(weights, nodes)]
+            assert abs(mpmath.fsum(terms) - expected) <= 2**-52 * mpmath.fsum(map(abs, terms))
+
+        assert len(geodesics._A) == len(geodesics._B) == len(nodes) == 12
+        for row, c in zip(geodesics._A, nodes):  # the row sums are the nodes
+            check(row, 0, c)
+        for k in range(1, 9):  # the eighth-order quadrature
+            check(geodesics._B, k - 1, mpmath.mpf(1) / k)
+        # the embedded estimates vanish on polynomials of degree below their order
+        e3 = [mpmath.mpf(b) - mpmath.mpf(bh) for b, bh in zip(geodesics._B, geodesics._BHH)]
+        for k in range(1, 6):
+            check(geodesics._E5, k - 1, 0)
+        for k in range(1, 4):
+            check(e3, k - 1, 0)
+        with pytest.raises(AssertionError):  # not a ninth-order quadrature
+            check(geodesics._B, 8, mpmath.mpf(1) / 9)
 
 
 # -- kernel against the generic tableau loop ------------------------------------------
@@ -300,51 +372,67 @@ def reference_rhs(xi, xidot):
     return xidot, -geodesics._christoffel(xi) * xidot * xidot
 
 
+def weighted_sum(weights, stages, part):
+    """sum_j weights[j] * stages[j][part] over the nonzero weights, in order."""
+    total = None
+    for w, k in zip(weights, stages):
+        if w != 0.0:
+            total = w * k[part] if total is None else total + w * k[part]
+    return total
+
+
 def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
-    """The Dormand-Prince stepper as a generic loop over the tableau tuples;
-    ``geod_integrate`` must reproduce it bit for bit."""
+    """The DOP853 stepper as a generic loop over the tableau tuples;
+    ``geod_integrate`` must reproduce it bit for bit.  A NaN stage (a
+    point exactly on the equator) rejects the attempt."""
     t = 0.0
     y0, y1 = complex(xi0), complex(xidot0)
     ts = [0.0]
     xis = [y0]
     xds = [y1]
     h = min(1e-2, 1e-2 * (1.0 + abs(y0)) / (1.0 + abs(y1)), t_span)
-    k = [None] * 7
-    k[0] = reference_rhs(y0, y1)
+    facmax = 6.0
+    k = [reference_rhs(y0, y1)]
     status = Termination.MAX_STEPS
     t_hit = None
+    rejected = 0
     for _ in range(max_steps):
         clipped = t + h >= t_span
         if clipped:
             h = t_span - t
-        for i in range(1, 7):
-            a = geodesics._A[i]
-            s0 = 0.0j
-            s1 = 0.0j
-            for j in range(i):
-                s0 += a[j] * k[j][0]
-                s1 += a[j] * k[j][1]
-            k[i] = reference_rhs(y0 + h * s0, y1 + h * s1)
-        i0 = i1 = e0 = e1 = 0.0j
-        for i in range(7):
-            i0 += geodesics._B5[i] * k[i][0]
-            i1 += geodesics._B5[i] * k[i][1]
-            e0 += geodesics._ERR[i] * k[i][0]
-            e1 += geodesics._ERR[i] * k[i][1]
-        y0n = y0 + h * i0
-        y1n = y1 + h * i1
-        e0 *= h
-        e1 *= h
-        err = abs(e0.real) / (1.0 + max(abs(y0.real), abs(y0n.real)))
-        err = max(err, abs(e0.imag) / (1.0 + max(abs(y0.imag), abs(y0n.imag))))
-        err = max(err, abs(e1.real) / (1.0 + max(abs(y1.real), abs(y1n.real))))
-        err = max(err, abs(e1.imag) / (1.0 + max(abs(y1.imag), abs(y1n.imag))))
-        err /= tol
+        del k[1:]
+        for row in geodesics._A[1:]:
+            k.append(reference_rhs(
+                y0 + h * weighted_sum(row, k, 0), y1 + h * weighted_sum(row, k, 1)
+            ))
+        s0 = weighted_sum(geodesics._B, k, 0)
+        s1 = weighted_sum(geodesics._B, k, 1)
+        y0n = y0 + h * s0
+        y1n = y1 + h * s1
+        k.append(reference_rhs(y0n, y1n))
+        if any(cmath.isnan(q) for _, q in k):
+            err = math.nan
+        else:
+            e5 = weighted_sum(geodesics._E5, k, 0), weighted_sum(geodesics._E5, k, 1)
+            e3 = s0 - weighted_sum(geodesics._BHH, k, 0), s1 - weighted_sum(geodesics._BHH, k, 1)
+            n5 = n3 = None
+            for y, yn, d5, d3 in (
+                (y0.real, y0n.real, e5[0].real, e3[0].real),
+                (y0.imag, y0n.imag, e5[0].imag, e3[0].imag),
+                (y1.real, y1n.real, e5[1].real, e3[1].real),
+                (y1.imag, y1n.imag, e5[1].imag, e3[1].imag),
+            ):
+                w = 1.0 + max(abs(y), abs(yn))
+                n5 = abs(d5) / w if n5 is None else max(n5, abs(d5) / w)
+                n3 = abs(d3) / w if n3 is None else max(n3, abs(d3) / w)
+            n5 *= n5
+            deno = n5 + 0.01 * n3 * n3
+            err = h * n5 / math.sqrt(deno) / tol if deno else 0.0
         if err <= 1.0:
             y0o = y0
             t = t_span if clipped else t + h
             y0, y1 = y0n, y1n
-            k[0] = k[6]
+            k[0] = k[12]
             ts.append(t)
             xis.append(y0)
             xds.append(y1)
@@ -357,12 +445,12 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
             if t >= t_span:
                 status = Termination.TIME_LIMIT
                 break
-        if err == 0.0:
-            fac = 5.0
-        elif math.isnan(err):
-            fac = 0.2
+            fac = facmax if err == 0.0 else min(facmax, max(1 / 3, 0.8 * err**-0.125))
+            facmax = 6.0
         else:
-            fac = min(5.0, max(0.2, 0.9 * err**-0.2))
+            rejected += 1
+            fac = 0.2 if math.isnan(err) else min(facmax, max(1 / 3, 0.8 * err**-0.125))
+            facmax = 1.0
         h *= fac
         if h < h_min:
             status = Termination.STEP_UNDERFLOW
@@ -373,7 +461,22 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
         np.asarray(xds, dtype=np.complex128),
         status,
         t_hit,
+        rejected,
     )
+
+
+#: a start on the real axis whose first trial step, h = 1e-2, puts the
+#: stage-2 point xi0 + h a21 xidot0 exactly on xi = 1
+EQUATOR_TRIAL_XI0 = 1.0 - 2.0**-26
+EQUATOR_TRIAL_XIDOT0 = 2.832912194916926e-05
+
+
+def test_equator_trial_start_puts_stage_2_on_the_equator():
+    xi0, xidot0 = complex(EQUATOR_TRIAL_XI0), complex(EQUATOR_TRIAL_XIDOT0)
+    h = min(1e-2, 1e-2 * (1.0 + abs(xi0)) / (1.0 + abs(xidot0)), 1.0)
+    assert h == 1e-2
+    assert xi0 + h * (geodesics._A[1][0] * xidot0) == 1.0
+    assert abs(1.0 - xi0 * xi0) > EQUATOR_CUTOFF  # the start lies outside the cutoff band
 
 
 _ORACLE_RUNS = [
@@ -387,7 +490,7 @@ _ORACLE_RUNS = [
     pytest.param(0.0, 1.0, 10.0, 1e-12, Termination.STEP_UNDERFLOW, id="radial-1e-12"),
     # a trial stage of the first step lands exactly on xi = 1
     pytest.param(
-        0.9999999850988388, 7.450580590301892e-06, 1.0, 1e-6, Termination.EQUATOR_REACHED,
+        EQUATOR_TRIAL_XI0, EQUATOR_TRIAL_XIDOT0, 1.0, 1e-6, Termination.EQUATOR_REACHED,
         id="equator-trial-stage",
     ),
 ]
@@ -396,13 +499,14 @@ _ORACLE_RUNS = [
 @pytest.mark.parametrize("xi0, xidot0, t_span, tol, status", _ORACLE_RUNS)
 def test_kernel_matches_generic_tableau_loop(xi0, xidot0, t_span, tol, status):
     args = (xi0, xidot0, t_span, tol, EQUATOR_CUTOFF, MIN_STEP, 1_000_000)
-    t, xi, xidot, got_status, t_hit = geodesics.geod_integrate(*args)
-    t_ref, xi_ref, xidot_ref, ref_status, t_hit_ref = reference_geod_integrate(*args)
+    t, xi, xidot, got_status, t_hit, rejected = geodesics.geod_integrate(*args)
+    t_ref, xi_ref, xidot_ref, ref_status, t_hit_ref, rejected_ref = reference_geod_integrate(*args)
     assert got_status is ref_status is status
     assert np.array_equal(t, t_ref)
     assert np.array_equal(xi, xi_ref)
     assert np.array_equal(xidot, xidot_ref)
     assert t_hit == t_hit_ref
+    assert rejected == rejected_ref
     assert (t_hit is None) == (status is not Termination.EQUATOR_REACHED)
 
 
@@ -413,6 +517,8 @@ def test_kernel_matches_generic_tableau_loop_at_step_cap():
     ref = reference_geod_integrate(*args)
     assert got[3] is ref[3] is Termination.MAX_STEPS
     assert len(got[0]) < 51
+    assert len(got[0]) - 1 + got[5] == 50
+    assert got[5] == ref[5]
     for a, b in zip(got[:3], ref[:3]):
         assert np.array_equal(a, b)
 
@@ -435,7 +541,7 @@ def reference_csv(traj):
 
 
 def test_csv_bytes_match_per_value_formatting():
-    long_traj = integrate(state_from_integrals(0.6, 0.16, 0.5), SPHERE, 20.0, 1e-10)
+    long_traj = integrate(state_from_integrals(0.6, 0.16, 0.5), SPHERE, 80.0, 1e-10)
     assert len(long_traj) > 2 * CSV_CHUNK_ROWS and len(long_traj) % CSV_CHUNK_ROWS != 0
     short_traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 1e-3, 1e-10)
     assert len(short_traj) == 2
