@@ -69,13 +69,22 @@ def radial_quadrature(big_r: float) -> float:
     return half * total
 
 
+def _diagonal_coefficients():
+    """Taylor coefficients c_0, c_1, ... of g(y) = (1-y)^{1/2} (1+y)^{-3/2},
+    by (m+1) c_{m+1} = -2 c_m + m c_{m-1} from (1-y^2) g' = (y-2) g."""
+    c_prev, c, m = 0.0, 1.0, 0
+    while True:
+        yield c
+        c_prev, c, m = c, (m * c_prev - 2.0 * c) / (m + 1), m + 1
+
+
 def _appell_f1(R, tail_tol, max_diagonals):
     """R * F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2) by anti-diagonal summation.
 
-    The double sum over (k, l) is grouped by m = k + l.  Pochhammer
-    symbols follow the recurrence (a)_{k+1} = (a)_k (a+k); they are kept
-    as the per-term ratios (-1/2)_k/k!, (-1)^l (3/2)_l/l! and
-    (1/2)_m/(3/2)_m, since the raw values overflow a double near m=150.
+    The double sum over (k, l) is grouped by m = k + l.  Anti-diagonal m
+    is c_m R^(2m+1)/(2m+1): (1/2)_m/(3/2)_m = 1/(2m+1), and the sum over
+    k + l = m of (-1/2)_k/k! (-1)^l (3/2)_l/l! is the coefficient c_m of
+    ``_diagonal_coefficients``, one recurrence step per anti-diagonal.
 
     Summation stops once three consecutive anti-diagonal contributions
     are below ``tail_tol`` in magnitude and non-increasing (the decay
@@ -84,23 +93,12 @@ def _appell_f1(R, tail_tol, max_diagonals):
     Returns (value, diagonals_used, converged).
     """
     x = R * R
-    a = [1.0]  # (-1/2)_k / k!
-    b = [1.0]  # (-1)^l (3/2)_l / l!
-    ratio = 1.0  # (1/2)_m / (3/2)_m
     total = 0.0
     rpow = R  # R^(2m+1)
     small = 0
     prev = math.inf
-    for m in range(max_diagonals):
-        if m > 0:
-            a.append(a[-1] * (-0.5 + m - 1) / m)
-            b.append(b[-1] * (-(1.5 + m - 1)) / m)
-            ratio *= (0.5 + m - 1) / (1.5 + m - 1)
-            rpow *= x
-        conv = 0.0
-        for kk in range(m + 1):
-            conv += a[kk] * b[m - kk]
-        term = ratio * conv * rpow
+    for m, c in zip(range(max_diagonals), _diagonal_coefficients()):
+        term = c * rpow / (2 * m + 1)
         total += term
         if abs(term) <= tail_tol and abs(term) <= prev:
             small += 1
@@ -109,6 +107,7 @@ def _appell_f1(R, tail_tol, max_diagonals):
         else:
             small = 0
         prev = abs(term)
+        rpow *= x
     return total, max_diagonals, False
 
 
@@ -116,7 +115,7 @@ def appell_f1_series(big_r: float) -> float:
     """The same primitive as a hypergeometric double series.
 
     Evaluates R F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2) by anti-diagonal
-    summation with Pochhammer recurrences (``_appell_f1``).
+    summation, one recurrence step per anti-diagonal (``_appell_f1``).
     Valid for 0 <= R < 1 where the double series converges.
     """
     big_r = float(big_r)

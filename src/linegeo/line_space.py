@@ -87,6 +87,19 @@ def apply_translation(m: Translation, p: ComplexPair) -> ComplexPair:
     return ComplexPair(xi, p.eta + m.alpha1 - m.a1 * xi - m.alpha1.conjugate() * xi * xi)
 
 
+def _rotate(m: Rotation, p: ComplexPair):
+    # the rotated point and its Mobius denominator d, which push_forward reuses
+    d = -m.alpha3.conjugate() * p.xi + m.alpha2.conjugate()
+    if abs(d) < SOUTH_POLE_TOL:
+        raise ChartExitError(
+            f"rotation sends direction {p.xi!r} to the south pole (denominator {d!r})"
+        )
+    xi = (m.alpha2 * p.xi + m.alpha3) / d
+    if abs(xi) > CHART_BOUND:
+        raise ChartExitError(f"rotated direction |xi'| = {abs(xi):.3e} leaves the chart")
+    return ComplexPair(xi, p.eta / (d * d)), d
+
+
 def apply_rotation(m: Rotation, p: ComplexPair) -> ComplexPair:
     """Rotate an oriented line.
 
@@ -100,15 +113,7 @@ def apply_rotation(m: Rotation, p: ComplexPair) -> ComplexPair:
         If the image direction is (numerically) the south pole, or |xi'|
         exceeds the chart bound.
     """
-    d = -m.alpha3.conjugate() * p.xi + m.alpha2.conjugate()
-    if abs(d) < SOUTH_POLE_TOL:
-        raise ChartExitError(
-            f"rotation sends direction {p.xi!r} to the south pole (denominator {d!r})"
-        )
-    xi = (m.alpha2 * p.xi + m.alpha3) / d
-    if abs(xi) > CHART_BOUND:
-        raise ChartExitError(f"rotated direction |xi'| = {abs(xi):.3e} leaves the chart")
-    return ComplexPair(xi, p.eta / (d * d))
+    return _rotate(m, p)[0]
 
 
 def apply_motion(m, p: ComplexPair) -> ComplexPair:
@@ -130,8 +135,7 @@ def push_forward(m, u: TangentVector) -> TangentVector:
         deta = u.deta + (-m.a1 - 2.0 * m.alpha1.conjugate() * p.xi) * u.dxi
         return TangentVector(new_base, u.dxi, deta)
     if isinstance(m, Rotation):
-        new_base = apply_rotation(m, p)  # validates the denominator
-        d = -m.alpha3.conjugate() * p.xi + m.alpha2.conjugate()
+        new_base, d = _rotate(m, p)
         d2 = d * d
         dxi = u.dxi / d2
         deta = u.deta / d2 + 2.0 * m.alpha3.conjugate() * p.eta * u.dxi / (d2 * d)
@@ -216,13 +220,10 @@ def metric(u: TangentVector, v: TangentVector) -> float:
     pp = 1.0 + (xi * xi.conjugate()).real
     du_xi, du_eta = u.dxi, u.deta
     dv_xi, dv_eta = v.dxi, v.deta
-
-    def sym(a_u, b_v, a_v, b_u):
-        return 0.5 * (a_u * b_v + a_v * b_u)
-
-    s_eta_xibar = sym(du_eta, dv_xi.conjugate(), dv_eta, du_xi.conjugate())
-    s_etabar_xi = sym(du_eta.conjugate(), dv_xi, dv_eta.conjugate(), du_xi)
-    s_xi_xibar = sym(du_xi, dv_xi.conjugate(), dv_xi, du_xi.conjugate())
+    # symmetrised products 0.5 (a(u) b(v) + a(v) b(u))
+    s_eta_xibar = 0.5 * (du_eta * dv_xi.conjugate() + dv_eta * du_xi.conjugate())
+    s_etabar_xi = 0.5 * (du_eta.conjugate() * dv_xi + dv_eta.conjugate() * du_xi)
+    s_xi_xibar = 0.5 * (du_xi * dv_xi.conjugate() + dv_xi * du_xi.conjugate())
     twist = 2.0 * (xi * eta.conjugate() - xi.conjugate() * eta) / pp
     value = (2.0j / pp**2) * (s_eta_xibar - s_etabar_xi + twist * s_xi_xibar)
     return _real_part(value, "metric")

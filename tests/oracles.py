@@ -1,6 +1,7 @@
 """Test-only oracles: a pointwise route to a moved sphere, a least-squares
-refit of its coefficients, the inverse rotation, and the JSON readers of
-the section and certificate wire format (the CLI only writes it)."""
+refit of its coefficients, the inverse rotation, bit-for-bit copies of
+the push-forward and pairing expressions, and the JSON readers of the
+section and certificate wire format (the CLI only writes it)."""
 
 import numpy as np
 
@@ -65,6 +66,62 @@ def transform_pointwise(s: QuadraticSection, motions, xi_samples=REFIT_SAMPLE_DI
     if len(out) < 3:
         raise DomainError("fewer than three sample directions stayed in the chart")
     return out
+
+
+# -- push-forward and pairings, operation for operation -----------------------
+#
+# Each expression written out on its own, in the operation order of its
+# formula (the rotation's denominator evaluated again for the Jacobian, the
+# metric's symmetrised products through a helper), so that the shared
+# intermediates of line_space can be held to them with ==.
+
+
+def push_forward_terms(m, u) -> tuple[complex, complex, complex, complex]:
+    """(xi', eta', dxi', deta') of the push-forward of ``u`` by ``m``."""
+    p = u.base
+    if isinstance(m, Translation):
+        xi = p.xi
+        eta = p.eta + m.alpha1 - m.a1 * xi - m.alpha1.conjugate() * xi * xi
+        deta = u.deta + (-m.a1 - 2.0 * m.alpha1.conjugate() * p.xi) * u.dxi
+        return xi, eta, u.dxi, deta
+    d = -m.alpha3.conjugate() * p.xi + m.alpha2.conjugate()
+    xi = (m.alpha2 * p.xi + m.alpha3) / d
+    eta = p.eta / (d * d)
+    d = -m.alpha3.conjugate() * p.xi + m.alpha2.conjugate()
+    d2 = d * d
+    dxi = u.dxi / d2
+    deta = u.deta / d2 + 2.0 * m.alpha3.conjugate() * p.eta * u.dxi / (d2 * d)
+    return xi, eta, dxi, deta
+
+
+def symplectic_form_terms(u, v) -> float:
+    xi, eta = u.base.xi, u.base.eta
+    pp = 1.0 + (xi * xi.conjugate()).real
+    du_xi, du_eta = u.dxi, u.deta
+    dv_xi, dv_eta = v.dxi, v.deta
+    wedge_eta_xibar = du_eta * dv_xi.conjugate() - dv_eta * du_xi.conjugate()
+    wedge_etabar_xi = du_eta.conjugate() * dv_xi - dv_eta.conjugate() * du_xi
+    wedge_xi_xibar = du_xi * dv_xi.conjugate() - dv_xi * du_xi.conjugate()
+    twist = 2.0 * (xi * eta.conjugate() - xi.conjugate() * eta) / pp
+    value = (2.0 / pp**2) * (wedge_eta_xibar + wedge_etabar_xi + twist * wedge_xi_xibar)
+    return value.real
+
+
+def metric_terms(u, v) -> float:
+    xi, eta = u.base.xi, u.base.eta
+    pp = 1.0 + (xi * xi.conjugate()).real
+    du_xi, du_eta = u.dxi, u.deta
+    dv_xi, dv_eta = v.dxi, v.deta
+
+    def sym(a_u, b_v, a_v, b_u):
+        return 0.5 * (a_u * b_v + a_v * b_u)
+
+    s_eta_xibar = sym(du_eta, dv_xi.conjugate(), dv_eta, du_xi.conjugate())
+    s_etabar_xi = sym(du_eta.conjugate(), dv_xi, dv_eta.conjugate(), du_xi)
+    s_xi_xibar = sym(du_xi, dv_xi.conjugate(), dv_xi, du_xi.conjugate())
+    twist = 2.0 * (xi * eta.conjugate() - xi.conjugate() * eta) / pp
+    value = (2.0j / pp**2) * (s_eta_xibar - s_etabar_xi + twist * s_xi_xibar)
+    return value.real
 
 
 # -- JSON wire format -------------------------------------------------------

@@ -113,6 +113,15 @@ def test_series_close_to_one_still_converges():
     assert abs(appell_f1_series(0.99) - radial_quadrature(0.99)) < 1e-10
 
 
+def test_series_coefficients_match_taylor_coefficients():
+    # anti-diagonal m of the series carries the m-th Taylor coefficient of
+    # (1-y)^(1/2) (1+y)^(-3/2), which a three-term recurrence generates
+    with mpmath.workdps(40):
+        exact = mpmath.taylor(lambda y: mpmath.sqrt(1 - y) * (1 + y) ** -1.5, 0, 60)
+    for c, c_exact in zip(analysis._diagonal_coefficients(), exact):
+        assert abs(c - c_exact) <= 1e-14 * abs(c_exact)
+
+
 def test_series_kernel_reports_non_convergence():
     _, used, converged = analysis._appell_f1(0.999999, 1e-14, 50)
     assert converged is False

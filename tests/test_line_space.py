@@ -22,7 +22,7 @@ from linegeo import (
     symplectic_form,
     symplectic_matrix,
 )
-from oracles import inverse_rotation
+from oracles import inverse_rotation, metric_terms, push_forward_terms, symplectic_form_terms
 
 RNG = np.random.default_rng(91001)
 
@@ -333,3 +333,18 @@ def test_invariance_under_motions(form):
         after = form(pu, pv)
         worst = max(worst, abs(after - before) / max(abs(before), 1e-30))
     assert worst < 1e-10
+
+
+def test_push_forward_and_pairings_match_their_expressions_bit_for_bit():
+    kinds = set()
+    for _ in range(400):
+        base = random_pair()
+        u, v = random_tangent(base), random_tangent(base)
+        m = random_motion()
+        kinds.add(type(m))
+        for w in (u, v):
+            pw = push_forward(m, w)
+            assert (pw.base.xi, pw.base.eta, pw.dxi, pw.deta) == push_forward_terms(m, w)
+        assert metric(u, v) == metric_terms(u, v)
+        assert symplectic_form(u, v) == symplectic_form_terms(u, v)
+    assert kinds == {Translation, Rotation}
