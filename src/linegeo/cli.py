@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: ``normalize`` (sphere to standard form), ``geodesic``
-(trajectory integration with CSV export), ``analyze`` (blow-up time,
-effective potential, turning points, series cross-check) and ``check``
-(the cross-module invariant suite).  Each handler imports the modules
-it runs, so a cold call loads only those.
+(trajectory integration with CSV export; a lower-hemisphere start is
+integrated and exported in zeta = 1/xi, which the CSV header and the
+summary's ``chart`` key name, with I1 in the xi sense, so negative),
+``analyze`` (blow-up time, effective potential, turning points, series
+cross-check) and ``check`` (the cross-module invariant suite).  Each
+handler imports the modules it runs, so a cold call loads only those.
 
 Exit codes: 0 success, 1 internal error or failed checks, 2 usage
-errors, 3 domain errors (invalid region, no orbit, chart exit).  Set
+errors, 3 domain errors (invalid region, no orbit).  Set
 ``GEODESIC_LOG=debug`` or ``info`` for diagnostics on stderr; ``logging``
 is imported only then or on an internal error.
 """
@@ -123,6 +125,7 @@ def cmd_geodesic(args) -> int:
         "observed_R_max": max(big_r),
         "rejected_steps": traj.rejected_steps,
         "rhs_evals": traj.stats["rhs_evals"],
+        "chart": traj.chart,
     }
     # keep the CSV stream clean: summary goes to stderr when the CSV
     # occupies stdout, to stdout once the CSV went to a file

@@ -12,9 +12,12 @@ radial geodesics (I2 = 0) reach the degenerate equator |xi| = 1 at a
 finite parameter value where the equation blows up, so the integrator
 cuts off just before the equator and reports an interpolated hit time.
 
-All integration happens in the Cartesian (xi, xidot) variables; polar
-coordinates (R, theta) are provided for initial data and reporting but
-are singular at xi = 0, which radial geodesics cross.  The stepper,
+All integration happens in Cartesian variables; polar coordinates
+(R, theta) are provided for initial data and reporting but are singular
+at xi = 0, which radial geodesics cross.  No geodesic crosses the
+equator, so each run keeps the chart it starts in: (xi, xidot) on the
+upper hemisphere, and (zeta, zetadot) with zeta = 1/xi on the lower
+one, where the same equation holds with I1 negated.  The stepper,
 ``geod_integrate``, is the Dormand-Prince 8(5,3) pair (DOP853) with
 adaptive steps, in plain Python on complex scalars; ``integrate``
 validates its input and wraps the result in a ``Trajectory``, which
@@ -29,15 +32,7 @@ import enum
 import math
 from collections.abc import Sequence
 
-from .errors import (
-    ChartExitError,
-    DegeneracyError,
-    DomainError,
-    NoOrbitError,
-    Record,
-    finite_complex,
-)
-from .line_space import CHART_BOUND
+from .errors import DegeneracyError, DomainError, NoOrbitError, Record, finite_complex
 from .sections import StandardSphere
 
 #: integration stops once |1 - |xi|^2| falls below this
@@ -249,6 +244,11 @@ class Trajectory(Record):
     numbers with one entry per accepted step (including the initial
     state), and ``integral_series()`` gives the first integrals at those
     samples.
+    ``chart`` names the coordinate of the samples: ``"xi"`` for an
+    upper-hemisphere start, ``"zeta"`` (zeta = 1/xi) for a lower one,
+    so ``radius`` and ``final_state()`` are in that chart too.  The
+    first integrals are in the xi sense on either chart: a
+    lower-hemisphere orbit has I1 < 0.
     ``max_drift`` is the peak relative deviation of (I1, I2) from their
     initial values, with a 1e-30 floor on the normalisation.
     ``rejected_steps`` counts the step attempts the error control
@@ -257,13 +257,13 @@ class Trajectory(Record):
 
     __slots__ = (
         "sphere", "t", "xi", "xidot", "integrals0", "max_drift", "termination", "_integrals",
-        "t_hit", "rejected_steps",
+        "t_hit", "rejected_steps", "chart",
     )
 
     def __init__(self, sphere, t, xi, xidot, integrals0, max_drift, termination, _integrals,
-                 t_hit=None, rejected_steps=0):
+                 t_hit=None, rejected_steps=0, chart="xi"):
         self._init_fields(sphere, t, xi, xidot, integrals0, max_drift, termination, _integrals,
-                          t_hit, rejected_steps)
+                          t_hit, rejected_steps, chart)
 
     def __len__(self):
         return len(self.t)
@@ -402,10 +402,6 @@ _FAC_MAX = 6.0
 #: at the proposed point, which becomes stage 1 of the next step
 RHS_EVALS_PER_STEP = 12
 
-#: |xi|^2 past which an accepted sample is checked against CHART_BOUND;
-#: the margin keeps rounding in |xi|^2 from hiding an exit
-_CHART_CHECK_SQ = (0.5 * CHART_BOUND) ** 2
-
 
 def _christoffel(xi):
     """Gamma^xi_xixi of the induced metric, d/dxi of ln[(1-xi xibar)/(1+xi xibar)^3].
@@ -425,8 +421,6 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
 
     Integrates from t=0 to t=t_span, recording every accepted step;
     ``max_steps`` caps the step attempts, accepted or rejected.
-    Raises ChartExitError at the first accepted sample past
-    |xi| = CHART_BOUND.
     Returns (t, xi, xidot, termination, t_hit, rejected): the samples as
     lists, ``termination`` a ``Termination``, ``t_hit`` the linear
     interpolation of the equator crossing 1-|xi|^2 = 0 (None unless the
@@ -611,9 +605,7 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
             ts.append(t)
             xis.append(y0)
             xds.append(y1)
-            if m > _CHART_CHECK_SQ:  # m = |y0|^2 from the 13th evaluation
-                _check_in_chart(y0, "final")  # the run ends at the first sample out
-            s_new = 1.0 - m
+            s_new = 1.0 - m  # m = |y0|^2 from the 13th evaluation
             if abs(s_new) <= equator_cut:
                 s_old = 1.0 - (y0o * y0o.conjugate()).real
                 t_hit = t + s_new * (ts[-1] - ts[-2]) / (s_old - s_new)
@@ -639,13 +631,6 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     return ts, xis, xds, status, t_hit, rejected
 
 
-def _check_in_chart(xi, which):
-    if abs(xi) > CHART_BOUND:
-        raise ChartExitError(
-            f"|xi| must be within the chart bound {CHART_BOUND:g}; {which} |xi| = {abs(xi):.3e}"
-        )
-
-
 def integrate(
     initial: GeodesicState,
     sphere: StandardSphere,
@@ -657,15 +642,22 @@ def integrate(
 ) -> Trajectory:
     """Integrate the geodesic flow from ``initial`` until ``t_max``.
 
+    The chart is chosen once, at launch: xi for |xi0| < 1, else
+    zeta = 1/xi from zeta = 1/xi0 and zetadot = -xidot0 zeta^2.  The
+    substitution only flips the sign of the conformal factor, so the
+    equation is the same in zeta, with (I1, I2) -> (-I1, I2), and an
+    orbit through the south pole passes zeta = 0 like any other point.
+
     Uses the adaptive Dormand-Prince 8(5,3) pair (``geod_integrate``)
     with per-step relative error bounded by ``tol``.  Every accepted step
     is recorded; ``Trajectory.stats`` reports accepted and rejected steps
-    and right-hand-side evaluations.  Termination:
+    and right-hand-side evaluations.  Termination, with z the chart
+    coordinate:
 
     * ``TIME_LIMIT`` -- reached ``t_max``;
-    * ``EQUATOR_REACHED`` -- ``1 - |xi|^2`` crossed ``equator_cutoff``;
+    * ``EQUATOR_REACHED`` -- ``1 - |z|^2`` crossed ``equator_cutoff``;
       the trajectory's ``t_hit`` linearly interpolates the parameter
-      value of the actual degeneracy 1 - |xi|^2 = 0 (the remaining gap is
+      value of the actual degeneracy 1 - |z|^2 = 0 (the remaining gap is
       of order cutoff^{3/2}, far below the interpolation error);
     * ``STEP_UNDERFLOW`` -- error control pushed the step below
       ``min_step``.  Near the blow-up the controller shrinks steps
@@ -683,11 +675,8 @@ def integrate(
     DomainError
         If the sphere is not twisting (c <= 0), tol is not positive and
         finite, t_max is not finite, t_max <= initial.t, the initial I1
-        or I2 is not a finite double, or the initial point sits inside
-        the cutoff band.
-    ChartExitError
-        If any sample, the initial one included, lies past
-        |xi| = CHART_BOUND, or the first integrals overflow a double.
+        or I2 (in xi) is not a finite double, or the initial point sits
+        inside the cutoff band of its chart.
     """
     if sphere.c <= 0.0:
         raise DomainError("geodesic flow requires a twisting sphere (c > 0)")
@@ -698,29 +687,22 @@ def integrate(
     if t_max <= initial.t:
         raise DomainError(f"t_max = {t_max} does not exceed initial time {initial.t}")
     first_integrals(initial)  # DomainError unless I1 and I2 are finite doubles
-    _check_in_chart(initial.xi, "initial")
-    s0 = 1.0 - abs(initial.xi) ** 2
+    z0, zdot0, chart = initial.xi, initial.xidot, "xi"
+    if abs(z0) > 1.0:
+        z0 = 1.0 / z0
+        zdot0, chart = -zdot0 * z0 * z0, "zeta"  # -xidot/xi^2 without forming xi^2
+    s0 = 1.0 - abs(z0) ** 2
     if abs(s0) <= equator_cutoff:
         raise DomainError(
-            f"initial point is within the equator cutoff band (1-|xi|^2 = {s0:.3e})"
+            f"initial point is within the equator cutoff band (1-|{chart}|^2 = {s0:.3e})"
         )
 
-    ts, xis, xds, termination, t_hit, rejected = geod_integrate(
-        initial.xi,
-        initial.xidot,
-        t_max - initial.t,
-        tol,
-        equator_cutoff,
-        min_step,
-        max_steps,
+    ts, zs, zds, termination, t_hit, rejected = geod_integrate(
+        z0, zdot0, t_max - initial.t, tol, equator_cutoff, min_step, max_steps
     )
-    try:
-        i1s, i2s = first_integrals_arrays(xis, xds)
-    except OverflowError:
-        raise ChartExitError(
-            "first integrals must be finite doubles along the trajectory, which "
-            f"leaves the chart: |xi| reaches {max(map(abs, xis)):.3e}"
-        ) from None
+    i1s, i2s = first_integrals_arrays(zs, zds)
+    if chart == "zeta":
+        i1s = [-i1 for i1 in i1s]
     i10, i20 = i1s[0], i2s[0]
     drift = (
         max([abs(i1 - i10) for i1 in i1s]) / max(abs(i10), 1e-30),
@@ -729,17 +711,20 @@ def integrate(
     return Trajectory(
         sphere=sphere,
         t=[t + initial.t for t in ts],
-        xi=xis,
-        xidot=xds,
+        xi=zs,
+        xidot=zds,
         integrals0=FirstIntegrals(i10, i20),
         max_drift=drift,
         termination=termination,
         _integrals=(i1s, i2s),
         t_hit=None if t_hit is None else t_hit + initial.t,
         rejected_steps=rejected,
+        chart=chart,
     )
 
 
+#: the CSV header of a run in the xi chart; a run in the zeta chart names
+#: its coordinate columns zeta_re, zeta_im, zetadot_re and zetadot_im
 CSV_HEADER = "t,R,theta,xi_re,xi_im,xidot_re,xidot_im,I1,I2"
 
 
@@ -754,12 +739,14 @@ def write_csv(traj: Trajectory, stream):
 
     One header line, then one row per sample with the columns of
     ``CSV_HEADER``, every value to 17 significant digits (round-trips).
+    R, theta and the coordinate columns are those of the trajectory's
+    chart, which the header names; I1 and I2 are in the xi sense.
     Rows are formatted and written a chunk at a time, R and theta
     included, so the export never holds a copy of the whole table.
     """
     i1s, i2s = traj.integral_series()
     phase = cmath.phase
-    stream.write(CSV_HEADER + "\n")
+    stream.write(CSV_HEADER.replace("xi", traj.chart) + "\n")
     for lo in range(0, len(traj), CSV_CHUNK_ROWS):
         hi = lo + CSV_CHUNK_ROWS
         rows = zip(traj.t[lo:hi], traj.xi[lo:hi], traj.xidot[lo:hi], i1s[lo:hi], i2s[lo:hi])

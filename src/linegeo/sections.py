@@ -178,10 +178,8 @@ def lagrangian_defect(s: StandardSphere, xi: complex) -> float:
 def induced_metric_factor(s: StandardSphere, xi: complex) -> float:
     """Conformal factor g of the induced metric ds^2 = g dxi dxibar:
     -4c(1-|xi|^2)/(1+|xi|^2)^3.  Negative inside the equator, zero on it,
-    positive outside."""
-    xi = finite_complex("xi", xi)
-    m = (xi * xi.conjugate()).real
-    return -4.0 * s.c * (1.0 - m) / (1.0 + m) ** 3
+    positive outside: the Lagrangian defect with the opposite sign."""
+    return -lagrangian_defect(s, xi)
 
 
 def pullback_consistency_check(s: StandardSphere, xi: complex) -> float:

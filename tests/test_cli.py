@@ -164,7 +164,9 @@ def test_geodesic_summary_reports_step_cost(tmp_path, capsys):
     assert list(summary) == [
         "termination", "t_hit", "t_final", "I1", "I2", "max_drift_I1", "max_drift_I2",
         "n_samples", "observed_R_min", "observed_R_max", "rejected_steps", "rhs_evals",
+        "chart",
     ]
+    assert summary["chart"] == "xi"
     assert summary["rejected_steps"] > 0
     attempts = summary["n_samples"] - 1 + summary["rejected_steps"]
     assert summary["rhs_evals"] == 1 + 12 * attempts
@@ -249,16 +251,15 @@ def test_geodesic_on_equator_exit_3(capsys):
         # the initial I1 overflows (|xi|^2 or |xidot|^2 past the double range)
         ["geodesic", "--xi", "1e300", "0", "--xidot", "1", "0", "--t-max", "1"],
         ["geodesic", "--xi", "0.5", "0", "--xidot", "1e300", "0", "--t-max", "1"],
-        # a start past the chart bound |xi| = 1e8, with finite first integrals
-        ["geodesic", "--xi", "1e50", "0", "--xidot", "1e40", "0", "--t-max", "1e11"],
-        ["geodesic", "--xi", "1e9", "0", "--xidot", "1", "0", "--t-max", "1"],
-        # a lower-hemisphere orbit that runs out past the chart bound
-        ["geodesic", "--xi", "1.5", "0", "--xidot", "1", "0", "--t-max", "10"],
-        # ... and orbits with a little angular momentum, which pass the bound
-        # (R near 3.5e8, 3.5e10, 3.5e12) and come back to the equator
-        ["geodesic", "--xi", "1.5", "0", "--xidot", "1", "1e-8", "--t-max", "10"],
-        ["geodesic", "--xi", "1.5", "0", "--xidot", "1", "1e-10", "--t-max", "10"],
-        ["geodesic", "--xi", "1.5", "0", "--xidot", "1", "1e-12", "--t-max", "10"],
+        # lower-hemisphere starts are validated in xi before the switch to
+        # zeta = 1/xi: (1+|xi|^2)^3 overflows, |xi|^2 overflows, |xidot|^2 overflows
+        ["geodesic", "--xi", "1e60", "0", "--xidot", "1", "0", "--t-max", "1"],
+        ["geodesic", "--xi", "1e200", "0", "--xidot", "1e-200", "0", "--t-max", "1"],
+        ["geodesic", "--xi", "1.5", "0", "--xidot", "1e300", "0", "--t-max", "1"],
+        # non-finite initial data and sphere coefficient
+        ["geodesic", "--xi", "nan", "0", "--xidot", "1", "0", "--t-max", "1"],
+        ["geodesic", "--xi", "0.5", "0", "--xidot", "0", "inf", "--t-max", "1"],
+        ["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--c", "nan"],
     ],
 )
 def test_non_finite_inputs_exit_3(capsys, argv):
@@ -266,6 +267,52 @@ def test_non_finite_inputs_exit_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert "must be" in err
+
+
+#: lower-hemisphere starts, run in zeta = 1/xi: radially out from |xi| = 1.5
+#: through the south pole zeta = 0 to the equator (with a little angular
+#: momentum the orbit passes close to the pole), and starts far out,
+#: at |xi| = 1e9 and 1e50, where zeta barely moves before t_max
+LOWER_HEMISPHERE_STARTS = [
+    (["--xi", "1.5", "0", "--xidot", "1", "0", "--t-max", "10"], "equator_reached"),
+    (["--xi", "1.5", "0", "--xidot", "1", "1e-8", "--t-max", "10"], "equator_reached"),
+    (["--xi", "1.5", "0", "--xidot", "1", "1e-10", "--t-max", "10"], "equator_reached"),
+    (["--xi", "1.5", "0", "--xidot", "1", "1e-12", "--t-max", "10"], "equator_reached"),
+    (["--xi", "1e9", "0", "--xidot", "1", "0", "--t-max", "1"], "time_limit"),
+    (["--xi", "1e50", "0", "--xidot", "1e40", "0", "--t-max", "1e11"], "time_limit"),
+]
+
+
+@pytest.mark.parametrize("argv, termination", LOWER_HEMISPHERE_STARTS)
+def test_lower_hemisphere_starts_run_in_zeta(tmp_path, capsys, argv, termination):
+    csv_path = tmp_path / "south.csv"
+    code, out, err = run_cli(capsys, "geodesic", *argv, "--output", str(csv_path))
+    assert code == 0, err
+    summary = json.loads(out)
+    assert summary["termination"] == termination
+    assert summary["chart"] == "zeta"
+    assert summary["I1"] < 0.0  # in the xi sense
+    assert summary["observed_R_max"] < 1.0  # |zeta| stays inside the equator
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "t,R,theta,zeta_re,zeta_im,zetadot_re,zetadot_im,I1,I2"
+    assert len(lines) == summary["n_samples"] + 1
+    xi0 = float(argv[1])
+    assert float(lines[1].split(",")[1]) == 1.0 / xi0  # the first row is zeta = 1/xi
+
+
+def test_radial_orbit_through_the_south_pole_hits_at_the_closed_form(capsys):
+    # zeta runs in from 2/3 through the pole and out to the equator: the
+    # travel time is (Q(2/3) + Q(1)) / sqrt(|I1|), with Q the radial primitive
+    code, _, err = run_cli(
+        capsys, "geodesic", "--xi", "1.5", "0", "--xidot", "1", "0", "--output", "-"
+    )
+    assert code == 0
+    summary = json.loads(err)
+    assert summary["termination"] == "equator_reached"
+    f = (1.0 - 1.5**2) / (1.0 + 1.5**2) ** 3
+    assert math.isclose(summary["I1"], f, rel_tol=1e-15)  # |xidot| = 1
+    ref = (analysis.radial_quadrature(2.0 / 3.0) + analysis.radial_quadrature(1.0)) / math.sqrt(-f)
+    assert abs(summary["t_hit"] - ref) <= 10 * 1e-6 * ref  # the default tol
 
 
 def _boom(*args):
@@ -343,6 +390,18 @@ def test_analyze_series_check_csv(capsys):
     for line in lines[1:]:
         fields = list(map(float, line.split(",")))
         assert abs(fields[3]) < 1e-10
+
+
+def test_analyze_series_check_close_to_one(capsys):
+    # the series needs 13,622 anti-diagonals at R = 0.999
+    code, out, err = run_cli(
+        capsys, "analyze", "series-check", "--r-lo", "0.5", "--r-hi", "0.999", "--num", "3"
+    )
+    assert code == 0, err
+    lines = out.strip().split("\n")
+    assert len(lines) == 4
+    for line in lines[1:]:
+        assert abs(float(line.split(",")[3])) <= 1e-10
 
 
 # -- check ---------------------------------------------------------------------

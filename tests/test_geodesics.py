@@ -3,13 +3,13 @@
 import cmath
 import io
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
 
 from linegeo import (
-    ChartExitError,
     DegeneracyError,
     DomainError,
     GeodesicState,
@@ -28,7 +28,6 @@ from linegeo import (
 )
 from linegeo import geodesics
 from linegeo.geodesics import CSV_CHUNK_ROWS, CSV_HEADER, EQUATOR_CUTOFF, MIN_STEP
-from linegeo.line_space import CHART_BOUND
 
 RNG = np.random.default_rng(91003)
 SPHERE = StandardSphere(1.0)
@@ -256,18 +255,64 @@ def test_integrate_lower_hemisphere():
     assert traj.max_drift[0] < 1e-4
 
 
-def test_integrate_orbit_running_out_is_a_chart_exit():
-    # radially outward from R = 1.5: the orbit runs out towards xi = infinity
-    # and its last sample lies far past the chart bound
-    with pytest.raises(ChartExitError, match="final"):
-        integrate(GeodesicState(0.0, 1.5, 1.0), SPHERE, 10.0, 1e-6)
-    # a start past the bound is rejected before any step is taken
-    with pytest.raises(ChartExitError, match="initial"):
-        integrate(GeodesicState(0.0, 1e9, 1.0), SPHERE, 1.0, 1e-6)
-    # just inside the bound, a short run that stays inside is fine
-    traj = integrate(GeodesicState(0.0, CHART_BOUND / 2, 1.0), SPHERE, 1.0, 1e-6)
-    assert traj.termination is Termination.TIME_LIMIT
-    assert max(traj.radius) <= CHART_BOUND
+def test_integrate_orbit_running_out_stays_in_the_zeta_chart():
+    # radially outward from R = 1.5: the orbit runs out towards xi = infinity,
+    # which in zeta = 1/xi is an ordinary passage through the pole zeta = 0
+    traj = integrate(GeodesicState(0.0, 1.5, 1.0), SPHERE, 10.0, 1e-6)
+    assert traj.chart == "zeta"
+    assert traj.termination is Termination.EQUATOR_REACHED
+    assert min(traj.radius) < 0.1 and max(traj.radius) < 1.0
+    assert traj.xi[0] == 1.0 / 1.5 and traj.xidot[0] == -(1.0 / 1.5) ** 2
+    # starts far out, at |xi| = 1e9 and 1e50, are ordinary points near zeta = 0
+    for xi0 in (1e9, 1e50):
+        traj = integrate(GeodesicState(0.0, xi0, 1.0), SPHERE, 1.0, 1e-6)
+        assert traj.chart == "zeta"
+        assert traj.termination is Termination.TIME_LIMIT
+        assert traj.xi[0] == 1.0 / xi0
+    # an upper-hemisphere start keeps the xi chart
+    assert integrate(GeodesicState(0.0, 0.5, 1.0), SPHERE, 0.1, 1e-6).chart == "xi"
+
+
+def test_lower_hemisphere_orbit_agrees_with_the_xi_chart():
+    # orbits that stay finite in xi: integrated directly in xi with the
+    # kernel, and by ``integrate`` in zeta = 1/xi; the two agree to a few
+    # times tol, and the integrals map as (I1, I2) -> (-I1, I2)
+    zeta_orbit = state_from_integrals(0.6, 0.16, 0.5)  # an annulus orbit in zeta
+    starts = [
+        (1.5, -1.0, 0.4),  # radially inward, 0.03 before the equator
+        (1.5, -1.0 + 0.05j, 0.4),
+        (1.0 / zeta_orbit.xi, -zeta_orbit.xidot / zeta_orbit.xi**2, 3.0),
+    ]
+    tol = 1e-10
+    for xi0, xidot0, t_max in starts:
+        traj = integrate(GeodesicState(0.0, xi0, xidot0), SPHERE, t_max, tol)
+        assert traj.chart == "zeta" and traj.termination is Termination.TIME_LIMIT
+        t, xis, xds, status, _, _ = geodesics.geod_integrate(
+            xi0, xidot0, t_max, tol, EQUATOR_CUTOFF, MIN_STEP, 1_000_000
+        )
+        assert status is Termination.TIME_LIMIT and t[-1] == traj.t[-1] == t_max
+        zeta, zetadot = traj.xi[-1], traj.xidot[-1]
+        assert abs(1.0 / zeta - xis[-1]) <= 10 * tol * abs(xis[-1])
+        assert abs(-zetadot / zeta**2 - xds[-1]) <= 10 * tol * abs(xds[-1])
+        ints = first_integrals(GeodesicState(0.0, xi0, xidot0))
+        assert math.isclose(traj.integrals0.I1, ints.I1, rel_tol=1e-14)
+        assert math.isclose(traj.integrals0.I2, ints.I2, rel_tol=1e-14, abs_tol=1e-300)
+        assert traj.integrals0.I1 < 0.0
+
+
+def test_lower_hemisphere_sweep_stays_inside_the_zeta_chart():
+    # |xi0| log-uniform in (1.01, 1e12), any direction, speeds in zeta
+    # from 0.1 to 3: every run stays in |zeta| < 1 and ends normally
+    rng = random.Random(20261018)
+    for _ in range(200):
+        xi0 = 10.0 ** rng.uniform(math.log10(1.01), 12.0) * cmath.exp(2j * math.pi * rng.random())
+        speed = rng.uniform(0.1, 3.0) * abs(xi0) ** 2
+        xidot0 = speed * cmath.exp(2j * math.pi * rng.random())
+        traj = integrate(GeodesicState(0.0, xi0, xidot0), SPHERE, 3.0, 1e-6)
+        assert traj.chart == "zeta"
+        assert traj.termination in (Termination.TIME_LIMIT, Termination.EQUATOR_REACHED)
+        assert max(traj.radius) < 1.0
+        assert traj.integrals0.I1 < 0.0
 
 
 def test_integrate_samples_strictly_increasing():
@@ -573,6 +618,23 @@ def test_csv_schema_and_round_trip():
     assert float(last[7]) == i1s[-1]
     assert float(last[8]) == i2s[-1]
     assert float(last[1]) == traj.radius[-1]
+
+
+def test_csv_of_a_zeta_run_names_its_chart():
+    # the coordinate columns are zeta's; I1 is in the xi sense, so the
+    # negation of the first integral evaluated on the zeta sample
+    traj = integrate(GeodesicState(0.0, 1.5, 1.0 + 0.2j), SPHERE, 2.0, 1e-8)
+    assert traj.chart == "zeta"
+    buf = io.StringIO()
+    write_csv(traj, buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "t,R,theta,zeta_re,zeta_im,zetadot_re,zetadot_im,I1,I2"
+    assert len(lines) == len(traj) + 1
+    for line, t, zeta, zetadot in zip(lines[1:], traj.t, traj.xi, traj.xidot):
+        ints = first_integrals(GeodesicState(t, zeta, zetadot))
+        row = (t, abs(zeta), cmath.phase(zeta), zeta.real, zeta.imag, zetadot.real,
+               zetadot.imag, -ints.I1, ints.I2)
+        assert line == ",".join(format(v, ".17g") for v in row)
 
 
 def test_max_drift_definition():

@@ -1,5 +1,6 @@
 """Quadratic spheres: evaluation, normalisation, induced structures."""
 
+import cmath
 import json
 import math
 
@@ -186,6 +187,19 @@ def test_defect_and_factor_vanish_together():
         z = RNG.normal(size=2)
         xi = complex(z[0], z[1])
         assert induced_metric_factor(s, xi) == -lagrangian_defect(s, xi)
+    # bit for bit on a polar grid over both hemispheres and the equator, for
+    # a flat and two twisting spheres; negation is exact, so the factor also
+    # equals its closed form -4c(1-|xi|^2)/(1+|xi|^2)^3, signed zeros included
+    for c in (0.0, 0.5, 2.0):
+        s = StandardSphere(c)
+        for big_r in (0.0, 0.25, 0.5, 0.999, 1.0, 1.001, 2.0, 10.0, 1e8):
+            for k in range(12):
+                xi = big_r * cmath.exp(1j * math.pi * k / 6.0)
+                m = (xi * xi.conjugate()).real
+                g = induced_metric_factor(s, xi)
+                closed_form = -4.0 * c * (1.0 - m) / (1.0 + m) ** 3
+                assert g == -lagrangian_defect(s, xi) == closed_form
+                assert math.copysign(1.0, g) == math.copysign(1.0, closed_form)
 
 
 def test_pullback_consistency():
