@@ -12,7 +12,8 @@ For nonzero angular momentum the radial motion is governed by the
 effective potential U(R) = (1+R^2)^3/((1-R^2)R^2): real radial speed
 requires U(R) <= I1/I2^2, confining the orbit to an annulus whose edges
 are the two roots of U(R) = I1/I2^2 around the potential minimum
-6*sqrt(3) at R = sqrt(2-sqrt(3)).
+6*sqrt(3) at R = sqrt(2-sqrt(3)).  In x = R^2 that equation is a cubic,
+solved in closed form.
 
 The functions of the flow import ``geodesics`` when called, so that the
 travel-time evaluations load no other module of the package than
@@ -21,7 +22,7 @@ travel-time evaluations load no other module of the package than
 
 import math
 
-from .errors import ConvergenceError, DomainError, NoOrbitError, Record
+from .errors import ConvergenceError, DomainError, Record
 
 #: radius of the circular orbit, the minimiser of the effective potential
 CRITICAL_RADIUS = math.sqrt(2.0 - math.sqrt(3.0))
@@ -161,27 +162,17 @@ class TurningPoints(Record):
         self._init_fields(R_min, R_max, ratio)
 
 
-def _bisect(fn, lo, hi, flo):
-    # fn changes sign on [lo, hi]; flo = fn(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if (flo > 0.0) == (fmid > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
-
-
 def turning_points(i1: float, i2: float) -> TurningPoints:
-    """Solve U(R) = I1/I2^2 for the two turning radii.
+    """Solve U(R) = I1/I2^2 for the two turning radii, in closed form.
 
-    The potential decreases on (0, R_c) and increases on (R_c, 1) with
-    R_c = sqrt(2-sqrt(3)), so each side holds exactly one root, found by
-    bisection to 1e-12.  A ratio at the minimum (within 1e-12) collapses
-    the annulus to the circular orbit.
+    With x = R^2 and k = I1/I2^2 the equation is the cubic
+    x^3 + (3+k) x^2 + (3-k) x + 1 = 0, whose roots are x1 < x2 in (0, 1)
+    and x3 < 0.  Viete's trigonometric form gives x3, a simple root far
+    from the other two, and the quotient by x - x3 is x^2 + beta x + gamma
+    with gamma = x1 x2 = -1/x3 and beta = -gamma (gamma + k - 3).  The
+    radii sqrt(x1) and sqrt(x2) are good to a few ulps away from the
+    double root at the minimum; a ratio within 1e-12 of the minimum
+    collapses the annulus to the circular orbit.
 
     Raises
     ------
@@ -192,40 +183,28 @@ def turning_points(i1: float, i2: float) -> TurningPoints:
         no turning points; use ``blowup_time``), or I1/I2^2 is not a
         finite double.
     """
-    from .geodesics import MIN_ORBIT_RATIO, FirstIntegrals, effective_potential
+    from .geodesics import MIN_ORBIT_RATIO, FirstIntegrals, _orbit_ratio
 
     integrals = FirstIntegrals(i1, i2)
     if i2 == 0.0:
         raise DomainError("I2 = 0 is radial motion; use blowup_time instead")
     if i1 <= 0.0:
         raise DomainError(f"I1 must be positive, got {i1}")
-    ratio = integrals.ratio
-    if ratio < MIN_ORBIT_RATIO - 1e-12 * max(1.0, ratio):
-        raise NoOrbitError(
-            f"no orbit: I1/I2^2 = {ratio:.6f} below 6*sqrt(3) = {MIN_ORBIT_RATIO:.6f}"
-        )
-    if abs(ratio - MIN_ORBIT_RATIO) <= 1e-12 * max(1.0, ratio):
-        return TurningPoints(CRITICAL_RADIUS, CRITICAL_RADIUS, ratio)
+    k = _orbit_ratio(integrals)
+    if k <= MIN_ORBIT_RATIO * (1.0 + 1e-12):
+        return TurningPoints(CRITICAL_RADIUS, CRITICAL_RADIUS, k)
 
-    def level(big_r):
-        return effective_potential(big_r) - ratio
-
-    # walk out from the minimum until the level is bracketed on each side
-    lo = CRITICAL_RADIUS
-    while level(lo) < 0.0:
-        lo *= 0.5
-        if lo < 1e-300:  # pragma: no cover - U diverges at 0, cannot happen
-            raise ConvergenceError("failed to bracket the inner turning point")
-    gap = 1.0 - CRITICAL_RADIUS
-    hi = CRITICAL_RADIUS
-    while level(hi) < 0.0:
-        gap *= 0.5
-        hi = 1.0 - gap
-        if gap < 1e-300:  # pragma: no cover
-            raise ConvergenceError("failed to bracket the outer turning point")
-    r_min = _bisect(level, lo, min(2.0 * lo, CRITICAL_RADIUS), level(lo))
-    r_max = _bisect(level, 1.0 - 2.0 * gap, hi, level(1.0 - 2.0 * gap))
-    return TurningPoints(r_min, r_max, ratio)
+    # x = t - (3+k)/3 gives t^3 - 3 r^2 t + q with r = sqrt(k(k+9))/3 = n/3 and
+    # q = k(2k^2+27k+54)/27, so x3 = 2r cos(acos(cos3)/3 + 2 pi/3) - (3+k)/3 with
+    # cos3 = -q/(2r^3); each quotient is arranged to stay finite for every finite k
+    sk, sk9 = math.sqrt(k), math.sqrt(k + 9.0)
+    n, a = sk * sk9, 3.0 + k
+    cos3 = -(sk / sk9 + 4.5 * ((k + 6.0) / (k + 9.0)) / n)
+    c = math.cos(math.acos(max(cos3, -1.0)) / 3.0 + 2.0 * math.pi / 3.0)
+    gamma = (3.0 / a) / (1.0 - 2.0 * (n / a) * c)  # -1/x3
+    beta = -gamma * (gamma + k - 3.0)
+    x2 = (math.sqrt(max(beta * beta - 4.0 * gamma, 0.0)) - beta) / 2.0
+    return TurningPoints(math.sqrt(gamma / x2), math.sqrt(x2), k)
 
 
 class OscillationReport(Record):

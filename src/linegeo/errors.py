@@ -35,8 +35,8 @@ class NoOrbitError(DomainError):
 
 
 class ConvergenceError(LineGeoError, RuntimeError):
-    """An iterative evaluation (series summation, root bracketing) did
-    not converge within its configured budget."""
+    """An iterative evaluation (series summation) did not converge
+    within its configured budget."""
 
 
 def finite_complex(name, value) -> complex:

@@ -193,6 +193,17 @@ def effective_potential(big_r: float) -> float:
     return (1.0 + r2) ** 3 / ((1.0 - r2) * r2)
 
 
+def _orbit_ratio(integrals: FirstIntegrals) -> float:
+    """I1/I2^2, or NoOrbitError when it lies below the potential minimum
+    6*sqrt(3) by more than a relative 1e-12 (rounding in the integrals)."""
+    ratio = integrals.ratio
+    if ratio < MIN_ORBIT_RATIO * (1.0 - 1e-12):
+        raise NoOrbitError(
+            f"no orbit: I1/I2^2 = {ratio:.6f} below 6*sqrt(3) = {MIN_ORBIT_RATIO:.6f}"
+        )
+    return ratio
+
+
 def state_from_integrals(
     i1: float, i2: float, r0: float, theta0: float = 0.0, outward: bool = True
 ) -> GeodesicState:
@@ -217,11 +228,7 @@ def state_from_integrals(
     if i1 <= 0.0:
         raise DomainError(f"I1 must be positive on the upper hemisphere, got {i1}")
     if i2 != 0.0:
-        ratio = FirstIntegrals(i1, i2).ratio
-        if ratio < MIN_ORBIT_RATIO * (1.0 - 1e-12):
-            raise NoOrbitError(
-                f"no orbit: I1/I2^2 = {ratio:.6f} below 6*sqrt(3) = {MIN_ORBIT_RATIO:.6f}"
-            )
+        _orbit_ratio(FirstIntegrals(i1, i2))
     r2 = r0 * r0
     f = (1.0 - r2) / (1.0 + r2) ** 3
     thetadot = i2 / (f * r2)
@@ -246,8 +253,8 @@ class Trajectory(Record):
     samples.
     ``chart`` names the coordinate of the samples: ``"xi"`` for an
     upper-hemisphere start, ``"zeta"`` (zeta = 1/xi) for a lower one,
-    so ``radius`` and ``final_state()`` are in that chart too.  The
-    first integrals are in the xi sense on either chart: a
+    so ``radius`` is in that chart too, while ``final_state()`` is in
+    xi.  The first integrals are in the xi sense on either chart: a
     lower-hemisphere orbit has I1 < 0.
     ``max_drift`` is the peak relative deviation of (I1, I2) from their
     initial values, with a 1e-30 floor on the normalisation.
@@ -277,7 +284,14 @@ class Trajectory(Record):
         return self._integrals
 
     def final_state(self) -> GeodesicState:
-        return GeodesicState(self.t[-1], self.xi[-1], self.xidot[-1])
+        """The last sample in xi, from which ``integrate`` can continue the
+        run; DomainError when it is not finite, as at zeta = 0."""
+        t, z, zdot = self.t[-1], self.xi[-1], self.xidot[-1]
+        if self.chart == "zeta":
+            if z == 0.0:
+                raise DomainError("the run ends at the south pole, where xi is infinite")
+            z, zdot = 1.0 / z, -zdot / z / z
+        return GeodesicState(t, z, zdot)
 
     @property
     def stats(self) -> dict:
@@ -301,7 +315,7 @@ class Trajectory(Record):
 # stage j, _E5_j the weight of stage j in the fifth-order error estimate, and
 # _BHHj that of the third-order pair, whose estimate is sum_j (_Bj - _BHHj) k_j.
 # Omitted weights are zero.  The flow is autonomous, so the nodes are not
-# needed; they are the row sums of _A.
+# needed; they are the row sums of the stage weights.
 _A2_1 = 5.26001519587677318785587544488e-2
 _A3_1 = 1.97250569845378994544595329183e-2
 _A3_2 = 5.91751709536136983633785987549e-2
@@ -372,25 +386,6 @@ _BHH1 = 2.44094488188976377952755905512e-1
 _BHH9 = 7.33846688281611857341361741547e-1
 _BHH12 = 2.20588235294117647058823529412e-2
 
-# the same tableau as rows of stage weights, zeros included
-_A = (
-    (),
-    (_A2_1,),
-    (_A3_1, _A3_2),
-    (_A4_1, 0.0, _A4_3),
-    (_A5_1, 0.0, _A5_3, _A5_4),
-    (_A6_1, 0.0, 0.0, _A6_4, _A6_5),
-    (_A7_1, 0.0, 0.0, _A7_4, _A7_5, _A7_6),
-    (_A8_1, 0.0, 0.0, _A8_4, _A8_5, _A8_6, _A8_7),
-    (_A9_1, 0.0, 0.0, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8),
-    (_A10_1, 0.0, 0.0, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9),
-    (_A11_1, 0.0, 0.0, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10),
-    (_A12_1, 0.0, 0.0, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11),
-)
-_B = (_B1, 0.0, 0.0, 0.0, 0.0, _B6, _B7, _B8, _B9, _B10, _B11, _B12)
-_E5 = (_E5_1, 0.0, 0.0, 0.0, 0.0, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12)
-_BHH = (_BHH1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, _BHH9, 0.0, 0.0, _BHH12)
-
 #: step-size control: safety factor on the optimal step (0.9 rejects about
 #: a fifth of the attempts on long orbits at tol 1e-10, 0.8 about 4%), and
 #: the bounds on the factor by which one attempt changes the step
@@ -438,10 +433,11 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
 
     The stages are written out by hand with the Christoffel symbol
     inlined; each weighted sum takes its nonzero terms in tableau order,
-    so the arithmetic matches a generic loop over ``_A``, ``_B``, ``_E5``
-    and ``_BHH`` that skips the zero weights bit for bit.  A stage
-    exactly on the equator divides by zero; the attempt is then rejected
-    and the step shrinks fivefold.
+    so the arithmetic matches bit for bit a generic loop over the tableau
+    rows that skips the zero weights (the oracle built from these
+    literals in ``tests/oracles.py``).  A stage exactly on the equator
+    divides by zero; the attempt is then rejected and the step shrinks
+    fivefold.
     """
     t = 0.0
     y0, y1 = complex(xi0), complex(xidot0)
@@ -675,8 +671,8 @@ def integrate(
     DomainError
         If the sphere is not twisting (c <= 0), tol is not positive and
         finite, t_max is not finite, t_max <= initial.t, the initial I1
-        or I2 (in xi) is not a finite double, or the initial point sits
-        inside the cutoff band of its chart.
+        or I2 is not a finite double in the run's chart, or the initial
+        point sits inside the cutoff band of its chart.
     """
     if sphere.c <= 0.0:
         raise DomainError("geodesic flow requires a twisting sphere (c > 0)")
@@ -686,11 +682,12 @@ def integrate(
         raise DomainError(f"t_max must be finite, got {t_max}")
     if t_max <= initial.t:
         raise DomainError(f"t_max = {t_max} does not exceed initial time {initial.t}")
-    first_integrals(initial)  # DomainError unless I1 and I2 are finite doubles
     z0, zdot0, chart = initial.xi, initial.xidot, "xi"
-    if abs(z0) > 1.0:
+    if (z0 * z0.conjugate()).real > 1.0:  # |xi|^2, which may overflow to inf
         z0 = 1.0 / z0
         zdot0, chart = -zdot0 * z0 * z0, "zeta"  # -xidot/xi^2 without forming xi^2
+    # DomainError unless I1 and I2 are finite doubles in the run's chart
+    first_integrals(GeodesicState(initial.t, z0, zdot0))
     s0 = 1.0 - abs(z0) ** 2
     if abs(s0) <= equator_cutoff:
         raise DomainError(

@@ -1,7 +1,10 @@
 """Test-only oracles: a pointwise route to a moved sphere, a least-squares
 refit of its coefficients, the inverse rotation, bit-for-bit copies of
-the push-forward and pairing expressions, and the JSON readers of the
-section and certificate wire format (the CLI only writes it)."""
+the push-forward and pairing expressions, the DOP853 tableau as rows of
+stage weights, and the JSON readers of the section and certificate wire
+format (the CLI only writes it)."""
+
+import re
 
 import numpy as np
 
@@ -16,6 +19,7 @@ from linegeo import (
     apply_motion,
     evaluate,
 )
+from linegeo import geodesics
 from linegeo.sections import _c2j
 
 
@@ -122,6 +126,26 @@ def metric_terms(u, v) -> float:
     twist = 2.0 * (xi * eta.conjugate() - xi.conjugate() * eta) / pp
     value = (2.0j / pp**2) * (s_eta_xibar - s_etabar_xi + twist * s_xi_xibar)
     return value.real
+
+
+# -- the DOP853 tableau as rows ----------------------------------------------
+
+
+def _dop853_rows():
+    """(A, B, E5, BHH): the stepper's named literals _Ai_j, _Bj, _E5_j and
+    _BHHj as rows of stage weights, zeros included.  A[i-1] holds the
+    weights of stages 1 .. i-1 in stage i; the others have 12 entries."""
+    a = [[0.0] * i for i in range(12)]
+    b, e5, bhh = [0.0] * 12, [0.0] * 12, [0.0] * 12
+    for name, value in vars(geodesics).items():
+        if m := re.fullmatch(r"_A(\d+)_(\d+)", name):
+            a[int(m[1]) - 1][int(m[2]) - 1] = value
+        elif m := re.fullmatch(r"_(B|E5_|BHH)(\d+)", name):
+            {"B": b, "E5_": e5, "BHH": bhh}[m[1]][int(m[2]) - 1] = value
+    return tuple(map(tuple, a)), tuple(b), tuple(e5), tuple(bhh)
+
+
+DOP853_A, DOP853_B, DOP853_E5, DOP853_BHH = _dop853_rows()
 
 
 # -- JSON wire format -------------------------------------------------------

@@ -249,6 +249,72 @@ def test_turning_points_radial_rejected():
             turning_points(i1, i2)
 
 
+def mp_turning_radii(k):
+    """(R_min, R_max) from the positive roots of x^3 + (3+k)x^2 + (3-k)x + 1,
+    x = R^2, by mpmath.polyroots at 50 digits."""
+    with mpmath.workdps(50):
+        k = mpmath.mpf(k)
+        roots = mpmath.polyroots([1, 3 + k, 3 - k, 1], maxsteps=200, extraprec=200)
+        x1, x2 = sorted(mpmath.re(x) for x in roots if mpmath.re(x) > 0)
+        return mpmath.sqrt(x1), mpmath.sqrt(x2)
+
+
+def test_turning_points_against_high_precision_roots():
+    # 201 log-spaced k / 6 sqrt(3) in [1.001, 1e10] to 1e-14 relative; next to
+    # the double root the annulus is ill-conditioned, so 1e-11 there
+    scales = [1.001 * (1e10 / 1.001) ** (i / 200) for i in range(201)]
+    cases = [(s, 1e-14) for s in scales] + [(1.0 + 1e-9, 1e-11), (1.0 + 1e-6, 1e-11)]
+    for scale, rel in cases:
+        k = scale * MIN_ORBIT_RATIO
+        tp = turning_points(k, 1.0)
+        r_min, r_max = mp_turning_radii(k)
+        assert abs(tp.R_min - r_min) <= rel * r_min, scale
+        assert abs(tp.R_max - r_max) <= rel * r_max, scale
+
+
+def test_turning_points_stay_finite_for_every_finite_ratio():
+    # x1 ~ 1/k and 1 - x2 ~ 8/k: past k ~ 1e16 R_max rounds to within an ulp of 1
+    for k in (1e16, 1e100, 1e300, 1.7976931348623157e308):
+        tp = turning_points(k, 1.0)
+        assert math.isclose(tp.R_min, k**-0.5, rel_tol=1e-15)
+        assert 1.0 - 5e-16 <= tp.R_max <= 1.0
+
+
+def _raises_no_orbit(fn, *args):
+    try:
+        fn(*args)
+    except NoOrbitError:
+        return True
+    except DomainError:  # e.g. a launch radius just outside the annulus
+        pass
+    return False
+
+
+def test_one_no_orbit_threshold():
+    # state_from_integrals and turning_points share the threshold
+    # 6 sqrt(3) (1 - 1e-12): both raise NoOrbitError below it, neither at or above
+    edge = MIN_ORBIT_RATIO * (1.0 - 1e-12)
+    below = [math.nextafter(edge, 0.0), edge * (1.0 - 1e-15), 0.99 * MIN_ORBIT_RATIO]
+    above = [edge, math.nextafter(edge, math.inf), MIN_ORBIT_RATIO]
+    for i2 in (1.0, -2.0):
+        for ratio, expected in [(r, True) for r in below] + [(r, False) for r in above]:
+            i1 = ratio * i2 * i2  # exact: i2^2 is a power of two
+            assert _raises_no_orbit(turning_points, i1, i2) is expected, ratio
+            assert _raises_no_orbit(state_from_integrals, i1, i2, CRITICAL_RADIUS) is expected
+
+
+def test_turning_points_bracket_the_critical_radius_past_the_collapse():
+    ratio = MIN_ORBIT_RATIO * (1.0 + 1e-12)
+    assert turning_points(ratio, 1.0).R_min == CRITICAL_RADIUS  # still collapsed
+    for _ in range(200):
+        ratio = math.nextafter(ratio, math.inf)
+        tp = turning_points(ratio, 1.0)
+        assert tp.R_min < CRITICAL_RADIUS < tp.R_max
+    for scale in (1.0 + 2e-12, 1.0 + 1e-11, 1.0 + 1e-10):
+        tp = turning_points(scale * MIN_ORBIT_RATIO, 1.0)
+        assert tp.R_min < CRITICAL_RADIUS < tp.R_max
+
+
 # -- oscillation check -------------------------------------------------------------------
 
 

@@ -28,6 +28,7 @@ from linegeo import (
 )
 from linegeo import geodesics
 from linegeo.geodesics import CSV_CHUNK_ROWS, CSV_HEADER, EQUATOR_CUTOFF, MIN_STEP
+from oracles import DOP853_A, DOP853_B, DOP853_BHH, DOP853_E5
 
 RNG = np.random.default_rng(91003)
 SPHERE = StandardSphere(1.0)
@@ -315,6 +316,26 @@ def test_lower_hemisphere_sweep_stays_inside_the_zeta_chart():
         assert traj.integrals0.I1 < 0.0
 
 
+def test_restart_from_final_state_keeps_the_chart_and_the_sign_of_i1():
+    # final_state() is in xi, so integrate continues a zeta run in zeta with
+    # the same integrals, starting from the run's last sample
+    for xi0, xidot0 in ((1.5, 1.0 + 0.2j), (0.3, 0.2 + 0.1j)):
+        first = integrate(GeodesicState(0.0, xi0, xidot0), SPHERE, 1.0, 1e-8)
+        end = first.final_state()
+        assert end.t == 1.0 and (abs(end.xi) > 1.0) == (first.chart == "zeta")
+        again = integrate(end, SPHERE, 2.0, 1e-8)
+        assert again.chart == first.chart
+        assert abs(again.xi[0] - first.xi[-1]) <= 1e-15 * abs(first.xi[-1])
+        assert abs(again.xidot[0] - first.xidot[-1]) <= 1e-15 * abs(first.xidot[-1])
+        assert math.isclose(again.integrals0.I1, first.integrals0.I1, rel_tol=1e-7)
+        assert (again.integrals0.I1 < 0.0) == (first.chart == "zeta")
+    # a zeta run that ends at the pole zeta = 0 has no finite xi state
+    traj = integrate(GeodesicState(0.0, 1e308 + 1e308j, 1.0), SPHERE, 1.0, 1e-6)
+    assert traj.chart == "zeta" and traj.xi[-1] == 0.0
+    with pytest.raises(DomainError):
+        traj.final_state()
+
+
 def test_integrate_samples_strictly_increasing():
     traj = integrate(random_orbit_state(), SPHERE, 4.0, 1e-8)
     assert np.all(np.diff(traj.t) > 0.0)
@@ -395,19 +416,19 @@ def test_dop853_tableau_order_conditions():
             terms = [mpmath.mpf(w) * c**powers for w, c in zip(weights, nodes)]
             assert abs(mpmath.fsum(terms) - expected) <= 2**-52 * mpmath.fsum(map(abs, terms))
 
-        assert len(geodesics._A) == len(geodesics._B) == len(nodes) == 12
-        for row, c in zip(geodesics._A, nodes):  # the row sums are the nodes
+        assert len(DOP853_A) == len(DOP853_B) == len(nodes) == 12
+        for row, c in zip(DOP853_A, nodes):  # the row sums are the nodes
             check(row, 0, c)
         for k in range(1, 9):  # the eighth-order quadrature
-            check(geodesics._B, k - 1, mpmath.mpf(1) / k)
+            check(DOP853_B, k - 1, mpmath.mpf(1) / k)
         # the embedded estimates vanish on polynomials of degree below their order
-        e3 = [mpmath.mpf(b) - mpmath.mpf(bh) for b, bh in zip(geodesics._B, geodesics._BHH)]
+        e3 = [mpmath.mpf(b) - mpmath.mpf(bh) for b, bh in zip(DOP853_B, DOP853_BHH)]
         for k in range(1, 6):
-            check(geodesics._E5, k - 1, 0)
+            check(DOP853_E5, k - 1, 0)
         for k in range(1, 4):
             check(e3, k - 1, 0)
         with pytest.raises(AssertionError):  # not a ninth-order quadrature
-            check(geodesics._B, 8, mpmath.mpf(1) / 9)
+            check(DOP853_B, 8, mpmath.mpf(1) / 9)
 
 
 # -- kernel against the generic tableau loop ------------------------------------------
@@ -446,20 +467,20 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
         if clipped:
             h = t_span - t
         del k[1:]
-        for row in geodesics._A[1:]:
+        for row in DOP853_A[1:]:
             k.append(reference_rhs(
                 y0 + h * weighted_sum(row, k, 0), y1 + h * weighted_sum(row, k, 1)
             ))
-        s0 = weighted_sum(geodesics._B, k, 0)
-        s1 = weighted_sum(geodesics._B, k, 1)
+        s0 = weighted_sum(DOP853_B, k, 0)
+        s1 = weighted_sum(DOP853_B, k, 1)
         y0n = y0 + h * s0
         y1n = y1 + h * s1
         k.append(reference_rhs(y0n, y1n))
         if any(cmath.isnan(q) for _, q in k):
             err = math.nan
         else:
-            e5 = weighted_sum(geodesics._E5, k, 0), weighted_sum(geodesics._E5, k, 1)
-            e3 = s0 - weighted_sum(geodesics._BHH, k, 0), s1 - weighted_sum(geodesics._BHH, k, 1)
+            e5 = weighted_sum(DOP853_E5, k, 0), weighted_sum(DOP853_E5, k, 1)
+            e3 = s0 - weighted_sum(DOP853_BHH, k, 0), s1 - weighted_sum(DOP853_BHH, k, 1)
             n5 = n3 = None
             for y, yn, d5, d3 in (
                 (y0.real, y0n.real, e5[0].real, e3[0].real),
@@ -520,7 +541,7 @@ def test_equator_trial_start_puts_stage_2_on_the_equator():
     xi0, xidot0 = complex(EQUATOR_TRIAL_XI0), complex(EQUATOR_TRIAL_XIDOT0)
     h = min(1e-2, 1e-2 * (1.0 + abs(xi0)) / (1.0 + abs(xidot0)), 1.0)
     assert h == 1e-2
-    assert xi0 + h * (geodesics._A[1][0] * xidot0) == 1.0
+    assert xi0 + h * (DOP853_A[1][0] * xidot0) == 1.0
     assert abs(1.0 - xi0 * xi0) > EQUATOR_CUTOFF  # the start lies outside the cutoff band
 
 
