@@ -256,6 +256,11 @@ def test_geodesic_on_equator_exit_3(capsys):
         ["geodesic", "--xi", "nan", "0", "--xidot", "1", "0", "--t-max", "1"],
         ["geodesic", "--xi", "0.5", "0", "--xidot", "0", "inf", "--t-max", "1"],
         ["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--c", "nan"],
+        # non-finite data at a lower-hemisphere start is refused before the
+        # change to zeta = 1/xi, and an infinite sphere coefficient
+        ["geodesic", "--xi", "1.5", "inf", "--xidot", "1", "0", "--t-max", "1"],
+        ["geodesic", "--xi", "2", "0", "--xidot", "0", "nan", "--t-max", "1"],
+        ["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--c", "inf"],
     ],
 )
 def test_non_finite_inputs_exit_3(capsys, argv):
