@@ -24,17 +24,17 @@ BACKEND = "python"
 #: the re-exported names of each submodule
 _EXPORTS = {
     "analysis": (
-        "CRITICAL_RADIUS", "OscillationReport", "TurningPoints", "appell_f1_series",
-        "blowup_time", "oscillation_check", "potential_curve", "radial_quadrature",
-        "series_quadrature_table", "turning_points",
+        "CRITICAL_RADIUS", "MIN_ORBIT_RATIO", "OscillationReport", "TurningPoints",
+        "appell_f1_series", "blowup_time", "oscillation_check", "potential_curve",
+        "radial_quadrature", "series_quadrature_table", "turning_points",
     ),
     "errors": (
         "ChartExitError", "ConvergenceError", "DegeneracyError", "DomainError",
         "LineGeoError", "NoOrbitError",
     ),
     "geodesics": (
-        "EQUATOR_CUTOFF", "MIN_ORBIT_RATIO", "FirstIntegrals", "GeodesicState", "PolarState",
-        "Termination", "Trajectory", "christoffel", "effective_potential", "first_integrals",
+        "EQUATOR_CUTOFF", "FirstIntegrals", "GeodesicState", "PolarState", "Termination",
+        "Trajectory", "christoffel", "effective_potential", "first_integrals",
         "first_integrals_arrays", "integrate", "rhs", "state_from_integrals", "write_csv",
     ),
     "line_space": (

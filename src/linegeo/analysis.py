@@ -16,16 +16,25 @@ are the two roots of U(R) = I1/I2^2 around the potential minimum
 solved in closed form.
 
 The functions of the flow import ``geodesics`` when called, so that the
-travel-time evaluations load no other module of the package than
-``errors``.
+travel-time evaluations and the turning points load no other module of
+the package than ``errors``.
 """
 
 import math
 
-from .errors import ConvergenceError, DomainError, Record
+from .errors import ConvergenceError, DomainError, NoOrbitError, Record
 
 #: radius of the circular orbit, the minimiser of the effective potential
 CRITICAL_RADIUS = math.sqrt(2.0 - math.sqrt(3.0))
+
+#: minimum of the effective potential, at CRITICAL_RADIUS; orbits with
+#: angular momentum exist only for I1/I2^2 at or above this
+MIN_ORBIT_RATIO = 6.0 * math.sqrt(3.0)
+
+#: relative rounding allowed in I1/I2^2 at the potential minimum: a ratio
+#: this close below it is still an orbit, and one this close either side
+#: is the circular orbit
+_RATIO_RTOL = 1e-12
 
 #: anti-diagonal tail threshold for the series
 SERIES_TAIL_TOL = 1e-14
@@ -171,27 +180,34 @@ def turning_points(i1: float, i2: float) -> TurningPoints:
     from the other two, and the quotient by x - x3 is x^2 + beta x + gamma
     with gamma = x1 x2 = -1/x3 and beta = -gamma (gamma + k - 3).  The
     radii sqrt(x1) and sqrt(x2) are good to a few ulps away from the
-    double root at the minimum; a ratio within 1e-12 of the minimum
-    collapses the annulus to the circular orbit.
+    double root at the minimum; a ratio within a relative 1e-12 of the
+    minimum collapses the annulus to the circular orbit.
 
     Raises
     ------
     NoOrbitError
-        If the ratio lies below the potential minimum 6*sqrt(3).
+        If the ratio lies below the potential minimum 6*sqrt(3) by more
+        than a relative 1e-12 (rounding in the integrals).
     DomainError
         If I1 or I2 is not finite, I1 <= 0, I2 = 0 (radial motion has
         no turning points; use ``blowup_time``), or I1/I2^2 is not a
         finite double.
     """
-    from .geodesics import MIN_ORBIT_RATIO, FirstIntegrals, _orbit_ratio
-
-    integrals = FirstIntegrals(i1, i2)
+    if not (math.isfinite(i1) and math.isfinite(i2)):
+        raise DomainError(f"first integrals must be finite doubles, got I1 = {i1!r}, I2 = {i2!r}")
     if i2 == 0.0:
         raise DomainError("I2 = 0 is radial motion; use blowup_time instead")
     if i1 <= 0.0:
         raise DomainError(f"I1 must be positive, got {i1}")
-    k = _orbit_ratio(integrals)
-    if k <= MIN_ORBIT_RATIO * (1.0 + 1e-12):
+    i2_sq = i2 * i2
+    k = i1 / i2_sq if i2_sq != 0.0 else math.inf
+    if not math.isfinite(k):
+        raise DomainError(f"I1/I2^2 must be a finite double, got I1 = {i1!r}, I2 = {i2!r}")
+    if k < MIN_ORBIT_RATIO * (1.0 - _RATIO_RTOL):
+        raise NoOrbitError(
+            f"no orbit: I1/I2^2 = {k:.6f} below 6*sqrt(3) = {MIN_ORBIT_RATIO:.6f}"
+        )
+    if k <= MIN_ORBIT_RATIO * (1.0 + _RATIO_RTOL):
         return TurningPoints(CRITICAL_RADIUS, CRITICAL_RADIUS, k)
 
     # x = t - (3+k)/3 gives t^3 - 3 r^2 t + q with r = sqrt(k(k+9))/3 = n/3 and

@@ -19,7 +19,8 @@ equator, so each run keeps the chart it starts in: (xi, xidot) on the
 upper hemisphere, and (zeta, zetadot) with zeta = 1/xi on the lower
 one, where the same equation holds with I1 negated.  The stepper,
 ``geod_integrate``, is the Dormand-Prince 8(5,3) pair (DOP853) with
-adaptive steps, in plain Python on complex scalars; ``integrate``
+adaptive steps, in plain Python on real and imaginary parts as floats
+(bit for bit the same stepper on complex scalars, only faster); ``integrate``
 validates its input and wraps the result in a ``Trajectory``, which
 carries the first integrals at every sample, their drift and the count
 of rejected steps.  All value
@@ -32,7 +33,7 @@ import enum
 import math
 from collections.abc import Sequence
 
-from .errors import DegeneracyError, DomainError, NoOrbitError, Record, finite_complex
+from .errors import DegeneracyError, DomainError, Record, finite_complex
 from .sections import StandardSphere
 
 #: integration stops once |1 - |xi|^2| falls below this
@@ -45,10 +46,6 @@ MIN_STEP = 1e-14
 DEGENERACY_TOL = 1e-13
 
 _MAX_STEPS = 5_000_000
-
-#: minimum of the effective potential (1+R^2)^3/((1-R^2)R^2); orbits with
-#: angular momentum exist only for I1/I2^2 at or above this
-MIN_ORBIT_RATIO = 6.0 * math.sqrt(3.0)
 
 
 class Termination(enum.Enum):
@@ -118,23 +115,6 @@ class FirstIntegrals(Record):
         object.__setattr__(self, "I1", I1)
         object.__setattr__(self, "I2", I2)
 
-    @property
-    def ratio(self) -> float:
-        """I1 / I2^2, the level against the effective potential.
-
-        Raises DomainError when I2 = 0 or the quotient is not a finite
-        double (I2^2 underflows to zero or I1 / I2^2 overflows).
-        """
-        if self.I2 == 0.0:
-            raise DomainError("ratio undefined for zero angular momentum")
-        i2_sq = self.I2 * self.I2
-        ratio = self.I1 / i2_sq if i2_sq != 0.0 else math.inf
-        if not math.isfinite(ratio):
-            raise DomainError(
-                f"I1/I2^2 must be a finite double, got I1 = {self.I1!r}, I2 = {self.I2!r}"
-            )
-        return ratio
-
 
 def christoffel(xi: complex) -> complex:
     """The single nonzero Christoffel symbol of the induced metric.
@@ -193,17 +173,6 @@ def effective_potential(big_r: float) -> float:
     return (1.0 + r2) ** 3 / ((1.0 - r2) * r2)
 
 
-def _orbit_ratio(integrals: FirstIntegrals) -> float:
-    """I1/I2^2, or NoOrbitError when it lies below the potential minimum
-    6*sqrt(3) by more than a relative 1e-12 (rounding in the integrals)."""
-    ratio = integrals.ratio
-    if ratio < MIN_ORBIT_RATIO * (1.0 - 1e-12):
-        raise NoOrbitError(
-            f"no orbit: I1/I2^2 = {ratio:.6f} below 6*sqrt(3) = {MIN_ORBIT_RATIO:.6f}"
-        )
-    return ratio
-
-
 def state_from_integrals(
     i1: float, i2: float, r0: float, theta0: float = 0.0, outward: bool = True
 ) -> GeodesicState:
@@ -212,7 +181,11 @@ def state_from_integrals(
 
     The angular velocity is fixed by I2 and the radial velocity (up to the
     ``outward`` sign) by the energy relation
-    I1 - U_eff(R) I2^2 = (1-R^2)/(1+R^2)^3 Rdot^2.
+    I1 - U_eff(R) I2^2 = (1-R^2)/(1+R^2)^3 Rdot^2.  With I2 != 0 the
+    radius must lie in the annulus [R_min, R_max] of
+    ``analysis.turning_points``, so every radius that function reports
+    is a valid launch radius (with Rdot = 0 where rounding makes Rdot^2
+    slightly negative), and the two share one no-orbit threshold.
 
     Raises
     ------
@@ -220,7 +193,7 @@ def state_from_integrals(
         If I2 != 0 and I1/I2^2 lies below the potential minimum 6*sqrt(3),
         so no radius admits real radial motion.
     DomainError
-        If the requested radius itself gives a negative Rdot^2, or
+        If the requested radius lies outside the orbit annulus, or
         I1/I2^2 is not a finite double.
     """
     if not (0.0 < r0 < 1.0):
@@ -228,16 +201,18 @@ def state_from_integrals(
     if i1 <= 0.0:
         raise DomainError(f"I1 must be positive on the upper hemisphere, got {i1}")
     if i2 != 0.0:
-        _orbit_ratio(FirstIntegrals(i1, i2))
+        from .analysis import turning_points
+
+        tp = turning_points(i1, i2)
+        if not tp.R_min <= r0 <= tp.R_max:
+            raise DomainError(
+                f"radius {r0} is outside the orbit annulus [{tp.R_min!r}, {tp.R_max!r}] "
+                f"for I1={i1}, I2={i2}"
+            )
     r2 = r0 * r0
     f = (1.0 - r2) / (1.0 + r2) ** 3
     thetadot = i2 / (f * r2)
     disc = (i1 - effective_potential(r0) * i2 * i2) / f
-    if disc < -1e-12 * max(i1, 1.0) / f:
-        raise DomainError(
-            f"radius {r0} is outside the orbit annulus for I1={i1}, I2={i2} "
-            "(negative radial speed squared)"
-        )
     rdot = math.sqrt(max(disc, 0.0))
     if not outward:
         rdot = -rdot
@@ -402,7 +377,7 @@ def _christoffel(xi):
     """Gamma^xi_xixi of the induced metric, d/dxi of ln[(1-xi xibar)/(1+xi xibar)^3].
 
     Complex NaN exactly on the equator |xi| = 1.  The stepper inlines
-    this expression, which divides by zero there.
+    this expression in real arithmetic, which divides by zero there.
     """
     xb = xi.conjugate()
     m = (xi * xb).real
@@ -432,12 +407,26 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     ``_SAFETY``), by 6 when err = 0, and by at most 1 after a rejection.
 
     The stages are written out by hand with the Christoffel symbol
-    inlined; each weighted sum takes its nonzero terms in tableau order,
-    so the arithmetic matches bit for bit a generic loop over the tableau
-    rows that skips the zero weights (the oracle built from these
-    literals in ``tests/oracles.py``).  A stage exactly on the equator
-    divides by zero; the attempt is then rejected and the step shrinks
-    fivefold.
+    inlined, in real arithmetic: xi = a0 + i b0, xidot = a1 + i b1, and
+    stage i is (p_i, q_i) = (pir + i pii, qir + i qii).  Each complex
+    product is (ac - bd, ad + bc), the formula and operand order of
+    CPython's complex multiply, and each weighted sum takes its nonzero
+    terms in tableau order.  The one rewrite folds the conjugate's sign
+    into a product (x x - y (-y) = x x + y y, and likewise u pr - (-v) pi
+    = u pr + v pi), which IEEE arithmetic does exactly.  So every float
+    equals the one the same stepper computes on complex scalars (the
+    generic loop over the tableau rows in the tests), and so do the
+    steps, the termination and ``t_hit``.  That stepper promotes a float
+    coefficient c to c + 0i before it multiplies a complex number, and
+    adds cross products with that zero; they are zeros, so leaving them
+    out changes no value, only possibly the sign of a component that is
+    itself exactly zero.  Those signs agree for starts on the axes and
+    at the pole, signed zeros included; they can differ only when every
+    term of a weighted sum underflows to zero, as with subnormal
+    components.  On floats CPython runs each operation as a specialised
+    instruction and skips the promotion, which makes a step about a
+    quarter cheaper.  A stage exactly on the equator divides by zero;
+    the attempt is then rejected and the step shrinks fivefold.
     """
     t = 0.0
     y0, y1 = complex(xi0), complex(xidot0)
@@ -449,9 +438,12 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     h = min(1e-2, 1e-2 * (1.0 + abs(y0)) / (1.0 + abs(y1)), t_span)
     facmax = _FAC_MAX
 
-    # stage k_i = (p_i, q_i) = rhs(xi, xidot) = (xidot, -Gamma(xi) xidot^2)
-    p1 = y1
+    # stage k_i = (p_i, q_i) = rhs(xi, xidot) = (xidot, -Gamma(xi) xidot^2),
+    # with p_i = pir + i pii and q_i = qir + i qii
+    a0, b0, a1, b1 = y0.real, y0.imag, y1.real, y1.imag
+    p1r, p1i = a1, b1
     q1 = -_christoffel(y0) * y1 * y1
+    q1r, q1i = q1.real, q1.imag
     status = Termination.MAX_STEPS
     t_hit = None
     rejected = 0
@@ -461,155 +453,257 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
         if clipped:
             h = t_span - t
         try:
-            x = y0 + h * (_A2_1 * p1)
-            p2 = y1 + h * (_A2_1 * q1)
-            xb = x.conjugate()
-            m = (x * xb).real
-            q2 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p2 * p2
-            x = y0 + h * (_A3_1 * p1 + _A3_2 * p2)
-            p3 = y1 + h * (_A3_1 * q1 + _A3_2 * q2)
-            xb = x.conjugate()
-            m = (x * xb).real
-            q3 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p3 * p3
-            x = y0 + h * (_A4_1 * p1 + _A4_3 * p3)
-            p4 = y1 + h * (_A4_1 * q1 + _A4_3 * q3)
-            xb = x.conjugate()
-            m = (x * xb).real
-            q4 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p4 * p4
-            x = y0 + h * (_A5_1 * p1 + _A5_3 * p3 + _A5_4 * p4)
-            p5 = y1 + h * (_A5_1 * q1 + _A5_3 * q3 + _A5_4 * q4)
-            xb = x.conjugate()
-            m = (x * xb).real
-            q5 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p5 * p5
-            x = y0 + h * (_A6_1 * p1 + _A6_4 * p4 + _A6_5 * p5)
-            p6 = y1 + h * (_A6_1 * q1 + _A6_4 * q4 + _A6_5 * q5)
-            xb = x.conjugate()
-            m = (x * xb).real
-            q6 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p6 * p6
-            x = y0 + h * (_A7_1 * p1 + _A7_4 * p4 + _A7_5 * p5 + _A7_6 * p6)
-            p7 = y1 + h * (_A7_1 * q1 + _A7_4 * q4 + _A7_5 * q5 + _A7_6 * q6)
-            xb = x.conjugate()
-            m = (x * xb).real
-            q7 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p7 * p7
-            x = y0 + h * (_A8_1 * p1 + _A8_4 * p4 + _A8_5 * p5 + _A8_6 * p6 + _A8_7 * p7)
-            p8 = y1 + h * (_A8_1 * q1 + _A8_4 * q4 + _A8_5 * q5 + _A8_6 * q6 + _A8_7 * q7)
-            xb = x.conjugate()
-            m = (x * xb).real
-            q8 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p8 * p8
-            x = y0 + h * (
-                _A9_1 * p1 + _A9_4 * p4 + _A9_5 * p5 + _A9_6 * p6 + _A9_7 * p7 + _A9_8 * p8
+            # each stage point is x + i y, with m = |x + i y|^2 and
+            # s = 1/(1-m) + 3/(1+m); then q_i = (u - i v) p_i p_i with
+            # u, v = x s, y s, the sign of -i v folded into the first product
+            x = a0 + h * (_A2_1 * p1r)
+            y = b0 + h * (_A2_1 * p1i)
+            p2r = a1 + h * (_A2_1 * q1r)
+            p2i = b1 + h * (_A2_1 * q1i)
+            m = x * x + y * y
+            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
+            u, v = x * s, y * s
+            u, v = u * p2r + v * p2i, u * p2i - v * p2r
+            q2r = u * p2r - v * p2i
+            q2i = u * p2i + v * p2r
+            x = a0 + h * (_A3_1 * p1r + _A3_2 * p2r)
+            y = b0 + h * (_A3_1 * p1i + _A3_2 * p2i)
+            p3r = a1 + h * (_A3_1 * q1r + _A3_2 * q2r)
+            p3i = b1 + h * (_A3_1 * q1i + _A3_2 * q2i)
+            m = x * x + y * y
+            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
+            u, v = x * s, y * s
+            u, v = u * p3r + v * p3i, u * p3i - v * p3r
+            q3r = u * p3r - v * p3i
+            q3i = u * p3i + v * p3r
+            x = a0 + h * (_A4_1 * p1r + _A4_3 * p3r)
+            y = b0 + h * (_A4_1 * p1i + _A4_3 * p3i)
+            p4r = a1 + h * (_A4_1 * q1r + _A4_3 * q3r)
+            p4i = b1 + h * (_A4_1 * q1i + _A4_3 * q3i)
+            m = x * x + y * y
+            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
+            u, v = x * s, y * s
+            u, v = u * p4r + v * p4i, u * p4i - v * p4r
+            q4r = u * p4r - v * p4i
+            q4i = u * p4i + v * p4r
+            x = a0 + h * (_A5_1 * p1r + _A5_3 * p3r + _A5_4 * p4r)
+            y = b0 + h * (_A5_1 * p1i + _A5_3 * p3i + _A5_4 * p4i)
+            p5r = a1 + h * (_A5_1 * q1r + _A5_3 * q3r + _A5_4 * q4r)
+            p5i = b1 + h * (_A5_1 * q1i + _A5_3 * q3i + _A5_4 * q4i)
+            m = x * x + y * y
+            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
+            u, v = x * s, y * s
+            u, v = u * p5r + v * p5i, u * p5i - v * p5r
+            q5r = u * p5r - v * p5i
+            q5i = u * p5i + v * p5r
+            x = a0 + h * (_A6_1 * p1r + _A6_4 * p4r + _A6_5 * p5r)
+            y = b0 + h * (_A6_1 * p1i + _A6_4 * p4i + _A6_5 * p5i)
+            p6r = a1 + h * (_A6_1 * q1r + _A6_4 * q4r + _A6_5 * q5r)
+            p6i = b1 + h * (_A6_1 * q1i + _A6_4 * q4i + _A6_5 * q5i)
+            m = x * x + y * y
+            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
+            u, v = x * s, y * s
+            u, v = u * p6r + v * p6i, u * p6i - v * p6r
+            q6r = u * p6r - v * p6i
+            q6i = u * p6i + v * p6r
+            x = a0 + h * (_A7_1 * p1r + _A7_4 * p4r + _A7_5 * p5r + _A7_6 * p6r)
+            y = b0 + h * (_A7_1 * p1i + _A7_4 * p4i + _A7_5 * p5i + _A7_6 * p6i)
+            p7r = a1 + h * (_A7_1 * q1r + _A7_4 * q4r + _A7_5 * q5r + _A7_6 * q6r)
+            p7i = b1 + h * (_A7_1 * q1i + _A7_4 * q4i + _A7_5 * q5i + _A7_6 * q6i)
+            m = x * x + y * y
+            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
+            u, v = x * s, y * s
+            u, v = u * p7r + v * p7i, u * p7i - v * p7r
+            q7r = u * p7r - v * p7i
+            q7i = u * p7i + v * p7r
+            x = a0 + h * (_A8_1 * p1r + _A8_4 * p4r + _A8_5 * p5r + _A8_6 * p6r + _A8_7 * p7r)
+            y = b0 + h * (_A8_1 * p1i + _A8_4 * p4i + _A8_5 * p5i + _A8_6 * p6i + _A8_7 * p7i)
+            p8r = a1 + h * (_A8_1 * q1r + _A8_4 * q4r + _A8_5 * q5r + _A8_6 * q6r + _A8_7 * q7r)
+            p8i = b1 + h * (_A8_1 * q1i + _A8_4 * q4i + _A8_5 * q5i + _A8_6 * q6i + _A8_7 * q7i)
+            m = x * x + y * y
+            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
+            u, v = x * s, y * s
+            u, v = u * p8r + v * p8i, u * p8i - v * p8r
+            q8r = u * p8r - v * p8i
+            q8i = u * p8i + v * p8r
+            x = a0 + h * (
+                _A9_1 * p1r + _A9_4 * p4r + _A9_5 * p5r + _A9_6 * p6r + _A9_7 * p7r + _A9_8 * p8r
             )
-            p9 = y1 + h * (
-                _A9_1 * q1 + _A9_4 * q4 + _A9_5 * q5 + _A9_6 * q6 + _A9_7 * q7 + _A9_8 * q8
+            y = b0 + h * (
+                _A9_1 * p1i + _A9_4 * p4i + _A9_5 * p5i + _A9_6 * p6i + _A9_7 * p7i + _A9_8 * p8i
             )
-            xb = x.conjugate()
-            m = (x * xb).real
-            q9 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p9 * p9
-            x = y0 + h * (
-                _A10_1 * p1 + _A10_4 * p4 + _A10_5 * p5 + _A10_6 * p6 + _A10_7 * p7
-                + _A10_8 * p8 + _A10_9 * p9
+            p9r = a1 + h * (
+                _A9_1 * q1r + _A9_4 * q4r + _A9_5 * q5r + _A9_6 * q6r + _A9_7 * q7r + _A9_8 * q8r
             )
-            p10 = y1 + h * (
-                _A10_1 * q1 + _A10_4 * q4 + _A10_5 * q5 + _A10_6 * q6 + _A10_7 * q7
-                + _A10_8 * q8 + _A10_9 * q9
+            p9i = b1 + h * (
+                _A9_1 * q1i + _A9_4 * q4i + _A9_5 * q5i + _A9_6 * q6i + _A9_7 * q7i + _A9_8 * q8i
             )
-            xb = x.conjugate()
-            m = (x * xb).real
-            q10 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p10 * p10
-            x = y0 + h * (
-                _A11_1 * p1 + _A11_4 * p4 + _A11_5 * p5 + _A11_6 * p6 + _A11_7 * p7
-                + _A11_8 * p8 + _A11_9 * p9 + _A11_10 * p10
+            m = x * x + y * y
+            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
+            u, v = x * s, y * s
+            u, v = u * p9r + v * p9i, u * p9i - v * p9r
+            q9r = u * p9r - v * p9i
+            q9i = u * p9i + v * p9r
+            x = a0 + h * (
+                _A10_1 * p1r + _A10_4 * p4r + _A10_5 * p5r + _A10_6 * p6r + _A10_7 * p7r
+                + _A10_8 * p8r + _A10_9 * p9r
             )
-            p11 = y1 + h * (
-                _A11_1 * q1 + _A11_4 * q4 + _A11_5 * q5 + _A11_6 * q6 + _A11_7 * q7
-                + _A11_8 * q8 + _A11_9 * q9 + _A11_10 * q10
+            y = b0 + h * (
+                _A10_1 * p1i + _A10_4 * p4i + _A10_5 * p5i + _A10_6 * p6i + _A10_7 * p7i
+                + _A10_8 * p8i + _A10_9 * p9i
             )
-            xb = x.conjugate()
-            m = (x * xb).real
-            q11 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p11 * p11
-            x = y0 + h * (
-                _A12_1 * p1 + _A12_4 * p4 + _A12_5 * p5 + _A12_6 * p6 + _A12_7 * p7
-                + _A12_8 * p8 + _A12_9 * p9 + _A12_10 * p10 + _A12_11 * p11
+            p10r = a1 + h * (
+                _A10_1 * q1r + _A10_4 * q4r + _A10_5 * q5r + _A10_6 * q6r + _A10_7 * q7r
+                + _A10_8 * q8r + _A10_9 * q9r
             )
-            p12 = y1 + h * (
-                _A12_1 * q1 + _A12_4 * q4 + _A12_5 * q5 + _A12_6 * q6 + _A12_7 * q7
-                + _A12_8 * q8 + _A12_9 * q9 + _A12_10 * q10 + _A12_11 * q11
+            p10i = b1 + h * (
+                _A10_1 * q1i + _A10_4 * q4i + _A10_5 * q5i + _A10_6 * q6i + _A10_7 * q7i
+                + _A10_8 * q8i + _A10_9 * q9i
             )
-            xb = x.conjugate()
-            m = (x * xb).real
-            q12 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * p12 * p12
-            s0 = (
-                _B1 * p1 + _B6 * p6 + _B7 * p7 + _B8 * p8 + _B9 * p9 + _B10 * p10
-                + _B11 * p11 + _B12 * p12
+            m = x * x + y * y
+            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
+            u, v = x * s, y * s
+            u, v = u * p10r + v * p10i, u * p10i - v * p10r
+            q10r = u * p10r - v * p10i
+            q10i = u * p10i + v * p10r
+            x = a0 + h * (
+                _A11_1 * p1r + _A11_4 * p4r + _A11_5 * p5r + _A11_6 * p6r + _A11_7 * p7r
+                + _A11_8 * p8r + _A11_9 * p9r + _A11_10 * p10r
             )
-            s1 = (
-                _B1 * q1 + _B6 * q6 + _B7 * q7 + _B8 * q8 + _B9 * q9 + _B10 * q10
-                + _B11 * q11 + _B12 * q12
+            y = b0 + h * (
+                _A11_1 * p1i + _A11_4 * p4i + _A11_5 * p5i + _A11_6 * p6i + _A11_7 * p7i
+                + _A11_8 * p8i + _A11_9 * p9i + _A11_10 * p10i
             )
-            y0n = y0 + h * s0
-            y1n = y1 + h * s1
+            p11r = a1 + h * (
+                _A11_1 * q1r + _A11_4 * q4r + _A11_5 * q5r + _A11_6 * q6r + _A11_7 * q7r
+                + _A11_8 * q8r + _A11_9 * q9r + _A11_10 * q10r
+            )
+            p11i = b1 + h * (
+                _A11_1 * q1i + _A11_4 * q4i + _A11_5 * q5i + _A11_6 * q6i + _A11_7 * q7i
+                + _A11_8 * q8i + _A11_9 * q9i + _A11_10 * q10i
+            )
+            m = x * x + y * y
+            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
+            u, v = x * s, y * s
+            u, v = u * p11r + v * p11i, u * p11i - v * p11r
+            q11r = u * p11r - v * p11i
+            q11i = u * p11i + v * p11r
+            x = a0 + h * (
+                _A12_1 * p1r + _A12_4 * p4r + _A12_5 * p5r + _A12_6 * p6r + _A12_7 * p7r
+                + _A12_8 * p8r + _A12_9 * p9r + _A12_10 * p10r + _A12_11 * p11r
+            )
+            y = b0 + h * (
+                _A12_1 * p1i + _A12_4 * p4i + _A12_5 * p5i + _A12_6 * p6i + _A12_7 * p7i
+                + _A12_8 * p8i + _A12_9 * p9i + _A12_10 * p10i + _A12_11 * p11i
+            )
+            p12r = a1 + h * (
+                _A12_1 * q1r + _A12_4 * q4r + _A12_5 * q5r + _A12_6 * q6r + _A12_7 * q7r
+                + _A12_8 * q8r + _A12_9 * q9r + _A12_10 * q10r + _A12_11 * q11r
+            )
+            p12i = b1 + h * (
+                _A12_1 * q1i + _A12_4 * q4i + _A12_5 * q5i + _A12_6 * q6i + _A12_7 * q7i
+                + _A12_8 * q8i + _A12_9 * q9i + _A12_10 * q10i + _A12_11 * q11i
+            )
+            m = x * x + y * y
+            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
+            u, v = x * s, y * s
+            u, v = u * p12r + v * p12i, u * p12i - v * p12r
+            q12r = u * p12r - v * p12i
+            q12i = u * p12i + v * p12r
+            s0r = (
+                _B1 * p1r + _B6 * p6r + _B7 * p7r + _B8 * p8r + _B9 * p9r + _B10 * p10r
+                + _B11 * p11r + _B12 * p12r
+            )
+            s0i = (
+                _B1 * p1i + _B6 * p6i + _B7 * p7i + _B8 * p8i + _B9 * p9i + _B10 * p10i
+                + _B11 * p11i + _B12 * p12i
+            )
+            s1r = (
+                _B1 * q1r + _B6 * q6r + _B7 * q7r + _B8 * q8r + _B9 * q9r + _B10 * q10r
+                + _B11 * q11r + _B12 * q12r
+            )
+            s1i = (
+                _B1 * q1i + _B6 * q6i + _B7 * q7i + _B8 * q8i + _B9 * q9i + _B10 * q10i
+                + _B11 * q11i + _B12 * q12i
+            )
+            a0n = a0 + h * s0r
+            b0n = b0 + h * s0i
+            a1n = a1 + h * s1r
+            b1n = b1 + h * s1i
             # the 13th evaluation, at the proposed point: stage 1 of the next step
-            xb = y0n.conjugate()
-            m = (y0n * xb).real
-            q13 = xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m)) * y1n * y1n
+            m = a0n * a0n + b0n * b0n
+            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
+            u, v = a0n * s, b0n * s
+            u, v = u * a1n + v * b1n, u * b1n - v * a1n
+            q13r = u * a1n - v * b1n
+            q13i = u * b1n + v * a1n
         except ZeroDivisionError:  # a stage exactly on the equator
             err = math.nan
         else:
-            e50 = (
-                _E5_1 * p1 + _E5_6 * p6 + _E5_7 * p7 + _E5_8 * p8 + _E5_9 * p9
-                + _E5_10 * p10 + _E5_11 * p11 + _E5_12 * p12
+            e50r = (
+                _E5_1 * p1r + _E5_6 * p6r + _E5_7 * p7r + _E5_8 * p8r + _E5_9 * p9r + _E5_10 * p10r
+                + _E5_11 * p11r + _E5_12 * p12r
             )
-            e51 = (
-                _E5_1 * q1 + _E5_6 * q6 + _E5_7 * q7 + _E5_8 * q8 + _E5_9 * q9
-                + _E5_10 * q10 + _E5_11 * q11 + _E5_12 * q12
+            e50i = (
+                _E5_1 * p1i + _E5_6 * p6i + _E5_7 * p7i + _E5_8 * p8i + _E5_9 * p9i + _E5_10 * p10i
+                + _E5_11 * p11i + _E5_12 * p12i
             )
-            e30 = s0 - (_BHH1 * p1 + _BHH9 * p9 + _BHH12 * p12)
-            e31 = s1 - (_BHH1 * q1 + _BHH9 * q9 + _BHH12 * q12)
+            e51r = (
+                _E5_1 * q1r + _E5_6 * q6r + _E5_7 * q7r + _E5_8 * q8r + _E5_9 * q9r + _E5_10 * q10r
+                + _E5_11 * q11r + _E5_12 * q12r
+            )
+            e51i = (
+                _E5_1 * q1i + _E5_6 * q6i + _E5_7 * q7i + _E5_8 * q8i + _E5_9 * q9i + _E5_10 * q10i
+                + _E5_11 * q11i + _E5_12 * q12i
+            )
+            e30r = s0r - (_BHH1 * p1r + _BHH9 * p9r + _BHH12 * p12r)
+            e30i = s0i - (_BHH1 * p1i + _BHH9 * p9i + _BHH12 * p12i)
+            e31r = s1r - (_BHH1 * q1r + _BHH9 * q9r + _BHH12 * q12r)
+            e31i = s1i - (_BHH1 * q1i + _BHH9 * q9i + _BHH12 * q12i)
             # max over the 4 real components, each scaled by 1 + its larger
-            # magnitude; `b if b > a else a` is max(a, b) without a call
-            a, b = abs(y0.real), abs(y0n.real)
-            w = 1.0 + (b if b > a else a)
-            e5 = abs(e50.real) / w
-            e3 = abs(e30.real) / w
-            a, b = abs(y0.imag), abs(y0n.imag)
-            w = 1.0 + (b if b > a else a)
-            c = abs(e50.imag) / w
+            # magnitude; `d if d > c else c` is max(c, d) without a call
+            c, d = abs(a0), abs(a0n)
+            w = 1.0 + (d if d > c else c)
+            e5 = abs(e50r) / w
+            e3 = abs(e30r) / w
+            c, d = abs(b0), abs(b0n)
+            w = 1.0 + (d if d > c else c)
+            c = abs(e50i) / w
             e5 = c if c > e5 else e5
-            c = abs(e30.imag) / w
+            c = abs(e30i) / w
             e3 = c if c > e3 else e3
-            a, b = abs(y1.real), abs(y1n.real)
-            w = 1.0 + (b if b > a else a)
-            c = abs(e51.real) / w
+            c, d = abs(a1), abs(a1n)
+            w = 1.0 + (d if d > c else c)
+            c = abs(e51r) / w
             e5 = c if c > e5 else e5
-            c = abs(e31.real) / w
+            c = abs(e31r) / w
             e3 = c if c > e3 else e3
-            a, b = abs(y1.imag), abs(y1n.imag)
-            w = 1.0 + (b if b > a else a)
-            c = abs(e51.imag) / w
+            c, d = abs(b1), abs(b1n)
+            w = 1.0 + (d if d > c else c)
+            c = abs(e51i) / w
             e5 = c if c > e5 else e5
-            c = abs(e31.imag) / w
+            c = abs(e31i) / w
             e3 = c if c > e3 else e3
             e5 *= e5
             deno = e5 + 0.01 * e3 * e3
             err = h * e5 / math.sqrt(deno) / tol if deno else 0.0
 
         if err <= 1.0:
-            y0o = y0
             t = t_span if clipped else t + h
-            y0, y1 = y0n, y1n
-            p1, q1 = y1n, q13
             ts.append(t)
-            xis.append(y0)
-            xds.append(y1)
-            s_new = 1.0 - m  # m = |y0|^2 from the 13th evaluation
+            xis.append(complex(a0n, b0n))
+            xds.append(complex(a1n, b1n))
+            s_new = 1.0 - m  # m = |xi|^2 at the new point, from the 13th evaluation
             if abs(s_new) <= equator_cut:
-                s_old = 1.0 - (y0o * y0o.conjugate()).real
+                s_old = 1.0 - (a0 * a0 + b0 * b0)
                 t_hit = t + s_new * (ts[-1] - ts[-2]) / (s_old - s_new)
                 status = Termination.EQUATOR_REACHED
                 break
             if t >= t_span:
                 status = Termination.TIME_LIMIT
                 break
+            a0, b0, a1, b1 = a0n, b0n, a1n, b1n
+            p1r, p1i, q1r, q1i = a1n, b1n, q13r, q13i
             fac = facmax if err == 0.0 else min(facmax, max(_FAC_MIN, _SAFETY * err**-0.125))
             facmax = _FAC_MAX
         else:

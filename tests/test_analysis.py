@@ -303,6 +303,22 @@ def test_one_no_orbit_threshold():
             assert _raises_no_orbit(state_from_integrals, i1, i2, CRITICAL_RADIUS) is expected
 
 
+def test_state_from_integrals_accepts_the_turning_radii():
+    # the launch check is membership of the annulus turning_points reports,
+    # so its edges launch at zero radial speed and a radius just past
+    # either edge is rejected
+    for scale in (1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 3e-12, 1.0 + 1e-9, 1.5, 10.0, 1e6):
+        for i2 in (1.0, -0.3):
+            i1 = scale * MIN_ORBIT_RATIO * i2 * i2
+            tp = turning_points(i1, i2)
+            for radius in (tp.R_min, tp.R_max):
+                st = state_from_integrals(i1, i2, radius)
+                assert abs(st.to_polar().Rdot) < 1e-5 * math.sqrt(i1)
+            for radius in (math.nextafter(tp.R_min, 0.0), math.nextafter(tp.R_max, 1.0)):
+                with pytest.raises(DomainError, match="outside the orbit annulus"):
+                    state_from_integrals(i1, i2, radius)
+
+
 def test_turning_points_bracket_the_critical_radius_past_the_collapse():
     ratio = MIN_ORBIT_RATIO * (1.0 + 1e-12)
     assert turning_points(ratio, 1.0).R_min == CRITICAL_RADIUS  # still collapsed

@@ -203,6 +203,22 @@ def test_geodesic_polar_input(capsys):
     assert abs(summary["observed_R_min"] - 0.4) < 0.05
 
 
+@pytest.mark.parametrize("scale", [1.0 - 1e-12, 1.0, 1.0 + 1e-12])
+def test_turning_points_radii_launch_geodesics(capsys, scale):
+    # at the edges of the collapse band around 6 sqrt(3) both commands
+    # accept the integrals, and every reported radius launches an orbit
+    k = repr(scale * MIN_ORBIT_RATIO)
+    code, out, _ = run_cli(capsys, "analyze", "turning-points", "--I1", k, "--I2", "1")
+    assert code == 0
+    tp = json.loads(out)
+    for radius in (tp["R_min"], tp["R_max"]):
+        code, _, err = run_cli(
+            capsys, "geodesic", "--integrals", k, "1", repr(radius), "--t-max", "1",
+            "--output", os.devnull,
+        )
+        assert code == 0, err
+
+
 def test_geodesic_inadmissible_integrals_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "geodesic", "--integrals", "10.0", "1.0", "0.5"
@@ -682,10 +698,7 @@ LOADED_LAZY_MODULES = (
             ["linegeo.line_space"],
         ),
         (["analyze", "blowup", "--I1", "1"], ["linegeo.analysis"]),
-        (
-            ["analyze", "turning-points", "--I1", "20", "--I2", "1"],
-            ["linegeo.analysis", "linegeo.geodesics", "linegeo.line_space"],
-        ),
+        (["analyze", "turning-points", "--I1", "20", "--I2", "1"], ["linegeo.analysis"]),
         (["analyze", "series-check"], ["linegeo.analysis"]),
         (
             ["geodesic", "--xi", "0", "0", "--xidot", "1", "0"],

@@ -521,14 +521,13 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
         if h < h_min:
             status = Termination.STEP_UNDERFLOW
             break
-    return (
-        np.asarray(ts, dtype=np.float64),
-        np.asarray(xis, dtype=np.complex128),
-        np.asarray(xds, dtype=np.complex128),
-        status,
-        t_hit,
-        rejected,
-    )
+    return ts, xis, xds, status, t_hit, rejected
+
+
+def bits(samples):
+    """The samples as text that tells -0.0 from 0.0, which == and
+    np.array_equal do not, and the CSV export does."""
+    return [repr(v) for v in samples]
 
 
 #: a start on the real axis whose first trial step, h = 1e-2, puts the
@@ -545,6 +544,12 @@ def test_equator_trial_start_puts_stage_2_on_the_equator():
     assert abs(1.0 - xi0 * xi0) > EQUATOR_CUTOFF  # the start lies outside the cutoff band
 
 
+#: a lower-hemisphere orbit as ``integrate`` hands it to the stepper: in
+#: zeta = 1/xi, with zetadot = -xidot zeta^2
+ZETA_XI0, ZETA_XIDOT0 = 1.5 + 0.0j, 1.0 + 0.2j
+ZETA0 = 1.0 / ZETA_XI0
+ZETADOT0 = -ZETA_XIDOT0 * ZETA0 * ZETA0
+
 _ORACLE_RUNS = [
     # tol-1e-10 orbits
     pytest.param(0.3, 0.2 + 0.1j, 8.0, 1e-10, Termination.TIME_LIMIT, id="orbit-a"),
@@ -559,6 +564,26 @@ _ORACLE_RUNS = [
         EQUATOR_TRIAL_XI0, EQUATOR_TRIAL_XIDOT0, 1.0, 1e-6, Termination.EQUATOR_REACHED,
         id="equator-trial-stage",
     ),
+    # signed zeros: radial runs on the axes keep a zero component, whose
+    # sign the CSV prints
+    pytest.param(
+        complex(-0.0, 0.0), complex(-1.0, -0.0), 10.0, 1e-6, Termination.EQUATOR_REACHED,
+        id="pole-negative-real-axis",
+    ),
+    pytest.param(
+        complex(0.5, -0.0), complex(-0.3, -0.0), 10.0, 1e-6, Termination.EQUATOR_REACHED,
+        id="real-axis-through-the-pole",
+    ),
+    pytest.param(
+        complex(-0.0, 0.4), complex(-0.0, 0.7), 10.0, 1e-8, Termination.EQUATOR_REACHED,
+        id="imaginary-axis",
+    ),
+    pytest.param(
+        complex(0.3, -0.0), complex(-0.0, -0.0), 2.0, 1e-10, Termination.TIME_LIMIT,
+        id="at-rest",
+    ),
+    # a lower-hemisphere orbit, integrated in zeta
+    pytest.param(ZETA0, ZETADOT0, 8.0, 1e-10, Termination.TIME_LIMIT, id="zeta-orbit"),
 ]
 
 
@@ -568,9 +593,9 @@ def test_kernel_matches_generic_tableau_loop(xi0, xidot0, t_span, tol, status):
     t, xi, xidot, got_status, t_hit, rejected = geodesics.geod_integrate(*args)
     t_ref, xi_ref, xidot_ref, ref_status, t_hit_ref, rejected_ref = reference_geod_integrate(*args)
     assert got_status is ref_status is status
-    assert np.array_equal(t, t_ref)
-    assert np.array_equal(xi, xi_ref)
-    assert np.array_equal(xidot, xidot_ref)
+    assert bits(t) == bits(t_ref)
+    assert bits(xi) == bits(xi_ref)
+    assert bits(xidot) == bits(xidot_ref)
     assert t_hit == t_hit_ref
     assert rejected == rejected_ref
     assert (t_hit is None) == (status is not Termination.EQUATOR_REACHED)
@@ -586,7 +611,7 @@ def test_kernel_matches_generic_tableau_loop_at_step_cap():
     assert len(got[0]) - 1 + got[5] == 50
     assert got[5] == ref[5]
     for a, b in zip(got[:3], ref[:3]):
-        assert np.array_equal(a, b)
+        assert bits(a) == bits(b)
 
 
 # -- trajectory export -------------------------------------------------------------
