@@ -25,8 +25,8 @@ BACKEND = "python"
 _EXPORTS = {
     "analysis": (
         "CRITICAL_RADIUS", "MIN_ORBIT_RATIO", "OscillationReport", "TurningPoints",
-        "appell_f1_series", "blowup_time", "oscillation_check", "potential_curve",
-        "radial_quadrature", "series_quadrature_table", "turning_points",
+        "appell_f1_series", "blowup_time", "effective_potential", "oscillation_check",
+        "potential_curve", "radial_quadrature", "series_quadrature_table", "turning_points",
     ),
     "errors": (
         "ChartExitError", "ConvergenceError", "DegeneracyError", "DomainError",
@@ -34,8 +34,8 @@ _EXPORTS = {
     ),
     "geodesics": (
         "EQUATOR_CUTOFF", "FirstIntegrals", "GeodesicState", "PolarState", "Termination",
-        "Trajectory", "christoffel", "effective_potential", "first_integrals",
-        "first_integrals_arrays", "integrate", "rhs", "state_from_integrals", "write_csv",
+        "Trajectory", "christoffel", "first_integrals", "first_integrals_arrays", "integrate",
+        "rhs", "state_from_integrals", "write_csv",
     ),
     "line_space": (
         "ComplexPair", "Rotation", "TangentVector", "Translation", "apply_motion",

@@ -1,23 +1,19 @@
-"""Radial analysis of the flow: travel time, effective potential, orbits.
+"""Closed forms of the radial problem: travel time, potential, orbit annulus.
 
-For zero angular momentum the radial travel time is an explicit
-primitive, computable two independent ways: fixed 16-node
-Gauss-Legendre quadrature of sqrt(1-r^2)/(1+r^2)^{3/2} in the variable
-phi = asin r, or the hypergeometric double series
-R F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2), summed here in plain Python by
+For zero angular momentum the travel time from the pole is the primitive
+Q(R) = int_0^R sqrt(1-r^2)/(1+r^2)^{3/2} dr, an incomplete elliptic
+integral evaluated in Carlson's form, and independently the paper's
+double series R F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2), summed by
 ``_appell_f1``.  Both give the finite equator arrival time
-t = 0.599070... / sqrt(I1) from the pole.
+t = Q(1)/sqrt(I1) = 0.599070.../sqrt(I1).
 
-For nonzero angular momentum the radial motion is governed by the
-effective potential U(R) = (1+R^2)^3/((1-R^2)R^2): real radial speed
-requires U(R) <= I1/I2^2, confining the orbit to an annulus whose edges
-are the two roots of U(R) = I1/I2^2 around the potential minimum
-6*sqrt(3) at R = sqrt(2-sqrt(3)).  In x = R^2 that equation is a cubic,
-solved in closed form.
+For nonzero angular momentum the effective potential
+U(R) = (1+R^2)^3/((1-R^2)R^2) confines the orbit to U(R) <= I1/I2^2, an
+annulus whose edges are the roots of a cubic in R^2 around the minimum
+6*sqrt(3) at R = sqrt(2-sqrt(3)), solved in closed form.
 
-The functions of the flow import ``geodesics`` when called, so that the
-travel-time evaluations and the turning points load no other module of
-the package than ``errors``.
+Only ``oscillation_check`` imports ``geodesics`` (when called); the rest
+loads no other module of the package than ``errors``.
 """
 
 import math
@@ -44,41 +40,45 @@ SERIES_TAIL_TOL = 1e-14
 #: 0.7 s), so radii closer to 1 fail fast instead of summing for hours
 SERIES_MAX_DIAGONALS = 2_000_000
 
-#: 16-node Gauss-Legendre rule on [-1, 1], the values of
-#: numpy.polynomial.legendre.leggauss(16); 12 nodes leave errors near
-#: 1e-11, 16 reach rounding level on all of [0, 1]
-_GL_NODES = (
-    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
-    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
-    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
-)
-_GL_WEIGHTS = (
-    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
-    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
-    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
-    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
-)
+
+def _carlson_rd(x, y, z):
+    """Carlson's R_D(x, y, z) for x, y >= 0 and z > 0, by duplication
+    (Carlson, Numer. Algorithms 10 (1995); DLMF 19.36.2), stopping once
+    4^-m max|A0 - x0| < (eps/4)^(1/6) |A_m|, where the fifth-order
+    expansion about the mean A_m is exact to rounding."""
+    a0 = a = (x + y + 3.0 * z) / 5.0
+    dx, dy = a0 - x, a0 - y
+    q = 512.0 * max(abs(dx), abs(dy), abs(a0 - z))  # (2^-52/4)^(-1/6) = 512
+    total, scale = 0.0, 1.0
+    while scale * q >= a:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        total += scale / (sz * (z + lam))
+        scale *= 0.25
+        x, y, z, a = (x + lam) * 0.25, (y + lam) * 0.25, (z + lam) * 0.25, (a + lam) * 0.25
+    dx, dy = dx * scale / a, dy * scale / a
+    dz = -(dx + dy) / 3.0
+    xy, zz = dx * dy, dz * dz
+    e2, e3, e4, e5 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * dz, 3.0 * (xy - zz) * zz, xy * zz * dz
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return scale * series / (a * math.sqrt(a)) + 3.0 * total
 
 
 def radial_quadrature(big_r: float) -> float:
-    """Travel-time primitive int_0^R sqrt(1-r^2)/(1+r^2)^{3/2} dr.
+    """Travel-time primitive Q(R) = int_0^R sqrt(1-r^2)/(1+r^2)^{3/2} dr.
 
-    Substituting r = sin(phi) turns it into
-    int_0^{asin R} cos^2(phi)/(1+sin^2(phi))^{3/2} dphi, whose integrand
-    is analytic, so a fixed 16-node Gauss-Legendre rule converges to
-    rounding level (about 1e-15) on all of [0, 1], R = 1 included.
+    In Legendre form E(phi|-1) - F(phi|-1) + R sqrt((1-R^2)/(1+R^2)) with
+    phi = asin R; evaluated in Carlson's (DLMF 19.25), with the same last
+    term plus (R^3/3) R_D(1-R^2, 1+R^2, 1), to about 2e-16 absolute on
+    [0, 1].  Q(1) = R_D(0, 2, 1)/3 = E(-1) - K(-1).
     """
     big_r = float(big_r)
     if not 0.0 <= big_r <= 1.0:
         raise DomainError(f"radius must lie in [0, 1], got {big_r}")
-    half = 0.5 * math.asin(big_r)
-    total = 0.0
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        phi = half * (node + 1.0)
-        sin_phi = math.sin(phi)
-        total += weight * math.cos(phi) ** 2 / (1.0 + sin_phi * sin_phi) ** 1.5
-    return half * total
+    r2 = big_r * big_r
+    x, y = 1.0 - r2, 1.0 + r2
+    return r2 * big_r / 3.0 * _carlson_rd(x, y, 1.0) + big_r * math.sqrt(x / y)
 
 
 def _diagonal_coefficients():
@@ -160,6 +160,15 @@ def blowup_time(i1: float, r_start: float = 0.0) -> float:
     if not 0.0 <= r_start < 1.0:
         raise DomainError(f"start radius must lie in [0, 1), got {r_start}")
     return (radial_quadrature(1.0) - radial_quadrature(r_start)) * i1**-0.5
+
+
+def effective_potential(big_r: float) -> float:
+    """U(R) = (1+R^2)^3 / ((1-R^2) R^2) on 0 < R < 1."""
+    big_r = float(big_r)
+    if not 0.0 < big_r < 1.0:
+        raise DomainError(f"effective potential has poles at 0 and 1; got R = {big_r}")
+    r2 = big_r * big_r
+    return (1.0 + r2) ** 3 / ((1.0 - r2) * r2)
 
 
 class TurningPoints(Record):
@@ -293,8 +302,6 @@ def potential_curve(
     r_lo: float = 0.05, r_hi: float = 0.95, num: int = 181
 ) -> list[tuple[float, float]]:
     """Sampled (R, U(R)) rows for plotting."""
-    from .geodesics import effective_potential
-
     if not (0.0 < r_lo < r_hi < 1.0):
         raise DomainError(f"need 0 < r_lo < r_hi < 1, got ({r_lo}, {r_hi})")
     if num < 2:

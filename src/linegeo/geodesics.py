@@ -19,13 +19,13 @@ equator, so each run keeps the chart it starts in: (xi, xidot) on the
 upper hemisphere, and (zeta, zetadot) with zeta = 1/xi on the lower
 one, where the same equation holds with I1 negated.  The stepper,
 ``geod_integrate``, is the Dormand-Prince 8(5,3) pair (DOP853) with
-adaptive steps, in plain Python on real and imaginary parts as floats
-(bit for bit the same stepper on complex scalars, only faster); ``integrate``
+adaptive steps, on real and imaginary parts as floats; ``integrate``
 validates its input and wraps the result in a ``Trajectory``, which
 carries the first integrals at every sample, their drift and the count
-of rejected steps.  All value
-types here are immutable ``errors.Record``s; a trajectory's sample
-lists are not copied and are read-only by convention.
+of rejected steps.  All value types here are immutable
+``errors.Record``s; a trajectory's sample lists are not copied and are
+read-only by convention.  The closed forms of the radial motion (travel
+time, effective potential, turning radii) are in ``analysis``.
 """
 
 import cmath
@@ -42,10 +42,11 @@ EQUATOR_CUTOFF = 1e-8
 #: an adaptive step below this terminates the run
 MIN_STEP = 1e-14
 
+#: step attempts, accepted or rejected, after which a run stops
+MAX_STEPS = 5_000_000
+
 #: christoffel/rhs refuse points closer to the equator than this
 DEGENERACY_TOL = 1e-13
-
-_MAX_STEPS = 5_000_000
 
 
 class Termination(enum.Enum):
@@ -164,15 +165,6 @@ def first_integrals_arrays(xis, xidots):
     return i1s, i2s
 
 
-def effective_potential(big_r: float) -> float:
-    """U(R) = (1+R^2)^3 / ((1-R^2) R^2) on 0 < R < 1."""
-    big_r = float(big_r)
-    if not 0.0 < big_r < 1.0:
-        raise DomainError(f"effective potential has poles at 0 and 1; got R = {big_r}")
-    r2 = big_r * big_r
-    return (1.0 + r2) ** 3 / ((1.0 - r2) * r2)
-
-
 def state_from_integrals(
     i1: float, i2: float, r0: float, theta0: float = 0.0, outward: bool = True
 ) -> GeodesicState:
@@ -181,7 +173,8 @@ def state_from_integrals(
 
     The angular velocity is fixed by I2 and the radial velocity (up to the
     ``outward`` sign) by the energy relation
-    I1 - U_eff(R) I2^2 = (1-R^2)/(1+R^2)^3 Rdot^2.  With I2 != 0 the
+    I1 - U(R) I2^2 = (1-R^2)/(1+R^2)^3 Rdot^2, with U the
+    ``analysis.effective_potential``.  With I2 != 0 the
     radius must lie in the annulus [R_min, R_max] of
     ``analysis.turning_points``, so every radius that function reports
     is a valid launch radius (with Rdot = 0 where rounding makes Rdot^2
@@ -200,8 +193,9 @@ def state_from_integrals(
         raise DomainError(f"launch radius must lie in (0, 1), got {r0}")
     if i1 <= 0.0:
         raise DomainError(f"I1 must be positive on the upper hemisphere, got {i1}")
+    disc = i1
     if i2 != 0.0:
-        from .analysis import turning_points
+        from .analysis import effective_potential, turning_points
 
         tp = turning_points(i1, i2)
         if not tp.R_min <= r0 <= tp.R_max:
@@ -209,11 +203,11 @@ def state_from_integrals(
                 f"radius {r0} is outside the orbit annulus [{tp.R_min!r}, {tp.R_max!r}] "
                 f"for I1={i1}, I2={i2}"
             )
+        disc = i1 - effective_potential(r0) * i2 * i2
     r2 = r0 * r0
     f = (1.0 - r2) / (1.0 + r2) ** 3
     thetadot = i2 / (f * r2)
-    disc = (i1 - effective_potential(r0) * i2 * i2) / f
-    rdot = math.sqrt(max(disc, 0.0))
+    rdot = math.sqrt(max(disc / f, 0.0))
     if not outward:
         rdot = -rdot
     return PolarState(r0, theta0, rdot, thetadot).to_state()
@@ -232,9 +226,10 @@ class Trajectory(Record):
     xi.  The first integrals are in the xi sense on either chart: a
     lower-hemisphere orbit has I1 < 0.
     ``max_drift`` is the peak relative deviation of (I1, I2) from their
-    initial values, with a 1e-30 floor on the normalisation.
-    ``rejected_steps`` counts the step attempts the error control
-    rejected.
+    initial values, with a 1e-30 floor on the normalisation; with I2 = 0
+    at the start, I2's is relative to sqrt|I1|, its natural scale
+    (|I2| <= sqrt(|I1|/(6 sqrt 3)), equality on the circular orbit).
+    ``rejected_steps`` counts the step attempts the error control rejected.
     """
 
     __slots__ = (
@@ -722,13 +717,7 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
 
 
 def integrate(
-    initial: GeodesicState,
-    sphere: StandardSphere,
-    t_max: float,
-    tol: float,
-    equator_cutoff: float = EQUATOR_CUTOFF,
-    min_step: float = MIN_STEP,
-    max_steps: int = _MAX_STEPS,
+    initial: GeodesicState, sphere: StandardSphere, t_max: float, tol: float
 ) -> Trajectory:
     """Integrate the geodesic flow from ``initial`` until ``t_max``.
 
@@ -745,20 +734,22 @@ def integrate(
     coordinate:
 
     * ``TIME_LIMIT`` -- reached ``t_max``;
-    * ``EQUATOR_REACHED`` -- ``1 - |z|^2`` crossed ``equator_cutoff``;
+    * ``EQUATOR_REACHED`` -- ``1 - |z|^2`` crossed ``EQUATOR_CUTOFF``;
       the trajectory's ``t_hit`` linearly interpolates the parameter
       value of the actual degeneracy 1 - |z|^2 = 0 (the remaining gap is
       of order cutoff^{3/2}, far below the interpolation error);
     * ``STEP_UNDERFLOW`` -- error control pushed the step below
-      ``min_step``.  Near the blow-up the controller shrinks steps
+      ``MIN_STEP``.  Near the blow-up the controller shrinks steps
       roughly in proportion to the remaining parameter span, so at tight
       tolerances the step may underflow just before the cutoff band is
       reached: from the pole at speed 1 the run reaches the equator at
       tol 1e-10 and underflows at 1e-12, and at speeds 0.5 .. 3 some
       runs underflow from 1e-8 down; use a moderate tolerance
       (1e-6 .. 1e-7) when the goal is the hit time;
-    * ``MAX_STEPS`` -- ``max_steps`` step attempts (accepted or rejected)
+    * ``MAX_STEPS`` -- ``MAX_STEPS`` step attempts (accepted or rejected)
       ran out first; the trajectory holds the steps accepted until then.
+
+    The three limits are the module constants, read at each call.
 
     Raises
     ------
@@ -783,21 +774,23 @@ def integrate(
     # DomainError unless I1 and I2 are finite doubles in the run's chart
     first_integrals(GeodesicState(initial.t, z0, zdot0))
     s0 = 1.0 - abs(z0) ** 2
-    if abs(s0) <= equator_cutoff:
+    if abs(s0) <= EQUATOR_CUTOFF:
         raise DomainError(
             f"initial point is within the equator cutoff band (1-|{chart}|^2 = {s0:.3e})"
         )
 
     ts, zs, zds, termination, t_hit, rejected = geod_integrate(
-        z0, zdot0, t_max - initial.t, tol, equator_cutoff, min_step, max_steps
+        z0, zdot0, t_max - initial.t, tol, EQUATOR_CUTOFF, MIN_STEP, MAX_STEPS
     )
     i1s, i2s = first_integrals_arrays(zs, zds)
     if chart == "zeta":
         i1s = [-i1 for i1 in i1s]
     i10, i20 = i1s[0], i2s[0]
+    # I2 = 0 has no relative scale; sqrt|I1| bounds |I2| (see Trajectory)
+    i2_scale = abs(i20) if i20 != 0.0 else math.sqrt(abs(i10))
     drift = (
         max([abs(i1 - i10) for i1 in i1s]) / max(abs(i10), 1e-30),
-        max([abs(i2 - i20) for i2 in i2s]) / max(abs(i20), 1e-30),
+        max([abs(i2 - i20) for i2 in i2s]) / max(i2_scale, 1e-30),
     )
     return Trajectory(
         sphere=sphere,

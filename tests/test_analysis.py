@@ -60,12 +60,32 @@ def test_quadrature_at_zero():
 
 def test_quadrature_full_interval():
     assert abs(radial_quadrature(1.0) - FULL_TRAVEL_TIME) < 1e-12
+    with mpmath.workdps(40):
+        exact = mpmath.ellipe(-1) - mpmath.ellipk(-1)  # Q(1) = R_D(0, 2, 1)/3
+    assert abs(radial_quadrature(1.0) - exact) <= 4e-16
 
 
-def test_quadrature_nodes_are_leggauss_16():
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    assert analysis._GL_NODES == tuple(nodes.tolist())
-    assert analysis._GL_WEIGHTS == tuple(weights.tolist())
+def test_carlson_rd_against_mpmath():
+    # the grid the travel time uses: x = 1 - R^2, y = 1 + R^2, z = 1
+    points = [(i / 20, 1.0 + j / 20) for i in range(21) for j in range(21)] + [(0.0, 2.0)]
+    with mpmath.workdps(40):
+        for x, y in points:
+            exact = mpmath.elliprd(x, y, 1)
+            assert abs(analysis._carlson_rd(x, y, 1.0) - exact) <= 1e-15 * exact, (x, y)
+
+
+def test_quadrature_against_legendre_form():
+    # Q(R) = E(phi|-1) - F(phi|-1) + R sqrt((1-R^2)/(1+R^2)), phi = asin R
+    radii = [i / 200 for i in range(201)] + [1e-8, 1.0 - 1e-8, 0.999999]
+    with mpmath.workdps(40):
+        for big_r in radii:
+            r = mpmath.mpf(big_r)
+            phi = mpmath.asin(r)
+            exact = (
+                mpmath.ellipe(phi, -1) - mpmath.ellipf(phi, -1)
+                + r * mpmath.sqrt((1 - r * r) / (1 + r * r))
+            )
+            assert abs(radial_quadrature(big_r) - exact) <= 1e-15, big_r
 
 
 def test_quadrature_domain():
@@ -92,7 +112,7 @@ def test_series_leading_term():
 def test_series_against_high_precision_oracle():
     for big_r in (0.1, 0.3, 0.5, 0.7, 0.9):
         assert abs(appell_f1_series(big_r) - mp_reference(big_r)) < 1e-13
-    # the fixed Gauss-Legendre rule has no error estimate of its own
+    # the closed form against quadrature in r itself, R = 1 included
     for big_r in (0.1, 0.3, 0.5, 0.7, 0.9, 0.999999, 1.0):
         assert abs(radial_quadrature(big_r) - mp_quad_reference(big_r)) < 1e-14
 

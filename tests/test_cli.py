@@ -1,6 +1,5 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
-import functools
 import json
 import logging
 import math
@@ -82,6 +81,18 @@ def test_missing_subcommand_is_usage_error():
 # -- geodesic -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("xidot, bound", [(("0.6", "0.8"), 1e-12), (("1", "0"), 0.0)])
+def test_geodesic_radial_drift_of_i2_is_measured_against_sqrt_i1(capsys, xidot, bound):
+    # I2 starts at exactly 0; along an oblique ray it stays at rounding level,
+    # along the real axis it stays exactly 0
+    code, out, _ = run_cli(capsys, "geodesic", "--xi", "0", "0", "--xidot", *xidot,
+                           "--output", os.devnull)
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["I2"] == 0.0
+    assert summary["max_drift_I2"] <= bound
+
+
 def test_geodesic_radial_summary(tmp_path, capsys):
     csv_path = tmp_path / "traj.csv"
     code, out, _ = run_cli(
@@ -137,8 +148,7 @@ def test_geodesic_output_file_matches_stdout_bytes(tmp_path, capsys):
 
 def test_geodesic_summary_reports_max_steps(tmp_path, capsys, monkeypatch):
     # the first 50 step attempts from this start are all accepted
-    capped = functools.partial(geodesics.integrate, max_steps=50)
-    monkeypatch.setattr(geodesics, "integrate", capped)
+    monkeypatch.setattr(geodesics, "MAX_STEPS", 50)
     code, out, _ = run_cli(
         capsys, "geodesic", "--xi", "0.6", "0", "--xidot", "0", "0.1",
         "--t-max", "100", "--tol", "1e-10", "--output", str(tmp_path / "t.csv"),
@@ -700,8 +710,14 @@ LOADED_LAZY_MODULES = (
         (["analyze", "blowup", "--I1", "1"], ["linegeo.analysis"]),
         (["analyze", "turning-points", "--I1", "20", "--I2", "1"], ["linegeo.analysis"]),
         (["analyze", "series-check"], ["linegeo.analysis"]),
+        (["analyze", "potential"], ["linegeo.analysis"]),
         (
             ["geodesic", "--xi", "0", "0", "--xidot", "1", "0"],
+            ["linegeo.geodesics", "linegeo.line_space"],
+        ),
+        # a radial launch from its integrals needs no orbit annulus
+        (
+            ["geodesic", "--integrals", "1", "0", "0.5"],
             ["linegeo.geodesics", "linegeo.line_space"],
         ),
         (

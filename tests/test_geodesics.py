@@ -343,10 +343,11 @@ def test_integrate_samples_strictly_increasing():
     assert traj.t[0] == 0.0 and isinstance(traj.final_state(), GeodesicState)
 
 
-def test_integrate_step_underflow_reported():
+def test_integrate_step_underflow_reported(monkeypatch):
     # this orbit's natural steps at tol 1e-10 range from 5e-3 to 0.5: the run
-    # grows its step past min_step, then underflows where the orbit curves
-    traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 10.0, 1e-10, min_step=5e-2)
+    # grows its step past MIN_STEP, then underflows where the orbit curves
+    monkeypatch.setattr(geodesics, "MIN_STEP", 5e-2)
+    traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 10.0, 1e-10)
     assert traj.termination is Termination.STEP_UNDERFLOW
     assert traj.t_hit is None
     assert len(traj) > 2 and 0.0 < traj.t[-1] < 10.0
@@ -376,9 +377,10 @@ def test_integrate_nonzero_start_time():
     assert traj.t[-1] == 3.0
 
 
-def test_integrate_max_steps_returns_partial_trajectory():
+def test_integrate_max_steps_returns_partial_trajectory(monkeypatch):
     # the first 50 step attempts from this start are all accepted
-    traj = integrate(GeodesicState(0.0, 0.6, 0.1j), SPHERE, 100.0, 1e-10, max_steps=50)
+    monkeypatch.setattr(geodesics, "MAX_STEPS", 50)
+    traj = integrate(GeodesicState(0.0, 0.6, 0.1j), SPHERE, 100.0, 1e-10)
     assert traj.termination is Termination.MAX_STEPS
     assert traj.termination.value == "max_steps"
     assert len(traj) == 51
@@ -387,10 +389,11 @@ def test_integrate_max_steps_returns_partial_trajectory():
     assert traj.t_hit is None
 
 
-def test_integrate_max_steps_counts_rejected_attempts():
+def test_integrate_max_steps_counts_rejected_attempts(monkeypatch):
     # from this start the controller rejects some of the first 50 attempts;
     # accepted and rejected attempts together spend the cap exactly
-    traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 100.0, 1e-10, max_steps=50)
+    monkeypatch.setattr(geodesics, "MAX_STEPS", 50)
+    traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 100.0, 1e-10)
     assert traj.termination is Termination.MAX_STEPS
     stats = traj.stats
     assert stats["rejected_steps"] > 0
