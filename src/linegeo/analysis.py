@@ -163,12 +163,19 @@ def blowup_time(i1: float, r_start: float = 0.0) -> float:
 
 
 def effective_potential(big_r: float) -> float:
-    """U(R) = (1+R^2)^3 / ((1-R^2) R^2) on 0 < R < 1."""
+    """U(R) = (1+R^2)^3 / ((1-R^2) R^2) on 0 < R < 1.
+
+    Raises DomainError when U(R) is not a finite double (R^2 underflows
+    to 0 below R of about 1e-162, and U overflows below about 7.5e-155).
+    """
     big_r = float(big_r)
     if not 0.0 < big_r < 1.0:
         raise DomainError(f"effective potential has poles at 0 and 1; got R = {big_r}")
     r2 = big_r * big_r
-    return (1.0 + r2) ** 3 / ((1.0 - r2) * r2)
+    u = (1.0 + r2) ** 3 / ((1.0 - r2) * r2) if r2 != 0.0 else math.inf
+    if not math.isfinite(u):
+        raise DomainError(f"effective potential must be a finite double; U({big_r!r}) overflows")
+    return u
 
 
 class TurningPoints(Record):

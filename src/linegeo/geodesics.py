@@ -132,9 +132,7 @@ def christoffel(xi: complex) -> complex:
 
 def rhs(state: GeodesicState) -> tuple[complex, complex]:
     """Time derivative (xidot, xiddot) of the state."""
-    if abs(1.0 - (state.xi * state.xi.conjugate()).real) < DEGENERACY_TOL:
-        raise DegeneracyError(f"metric degenerate at |xi| = 1 (xi = {state.xi!r})")
-    return state.xidot, -_christoffel(state.xi) * state.xidot * state.xidot
+    return state.xidot, -christoffel(state.xi) * state.xidot * state.xidot
 
 
 def first_integrals(state: GeodesicState) -> FirstIntegrals:

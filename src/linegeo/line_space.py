@@ -6,7 +6,8 @@ coordinate of the tangent bundle of the unit sphere.  This module
 provides the chart data types, the action of Euclidean translations and
 rotations in these coordinates, exact push-forwards of tangent vectors,
 and pointwise evaluation of the canonical symplectic form and the
-neutral (signature (2,2)) Kahler metric.
+neutral (signature (2,2)) Kahler metric, as the two real parts of one
+Hermitian pairing h: omega = 4 Re h and g = -2 Im h.
 
 All functions are pure and all types immutable ``errors.Record``s;
 concurrent use needs no locking.
@@ -19,10 +20,6 @@ CHART_BOUND = 1e8
 
 #: rotation denominators smaller than this map to the south pole
 SOUTH_POLE_TOL = 1e-14
-
-#: imaginary residue allowed when a real-valued tensor is evaluated
-#: through complex arithmetic
-_IMAG_TOL = 1e-12
 
 
 class ComplexPair(Record):
@@ -158,12 +155,18 @@ def _check_same_base(u: TangentVector, v: TangentVector):
         )
 
 
-def _real_part(value: complex, what: str) -> float:
-    # the coordinate expressions are real only after cancellation;
-    # enforce that the cancellation actually happened
-    if abs(value.imag) > _IMAG_TOL * max(1.0, abs(value.real)):
-        raise ArithmeticError(f"{what} evaluated to non-real value {value!r}")
-    return value.real
+def _pairing(u: TangentVector, v: TangentVector) -> complex:
+    # the Hermitian pairing h whose real and imaginary parts are the
+    # symplectic form and the metric:
+    # h = [deta_u conj(dxi_v) - conj(deta_v) dxi_u
+    #      + i 4 Im(xi conj(eta))/(1+|xi|^2) dxi_u conj(dxi_v)] / (1+|xi|^2)^2
+    _check_same_base(u, v)
+    xi, eta = u.base.xi, u.base.eta
+    pp = 1.0 + (xi * xi.conjugate()).real
+    twist = 4.0 * (xi * eta.conjugate()).imag / pp
+    dxi_vb = v.dxi.conjugate()
+    value = u.deta * dxi_vb - v.deta.conjugate() * u.dxi + 1j * twist * (u.dxi * dxi_vb)
+    return value / (pp * pp)
 
 
 def symplectic_form(u: TangentVector, v: TangentVector) -> float:
@@ -171,7 +174,9 @@ def symplectic_form(u: TangentVector, v: TangentVector) -> float:
 
     In chart coordinates the form is
     2/(1+|xi|^2)^2 [ deta ^ dxibar + detabar ^ dxi
-                     + 2(xi etabar - xibar eta)/(1+|xi|^2) dxi ^ dxibar ].
+                     + 2(xi etabar - xibar eta)/(1+|xi|^2) dxi ^ dxibar ],
+    the real part 4 Re h of the Hermitian pairing h that also gives the
+    metric.
 
     Parameters
     ----------
@@ -183,17 +188,7 @@ def symplectic_form(u: TangentVector, v: TangentVector) -> float:
     float
         Antisymmetric, real-valued pairing.
     """
-    _check_same_base(u, v)
-    xi, eta = u.base.xi, u.base.eta
-    pp = 1.0 + (xi * xi.conjugate()).real
-    du_xi, du_eta = u.dxi, u.deta
-    dv_xi, dv_eta = v.dxi, v.deta
-    wedge_eta_xibar = du_eta * dv_xi.conjugate() - dv_eta * du_xi.conjugate()
-    wedge_etabar_xi = du_eta.conjugate() * dv_xi - dv_eta.conjugate() * du_xi
-    wedge_xi_xibar = du_xi * dv_xi.conjugate() - dv_xi * du_xi.conjugate()
-    twist = 2.0 * (xi * eta.conjugate() - xi.conjugate() * eta) / pp
-    value = (2.0 / pp**2) * (wedge_eta_xibar + wedge_etabar_xi + twist * wedge_xi_xibar)
-    return _real_part(value, "symplectic form")
+    return 4.0 * _pairing(u, v).real
 
 
 def metric(u: TangentVector, v: TangentVector) -> float:
@@ -203,7 +198,9 @@ def metric(u: TangentVector, v: TangentVector) -> float:
     2i/(1+|xi|^2)^2 [ deta . dxibar - detabar . dxi
                       + 2(xi etabar - xibar eta)/(1+|xi|^2) dxi . dxibar ],
     a real symmetric form of signature (2,2) on the 4-real-dimensional
-    tangent space.
+    tangent space.  It is the part -2 Im h of the Hermitian pairing h
+    whose part 4 Re h is the symplectic form, so that
+    g(u, v) = -1/2 omega(u, J v) with J the complex structure.
 
     Parameters
     ----------
@@ -215,18 +212,7 @@ def metric(u: TangentVector, v: TangentVector) -> float:
     float
         Symmetric, real-valued pairing.
     """
-    _check_same_base(u, v)
-    xi, eta = u.base.xi, u.base.eta
-    pp = 1.0 + (xi * xi.conjugate()).real
-    du_xi, du_eta = u.dxi, u.deta
-    dv_xi, dv_eta = v.dxi, v.deta
-    # symmetrised products 0.5 (a(u) b(v) + a(v) b(u))
-    s_eta_xibar = 0.5 * (du_eta * dv_xi.conjugate() + dv_eta * du_xi.conjugate())
-    s_etabar_xi = 0.5 * (du_eta.conjugate() * dv_xi + dv_eta.conjugate() * du_xi)
-    s_xi_xibar = 0.5 * (du_xi * dv_xi.conjugate() + dv_xi * du_xi.conjugate())
-    twist = 2.0 * (xi * eta.conjugate() - xi.conjugate() * eta) / pp
-    value = (2.0j / pp**2) * (s_eta_xibar - s_etabar_xi + twist * s_xi_xibar)
-    return _real_part(value, "metric")
+    return -2.0 * _pairing(u, v).imag
 
 
 def _coordinate_frame(p: ComplexPair):

@@ -1,6 +1,7 @@
 """Test-only oracles: a pointwise route to a moved sphere, a least-squares
-refit of its coefficients, the inverse rotation, bit-for-bit copies of
-the push-forward and pairing expressions, the DOP853 tableau as rows of
+refit of its coefficients, the inverse rotation, a bit-for-bit copy of
+the push-forward, the wedge and symmetrised expressions of the two
+pairings, the DOP853 tableau as rows of
 stage weights, and the JSON readers of the section and certificate wire
 format (the CLI only writes it)."""
 
@@ -76,8 +77,10 @@ def transform_pointwise(s: QuadraticSection, motions, xi_samples=REFIT_SAMPLE_DI
 #
 # Each expression written out on its own, in the operation order of its
 # formula (the rotation's denominator evaluated again for the Jacobian, the
-# metric's symmetrised products through a helper), so that the shared
-# intermediates of line_space can be held to them with ==.
+# metric's symmetrised products through a helper).  line_space's push-forward
+# shares intermediates and is held to push_forward_terms with ==; its two
+# forms come from one Hermitian pairing and agree with the wedge and
+# symmetrised expressions here to rounding.
 
 
 def push_forward_terms(m, u) -> tuple[complex, complex, complex, complex]:

@@ -224,6 +224,10 @@ def test_potential_diverges_at_both_ends():
         effective_potential(0.0)
     with pytest.raises(DomainError):
         effective_potential(1.0)
+    # R^2 underflows to 0, and U(R) overflows: neither is a finite double
+    for big_r in (1e-170, 1e-155):
+        with pytest.raises(DomainError, match="must be a finite double"):
+            effective_potential(big_r)
 
 
 # -- turning points --------------------------------------------------------------------

@@ -287,6 +287,9 @@ def test_geodesic_on_equator_exit_3(capsys):
         ["geodesic", "--xi", "1.5", "inf", "--xidot", "1", "0", "--t-max", "1"],
         ["geodesic", "--xi", "2", "0", "--xidot", "0", "nan", "--t-max", "1"],
         ["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--c", "inf"],
+        # U(R) is not a finite double: R^2 underflows to 0, or U overflows
+        ["analyze", "potential", "--r-lo", "1e-170", "--r-hi", "0.5", "--num", "3"],
+        ["analyze", "potential", "--r-lo", "1e-155", "--r-hi", "0.5", "--num", "3"],
     ],
 )
 def test_non_finite_inputs_exit_3(capsys, argv):
