@@ -122,21 +122,20 @@ def _triple_agreement_check(threshold_pair, threshold_ode):
     # one radial blow-up cross-check against the ODE hit time
     state = geodesics.GeodesicState(0.0, 0.0, 1.0)
     traj = geodesics.integrate(state, sections.StandardSphere(1.0), 10.0, 1e-6)
-    if traj.termination is not geodesics.Termination.EQUATOR_REACHED:
-        return CheckResult(
-            "triple_agreement", False, threshold_ode, math.inf,
-            f"radial run terminated by {traj.termination.value}",
-        )
+    reached = traj.termination is geodesics.Termination.EQUATOR_REACHED
     predicted = analysis.blowup_time(1.0)
-    ode_err = abs(traj.t_hit - predicted) / predicted
-    passed = worst_pair < threshold_pair and ode_err < threshold_ode
+    # a run that stops short is measured by where it stopped, so that the
+    # report holds a finite error
+    ode_err = abs((traj.t_hit if reached else traj.t[-1]) - predicted) / predicted
+    passed = reached and worst_pair < threshold_pair and ode_err < threshold_ode
     return CheckResult(
         "triple_agreement",
         passed,
         threshold_ode,
         max(worst_pair, ode_err),
         f"series-quadrature worst {worst_pair:.3e} (limit {threshold_pair:g}), "
-        f"ODE hit-time relative error {ode_err:.3e}",
+        f"ODE hit-time relative error {ode_err:.3e}"
+        + ("" if reached else f"; radial run terminated by {traj.termination.value}"),
     )
 
 

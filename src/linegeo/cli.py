@@ -6,7 +6,8 @@ integrated and exported in zeta = 1/xi, which the CSV header and the
 summary's ``chart`` key name, with I1 in the xi sense, so negative),
 ``analyze`` (blow-up time, effective potential, turning points, series
 cross-check) and ``check`` (the cross-module invariant suite).  Each
-handler imports the modules it runs, so a cold call loads only those.
+handler imports the modules it runs, so a cold call loads only those,
+and ``main`` builds only the parser of the subcommand it is given.
 
 Exit codes: 0 success, 1 internal error or failed checks, 2 usage
 errors, 3 domain errors (invalid region, no orbit).  Set
@@ -46,7 +47,7 @@ def _out_stream(path):
 def _write_json(obj, path, fallback=None):
     import json
 
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if path is None or path == "-":
         (fallback if fallback is not None else sys.stdout).write(text)
     else:
@@ -204,13 +205,7 @@ def cmd_check(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="linegeo",
-        description="Geometry of oriented-line space and geodesics on twisting spheres.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_normalize(sub):
     p_norm = sub.add_parser("normalize", help="put a quadratic sphere in standard form")
     for name in ("beta1", "beta2", "beta3"):
         p_norm.add_argument(
@@ -219,6 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--output", help="write the certificate JSON here (default stdout)")
     p_norm.set_defaults(handler=cmd_normalize)
 
+
+def _add_geodesic(sub):
     p_geo = sub.add_parser("geodesic", help="integrate a geodesic and export CSV")
     p_geo.add_argument("--c", type=float, default=1.0, help="sphere coefficient (c > 0)")
     p_geo.add_argument("--xi", nargs=2, type=float, metavar=("RE", "IM"))
@@ -252,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_geo.set_defaults(handler=cmd_geodesic)
 
+
+def _add_analyze(sub):
     p_ana = sub.add_parser("analyze", help="radial analysis outputs")
     ana_sub = p_ana.add_subparsers(dest="what", required=True)
 
@@ -284,6 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--output")
     p_sc.set_defaults(handler=cmd_analyze)
 
+
+def _add_check(sub):
     p_chk = sub.add_parser("check", help="run the invariant suite")
     p_chk.add_argument("--samples", type=int, default=1000)
     p_chk.add_argument("--trajectories", type=int, default=6)
@@ -293,6 +294,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--output")
     p_chk.set_defaults(handler=cmd_check)
 
+
+#: each subcommand's parser, in the order ``-h`` lists them
+_SUBCOMMANDS = {
+    "normalize": _add_normalize,
+    "geodesic": _add_geodesic,
+    "analyze": _add_analyze,
+    "check": _add_check,
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The command-line parser: with ``command`` a subcommand's name, the
+    parser of that subcommand alone, which parses its command lines as
+    the full parser does; otherwise the parsers of all of them."""
+    parser = argparse.ArgumentParser(
+        prog="linegeo",
+        description="Geometry of oriented-line space and geodesics on twisting spheres.",
+    )
+    if command in _SUBCOMMANDS:
+        # the metavar keeps the usage line of the full parser
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_SUBCOMMANDS) + "}"
+        )
+        _SUBCOMMANDS[command](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBCOMMANDS.values():
+            add(sub)
     return parser
 
 
@@ -310,7 +339,9 @@ def _configure_logging():
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.command == "geodesic":
         problem = _initial_state_usage_error(args)

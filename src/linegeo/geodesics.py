@@ -19,10 +19,12 @@ equator, so each run keeps the chart it starts in: (xi, xidot) on the
 upper hemisphere, and (zeta, zetadot) with zeta = 1/xi on the lower
 one, where the same equation holds with I1 negated.  The stepper,
 ``geod_integrate``, is the Dormand-Prince 8(5,3) pair (DOP853) with
-adaptive steps, on real and imaginary parts as floats; ``integrate``
-validates its input and wraps the result in a ``Trajectory``, which
-carries the first integrals at every sample, their drift and the count
-of rejected steps.  All value types here are immutable
+adaptive steps, on real and imaginary parts as floats; its step is
+generated once per process from the tableau, with the weights compiled
+in as constants, and it returns the first integrals at every sample.
+``integrate`` validates its input and wraps the result in a
+``Trajectory``, which carries those integrals, their drift and the
+count of rejected steps.  All value types here are immutable
 ``errors.Record``s; a trajectory's sample lists are not copied and are
 read-only by convention.  The closed forms of the radial motion (travel
 time, effective potential, turning radii) are in ``analysis``.
@@ -30,6 +32,7 @@ time, effective potential, turning radii) are in ``analysis``.
 
 import cmath
 import enum
+import linecache
 import math
 from collections.abc import Sequence
 
@@ -379,304 +382,77 @@ def _christoffel(xi):
     return -xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m))
 
 
+# The stepper's source, less its stage block and error estimates, which
+# _generate_kernel writes out from the tableau literals.
+_KERNEL = '''\
 def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     """Adaptive Dormand-Prince 8(5,3) integration of the geodesic system.
 
     Integrates from t=0 to t=t_span, recording every accepted step;
-    ``max_steps`` caps the step attempts, accepted or rejected.
-    Returns (t, xi, xidot, termination, t_hit, rejected): the samples as
+    ``max_steps`` caps the step attempts, accepted or rejected.  Returns
+    (t, xi, xidot, termination, t_hit, rejected, I1, I2): the samples as
     lists, ``termination`` a ``Termination``, ``t_hit`` the linear
     interpolation of the equator crossing 1-|xi|^2 = 0 (None unless the
-    equator was reached) and ``rejected`` the number of rejected step
-    attempts.  Each attempt evaluates the right-hand side
+    equator was reached), ``rejected`` the count of rejected attempts,
+    and the first integrals at the samples, each the float that
+    ``first_integrals_arrays`` gives, from the |xi|^2 of the 13th
+    evaluation.  Each attempt evaluates the right-hand side
     RHS_EVALS_PER_STEP times, after one evaluation at the start.
 
     The error of a step is the fifth-order estimate e5 damped by the
-    third-order one e3, err = h e5^2 / sqrt(e5^2 + 0.01 e3^2) / tol, with
-    both estimates the max-norm over the 4 real components, each scaled
-    by 1 + max(|y|, |y_new|).  The step is accepted when err <= 1.
-    After each attempt the step is scaled by
-    min(6, max(1/3, 0.8 err^(-1/8))) (``_FAC_MAX``, ``_FAC_MIN``,
-    ``_SAFETY``), by 6 when err = 0, and by at most 1 after a rejection.
+    third-order one e3, err = h e5^2 / sqrt(e5^2 + 0.01 e3^2) / tol, both
+    the max-norm over the 4 real components, each scaled by
+    1 + max(|y|, |y_new|); the step is accepted when err <= 1.  After
+    each attempt the step is scaled by min(facmax, max(1/3, 0.8 err^(-1/8)))
+    (``_FAC_MIN``, ``_SAFETY``), or by facmax when err = 0, with facmax
+    6 (``_FAC_MAX``) and 1 after a rejection.  A stage exactly on the
+    equator divides by zero; the attempt is then rejected and the step
+    shrinks fivefold.
 
-    The stages are written out by hand with the Christoffel symbol
-    inlined, in real arithmetic: xi = a0 + i b0, xidot = a1 + i b1, and
-    stage i is (p_i, q_i) = (pir + i pii, qir + i qii).  Each complex
-    product is (ac - bd, ad + bc), the formula and operand order of
-    CPython's complex multiply, and each weighted sum takes its nonzero
-    terms in tableau order.  The one rewrite folds the conjugate's sign
-    into a product (x x - y (-y) = x x + y y, and likewise u pr - (-v) pi
-    = u pr + v pi), which IEEE arithmetic does exactly.  So every float
-    equals the one the same stepper computes on complex scalars (the
-    generic loop over the tableau rows in the tests), and so do the
-    steps, the termination and ``t_hit``.  That stepper promotes a float
-    coefficient c to c + 0i before it multiplies a complex number, and
-    adds cross products with that zero; they are zeros, so leaving them
-    out changes no value, only possibly the sign of a component that is
-    itself exactly zero.  Those signs agree for starts on the axes and
-    at the pole, signed zeros included; they can differ only when every
-    term of a weighted sum underflows to zero, as with subnormal
-    components.  On floats CPython runs each operation as a specialised
-    instruction and skips the promotion, which makes a step about a
-    quarter cheaper.  A stage exactly on the equator divides by zero;
-    the attempt is then rejected and the step shrinks fivefold.
+    ``_generate_kernel`` writes this function once per process.  The
+    stages come from the tableau literals, each weight as the literal of
+    its double, which compiles to a constant, with the Christoffel symbol
+    inlined in real arithmetic: xi = a0 + i b0, xidot = a1 + i b1, and
+    stage i is (pir + i pii, qir + i qii).  Each complex product is
+    (ac - bd, ad + bc), CPython's formula and operand order, and each
+    weighted sum takes its nonzero terms in tableau order; folding a
+    conjugate's sign into a product (x x - y (-y) = x x + y y) is exact.
+    So every float, step, termination and ``t_hit`` equals that of the
+    same stepper on complex scalars (the tableau loop in the tests), up
+    to the sign of a component that is exactly zero, which that
+    stepper's c + 0i weights can flip only when every term of a weighted
+    sum underflows.  In the norm and the controller |x|, max and min are
+    conditional expressions, not calls; a signed zero or a NaN leaves err
+    unchanged.
     """
     t = 0.0
     y0, y1 = complex(xi0), complex(xidot0)
-    ts = [0.0]
-    xis = [y0]
-    xds = [y1]
-
+    ts, xis, xds = [0.0], [y0], [y1]
     # modest initial step; the controller adapts within a few steps
     h = min(1e-2, 1e-2 * (1.0 + abs(y0)) / (1.0 + abs(y1)), t_span)
-    facmax = _FAC_MAX
-
+    facmax = {fac_max!r}
     # stage k_i = (p_i, q_i) = rhs(xi, xidot) = (xidot, -Gamma(xi) xidot^2),
     # with p_i = pir + i pii and q_i = qir + i qii
     a0, b0, a1, b1 = y0.real, y0.imag, y1.real, y1.imag
     p1r, p1i = a1, b1
     q1 = -_christoffel(y0) * y1 * y1
     q1r, q1i = q1.real, q1.imag
-    status = Termination.MAX_STEPS
-    t_hit = None
-    rejected = 0
+    # I1 = f |xidot|^2 and I2 = f Im(xibar xidot), f = (1-|xi|^2)/(1+|xi|^2)^3
+    m = a0 * a0 + b0 * b0
+    f = (1.0 - m) / (1.0 + m) ** 3
+    i1s, i2s = [f * (a1 * a1 + b1 * b1)], [f * (a0 * b1 - b0 * a1)]
+    status, t_hit, rejected = Termination.MAX_STEPS, None, 0
 
     for _ in range(max_steps):
         clipped = t + h >= t_span
         if clipped:
             h = t_span - t
         try:
-            # each stage point is x + i y, with m = |x + i y|^2 and
-            # s = 1/(1-m) + 3/(1+m); then q_i = (u - i v) p_i p_i with
-            # u, v = x s, y s, the sign of -i v folded into the first product
-            x = a0 + h * (_A2_1 * p1r)
-            y = b0 + h * (_A2_1 * p1i)
-            p2r = a1 + h * (_A2_1 * q1r)
-            p2i = b1 + h * (_A2_1 * q1i)
-            m = x * x + y * y
-            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
-            u, v = x * s, y * s
-            u, v = u * p2r + v * p2i, u * p2i - v * p2r
-            q2r = u * p2r - v * p2i
-            q2i = u * p2i + v * p2r
-            x = a0 + h * (_A3_1 * p1r + _A3_2 * p2r)
-            y = b0 + h * (_A3_1 * p1i + _A3_2 * p2i)
-            p3r = a1 + h * (_A3_1 * q1r + _A3_2 * q2r)
-            p3i = b1 + h * (_A3_1 * q1i + _A3_2 * q2i)
-            m = x * x + y * y
-            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
-            u, v = x * s, y * s
-            u, v = u * p3r + v * p3i, u * p3i - v * p3r
-            q3r = u * p3r - v * p3i
-            q3i = u * p3i + v * p3r
-            x = a0 + h * (_A4_1 * p1r + _A4_3 * p3r)
-            y = b0 + h * (_A4_1 * p1i + _A4_3 * p3i)
-            p4r = a1 + h * (_A4_1 * q1r + _A4_3 * q3r)
-            p4i = b1 + h * (_A4_1 * q1i + _A4_3 * q3i)
-            m = x * x + y * y
-            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
-            u, v = x * s, y * s
-            u, v = u * p4r + v * p4i, u * p4i - v * p4r
-            q4r = u * p4r - v * p4i
-            q4i = u * p4i + v * p4r
-            x = a0 + h * (_A5_1 * p1r + _A5_3 * p3r + _A5_4 * p4r)
-            y = b0 + h * (_A5_1 * p1i + _A5_3 * p3i + _A5_4 * p4i)
-            p5r = a1 + h * (_A5_1 * q1r + _A5_3 * q3r + _A5_4 * q4r)
-            p5i = b1 + h * (_A5_1 * q1i + _A5_3 * q3i + _A5_4 * q4i)
-            m = x * x + y * y
-            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
-            u, v = x * s, y * s
-            u, v = u * p5r + v * p5i, u * p5i - v * p5r
-            q5r = u * p5r - v * p5i
-            q5i = u * p5i + v * p5r
-            x = a0 + h * (_A6_1 * p1r + _A6_4 * p4r + _A6_5 * p5r)
-            y = b0 + h * (_A6_1 * p1i + _A6_4 * p4i + _A6_5 * p5i)
-            p6r = a1 + h * (_A6_1 * q1r + _A6_4 * q4r + _A6_5 * q5r)
-            p6i = b1 + h * (_A6_1 * q1i + _A6_4 * q4i + _A6_5 * q5i)
-            m = x * x + y * y
-            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
-            u, v = x * s, y * s
-            u, v = u * p6r + v * p6i, u * p6i - v * p6r
-            q6r = u * p6r - v * p6i
-            q6i = u * p6i + v * p6r
-            x = a0 + h * (_A7_1 * p1r + _A7_4 * p4r + _A7_5 * p5r + _A7_6 * p6r)
-            y = b0 + h * (_A7_1 * p1i + _A7_4 * p4i + _A7_5 * p5i + _A7_6 * p6i)
-            p7r = a1 + h * (_A7_1 * q1r + _A7_4 * q4r + _A7_5 * q5r + _A7_6 * q6r)
-            p7i = b1 + h * (_A7_1 * q1i + _A7_4 * q4i + _A7_5 * q5i + _A7_6 * q6i)
-            m = x * x + y * y
-            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
-            u, v = x * s, y * s
-            u, v = u * p7r + v * p7i, u * p7i - v * p7r
-            q7r = u * p7r - v * p7i
-            q7i = u * p7i + v * p7r
-            x = a0 + h * (_A8_1 * p1r + _A8_4 * p4r + _A8_5 * p5r + _A8_6 * p6r + _A8_7 * p7r)
-            y = b0 + h * (_A8_1 * p1i + _A8_4 * p4i + _A8_5 * p5i + _A8_6 * p6i + _A8_7 * p7i)
-            p8r = a1 + h * (_A8_1 * q1r + _A8_4 * q4r + _A8_5 * q5r + _A8_6 * q6r + _A8_7 * q7r)
-            p8i = b1 + h * (_A8_1 * q1i + _A8_4 * q4i + _A8_5 * q5i + _A8_6 * q6i + _A8_7 * q7i)
-            m = x * x + y * y
-            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
-            u, v = x * s, y * s
-            u, v = u * p8r + v * p8i, u * p8i - v * p8r
-            q8r = u * p8r - v * p8i
-            q8i = u * p8i + v * p8r
-            x = a0 + h * (
-                _A9_1 * p1r + _A9_4 * p4r + _A9_5 * p5r + _A9_6 * p6r + _A9_7 * p7r + _A9_8 * p8r
-            )
-            y = b0 + h * (
-                _A9_1 * p1i + _A9_4 * p4i + _A9_5 * p5i + _A9_6 * p6i + _A9_7 * p7i + _A9_8 * p8i
-            )
-            p9r = a1 + h * (
-                _A9_1 * q1r + _A9_4 * q4r + _A9_5 * q5r + _A9_6 * q6r + _A9_7 * q7r + _A9_8 * q8r
-            )
-            p9i = b1 + h * (
-                _A9_1 * q1i + _A9_4 * q4i + _A9_5 * q5i + _A9_6 * q6i + _A9_7 * q7i + _A9_8 * q8i
-            )
-            m = x * x + y * y
-            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
-            u, v = x * s, y * s
-            u, v = u * p9r + v * p9i, u * p9i - v * p9r
-            q9r = u * p9r - v * p9i
-            q9i = u * p9i + v * p9r
-            x = a0 + h * (
-                _A10_1 * p1r + _A10_4 * p4r + _A10_5 * p5r + _A10_6 * p6r + _A10_7 * p7r
-                + _A10_8 * p8r + _A10_9 * p9r
-            )
-            y = b0 + h * (
-                _A10_1 * p1i + _A10_4 * p4i + _A10_5 * p5i + _A10_6 * p6i + _A10_7 * p7i
-                + _A10_8 * p8i + _A10_9 * p9i
-            )
-            p10r = a1 + h * (
-                _A10_1 * q1r + _A10_4 * q4r + _A10_5 * q5r + _A10_6 * q6r + _A10_7 * q7r
-                + _A10_8 * q8r + _A10_9 * q9r
-            )
-            p10i = b1 + h * (
-                _A10_1 * q1i + _A10_4 * q4i + _A10_5 * q5i + _A10_6 * q6i + _A10_7 * q7i
-                + _A10_8 * q8i + _A10_9 * q9i
-            )
-            m = x * x + y * y
-            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
-            u, v = x * s, y * s
-            u, v = u * p10r + v * p10i, u * p10i - v * p10r
-            q10r = u * p10r - v * p10i
-            q10i = u * p10i + v * p10r
-            x = a0 + h * (
-                _A11_1 * p1r + _A11_4 * p4r + _A11_5 * p5r + _A11_6 * p6r + _A11_7 * p7r
-                + _A11_8 * p8r + _A11_9 * p9r + _A11_10 * p10r
-            )
-            y = b0 + h * (
-                _A11_1 * p1i + _A11_4 * p4i + _A11_5 * p5i + _A11_6 * p6i + _A11_7 * p7i
-                + _A11_8 * p8i + _A11_9 * p9i + _A11_10 * p10i
-            )
-            p11r = a1 + h * (
-                _A11_1 * q1r + _A11_4 * q4r + _A11_5 * q5r + _A11_6 * q6r + _A11_7 * q7r
-                + _A11_8 * q8r + _A11_9 * q9r + _A11_10 * q10r
-            )
-            p11i = b1 + h * (
-                _A11_1 * q1i + _A11_4 * q4i + _A11_5 * q5i + _A11_6 * q6i + _A11_7 * q7i
-                + _A11_8 * q8i + _A11_9 * q9i + _A11_10 * q10i
-            )
-            m = x * x + y * y
-            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
-            u, v = x * s, y * s
-            u, v = u * p11r + v * p11i, u * p11i - v * p11r
-            q11r = u * p11r - v * p11i
-            q11i = u * p11i + v * p11r
-            x = a0 + h * (
-                _A12_1 * p1r + _A12_4 * p4r + _A12_5 * p5r + _A12_6 * p6r + _A12_7 * p7r
-                + _A12_8 * p8r + _A12_9 * p9r + _A12_10 * p10r + _A12_11 * p11r
-            )
-            y = b0 + h * (
-                _A12_1 * p1i + _A12_4 * p4i + _A12_5 * p5i + _A12_6 * p6i + _A12_7 * p7i
-                + _A12_8 * p8i + _A12_9 * p9i + _A12_10 * p10i + _A12_11 * p11i
-            )
-            p12r = a1 + h * (
-                _A12_1 * q1r + _A12_4 * q4r + _A12_5 * q5r + _A12_6 * q6r + _A12_7 * q7r
-                + _A12_8 * q8r + _A12_9 * q9r + _A12_10 * q10r + _A12_11 * q11r
-            )
-            p12i = b1 + h * (
-                _A12_1 * q1i + _A12_4 * q4i + _A12_5 * q5i + _A12_6 * q6i + _A12_7 * q7i
-                + _A12_8 * q8i + _A12_9 * q9i + _A12_10 * q10i + _A12_11 * q11i
-            )
-            m = x * x + y * y
-            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
-            u, v = x * s, y * s
-            u, v = u * p12r + v * p12i, u * p12i - v * p12r
-            q12r = u * p12r - v * p12i
-            q12i = u * p12i + v * p12r
-            s0r = (
-                _B1 * p1r + _B6 * p6r + _B7 * p7r + _B8 * p8r + _B9 * p9r + _B10 * p10r
-                + _B11 * p11r + _B12 * p12r
-            )
-            s0i = (
-                _B1 * p1i + _B6 * p6i + _B7 * p7i + _B8 * p8i + _B9 * p9i + _B10 * p10i
-                + _B11 * p11i + _B12 * p12i
-            )
-            s1r = (
-                _B1 * q1r + _B6 * q6r + _B7 * q7r + _B8 * q8r + _B9 * q9r + _B10 * q10r
-                + _B11 * q11r + _B12 * q12r
-            )
-            s1i = (
-                _B1 * q1i + _B6 * q6i + _B7 * q7i + _B8 * q8i + _B9 * q9i + _B10 * q10i
-                + _B11 * q11i + _B12 * q12i
-            )
-            a0n = a0 + h * s0r
-            b0n = b0 + h * s0i
-            a1n = a1 + h * s1r
-            b1n = b1 + h * s1i
-            # the 13th evaluation, at the proposed point: stage 1 of the next step
-            m = a0n * a0n + b0n * b0n
-            s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)
-            u, v = a0n * s, b0n * s
-            u, v = u * a1n + v * b1n, u * b1n - v * a1n
-            q13r = u * a1n - v * b1n
-            q13i = u * b1n + v * a1n
+            {stages}
         except ZeroDivisionError:  # a stage exactly on the equator
             err = math.nan
         else:
-            e50r = (
-                _E5_1 * p1r + _E5_6 * p6r + _E5_7 * p7r + _E5_8 * p8r + _E5_9 * p9r + _E5_10 * p10r
-                + _E5_11 * p11r + _E5_12 * p12r
-            )
-            e50i = (
-                _E5_1 * p1i + _E5_6 * p6i + _E5_7 * p7i + _E5_8 * p8i + _E5_9 * p9i + _E5_10 * p10i
-                + _E5_11 * p11i + _E5_12 * p12i
-            )
-            e51r = (
-                _E5_1 * q1r + _E5_6 * q6r + _E5_7 * q7r + _E5_8 * q8r + _E5_9 * q9r + _E5_10 * q10r
-                + _E5_11 * q11r + _E5_12 * q12r
-            )
-            e51i = (
-                _E5_1 * q1i + _E5_6 * q6i + _E5_7 * q7i + _E5_8 * q8i + _E5_9 * q9i + _E5_10 * q10i
-                + _E5_11 * q11i + _E5_12 * q12i
-            )
-            e30r = s0r - (_BHH1 * p1r + _BHH9 * p9r + _BHH12 * p12r)
-            e30i = s0i - (_BHH1 * p1i + _BHH9 * p9i + _BHH12 * p12i)
-            e31r = s1r - (_BHH1 * q1r + _BHH9 * q9r + _BHH12 * q12r)
-            e31i = s1i - (_BHH1 * q1i + _BHH9 * q9i + _BHH12 * q12i)
-            # max over the 4 real components, each scaled by 1 + its larger
-            # magnitude; `d if d > c else c` is max(c, d) without a call
-            c, d = abs(a0), abs(a0n)
-            w = 1.0 + (d if d > c else c)
-            e5 = abs(e50r) / w
-            e3 = abs(e30r) / w
-            c, d = abs(b0), abs(b0n)
-            w = 1.0 + (d if d > c else c)
-            c = abs(e50i) / w
-            e5 = c if c > e5 else e5
-            c = abs(e30i) / w
-            e3 = c if c > e3 else e3
-            c, d = abs(a1), abs(a1n)
-            w = 1.0 + (d if d > c else c)
-            c = abs(e51r) / w
-            e5 = c if c > e5 else e5
-            c = abs(e31r) / w
-            e3 = c if c > e3 else e3
-            c, d = abs(b1), abs(b1n)
-            w = 1.0 + (d if d > c else c)
-            c = abs(e51i) / w
-            e5 = c if c > e5 else e5
-            c = abs(e31i) / w
-            e3 = c if c > e3 else e3
+            {errors}
             e5 *= e5
             deno = e5 + 0.01 * e3 * e3
             err = h * e5 / math.sqrt(deno) / tol if deno else 0.0
@@ -687,7 +463,10 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
             xis.append(complex(a0n, b0n))
             xds.append(complex(a1n, b1n))
             s_new = 1.0 - m  # m = |xi|^2 at the new point, from the 13th evaluation
-            if abs(s_new) <= equator_cut:
+            f = s_new / (1.0 + m) ** 3
+            i1s.append(f * (a1n * a1n + b1n * b1n))
+            i2s.append(f * (a0n * b1n - b0n * a1n))
+            if (-s_new if s_new < 0.0 else s_new) <= equator_cut:
                 s_old = 1.0 - (a0 * a0 + b0 * b0)
                 t_hit = t + s_new * (ts[-1] - ts[-2]) / (s_old - s_new)
                 status = Termination.EQUATOR_REACHED
@@ -697,21 +476,86 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
                 break
             a0, b0, a1, b1 = a0n, b0n, a1n, b1n
             p1r, p1i, q1r, q1i = a1n, b1n, q13r, q13i
-            fac = facmax if err == 0.0 else min(facmax, max(_FAC_MIN, _SAFETY * err**-0.125))
-            facmax = _FAC_MAX
+            next_facmax = {fac_max!r}
         else:
             rejected += 1
-            if math.isnan(err):  # a stage hit the degeneracy exactly
-                fac = 0.2
-            else:
-                fac = max(_FAC_MIN, _SAFETY * err**-0.125)
-            facmax = 1.0  # the step after a rejection does not grow
+            next_facmax = 1.0  # the step after a rejection does not grow
+        if err != err:  # NaN: a stage hit the degeneracy exactly
+            fac = 0.2
+        elif err == 0.0:
+            fac = facmax
+        else:
+            fac = {safety!r} * err ** -0.125
+            fac = fac if fac > {fac_min!r} else {fac_min!r}
+            fac = fac if fac < facmax else facmax
+        facmax = next_facmax
         h *= fac
         if h < h_min:
             status = Termination.STEP_UNDERFLOW
             break
 
-    return ts, xis, xds, status, t_hit, rejected
+    return ts, xis, xds, status, t_hit, rejected, i1s, i2s
+'''
+
+#: the real components of the state, by the suffix of their sums: the name
+#: of each, and the stage list and the part of it that its sums run over
+_COMPONENTS = {"0r": ("a0", "p", "r"), "0i": ("b0", "p", "i"),
+               "1r": ("a1", "q", "r"), "1i": ("b1", "q", "i")}
+
+
+def _rhs(x, y, pr, pi, qr, qi):
+    """Source of q = qr + i qi, the rhs at x + i y with velocity pr + i pi:
+    with m = |x + i y|^2 and s = 1/(1-m) + 3/(1+m), q = (u - i v) p p for
+    u, v = x s, y s, the sign of -i v folded into the first product."""
+    return [f"m = {x} * {x} + {y} * {y}", "s = 1.0 / (1.0 - m) + 3.0 / (1.0 + m)",
+            f"u, v = {x} * s, {y} * s", f"u, v = u * {pr} + v * {pi}, u * {pi} - v * {pr}",
+            f"{qr} = u * {pr} - v * {pi}", f"{qi} = u * {pi} + v * {pr}"]
+
+
+def _generate_kernel():
+    """Compile ``geod_integrate`` from ``_KERNEL``, its stages and error
+    estimates written out from the tableau literals, and register the
+    source with ``linecache`` for tracebacks, profilers and ``inspect``."""
+    def weighted(prefix, k):  # sum_j w_j k_j, w_j the literals prefix + j
+        _, stage, part = _COMPONENTS[k]
+        g = globals()
+        weights = {j: g[f"{prefix}{j}"] for j in range(1, 13) if f"{prefix}{j}" in g}
+        return " + ".join(f"{w!r} * {stage}{j}{part}" for j, w in weights.items())
+
+    def mag(x):  # |x| without a call
+        return f"(-{x} if {x} < 0.0 else {x})"
+
+    stages = []
+    for i in range(2, 13):
+        for k, target in zip(_COMPONENTS, ("x", "y", f"p{i}r", f"p{i}i")):
+            stages.append(f"{target} = {_COMPONENTS[k][0]} + h * ({weighted(f'_A{i}_', k)})")
+        stages += _rhs("x", "y", f"p{i}r", f"p{i}i", f"q{i}r", f"q{i}i")
+    stages += [f"s{k} = {weighted('_B', k)}" for k in _COMPONENTS]
+    stages += [f"{y}n = {y} + h * s{k}" for k, (y, _, _) in _COMPONENTS.items()]
+    stages.append("# the 13th evaluation, at the proposed point: stage 1 of the next step")
+    stages += _rhs("a0n", "b0n", "a1n", "b1n", "q13r", "q13i")
+    errors = [f"e5{k} = {weighted('_E5_', k)}" for k in _COMPONENTS]
+    errors += [f"e3{k} = s{k} - ({weighted('_BHH', k)})" for k in _COMPONENTS]
+    errors.append("# max over the 4 real components, each scaled by 1 + its larger magnitude")
+    for k, (y, _, _) in _COMPONENTS.items():
+        errors += [f"c = {mag(y)}", f"d = {mag(y + 'n')}", "w = 1.0 + (d if d > c else c)"]
+        for e in ("e5", "e3"):
+            if k == "0r":
+                errors.append(f"{e} = {mag(e + k)} / w")
+            else:
+                errors += [f"c = {mag(e + k)} / w", f"{e} = c if c > {e} else {e}"]
+
+    indent = "\n" + " " * 12
+    source = _KERNEL.format(stages=indent.join(stages), errors=indent.join(errors),
+                            safety=_SAFETY, fac_min=_FAC_MIN, fac_max=_FAC_MAX)
+    filename = "<linegeo.geodesics: generated geod_integrate>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["geod_integrate"]
+
+
+geod_integrate = _generate_kernel()
 
 
 def integrate(
@@ -754,8 +598,9 @@ def integrate(
     DomainError
         If the sphere is not twisting (c <= 0), tol is not positive and
         finite, t_max is not finite, t_max <= initial.t, the initial I1
-        or I2 is not a finite double in the run's chart, or the initial
-        point sits inside the cutoff band of its chart.
+        or I2 is not a finite double in the run's chart, the initial
+        point sits inside the cutoff band of its chart, or I1 or I2 is
+        not finite at some sample.
     """
     if sphere.c <= 0.0:
         raise DomainError("geodesic flow requires a twisting sphere (c > 0)")
@@ -777,12 +622,15 @@ def integrate(
             f"initial point is within the equator cutoff band (1-|{chart}|^2 = {s0:.3e})"
         )
 
-    ts, zs, zds, termination, t_hit, rejected = geod_integrate(
+    ts, zs, zds, termination, t_hit, rejected, i1s, i2s = geod_integrate(
         z0, zdot0, t_max - initial.t, tol, EQUATOR_CUTOFF, MIN_STEP, MAX_STEPS
     )
-    i1s, i2s = first_integrals_arrays(zs, zds)
     if chart == "zeta":
         i1s = [-i1 for i1 in i1s]
+    if not (all(map(math.isfinite, i1s)) and all(map(math.isfinite, i2s))):
+        k = next(k for k, i in enumerate(zip(i1s, i2s)) if not all(map(math.isfinite, i)))
+        raise DomainError(f"first integrals must be finite doubles along the run, got "
+                          f"I1 = {i1s[k]!r}, I2 = {i2s[k]!r} at t = {ts[k] + initial.t!r}")
     i10, i20 = i1s[0], i2s[0]
     # I2 = 0 has no relative scale; sqrt|I1| bounds |I2| (see Trajectory)
     i2_scale = abs(i20) if i20 != 0.0 else math.sqrt(abs(i10))

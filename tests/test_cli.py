@@ -20,6 +20,7 @@ from linegeo import (
     geodesics,
     turning_points,
 )
+from linegeo import cli
 from linegeo.cli import main
 
 
@@ -76,6 +77,39 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+#: command lines answered by argparse, or by main's own usage check
+PARSER_ARGVS = [
+    ["-h"],
+    *([command, "-h"] for command in ("normalize", "geodesic", "analyze", "check")),
+    ["analyze", "blowup", "-h"],
+    [],
+    ["bogus"],
+    ["analyze", "nope"],
+    ["geodesic", "--xi", "0", "0"],
+    ["check", "--seed", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    def outcome():
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        return exc.value.code, *capsys.readouterr()
+
+    partial = outcome()
+    build_full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_full())
+    assert outcome() == partial
+
+
+def test_a_subcommand_parser_knows_no_other_subcommand():
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser("geodesic").parse_args(["analyze", "blowup", "--I1", "1"])
+    assert exc.value.code == 2
+    assert cli.build_parser().parse_args(["analyze", "blowup", "--I1", "1"]).I1 == 1.0
 
 
 # -- geodesic -----------------------------------------------------------------
@@ -253,6 +287,22 @@ def test_geodesic_conflicting_initial_conditions_exit_2(capsys):
         assert captured.out == ""
         assert captured.err.startswith("usage: linegeo ")
         assert f"\nlinegeo: error: {message}" in captured.err
+
+
+def test_geodesic_integrals_overflowing_along_the_run_exit_3(tmp_path, capsys):
+    # a launch at R_min for k = 1.797e308, where U(R_min) is still finite:
+    # I1 overflows at the second sample; neither the CSV nor a summary
+    # holding Infinity is written
+    csv_path, summary_path = tmp_path / "traj.csv", tmp_path / "summary.json"
+    code, out, err = run_cli(
+        capsys, "geodesic", "--integrals", "1.797e308", "1", "7.459778999860975e-155",
+        "--t-max", "1", "--output", str(csv_path), "--summary", str(summary_path),
+    )
+    assert code == 3 and out == ""
+    assert "first integrals must be finite doubles along the run, got I1 = inf" in err
+    assert not csv_path.exists() and not summary_path.exists()
+    with pytest.raises(ValueError):
+        cli._write_json({"max_drift_I1": math.inf}, str(summary_path))
 
 
 def test_geodesic_on_equator_exit_3(capsys):
@@ -464,19 +514,35 @@ def test_check_passes(capsys):
 
 
 def test_check_detects_injected_bias(capsys, monkeypatch):
-    exact = geodesics.first_integrals_arrays
+    # bias the I2 samples the stepper returns, which ``integrate`` reports
+    exact = geodesics.geod_integrate
 
-    def biased(xis, xidots):
-        i1s, i2s = exact(xis, xidots)
-        return i1s, [i2 + 1e-3 for i2 in i2s]
+    def biased(*args):
+        *result, i2s = exact(*args)
+        return (*result, [i2 + 1e-3 for i2 in i2s])
 
-    monkeypatch.setattr(geodesics, "first_integrals_arrays", biased)
+    monkeypatch.setattr(geodesics, "geod_integrate", biased)
     code, out, _ = run_cli(capsys, *CHECK_ARGS)
     assert code == 1
     report = json.loads(out)
     assert report["all_passed"] is False
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "energy_identity" in failed
+
+
+def test_check_reports_a_radial_run_that_stops_short(capsys, monkeypatch):
+    # the report stays valid JSON: the error of a run that never reached
+    # the equator is measured where it stopped
+    exact = geodesics.integrate
+    monkeypatch.setattr(
+        geodesics, "integrate", lambda state, sphere, t_max, tol: exact(state, sphere, 0.3, tol)
+    )
+    code, out, _ = run_cli(capsys, *CHECK_ARGS)
+    assert code == 1
+    triple = next(c for c in json.loads(out)["checks"] if c["name"] == "triple_agreement")
+    assert not triple["passed"]
+    assert triple["observed"] == abs(0.3 - blowup_time(1.0)) / blowup_time(1.0)
+    assert triple["detail"].endswith("; radial run terminated by time_limit")
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """Geodesic ODE, first integrals, adaptive integration."""
 
 import cmath
+import inspect
 import io
+import linecache
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -288,7 +291,7 @@ def test_lower_hemisphere_orbit_agrees_with_the_xi_chart():
     for xi0, xidot0, t_max in starts:
         traj = integrate(GeodesicState(0.0, xi0, xidot0), SPHERE, t_max, tol)
         assert traj.chart == "zeta" and traj.termination is Termination.TIME_LIMIT
-        t, xis, xds, status, _, _ = geodesics.geod_integrate(
+        t, xis, xds, status, _, _, _, _ = geodesics.geod_integrate(
             xi0, xidot0, t_max, tol, EQUATOR_CUTOFF, MIN_STEP, 1_000_000
         )
         assert status is Termination.TIME_LIMIT and t[-1] == traj.t[-1] == t_max
@@ -593,7 +596,7 @@ _ORACLE_RUNS = [
 @pytest.mark.parametrize("xi0, xidot0, t_span, tol, status", _ORACLE_RUNS)
 def test_kernel_matches_generic_tableau_loop(xi0, xidot0, t_span, tol, status):
     args = (xi0, xidot0, t_span, tol, EQUATOR_CUTOFF, MIN_STEP, 1_000_000)
-    t, xi, xidot, got_status, t_hit, rejected = geodesics.geod_integrate(*args)
+    t, xi, xidot, got_status, t_hit, rejected, _, _ = geodesics.geod_integrate(*args)
     t_ref, xi_ref, xidot_ref, ref_status, t_hit_ref, rejected_ref = reference_geod_integrate(*args)
     assert got_status is ref_status is status
     assert bits(t) == bits(t_ref)
@@ -615,6 +618,50 @@ def test_kernel_matches_generic_tableau_loop_at_step_cap():
     assert got[5] == ref[5]
     for a, b in zip(got[:3], ref[:3]):
         assert bits(a) == bits(b)
+
+
+_INTEGRAL_SERIES_STARTS = [
+    pytest.param(0.3, 0.2 + 0.1j, 1e-10, "xi", id="xi-orbit"),
+    pytest.param(1.5, 1.0 + 0.2j, 1e-10, "zeta", id="zeta-orbit"),
+    pytest.param(1.5 + 0.0j, complex(-1.0, -0.0), 1e-8, "zeta", id="zeta-real-axis"),
+    pytest.param(complex(-0.0, 0.4), complex(-0.0, 0.7), 1e-8, "xi", id="imaginary-axis"),
+    pytest.param(complex(0.5, -0.0), complex(-0.3, -0.0), 1e-6, "xi", id="real-axis"),
+    pytest.param(complex(-0.0, 0.0), complex(-1.0, -0.0), 1e-6, "xi", id="pole"),
+    pytest.param(complex(0.3, -0.0), complex(-0.0, -0.0), 1e-10, "xi", id="at-rest"),
+]
+
+
+@pytest.mark.parametrize("xi0, xidot0, tol, chart", _INTEGRAL_SERIES_STARTS)
+def test_integral_series_is_first_integrals_arrays_bit_for_bit(xi0, xidot0, tol, chart):
+    # the stepper takes the integrals from its 13th evaluation; they are
+    # the floats first_integrals_arrays gives on the samples, with I1
+    # negated in zeta
+    traj = integrate(GeodesicState(0.0, xi0, xidot0), SPHERE, 10.0, tol)
+    assert traj.chart == chart and len(traj) > 5
+    i1s, i2s = geodesics.first_integrals_arrays(traj.xi, traj.xidot)
+    if chart == "zeta":
+        i1s = [-i1 for i1 in i1s]
+    got_i1s, got_i2s = traj.integral_series()
+    assert bits(got_i1s) == bits(i1s)
+    assert bits(got_i2s) == bits(i2s)
+
+
+def test_kernel_weights_are_compiled_constants():
+    code = geodesics.geod_integrate.__code__
+    tableau = re.compile(r"_A\d+_\d+|_B\d+|_E5_\d+|_BHH\d+|_SAFETY|_FAC_\w+")
+    assert not [name for name in code.co_names if tableau.fullmatch(name)]
+    weights = [v for name, v in vars(geodesics).items() if tableau.fullmatch(name)]
+    assert len(weights) == 72
+    assert set(weights) <= set(code.co_consts)
+
+
+def test_kernel_source_is_the_generated_text():
+    code = geodesics.geod_integrate.__code__
+    source = inspect.getsource(geodesics.geod_integrate)
+    assert source == "".join(linecache.getlines(code.co_filename))
+    assert source.startswith("def geod_integrate(xi0, xidot0, t_span, tol, equator_cut,")
+    assert f"{geodesics._A12_11!r} * q11i" in source
+    assert "{" not in source  # every field of the template is filled
 
 
 # -- trajectory export -------------------------------------------------------------
