@@ -4,7 +4,7 @@ For zero angular momentum the travel time from the pole is the primitive
 Q(R) = int_0^R sqrt(1-r^2)/(1+r^2)^{3/2} dr, an incomplete elliptic
 integral evaluated in Carlson's form, and independently the paper's
 double series R F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2), summed by
-``_appell_f1``.  Both give the finite equator arrival time
+``appell_f1_series``.  Both give the finite equator arrival time
 t = Q(1)/sqrt(I1) = 0.599070.../sqrt(I1).
 
 For nonzero angular momentum the effective potential
@@ -90,46 +90,21 @@ def _diagonal_coefficients():
         c_prev, c, m = c, (m * c_prev - 2.0 * c) / (m + 1), m + 1
 
 
-def _appell_f1(R, tail_tol, max_diagonals):
-    """R * F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2) by anti-diagonal summation.
-
-    The double sum over (k, l) is grouped by m = k + l.  Anti-diagonal m
-    is c_m R^(2m+1)/(2m+1): (1/2)_m/(3/2)_m = 1/(2m+1), and the sum over
-    k + l = m of (-1/2)_k/k! (-1)^l (3/2)_l/l! is the coefficient c_m of
-    ``_diagonal_coefficients``, one recurrence step per anti-diagonal.
-
-    Summation stops once three consecutive anti-diagonal contributions
-    are below ``tail_tol`` in magnitude and non-increasing (the decay
-    check; for R^2 < 1 the tail decays geometrically).
-
-    Returns (value, diagonals_used, converged).
-    """
-    x = R * R
-    total = 0.0
-    rpow = R  # R^(2m+1)
-    small = 0
-    prev = math.inf
-    for m, c in zip(range(max_diagonals), _diagonal_coefficients()):
-        term = c * rpow / (2 * m + 1)
-        total += term
-        if abs(term) <= tail_tol and abs(term) <= prev:
-            small += 1
-            if small >= 3:
-                return total, m + 1, True
-        else:
-            small = 0
-        prev = abs(term)
-        rpow *= x
-    return total, max_diagonals, False
-
-
 def appell_f1_series(big_r: float) -> float:
     """The same primitive as a hypergeometric double series.
 
     Evaluates R F1(1/2; -1/2, 3/2; 3/2; R^2, -R^2) by anti-diagonal
-    summation, one recurrence step per anti-diagonal (``_appell_f1``),
-    with as many anti-diagonals as R needs, up to SERIES_MAX_DIAGONALS.
-    Valid for 0 <= R < 1 where the double series converges.
+    summation.  The double sum over (k, l) is grouped by m = k + l.
+    Anti-diagonal m is c_m R^(2m+1)/(2m+1): (1/2)_m/(3/2)_m = 1/(2m+1),
+    and the sum over k + l = m of (-1/2)_k/k! (-1)^l (3/2)_l/l! is the
+    coefficient c_m of ``_diagonal_coefficients``, one recurrence step
+    per anti-diagonal.
+
+    Summation stops once three consecutive anti-diagonal contributions
+    are below SERIES_TAIL_TOL in magnitude and non-increasing (the decay
+    check; for R^2 < 1 the tail decays geometrically), after as many
+    anti-diagonals as R needs, up to SERIES_MAX_DIAGONALS.  Valid for
+    0 <= R < 1 where the double series converges.
     """
     big_r = float(big_r)
     if not 0.0 <= big_r < 1.0:
@@ -143,13 +118,22 @@ def appell_f1_series(big_r: float) -> float:
     x = big_r * big_r
     cap = 8 if x == 0.0 else 8 + int(math.log(SERIES_TAIL_TOL) / math.log(x))
     cap = min(cap, SERIES_MAX_DIAGONALS)
-    value, _, converged = _appell_f1(big_r, SERIES_TAIL_TOL, cap)
-    if not converged:
-        raise ConvergenceError(
-            f"series did not meet the tail threshold within "
-            f"{cap} anti-diagonals at R = {big_r}"
-        )
-    return value
+    total, rpow, small, prev = 0.0, big_r, 0, math.inf  # rpow = R^(2m+1)
+    for m, c in zip(range(cap), _diagonal_coefficients()):
+        term = c * rpow / (2 * m + 1)
+        total += term
+        if abs(term) <= SERIES_TAIL_TOL and abs(term) <= prev:
+            small += 1
+            if small >= 3:
+                return total
+        else:
+            small = 0
+        prev = abs(term)
+        rpow *= x
+    raise ConvergenceError(
+        f"series did not meet the tail threshold within "
+        f"{cap} anti-diagonals at R = {big_r}"
+    )
 
 
 def blowup_time(i1: float, r_start: float = 0.0) -> float:

@@ -115,10 +115,8 @@ def _conservation_check(trajectories, tol, t_span, rng, threshold):
 
 
 def _triple_agreement_check(threshold_pair, threshold_ode):
-    rs = analysis.linspace(0.05, 0.95, 19)
-    worst_pair = max(
-        abs(analysis.appell_f1_series(r) - analysis.radial_quadrature(r)) for r in rs
-    )
+    table = analysis.series_quadrature_table(analysis.linspace(0.05, 0.95, 19))
+    worst_pair = max(abs(diff) for *_, diff in table)
     # one radial blow-up cross-check against the ODE hit time
     state = geodesics.GeodesicState(0.0, 0.0, 1.0)
     traj = geodesics.integrate(state, sections.StandardSphere(1.0), 10.0, 1e-6)
@@ -149,8 +147,8 @@ def _energy_identity_check(tol, t_span, rng, threshold):
         big_r = abs(xi)
         if not 1e-3 <= big_r <= 1.0 - 1e-3:
             continue
+        u = analysis.effective_potential(big_r)
         r2 = big_r**2
-        u = (1.0 + r2) ** 3 / ((1.0 - r2) * r2)
         f = (1.0 - r2) / (1.0 + r2) ** 3
         rdot = (xi.conjugate() * xidot).real / big_r
         worst = max(worst, abs(i1 - u * i2**2 - f * rdot**2))

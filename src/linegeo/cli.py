@@ -36,9 +36,11 @@ def _fmt(value: float) -> str:
 
 
 @contextmanager
-def _out_stream(path):
+def _out_stream(path, fallback=None):
+    """The file at ``path``, or ``fallback`` (default the current
+    ``sys.stdout``) when the path is None or "-"."""
     if path is None or path == "-":
-        yield sys.stdout
+        yield sys.stdout if fallback is None else fallback
     else:
         with open(path, "w", newline="") as fh:
             yield fh
@@ -48,11 +50,8 @@ def _write_json(obj, path, fallback=None):
     import json
 
     text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
-    if path is None or path == "-":
-        (fallback if fallback is not None else sys.stdout).write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    with _out_stream(path, fallback) as fh:
+        fh.write(text)
 
 
 def _complex_flag(values) -> complex:

@@ -67,7 +67,10 @@ class GeodesicState(Record):
     __slots__ = ("t", "xi", "xidot")
 
     def __init__(self, t: float, xi: complex, xidot: complex):
-        object.__setattr__(self, "t", float(t))
+        t = float(t)
+        if not math.isfinite(t):
+            raise DomainError(f"t must be finite, got {t!r}")
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "xi", finite_complex("xi", xi))
         object.__setattr__(self, "xidot", finite_complex("xidot", xidot))
 
@@ -128,9 +131,11 @@ def christoffel(xi: complex) -> complex:
     identically for a conformal metric of this form.
     """
     xi = finite_complex("xi", xi)
-    if abs(1.0 - (xi * xi.conjugate()).real) < DEGENERACY_TOL:
+    xb = xi.conjugate()
+    m = (xi * xb).real
+    if abs(1.0 - m) < DEGENERACY_TOL:
         raise DegeneracyError(f"metric degenerate at |xi| = 1 (xi = {xi!r})")
-    return _christoffel(xi)
+    return -xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m))
 
 
 def rhs(state: GeodesicState) -> tuple[complex, complex]:
@@ -178,8 +183,9 @@ def state_from_integrals(
     ``analysis.effective_potential``.  With I2 != 0 the
     radius must lie in the annulus [R_min, R_max] of
     ``analysis.turning_points``, so every radius that function reports
-    is a valid launch radius (with Rdot = 0 where rounding makes Rdot^2
-    slightly negative), and the two share one no-orbit threshold.
+    is a valid launch radius, and the two share one no-orbit threshold.
+    A launch at a reported radius has Rdot = 0, as at any turning point;
+    elsewhere Rdot = 0 where rounding makes Rdot^2 slightly negative.
 
     Raises
     ------
@@ -204,7 +210,8 @@ def state_from_integrals(
                 f"radius {r0} is outside the orbit annulus [{tp.R_min!r}, {tp.R_max!r}] "
                 f"for I1={i1}, I2={i2}"
             )
-        disc = i1 - effective_potential(r0) * i2 * i2
+        # at a turning radius the rounding of U(r0) would leave Rdot != 0
+        disc = 0.0 if r0 in (tp.R_min, tp.R_max) else i1 - effective_potential(r0) * i2 * i2
     r2 = r0 * r0
     f = (1.0 - r2) / (1.0 + r2) ** 3
     thetadot = i2 / (f * r2)
@@ -234,13 +241,13 @@ class Trajectory(Record):
     """
 
     __slots__ = (
-        "sphere", "t", "xi", "xidot", "integrals0", "max_drift", "termination", "_integrals",
+        "t", "xi", "xidot", "integrals0", "max_drift", "termination", "_integrals",
         "t_hit", "rejected_steps", "chart",
     )
 
-    def __init__(self, sphere, t, xi, xidot, integrals0, max_drift, termination, _integrals,
+    def __init__(self, t, xi, xidot, integrals0, max_drift, termination, _integrals,
                  t_hit=None, rejected_steps=0, chart="xi"):
-        self._init_fields(sphere, t, xi, xidot, integrals0, max_drift, termination, _integrals,
+        self._init_fields(t, xi, xidot, integrals0, max_drift, termination, _integrals,
                           t_hit, rejected_steps, chart)
 
     def __len__(self):
@@ -369,21 +376,8 @@ _FAC_MAX = 6.0
 RHS_EVALS_PER_STEP = 12
 
 
-def _christoffel(xi):
-    """Gamma^xi_xixi of the induced metric, d/dxi of ln[(1-xi xibar)/(1+xi xibar)^3].
-
-    Complex NaN exactly on the equator |xi| = 1.  The stepper inlines
-    this expression in real arithmetic, which divides by zero there.
-    """
-    xb = xi.conjugate()
-    m = (xi * xb).real
-    if m == 1.0:
-        return complex(math.nan, math.nan)
-    return -xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m))
-
-
-# The stepper's source, less its stage block and error estimates, which
-# _generate_kernel writes out from the tableau literals.
+# The stepper's source, less the code that _generate_kernel writes out
+# from the tableau literals, _rhs and _integrals.
 _KERNEL = '''\
 def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     """Adaptive Dormand-Prince 8(5,3) integration of the geodesic system.
@@ -395,9 +389,10 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     interpolation of the equator crossing 1-|xi|^2 = 0 (None unless the
     equator was reached), ``rejected`` the count of rejected attempts,
     and the first integrals at the samples, each the float that
-    ``first_integrals_arrays`` gives, from the |xi|^2 of the 13th
-    evaluation.  Each attempt evaluates the right-hand side
-    RHS_EVALS_PER_STEP times, after one evaluation at the start.
+    ``first_integrals_arrays`` gives, from the |xi|^2 of stage 1 at the
+    start and of the 13th evaluation after each step.  Each attempt
+    evaluates the right-hand side RHS_EVALS_PER_STEP times, after one
+    evaluation at the start.
 
     The error of a step is the fifth-order estimate e5 damped by the
     third-order one e3, err = h e5^2 / sqrt(e5^2 + 0.01 e3^2) / tol, both
@@ -407,13 +402,16 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     (``_FAC_MIN``, ``_SAFETY``), or by facmax when err = 0, with facmax
     6 (``_FAC_MAX``) and 1 after a rejection.  A stage exactly on the
     equator divides by zero; the attempt is then rejected and the step
-    shrinks fivefold.
+    shrinks fivefold.  A start exactly on the equator raises
+    ZeroDivisionError; ``integrate`` refuses starts in the cutoff band.
 
     ``_generate_kernel`` writes this function once per process.  The
     stages come from the tableau literals, each weight as the literal of
-    its double, which compiles to a constant, with the Christoffel symbol
-    inlined in real arithmetic: xi = a0 + i b0, xidot = a1 + i b1, and
-    stage i is (pir + i pii, qir + i qii).  Each complex product is
+    its double, which compiles to a constant.  Every right-hand side,
+    stage 1 included, is the source of ``_rhs`` (the Christoffel symbol
+    in real arithmetic) and every sample's integrals that of
+    ``_integrals``: xi = a0 + i b0, xidot = a1 + i b1, and stage i is
+    (pir + i pii, qir + i qii).  Each complex product is
     (ac - bd, ad + bc), CPython's formula and operand order, and each
     weighted sum takes its nonzero terms in tableau order; folding a
     conjugate's sign into a product (x x - y (-y) = x x + y y) is exact.
@@ -435,12 +433,9 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     # with p_i = pir + i pii and q_i = qir + i qii
     a0, b0, a1, b1 = y0.real, y0.imag, y1.real, y1.imag
     p1r, p1i = a1, b1
-    q1 = -_christoffel(y0) * y1 * y1
-    q1r, q1i = q1.real, q1.imag
-    # I1 = f |xidot|^2 and I2 = f Im(xibar xidot), f = (1-|xi|^2)/(1+|xi|^2)^3
-    m = a0 * a0 + b0 * b0
-    f = (1.0 - m) / (1.0 + m) ** 3
-    i1s, i2s = [f * (a1 * a1 + b1 * b1)], [f * (a0 * b1 - b0 * a1)]
+    {stage1}
+    i1s, i2s = [], []
+    {integrals0}
     status, t_hit, rejected = Termination.MAX_STEPS, None, 0
 
     for _ in range(max_steps):
@@ -462,10 +457,9 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
             ts.append(t)
             xis.append(complex(a0n, b0n))
             xds.append(complex(a1n, b1n))
-            s_new = 1.0 - m  # m = |xi|^2 at the new point, from the 13th evaluation
-            f = s_new / (1.0 + m) ** 3
-            i1s.append(f * (a1n * a1n + b1n * b1n))
-            i2s.append(f * (a0n * b1n - b0n * a1n))
+            # m = |xi|^2 at the new point, from the 13th evaluation
+            {integrals}
+            s_new = 1.0 - m
             if (-s_new if s_new < 0.0 else s_new) <= equator_cut:
                 s_old = 1.0 - (a0 * a0 + b0 * b0)
                 t_hit = t + s_new * (ts[-1] - ts[-2]) / (s_old - s_new)
@@ -512,6 +506,13 @@ def _rhs(x, y, pr, pi, qr, qi):
             f"{qr} = u * {pr} - v * {pi}", f"{qi} = u * {pi} + v * {pr}"]
 
 
+def _integrals(x, y, pr, pi):
+    """Source appending I1 = f |p|^2 and I2 = f Im(conj(x + i y) p), for
+    f = (1-m)/(1+m)^3 with the m that ``_rhs`` left at x + i y."""
+    return ["f = (1.0 - m) / (1.0 + m) ** 3", f"i1s.append(f * ({pr} * {pr} + {pi} * {pi}))",
+            f"i2s.append(f * ({x} * {pi} - {y} * {pr}))"]
+
+
 def _generate_kernel():
     """Compile ``geod_integrate`` from ``_KERNEL``, its stages and error
     estimates written out from the tableau literals, and register the
@@ -545,9 +546,13 @@ def _generate_kernel():
             else:
                 errors += [f"c = {mag(e + k)} / w", f"{e} = c if c > {e} else {e}"]
 
-    indent = "\n" + " " * 12
-    source = _KERNEL.format(stages=indent.join(stages), errors=indent.join(errors),
-                            safety=_SAFETY, fac_min=_FAC_MIN, fac_max=_FAC_MAX)
+    start, step = "\n    ", "\n" + " " * 12  # the indents of the kernel's start and loop
+    source = _KERNEL.format(
+        stage1=start.join(_rhs("a0", "b0", "a1", "b1", "q1r", "q1i")),
+        integrals0=start.join(_integrals("a0", "b0", "a1", "b1")),
+        integrals=step.join(_integrals("a0n", "b0n", "a1n", "b1n")),
+        stages=step.join(stages), errors=step.join(errors),
+        safety=_SAFETY, fac_min=_FAC_MIN, fac_max=_FAC_MAX)
     filename = "<linegeo.geodesics: generated geod_integrate>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
@@ -562,6 +567,9 @@ def integrate(
     initial: GeodesicState, sphere: StandardSphere, t_max: float, tol: float
 ) -> Trajectory:
     """Integrate the geodesic flow from ``initial`` until ``t_max``.
+
+    ``sphere`` must be twisting (c > 0); its c scales the induced metric
+    by a constant factor, so the flow does not depend on it.
 
     The chart is chosen once, at launch: xi for |xi0| < 1, else
     zeta = 1/xi from zeta = 1/xi0 and zetadot = -xidot0 zeta^2.  The
@@ -597,10 +605,10 @@ def integrate(
     ------
     DomainError
         If the sphere is not twisting (c <= 0), tol is not positive and
-        finite, t_max is not finite, t_max <= initial.t, the initial I1
-        or I2 is not a finite double in the run's chart, the initial
-        point sits inside the cutoff band of its chart, or I1 or I2 is
-        not finite at some sample.
+        finite, t_max is not finite, t_max <= initial.t, t_max - initial.t
+        overflows, the initial I1 or I2 is not a finite double in the
+        run's chart, the initial point sits inside the cutoff band of its
+        chart, or I1 or I2 is not finite at some sample.
     """
     if sphere.c <= 0.0:
         raise DomainError("geodesic flow requires a twisting sphere (c > 0)")
@@ -610,6 +618,8 @@ def integrate(
         raise DomainError(f"t_max must be finite, got {t_max}")
     if t_max <= initial.t:
         raise DomainError(f"t_max = {t_max} does not exceed initial time {initial.t}")
+    if not math.isfinite(t_max - initial.t):
+        raise DomainError(f"the span from t = {initial.t} to t_max = {t_max} overflows")
     z0, zdot0, chart = initial.xi, initial.xidot, "xi"
     if (z0 * z0.conjugate()).real > 1.0:  # |xi|^2, which may overflow to inf
         z0 = 1.0 / z0
@@ -639,7 +649,6 @@ def integrate(
         max([abs(i2 - i20) for i2 in i2s]) / max(i2_scale, 1e-30),
     )
     return Trajectory(
-        sphere=sphere,
         t=[t + initial.t for t in ts],
         xi=zs,
         xidot=zds,

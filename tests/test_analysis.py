@@ -142,10 +142,10 @@ def test_series_coefficients_match_taylor_coefficients():
         assert abs(c - c_exact) <= 1e-14 * abs(c_exact)
 
 
-def test_series_kernel_reports_non_convergence():
-    _, used, converged = analysis._appell_f1(0.999999, 1e-14, 50)
-    assert converged is False
-    assert used == 50
+def test_series_kernel_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(analysis, "SERIES_MAX_DIAGONALS", 50)
+    with pytest.raises(ConvergenceError, match="within 50 anti-diagonals"):
+        appell_f1_series(0.999999)
 
 
 # -- blow-up time ------------------------------------------------------------------

@@ -238,6 +238,21 @@ def test_geodesic_constant_trajectory(capsys):
     assert json.loads(err)["termination"] == "time_limit"
 
 
+def test_geodesic_output_does_not_depend_on_c(tmp_path, capsys):
+    # c > 0 only scales the induced metric by a constant, which leaves the flow alone
+    outputs = set()
+    for c in ("0.001", "1", "2"):
+        csv_path, summary_path = tmp_path / f"{c}.csv", tmp_path / f"{c}.json"
+        code, _, _ = run_cli(
+            capsys, "geodesic", "--c", c, "--xi", "0", "0.3", "--xidot", "0.5", "-0.2",
+            "--t-max", "5", "--tol", "1e-10", "--output", str(csv_path),
+            "--summary", str(summary_path),
+        )
+        assert code == 0
+        outputs.add((csv_path.read_bytes(), summary_path.read_bytes()))
+    assert len(outputs) == 1
+
+
 def test_geodesic_polar_input(capsys):
     code, out, err = run_cli(
         capsys, "geodesic", "--polar", "0.4", "0", "0.2", "1.2", "--t-max", "1"

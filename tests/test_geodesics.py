@@ -170,6 +170,18 @@ def test_state_from_integrals_inward_sign():
     assert st.to_polar().Rdot <= 0.0
 
 
+@pytest.mark.parametrize("k", [12.0, 1e4, 1e8, 1e12])
+def test_state_from_integrals_launches_at_a_turning_radius_at_rest_radially(k):
+    # U(r0) rounds, so I1 - U(r0) I2^2 at a reported turning radius is not
+    # exactly 0, and near the equator Rdot = sqrt(disc/f) magnifies that
+    tp = turning_points(k, 1.0)
+    for r0 in (tp.R_min, tp.R_max):
+        for outward in (True, False):
+            st = state_from_integrals(k, 1.0, r0, outward=outward)
+            assert st.to_polar().Rdot == 0.0
+            assert abs(st.xi) == r0
+
+
 # -- integrate --------------------------------------------------------------------
 
 
@@ -373,6 +385,22 @@ def test_integrate_preconditions():
             integrate(st, SPHERE, 1.0, bad)
 
 
+def test_a_non_finite_start_time_is_a_domain_error(monkeypatch):
+    # with the step cap a regression fails fast instead of spinning to MAX_STEPS
+    monkeypatch.setattr(geodesics, "MAX_STEPS", 50)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="t must be finite"):
+            integrate(GeodesicState(bad, 0.3, 0.1j), SPHERE, 1.0, 1e-8)
+
+
+def test_integrate_rejects_a_span_that_overflows(monkeypatch):
+    monkeypatch.setattr(geodesics, "MAX_STEPS", 50)
+    with pytest.raises(DomainError, match="overflows"):
+        integrate(GeodesicState(-1e308, 0.3, 0.1j), SPHERE, 1e308, 1e-8)
+    with pytest.raises(DomainError, match="t_max must be finite"):
+        integrate(GeodesicState(-1e308, 0.3, 0.1j), SPHERE, math.inf, 1e-8)
+
+
 def test_integrate_nonzero_start_time():
     st = GeodesicState(2.0, 0.2, 0.5j)
     traj = integrate(st, SPHERE, 3.0, 1e-8)
@@ -441,7 +469,14 @@ def test_dop853_tableau_order_conditions():
 
 
 def reference_rhs(xi, xidot):
-    return xidot, -geodesics._christoffel(xi) * xidot * xidot
+    """rhs on complex scalars in the operation order of ``rhs``,
+    -christoffel(xi) xidot^2 with christoffel = -xibar (1/(1-m) + 3/(1+m)),
+    and a complex NaN exactly on the equator m = |xi|^2 = 1."""
+    xb = xi.conjugate()
+    m = (xi * xb).real
+    if m == 1.0:
+        return xidot, complex(math.nan, math.nan)
+    return xidot, -(-xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m))) * xidot * xidot
 
 
 def weighted_sum(weights, stages, part):
@@ -653,6 +688,12 @@ def test_kernel_weights_are_compiled_constants():
     weights = [v for name, v in vars(geodesics).items() if tableau.fullmatch(name)]
     assert len(weights) == 72
     assert set(weights) <= set(code.co_consts)
+
+
+def test_kernel_calls_no_python_helper():
+    # every rhs evaluation, stage 1 included, is generated inline
+    assert "_christoffel" not in geodesics.geod_integrate.__code__.co_names
+    assert not hasattr(geodesics, "_christoffel")
 
 
 def test_kernel_source_is_the_generated_text():
