@@ -7,10 +7,10 @@ level once ``logging`` is loaded (the CLI loads it when ``GEODESIC_LOG``
 is set).
 """
 
-import cmath
-import math
 import random
 import sys
+from cmath import rect
+from math import hypot, log, pi, sqrt
 
 from . import analysis, geodesics, line_space, sections
 from .errors import DomainError, Record
@@ -43,8 +43,8 @@ class CheckResult(Record):
 def _normal_pair(rng):
     """A complex number with independent standard normal parts, by one
     Box-Muller draw: a Rayleigh modulus at a uniform angle."""
-    modulus = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
-    return cmath.rect(modulus, 2.0 * math.pi * rng.random())
+    draw = rng.random
+    return rect(sqrt(-2.0 * log(1.0 - draw())), 2.0 * pi * draw())
 
 
 def _random_motion(rng):
@@ -53,19 +53,16 @@ def _random_motion(rng):
     return Rotation(_normal_pair(rng), _normal_pair(rng))
 
 
-def _random_tangent(rng, base):
-    return TangentVector(base, _normal_pair(rng), _normal_pair(rng))
-
-
 def _pairing_scale(u, v):
     """Size of the terms the metric and the symplectic form sum before
     they cancel: 2(1+4|xi||eta|/(1+|xi|^2)) |u| |v| / (1+|xi|^2)^2.
     A near-cancelling pairing has |result| far below its rounding error,
     which scales with this size instead."""
-    pp = 1.0 + abs(u.base.xi) ** 2
-    norm_u = math.hypot(abs(u.dxi), abs(u.deta))
-    norm_v = math.hypot(abs(v.dxi), abs(v.deta))
-    twist = 4.0 * abs(u.base.xi) * abs(u.base.eta) / pp
+    r = abs(u.base.xi)
+    pp = 1.0 + r**2
+    norm_u = hypot(abs(u.dxi), abs(u.deta))
+    norm_v = hypot(abs(v.dxi), abs(v.deta))
+    twist = 4.0 * r * abs(u.base.eta) / pp
     return 2.0 * (1.0 + twist) * norm_u * norm_v / pp**2
 
 
@@ -76,8 +73,8 @@ def _invariance_checks(samples, rng, threshold):
     worst_g = worst_w = 0.0
     for _ in range(samples):
         base = ComplexPair(_normal_pair(rng), _normal_pair(rng))
-        u = _random_tangent(rng, base)
-        v = _random_tangent(rng, base)
+        u = TangentVector(base, _normal_pair(rng), _normal_pair(rng))
+        v = TangentVector(base, _normal_pair(rng), _normal_pair(rng))
         m = _random_motion(rng)
         pu, pv = push(m, u), push(m, v)
         scale = _pairing_scale(u, v)
@@ -94,7 +91,7 @@ def sample_orbit_state(rng, max_ratio=60.0):
     with the orbit annulus kept away from the degenerate equator."""
     while True:
         big_r = rng.uniform(0.15, 0.8)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
+        theta = rng.uniform(0.0, 2.0 * pi)
         rdot = rng.uniform(-1.0, 1.0)
         thetadot = rng.uniform(-2.0, 2.0)
         state = geodesics.PolarState(big_r, theta, rdot, thetadot).to_state()
@@ -148,7 +145,7 @@ def _energy_identity_check(tol, t_span, rng, threshold):
         if not 1e-3 <= big_r <= 1.0 - 1e-3:
             continue
         u = analysis.effective_potential(big_r)
-        r2 = big_r**2
+        r2 = big_r * big_r
         f = (1.0 - r2) / (1.0 + r2) ** 3
         rdot = (xi.conjugate() * xidot).real / big_r
         worst = max(worst, abs(i1 - u * i2**2 - f * rdot**2))
@@ -175,7 +172,7 @@ def _normalization_check(samples, rng, threshold_resid, threshold_inv):
             abs(moved.beta2.real),
             abs(moved.beta2.imag - cert.result.c),
         )
-        invariant = math.sqrt(
+        invariant = sqrt(
             sec.beta2.imag ** 2 + abs(sec.beta1 + sec.beta3.conjugate()) ** 2
         )
         worst_inv = max(worst_inv, abs(cert.result.c - invariant))

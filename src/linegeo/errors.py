@@ -50,22 +50,26 @@ def finite_complex(name, value) -> complex:
 class Record:
     """Base of the value types: an immutable record of named fields.
 
-    A subclass names its fields in ``__slots__``; its ``__init__``
-    validates, then sets each field once with ``object.__setattr__``
-    (directly, or through ``_init_fields``).  Records compare, hash and
-    print by type and field values, and copies and pickles are rebuilt
-    from those values without validation.
+    A subclass names its fields in ``__slots__``, whose setters are bound
+    once per class as ``_setters``.  Its ``__init__`` validates (one
+    finiteness test for all fields; ``finite_complex`` names the first bad
+    one), then sets each field once through its setter, directly or via
+    ``_init_fields``.  Records compare, hash and print by type and field
+    values; copies and pickles are rebuilt from those without validation.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
 
     def _values(self):
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def _init_fields(self, *values):
         """Set every field once, in ``__slots__`` order."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")

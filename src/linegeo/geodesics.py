@@ -37,7 +37,6 @@ import math
 from collections.abc import Sequence
 
 from .errors import DegeneracyError, DomainError, Record, finite_complex
-from .sections import StandardSphere
 
 #: integration stops once |1 - |xi|^2| falls below this
 EQUATOR_CUTOFF = 1e-8
@@ -564,7 +563,7 @@ geod_integrate = _generate_kernel()
 
 
 def integrate(
-    initial: GeodesicState, sphere: StandardSphere, t_max: float, tol: float
+    initial: GeodesicState, sphere: "sections.StandardSphere", t_max: float, tol: float
 ) -> Trajectory:
     """Integrate the geodesic flow from ``initial`` until ``t_max``.
 

@@ -13,6 +13,8 @@ All functions are pure and all types immutable ``errors.Record``s;
 concurrent use needs no locking.
 """
 
+from cmath import inf, isfinite
+
 from .errors import ChartExitError, DomainError, Record, finite_complex
 
 #: |xi| beyond this is treated as having left the chart
@@ -28,8 +30,13 @@ class ComplexPair(Record):
     __slots__ = ("xi", "eta")
 
     def __init__(self, xi: complex, eta: complex):
-        object.__setattr__(self, "xi", finite_complex("xi", xi))
-        object.__setattr__(self, "eta", finite_complex("eta", eta))
+        xi, eta = complex(xi), complex(eta)
+        if not (isfinite(xi) and isfinite(eta)):
+            finite_complex("xi", xi)
+            finite_complex("eta", eta)
+        set_xi, set_eta = self._setters
+        set_xi(self, xi)
+        set_eta(self, eta)
 
 
 class Translation(Record):
@@ -39,30 +46,45 @@ class Translation(Record):
     __slots__ = ("alpha1", "a1")
 
     def __init__(self, alpha1: complex, a1: float):
-        a1 = finite_complex("a1", a1)
-        if a1.imag != 0.0:
-            raise DomainError("translation component a1 must be real")
-        object.__setattr__(self, "alpha1", finite_complex("alpha1", alpha1))
-        object.__setattr__(self, "a1", a1.real)
+        a1, alpha1 = complex(a1), complex(alpha1)
+        if not (isfinite(a1) and a1.imag == 0.0 and isfinite(alpha1)):
+            finite_complex("a1", a1)
+            if a1.imag != 0.0:
+                raise DomainError("translation component a1 must be real")
+            finite_complex("alpha1", alpha1)
+        set_alpha1, set_a1 = self._setters
+        set_alpha1(self, alpha1)
+        set_a1(self, a1.real)
 
 
 class Rotation(Record):
     """Euclidean rotation, parameterised by a unit spinor (alpha2, alpha3).
 
-    The pair is normalised to |alpha2|^2 + |alpha3|^2 = 1 at construction.
+    The pair is normalised to |alpha2|^2 + |alpha3|^2 = 1 at construction,
+    after division by its largest component if that sum overflows.
     """
 
     __slots__ = ("alpha2", "alpha3")
 
     def __init__(self, alpha2: complex, alpha3: complex):
-        a2 = finite_complex("alpha2", alpha2)
-        a3 = finite_complex("alpha3", alpha3)
-        n = abs(a2) ** 2 + abs(a3) ** 2
-        if n < 1e-12:
+        a2, a3 = complex(alpha2), complex(alpha3)
+        if not (isfinite(a2) and isfinite(a3)):
+            finite_complex("alpha2", a2)
+            finite_complex("alpha3", a3)
+        try:
+            n = abs(a2) ** 2 + abs(a3) ** 2
+        except OverflowError:
+            n = inf
+        if n == inf:
+            big = max(abs(a2.real), abs(a2.imag), abs(a3.real), abs(a3.imag))
+            a2, a3 = a2 / big, a3 / big
+            n = abs(a2) ** 2 + abs(a3) ** 2
+        elif n < 1e-12:
             raise DomainError("rotation spinor is numerically zero")
         scale = n ** -0.5
-        object.__setattr__(self, "alpha2", a2 * scale)
-        object.__setattr__(self, "alpha3", a3 * scale)
+        set_alpha2, set_alpha3 = self._setters
+        set_alpha2(self, a2 * scale)
+        set_alpha3(self, a3 * scale)
 
 
 class TangentVector(Record):
@@ -72,9 +94,14 @@ class TangentVector(Record):
     __slots__ = ("base", "dxi", "deta")
 
     def __init__(self, base: ComplexPair, dxi: complex, deta: complex):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "dxi", finite_complex("dxi", dxi))
-        object.__setattr__(self, "deta", finite_complex("deta", deta))
+        dxi, deta = complex(dxi), complex(deta)
+        if not (isfinite(dxi) and isfinite(deta)):
+            finite_complex("dxi", dxi)
+            finite_complex("deta", deta)
+        set_base, set_dxi, set_deta = self._setters
+        set_base(self, base)
+        set_dxi(self, dxi)
+        set_deta(self, deta)
 
 
 def apply_translation(m: Translation, p: ComplexPair) -> ComplexPair:
@@ -148,20 +175,15 @@ def compose_rotations(outer: Rotation, inner: Rotation) -> Rotation:
     return Rotation(p * r - q * s.conjugate(), p * s + q * r.conjugate())
 
 
-def _check_same_base(u: TangentVector, v: TangentVector):
-    if u.base.xi != v.base.xi or u.base.eta != v.base.eta:
-        raise DomainError(
-            f"tangent vectors live at different points: {u.base!r} vs {v.base!r}"
-        )
-
-
 def _pairing(u: TangentVector, v: TangentVector) -> complex:
     # the Hermitian pairing h whose real and imaginary parts are the
     # symplectic form and the metric:
     # h = [deta_u conj(dxi_v) - conj(deta_v) dxi_u
     #      + i 4 Im(xi conj(eta))/(1+|xi|^2) dxi_u conj(dxi_v)] / (1+|xi|^2)^2
-    _check_same_base(u, v)
-    xi, eta = u.base.xi, u.base.eta
+    base, v_base = u.base, v.base
+    if base is not v_base and (base.xi != v_base.xi or base.eta != v_base.eta):
+        raise DomainError(f"tangent vectors live at different points: {base!r} vs {v_base!r}")
+    xi, eta = base.xi, base.eta
     pp = 1.0 + (xi * xi.conjugate()).real
     twist = 4.0 * (xi * eta.conjugate()).imag / pp
     dxi_vb = v.dxi.conjugate()

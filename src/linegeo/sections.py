@@ -11,6 +11,7 @@ metric degenerates as well.
 """
 
 import math
+from cmath import isfinite
 
 from .errors import DomainError, Record, finite_complex
 from .line_space import (
@@ -33,8 +34,14 @@ class QuadraticSection(Record):
     __slots__ = ("beta1", "beta2", "beta3")
 
     def __init__(self, beta1: complex, beta2: complex, beta3: complex):
-        for name, value in zip(self.__slots__, (beta1, beta2, beta3)):
-            object.__setattr__(self, name, finite_complex(name, value))
+        beta1, beta2, beta3 = complex(beta1), complex(beta2), complex(beta3)
+        if not (isfinite(beta1) and isfinite(beta2) and isfinite(beta3)):
+            for name, value in zip(self.__slots__, (beta1, beta2, beta3)):
+                finite_complex(name, value)
+        set_beta1, set_beta2, set_beta3 = self._setters
+        set_beta1(self, beta1)
+        set_beta2(self, beta2)
+        set_beta3(self, beta3)
 
 
 class StandardSphere(Record):

@@ -560,6 +560,33 @@ def test_check_reports_a_radial_run_that_stops_short(capsys, monkeypatch):
     assert triple["detail"].endswith("; radial run terminated by time_limit")
 
 
+def test_energy_identity_squares_r_as_the_potential_does(monkeypatch):
+    # at these radii R**2 != R*R; with I2 = 0 and I1 = f Rdot^2 for the
+    # f that effective_potential's rounding of R^2 gives, the residual is 0
+    from linegeo import checks
+
+    radii = [0.13654154110028494, 0.5968012891611402, 0.6217995581576036]
+    xi = [complex(r, 0.0) for r in radii]
+    xidot = [complex(0.3, 0.0)] * len(radii)
+    assert all(r**2 != r * r for r in radii)
+    i1 = []
+    for z, zdot in zip(xi, xidot):
+        r = abs(z)
+        rdot = (z.conjugate() * zdot).real / r
+        i1.append((1.0 - r * r) / (1.0 + r * r) ** 3 * rdot**2)
+
+    class Samples:
+        def integral_series(self):
+            return i1, [0.0] * len(radii)
+
+    samples = Samples()
+    samples.xi, samples.xidot = xi, xidot
+    monkeypatch.setattr(checks, "sample_orbit_state", lambda rng: None)
+    monkeypatch.setattr(geodesics, "integrate", lambda state, sphere, t_max, tol: samples)
+    result = checks._energy_identity_check(1e-10, 1.0, random.Random(0), 1e-8)
+    assert result.observed == 0.0 and result.detail == "3 samples"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -835,6 +862,16 @@ def test_cold_package_names_resolve_on_first_access():
         "assert linegeo.turning_points is linegeo.analysis.turning_points\n"
         "assert linegeo.geodesics.integrate is linegeo.integrate\n"
         "assert {'integrate', 'sections'} <= set(dir(linegeo))\n"
+    )
+    result = _python(["-c", code])
+    assert result.returncode == 0, result.stderr
+
+
+def test_cold_geodesics_import_loads_no_line_space_geometry():
+    # integrate's sphere annotation names sections lazily
+    code = (
+        "import sys, linegeo.geodesics\n"
+        "assert not {'linegeo.sections', 'linegeo.line_space'} & set(sys.modules)\n"
     )
     result = _python(["-c", code])
     assert result.returncode == 0, result.stderr

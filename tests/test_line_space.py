@@ -125,6 +125,30 @@ def test_rotation_normalised_at_construction():
         Rotation(0, 0)
 
 
+@pytest.mark.parametrize(
+    "alpha2, alpha3",
+    [(1.2e154, 1.2e154), (1e200, 0.0), (0.5j, -1e200), (1e308 + 1e308j, 1e308), (1e150, -1e308j)],
+)
+def test_rotation_normalises_a_spinor_whose_square_overflows(alpha2, alpha3):
+    rot = Rotation(alpha2, alpha3)
+    n = abs(rot.alpha2) ** 2 + abs(rot.alpha3) ** 2
+    assert abs(n - 1.0) <= 4 * math.ulp(min(n, 1.0))
+    # the same direction as the unscaled pair
+    assert cmath.isclose(rot.alpha2 * alpha3, rot.alpha3 * alpha2, rel_tol=1e-15)
+    apply_rotation(rot, ComplexPair(0.3, 0.0))
+
+
+def test_rotation_normalises_ordinary_spinors_bit_for_bit_as_before():
+    rng = np.random.default_rng(4747)
+    for _ in range(2000):
+        a2, a3 = (
+            complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-5.0, 153.0) for _ in range(2)
+        )
+        n = abs(a2) ** 2 + abs(a3) ** 2
+        rot = Rotation(a2, a3)
+        assert repr((rot.alpha2, rot.alpha3)) == repr((a2 * n**-0.5, a3 * n**-0.5))
+
+
 def test_non_finite_inputs_rejected():
     with pytest.raises(DomainError):
         ComplexPair(complex("inf"), 0)

@@ -7,6 +7,7 @@ import pytest
 
 from linegeo import (
     ComplexPair,
+    DomainError,
     FirstIntegrals,
     GeodesicState,
     NormalizationCertificate,
@@ -21,7 +22,6 @@ from linegeo import (
     TurningPoints,
     integrate,
 )
-from linegeo import line_space
 from linegeo.checks import CheckResult
 
 _TRAJ = integrate(GeodesicState(0.0, 0.3, 0.5j), StandardSphere(1.0), 0.5, 1e-8)
@@ -137,12 +137,54 @@ def test_record_repr_matches_the_dataclass_format():
 def test_copies_are_not_validated_again(monkeypatch):
     # a copy or unpickled record is rebuilt from its stored fields: no
     # constructor runs, so Rotation is not normalised a second time
-    rotation = Rotation(1.0 + 2.0j, 3.0 - 0.5j)
-    pickled = pickle.dumps(rotation)
+    records = [cls(**kwargs) for cls, kwargs, _ in RECORDS]
+    pickles = [pickle.dumps(record) for record in records]
 
-    def refuse(name, value):
-        raise AssertionError(f"{name} validated again")
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} constructed again")
 
-    monkeypatch.setattr(line_space, "finite_complex", refuse)
-    for clone in (copy.copy(rotation), copy.deepcopy(rotation), pickle.loads(pickled)):
-        assert (clone.alpha2, clone.alpha3) == (rotation.alpha2, rotation.alpha3)
+    for cls, _, _ in RECORDS:
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for record, pickled in zip(records, pickles):
+        for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickled)):
+            assert type(clone) is type(record) and clone == record
+
+
+_BASE = ComplexPair(0.3, 1.0j)
+#: the value types whose fields are complex, as (type, the fields in the
+#: order they are checked, a constructor from those fields)
+COMPLEX_RECORDS = [
+    (ComplexPair, ("xi", "eta"), ComplexPair),
+    # the real a1 is checked, and its realness, before alpha1
+    (Translation, ("a1", "alpha1"), lambda a1, alpha1: Translation(alpha1, a1)),
+    (Rotation, ("alpha2", "alpha3"), Rotation),
+    (TangentVector, ("dxi", "deta"), lambda dxi, deta: TangentVector(_BASE, dxi, deta)),
+    (QuadraticSection, ("beta1", "beta2", "beta3"), QuadraticSection),
+]
+_FIELD_CASES = [
+    pytest.param(fields, make, field, id=f"{cls.__name__}.{fields[field]}")
+    for cls, fields, make in COMPLEX_RECORDS
+    for field in range(len(fields))
+]
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"]
+)
+@pytest.mark.parametrize("fields, make, field", _FIELD_CASES)
+def test_non_finite_field_is_named(fields, make, field, bad):
+    values = [0.5] * len(fields)
+    values[field] = bad
+    with pytest.raises(DomainError) as info:
+        make(*values)
+    assert str(info.value) == f"{fields[field]} must be finite, got {complex(bad)!r}"
+    # with every later field bad as well, the first checked is still named
+    values[field:] = [complex(0.0, bad)] * (len(fields) - field)
+    with pytest.raises(DomainError) as info:
+        make(*values)
+    assert str(info.value) == f"{fields[field]} must be finite, got {complex(0.0, bad)!r}"
+
+
+def test_translation_checks_the_realness_of_a1_before_alpha1():
+    with pytest.raises(DomainError, match=r"^translation component a1 must be real$"):
+        Translation(float("nan"), 1j)
