@@ -24,18 +24,18 @@ BACKEND = "python"
 #: the re-exported names of each submodule
 _EXPORTS = {
     "analysis": (
-        "CRITICAL_RADIUS", "MIN_ORBIT_RATIO", "OscillationReport", "TurningPoints",
-        "appell_f1_series", "blowup_time", "effective_potential", "oscillation_check",
-        "potential_curve", "radial_quadrature", "series_quadrature_table", "turning_points",
+        "CRITICAL_RADIUS", "MIN_ORBIT_RATIO", "TurningPoints", "appell_f1_series",
+        "blowup_time", "effective_potential", "potential_curve", "radial_quadrature",
+        "series_quadrature_table", "turning_points",
     ),
     "errors": (
         "ChartExitError", "ConvergenceError", "DegeneracyError", "DomainError",
         "LineGeoError", "NoOrbitError",
     ),
     "geodesics": (
-        "EQUATOR_CUTOFF", "FirstIntegrals", "GeodesicState", "PolarState", "Termination",
-        "Trajectory", "christoffel", "first_integrals", "first_integrals_arrays", "integrate",
-        "rhs", "state_from_integrals", "write_csv",
+        "EQUATOR_CUTOFF", "FirstIntegrals", "GeodesicState", "OscillationReport", "PolarState",
+        "Termination", "Trajectory", "christoffel", "first_integrals", "first_integrals_arrays",
+        "integrate", "oscillation_check", "rhs", "state_from_integrals", "write_csv",
     ),
     "line_space": (
         "ComplexPair", "Rotation", "TangentVector", "Translation", "apply_motion",

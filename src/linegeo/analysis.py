@@ -12,8 +12,7 @@ U(R) = (1+R^2)^3/((1-R^2)R^2) confines the orbit to U(R) <= I1/I2^2, an
 annulus whose edges are the roots of a cubic in R^2 around the minimum
 6*sqrt(3) at R = sqrt(2-sqrt(3)), solved in closed form.
 
-Only ``oscillation_check`` imports ``geodesics`` (when called); the rest
-loads no other module of the package than ``errors``.
+The module loads no other module of the package than ``errors``.
 """
 
 import math
@@ -221,63 +220,6 @@ def turning_points(i1: float, i2: float) -> TurningPoints:
     beta = -gamma * (gamma + k - 3.0)
     x2 = (math.sqrt(max(beta * beta - 4.0 * gamma, 0.0)) - beta) / 2.0
     return TurningPoints(math.sqrt(gamma / x2), math.sqrt(x2), k)
-
-
-class OscillationReport(Record):
-    """Observed radial extremes of a trajectory against the predicted
-    annulus.  ``conclusive`` is False when the trajectory span did not
-    cover a full radial sweep, so an extreme may not have been attained."""
-
-    __slots__ = (
-        "observed_min", "observed_max", "predicted", "discrepancy_min", "discrepancy_max",
-        "radial_turnings", "conclusive",
-    )
-
-    def __init__(self, observed_min, observed_max, predicted, discrepancy_min, discrepancy_max,
-                 radial_turnings, conclusive):
-        self._init_fields(observed_min, observed_max, predicted, discrepancy_min,
-                          discrepancy_max, radial_turnings, conclusive)
-
-
-def oscillation_check(traj: "geodesics.Trajectory") -> OscillationReport:
-    """Compare a trajectory's radial extremes to the potential's roots.
-
-    Counts interior sign changes of Rdot along the samples; fewer than
-    two means the orbit has not visited both edges of the annulus and
-    the report is flagged inconclusive (a near-circular orbit with a
-    collapsed annulus is treated as conclusive directly).
-    """
-    from .geodesics import Termination
-
-    i2 = traj.integrals0.I2
-    if i2 == 0.0:
-        raise DomainError("oscillation check requires nonzero angular momentum")
-    predicted = turning_points(traj.integrals0.I1, i2)
-
-    big_r = traj.radius
-    obs_min = min(big_r)
-    obs_max = max(big_r)
-
-    # Rdot = Re(conj(xi) xidot)/R has the sign of its numerator; R > 0
-    # along orbits with I2 != 0
-    rdots = [(xi.conjugate() * xidot).real for xi, xidot in zip(traj.xi, traj.xidot)]
-    signs = [rdot > 0.0 for rdot in rdots if rdot != 0.0]
-    turnings = sum(a != b for a, b in zip(signs, signs[1:]))
-
-    collapsed = predicted.R_max - predicted.R_min < 1e-6 and obs_max - obs_min < 1e-6
-    conclusive = turnings >= 2 or collapsed
-    if traj.termination is not Termination.TIME_LIMIT:
-        conclusive = False  # the orbit was cut short by the integrator
-
-    return OscillationReport(
-        observed_min=obs_min,
-        observed_max=obs_max,
-        predicted=predicted,
-        discrepancy_min=abs(obs_min - predicted.R_min),
-        discrepancy_max=abs(obs_max - predicted.R_max),
-        radial_turnings=turnings,
-        conclusive=conclusive,
-    )
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:

@@ -30,14 +30,8 @@ class CheckResult(Record):
         return min(self.threshold / max(self.observed, 1e-300), 1e12)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "threshold": self.threshold,
-            "observed": self.observed,
-            "margin": self.margin,
-            "detail": self.detail,
-        }
+        return {name: getattr(self, name)
+                for name in ("name", "passed", "threshold", "observed", "margin", "detail")}
 
 
 def _normal_pair(rng):
@@ -86,9 +80,13 @@ def _invariance_checks(samples, rng, threshold):
             for name, worst in (("isometry_metric", worst_g), ("symplectomorphism", worst_w))]
 
 
-def sample_orbit_state(rng, max_ratio=60.0):
+#: the largest I1/I2^2 of a sampled orbit; keeps its annulus off the equator
+MAX_ORBIT_RATIO = 60.0
+
+
+def sample_orbit_state(rng):
     """A generic oscillating initial condition on the upper hemisphere,
-    with the orbit annulus kept away from the degenerate equator."""
+    with I1/I2^2 at most ``MAX_ORBIT_RATIO``."""
     while True:
         big_r = rng.uniform(0.15, 0.8)
         theta = rng.uniform(0.0, 2.0 * pi)
@@ -96,7 +94,7 @@ def sample_orbit_state(rng, max_ratio=60.0):
         thetadot = rng.uniform(-2.0, 2.0)
         state = geodesics.PolarState(big_r, theta, rdot, thetadot).to_state()
         ints = geodesics.first_integrals(state)
-        if ints.I2 != 0.0 and ints.I1 / ints.I2**2 <= max_ratio:
+        if ints.I2 != 0.0 and ints.I1 / ints.I2**2 <= MAX_ORBIT_RATIO:
             return state
 
 

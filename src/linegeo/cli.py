@@ -17,6 +17,7 @@ is imported only then or on an internal error.
 
 import argparse
 import os
+import re
 import sys
 from contextlib import contextmanager
 
@@ -29,10 +30,6 @@ def _log_info(msg, *args):
     logging = sys.modules.get("logging")
     if logging is not None:
         logging.getLogger("linegeo.cli").info(msg, *args)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 @contextmanager
@@ -54,8 +51,12 @@ def _write_json(obj, path, fallback=None):
         fh.write(text)
 
 
-def _complex_flag(values) -> complex:
-    return complex(values[0], values[1])
+def _write_csv(header, rows, path):
+    """``header``, then a line of each row's values to 17 significant digits."""
+    row = ",".join(["%.17g"] * len(header.split(","))) + "\n"
+    with _out_stream(path) as fh:
+        fh.write(header + "\n")
+        fh.writelines(row % values for values in rows)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -65,7 +66,7 @@ def cmd_normalize(args) -> int:
     from . import sections
 
     sec = sections.QuadraticSection(
-        _complex_flag(args.beta1), _complex_flag(args.beta2), _complex_flag(args.beta3)
+        complex(*args.beta1), complex(*args.beta2), complex(*args.beta3)
     )
     cert = sections.normalize(sec)
     _log_info("normalized section to c = %.17g", cert.result.c)
@@ -90,7 +91,7 @@ def _initial_state(args) -> "geodesics.GeodesicState":
     from . import geodesics
 
     if args.xi is not None:
-        return geodesics.GeodesicState(0.0, _complex_flag(args.xi), _complex_flag(args.xidot))
+        return geodesics.GeodesicState(0.0, complex(*args.xi), complex(*args.xidot))
     if args.polar is not None:
         big_r, theta, rdot, thetadot = args.polar
         return geodesics.PolarState(big_r, theta, rdot, thetadot).to_state()
@@ -140,60 +141,39 @@ def cmd_analyze(args) -> int:
     if args.what == "blowup":
         value = analysis.blowup_time(args.I1, args.r_start)
         if args.format == "json":
-            _write_json(
-                {"t_blowup": value, "I1": args.I1, "r_start": args.r_start}, args.output
-            )
+            _write_json({"t_blowup": value, "I1": args.I1, "r_start": args.r_start}, args.output)
         else:
             with _out_stream(args.output) as fh:
-                fh.write(_fmt(value) + "\n")
+                fh.write(f"{value:.17g}\n")
         return 0
 
     if args.what == "potential":
         rows = analysis.potential_curve(args.r_lo, args.r_hi, args.num)
-        with _out_stream(args.output) as fh:
-            fh.write("R,U_eff\n")
-            for big_r, u in rows:
-                fh.write(f"{_fmt(big_r)},{_fmt(u)}\n")
+        _write_csv("R,U_eff", rows, args.output)
         return 0
 
     if args.what == "turning-points":
         tp = analysis.turning_points(args.I1, args.I2)
-        _write_json(
-            {"R_min": tp.R_min, "R_max": tp.R_max, "ratio": tp.ratio}, args.output
-        )
+        _write_json({"R_min": tp.R_min, "R_max": tp.R_max, "ratio": tp.ratio}, args.output)
         return 0
 
     # series-check
     if args.num < 1:
         raise DomainError(f"need at least 1 sample, got {args.num}")
-    rs = analysis.linspace(args.r_lo, args.r_hi, args.num)
-    rows = analysis.series_quadrature_table(rs)
-    with _out_stream(args.output) as fh:
-        fh.write("R,series,quadrature,diff\n")
-        for big_r, s, q, d in rows:
-            fh.write(f"{_fmt(big_r)},{_fmt(s)},{_fmt(q)},{_fmt(d)}\n")
+    rows = analysis.series_quadrature_table(analysis.linspace(args.r_lo, args.r_hi, args.num))
+    _write_csv("R,series,quadrature,diff", rows, args.output)
     return 0
 
 
 def cmd_check(args) -> int:
     from . import checks  # only this subcommand needs the invariant suite
 
-    results = checks.run_checks(
-        samples=args.samples,
-        trajectories=args.trajectories,
-        tol=args.tol,
-        t_span=args.t_span,
-        seed=args.seed,
-    )
+    names = ("samples", "trajectories", "tol", "t_span", "seed")
+    config = {name: getattr(args, name) for name in names}
+    results = checks.run_checks(**config)
     all_passed = all(r.passed for r in results)
     report = {
-        "config": {
-            "samples": args.samples,
-            "trajectories": args.trajectories,
-            "tol": args.tol,
-            "t_span": args.t_span,
-            "seed": args.seed,
-        },
+        "config": config,
         "all_passed": all_passed,
         "checks": [r.to_dict() for r in results],
     }
@@ -251,36 +231,26 @@ def _add_geodesic(sub):
 
 def _add_analyze(sub):
     p_ana = sub.add_parser("analyze", help="radial analysis outputs")
+    p_ana.set_defaults(handler=cmd_analyze)
     ana_sub = p_ana.add_subparsers(dest="what", required=True)
 
     p_blow = ana_sub.add_parser("blowup", help="equator arrival time for radial motion")
     p_blow.add_argument("--I1", type=float, required=True)
     p_blow.add_argument("--r-start", type=float, default=0.0)
     p_blow.add_argument("--format", choices=("text", "json"), default="text")
-    p_blow.add_argument("--output")
-    p_blow.set_defaults(handler=cmd_analyze)
-
     p_pot = ana_sub.add_parser("potential", help="CSV of the effective potential")
-    p_pot.add_argument("--r-lo", type=float, default=0.05)
-    p_pot.add_argument("--r-hi", type=float, default=0.95)
-    p_pot.add_argument("--num", type=int, default=181)
-    p_pot.add_argument("--output")
-    p_pot.set_defaults(handler=cmd_analyze)
-
     p_tp = ana_sub.add_parser("turning-points", help="orbit annulus for given integrals")
     p_tp.add_argument("--I1", type=float, required=True)
     p_tp.add_argument("--I2", type=float, required=True)
-    p_tp.add_argument("--output")
-    p_tp.set_defaults(handler=cmd_analyze)
-
     p_sc = ana_sub.add_parser(
         "series-check", help="CSV comparing series and quadrature evaluations"
     )
-    p_sc.add_argument("--r-lo", type=float, default=0.05)
-    p_sc.add_argument("--r-hi", type=float, default=0.95)
-    p_sc.add_argument("--num", type=int, default=19)
-    p_sc.add_argument("--output")
-    p_sc.set_defaults(handler=cmd_analyze)
+    for p_csv, num in ((p_pot, 181), (p_sc, 19)):  # the two tables of R in [r-lo, r-hi]
+        p_csv.add_argument("--r-lo", type=float, default=0.05)
+        p_csv.add_argument("--r-hi", type=float, default=0.95)
+        p_csv.add_argument("--num", type=int, default=num)
+    for p in (p_blow, p_pot, p_tp, p_sc):
+        p.add_argument("--output")
 
 
 def _add_check(sub):
@@ -303,11 +273,20 @@ _SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes "-" or "-." and a digit for a number, -1e-3 included, which
+    argparse on Python 3.11 took for an option; its subparsers share it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The command-line parser: with ``command`` a subcommand's name, the
     parser of that subcommand alone, which parses its command lines as
     the full parser does; otherwise the parsers of all of them."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linegeo",
         description="Geometry of oriented-line space and geodesics on twisting spheres.",
     )

@@ -27,7 +27,8 @@ in as constants, and it returns the first integrals at every sample.
 count of rejected steps.  All value types here are immutable
 ``errors.Record``s; a trajectory's sample lists are not copied and are
 read-only by convention.  The closed forms of the radial motion (travel
-time, effective potential, turning radii) are in ``analysis``.
+time, effective potential, turning radii) are in ``analysis``;
+``oscillation_check`` compares a trajectory's radial extremes with them.
 """
 
 import cmath
@@ -282,6 +283,62 @@ class Trajectory(Record):
             "rejected_steps": self.rejected_steps,
             "rhs_evals": 1 + RHS_EVALS_PER_STEP * (accepted + self.rejected_steps),
         }
+
+
+class OscillationReport(Record):
+    """Observed radial extremes of a trajectory against the predicted
+    annulus.  ``conclusive`` is False when the trajectory span did not
+    cover a full radial sweep, so an extreme may not have been attained."""
+
+    __slots__ = (
+        "observed_min", "observed_max", "predicted", "discrepancy_min", "discrepancy_max",
+        "radial_turnings", "conclusive",
+    )
+
+    def __init__(self, observed_min, observed_max, predicted, discrepancy_min, discrepancy_max,
+                 radial_turnings, conclusive):
+        self._init_fields(observed_min, observed_max, predicted, discrepancy_min,
+                          discrepancy_max, radial_turnings, conclusive)
+
+
+def oscillation_check(traj: Trajectory) -> OscillationReport:
+    """Compare a trajectory's radial extremes to the potential's roots.
+
+    Counts interior sign changes of Rdot along the samples; fewer than
+    two means the orbit has not visited both edges of the annulus and
+    the report is flagged inconclusive (a near-circular orbit with a
+    collapsed annulus is treated as conclusive directly).
+    """
+    from .analysis import turning_points
+
+    i2 = traj.integrals0.I2
+    if i2 == 0.0:
+        raise DomainError("oscillation check requires nonzero angular momentum")
+    predicted = turning_points(traj.integrals0.I1, i2)
+
+    big_r = traj.radius
+    obs_min, obs_max = min(big_r), max(big_r)
+
+    # Rdot = Re(conj(xi) xidot)/R has the sign of its numerator; R > 0
+    # along orbits with I2 != 0
+    rdots = [(xi.conjugate() * xidot).real for xi, xidot in zip(traj.xi, traj.xidot)]
+    signs = [rdot > 0.0 for rdot in rdots if rdot != 0.0]
+    turnings = sum(a != b for a, b in zip(signs, signs[1:]))
+
+    collapsed = predicted.R_max - predicted.R_min < 1e-6 and obs_max - obs_min < 1e-6
+    conclusive = turnings >= 2 or collapsed
+    if traj.termination is not Termination.TIME_LIMIT:
+        conclusive = False  # the orbit was cut short by the integrator
+
+    return OscillationReport(
+        observed_min=obs_min,
+        observed_max=obs_max,
+        predicted=predicted,
+        discrepancy_min=abs(obs_min - predicted.R_min),
+        discrepancy_max=abs(obs_max - predicted.R_max),
+        radial_turnings=turnings,
+        conclusive=conclusive,
+    )
 
 
 # -- the adaptive stepper -----------------------------------------------------
@@ -665,10 +722,6 @@ def integrate(
 #: its coordinate columns zeta_re, zeta_im, zetadot_re and zetadot_im
 CSV_HEADER = "t,R,theta,xi_re,xi_im,xidot_re,xidot_im,I1,I2"
 
-
-#: rows formatted and written at a time; bounds what the export holds
-CSV_CHUNK_ROWS = 1024
-
 _CSV_ROW = ",".join(["%.17g"] * 9) + "\n"
 
 
@@ -679,16 +732,13 @@ def write_csv(traj: Trajectory, stream):
     ``CSV_HEADER``, every value to 17 significant digits (round-trips).
     R, theta and the coordinate columns are those of the trajectory's
     chart, which the header names; I1 and I2 are in the xi sense.
-    Rows are formatted and written a chunk at a time, R and theta
-    included, so the export never holds a copy of the whole table.
+    Each row is formatted as the stream takes it, R and theta included,
+    so the export never holds a copy of the table.
     """
     i1s, i2s = traj.integral_series()
     phase = cmath.phase
     stream.write(CSV_HEADER.replace("xi", traj.chart) + "\n")
-    for lo in range(0, len(traj), CSV_CHUNK_ROWS):
-        hi = lo + CSV_CHUNK_ROWS
-        rows = zip(traj.t[lo:hi], traj.xi[lo:hi], traj.xidot[lo:hi], i1s[lo:hi], i2s[lo:hi])
-        stream.write("".join([
-            _CSV_ROW % (t, abs(xi), phase(xi), xi.real, xi.imag, xidot.real, xidot.imag, i1, i2)
-            for t, xi, xidot, i1, i2 in rows
-        ]))
+    stream.writelines(
+        _CSV_ROW % (t, abs(xi), phase(xi), xi.real, xi.imag, xidot.real, xidot.imag, i1, i2)
+        for t, xi, xidot, i1, i2 in zip(traj.t, traj.xi, traj.xidot, i1s, i2s)
+    )

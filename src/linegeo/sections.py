@@ -136,10 +136,35 @@ def normalize(s: QuadraticSection) -> NormalizationCertificate:
         xi0 = (c - sqrt(c^2 + 4 |gamma|^2)) / (2 i conj(gamma))
 
     removes the constant and quadratic parts, leaving
-    eta = sqrt(c^2 + 4 |gamma|^2) i xi.  If gamma vanishes the rotation
-    is the identity, except that a negative c is flipped by a half-turn
-    about a horizontal axis so the result always has c >= 0.
+    eta = sqrt(c^2 + 4 |gamma|^2) i xi; where |xi0|^2 overflows, its
+    spinor (1, -xi0) is scaled by 2 |gamma| / (c_final - c) before it is
+    formed.  If gamma vanishes the rotation is the identity, except that
+    a negative c is flipped by a half-turn about a horizontal axis so the
+    result always has c >= 0.
+
+    If a step overflows, the section is normalised scaled by 2^(500-e),
+    2^e just above its largest part, and alpha1, gamma and c scaled back
+    (the rotation is scale-free), exactly unless a part of beta1 or beta3
+    is below 2^(e-1522).  DomainError if c exceeds the largest double.
     """
+    try:
+        return _normalize(s, GAMMA_TOL)
+    except DomainError:  # s is finite, so a step overflowed
+        pass
+    e = math.frexp(max(abs(x) for b in (s.beta1, s.beta2, s.beta3) for x in (b.real, b.imag)))[1]
+    down, up = 2.0 ** (500 - e), 2.0 ** (e - 500)
+    cert = _normalize(QuadraticSection(*[complex(b.real * down, b.imag * down)
+                                         for b in (s.beta1, s.beta2, s.beta3)]), GAMMA_TOL * down)
+    c, alpha1, gamma = cert.result.c * up, cert.translation.alpha1, cert.intermediate_gamma
+    if c == math.inf:
+        raise DomainError("the standard form does not fit in doubles: c overflows")
+    return NormalizationCertificate(
+        Translation(complex(alpha1.real * up, alpha1.imag * up), s.beta2.real), cert.rotation,
+        StandardSphere(c), complex(gamma.real * up, gamma.imag * up), s.beta2.imag)
+
+
+def _normalize(s, gamma_tol):
+    """``normalize`` on the coefficients as given, ``gamma_tol`` for GAMMA_TOL."""
     translation = Translation(
         0.5 * (s.beta3.conjugate() - s.beta1),
         s.beta2.real,  # (conj(beta2) + beta2)/2
@@ -147,11 +172,16 @@ def normalize(s: QuadraticSection) -> NormalizationCertificate:
     gamma = 0.5 * (s.beta1 + s.beta3.conjugate())
     c_mid = s.beta2.imag
     c_final = math.sqrt(c_mid * c_mid + 4.0 * (gamma * gamma.conjugate()).real)
+    if c_final == math.inf:  # normalize runs again at a smaller scale
+        raise DomainError("c^2 + 4 |gamma|^2 overflows")
 
-    if abs(gamma) > GAMMA_TOL:
+    if abs(gamma) > gamma_tol:
         xi0 = (c_mid - c_final) / (2.0j * gamma.conjugate())
         norm = (1.0 + (xi0 * xi0.conjugate()).real) ** -0.5
-        rotation = Rotation(norm, -xi0 * norm)
+        if norm > 0.0:
+            rotation = Rotation(norm, -xi0 * norm)
+        else:  # xi0 or |xi0|^2 overflows: (1, -xi0) times 2|gamma|/(c_final - c)
+            rotation = Rotation(2.0 * abs(gamma) / (c_final - c_mid), -1j * gamma / abs(gamma))
     elif c_mid < 0.0:
         rotation = _HALF_TURN  # c_final = sqrt(c_mid^2) = -c_mid already
     else:

@@ -67,6 +67,43 @@ def test_normalize_output_file(tmp_path, capsys):
     assert abs(cert["result"]["c"] - math.sqrt(2.0)) < 1e-12  # c = sqrt(4|gamma|^2), gamma=(1+i)/2
 
 
+@pytest.mark.parametrize(
+    "beta1, beta2", [(("1e155", "0"), ("0", "1")), (("0", "0"), ("0", "1e155"))]
+)
+def test_normalize_a_section_whose_c_squared_overflows(capsys, beta1, beta2):
+    code, out, err = run_cli(
+        capsys, "normalize", "--beta1", *beta1, "--beta2", *beta2, "--beta3", "0", "0"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["c"] == 1e155
+
+
+def test_normalize_a_standard_form_beyond_doubles_exit_3(capsys):
+    # c = sqrt(1e616 + 4 (1e308)^2) exceeds the largest double
+    code, out, err = run_cli(
+        capsys, "normalize", "--beta1", "1e308", "0", "--beta2", "0", "1", "--beta3", "1e308", "0"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("linegeo: the standard form does not fit in doubles")
+
+
+def test_negative_numbers_in_exponent_form_are_values(capsys):
+    # the CSV writes small values as -1.0000000000000001e-05; argparse on
+    # some supported Pythons took that form for an option
+    for exponent_form, plain in [
+        (["geodesic", "--xi", "0.1", "0", "--xidot", "-1e-3", "0", "--t-max", "0.1"],
+         ["geodesic", "--xi", "0.1", "0", "--xidot", "-0.001", "0", "--t-max", "0.1"]),
+        (["analyze", "turning-points", "--I1", "20", "--I2", "-1e-0"],
+         ["analyze", "turning-points", "--I1", "20", "--I2", "-1"]),
+    ]:
+        got = run_cli(capsys, *exponent_form)
+        assert got[0] == 0
+        assert got == run_cli(capsys, *plain)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "turning-points", "--I1", "20", "--I2", "-1e-0", "--bogus"])
+    assert exc.value.code == 2
+
+
 def test_malformed_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["normalize", "--beta1", "oops", "0", "--beta2", "0", "0", "--beta3", "0", "0"])

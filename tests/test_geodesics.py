@@ -30,7 +30,7 @@ from linegeo import (
     write_csv,
 )
 from linegeo import geodesics
-from linegeo.geodesics import CSV_CHUNK_ROWS, CSV_HEADER, EQUATOR_CUTOFF, MIN_STEP
+from linegeo.geodesics import CSV_HEADER, EQUATOR_CUTOFF, MIN_STEP
 from oracles import DOP853_A, DOP853_B, DOP853_BHH, DOP853_E5
 
 RNG = np.random.default_rng(91003)
@@ -724,7 +724,6 @@ def reference_csv(traj):
 
 def test_csv_bytes_match_per_value_formatting():
     long_traj = integrate(state_from_integrals(0.6, 0.16, 0.5), SPHERE, 80.0, 1e-10)
-    assert len(long_traj) > 2 * CSV_CHUNK_ROWS and len(long_traj) % CSV_CHUNK_ROWS != 0
     short_traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 1e-3, 1e-10)
     assert len(short_traj) == 2
     for traj in (long_traj, short_traj):
@@ -735,6 +734,26 @@ def test_csv_bytes_match_per_value_formatting():
         got = buf.getvalue().splitlines(keepends=True)
         assert got == reference_csv(traj).splitlines(keepends=True)
 
+
+class _WriteLog(io.StringIO):
+    """A text buffer that records the text of each ``write`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_csv_is_written_at_most_one_row_per_write():
+    # the export streams its rows: no call passes the stream more than one
+    traj = integrate(state_from_integrals(0.6, 0.16, 0.5), SPHERE, 20.0, 1e-10)
+    log = _WriteLog()
+    write_csv(traj, log)
+    assert log.getvalue() == reference_csv(traj)
+    assert max(text.count("\n") for text in log.writes) == 1
 
 
 def test_csv_schema_and_round_trip():

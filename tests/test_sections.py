@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -152,6 +153,47 @@ def test_normalize_total_on_degenerate_inputs():
     assert normalize(QuadraticSection(0, 0, 0)).result.c == 0.0
     cert = normalize(QuadraticSection(1e-14, 1j * 1e-14, 0))  # below gamma cutoff
     assert cert.result.c >= 0.0
+
+
+@pytest.mark.parametrize("sec", [
+    QuadraticSection(1e155, 1j, 0),  # c^2 + 4|gamma|^2 overflows
+    QuadraticSection(0, 1e155j, 0),
+    QuadraticSection(1e308, 1j, -1e308),  # conj(beta3) - beta1 overflows
+    QuadraticSection(2e-5, -1e150j, 0),  # |xi0|^2 overflows
+    QuadraticSection(2e-13, -1e300j, 0),  # xi0 overflows
+], ids=repr)
+def test_normalize_a_section_on_which_a_step_overflows(sec):
+    cert = normalize(sec)
+    c = cert.result.c
+    assert c == pytest.approx(math.hypot(sec.beta2.imag, abs(sec.beta1 + sec.beta3.conjugate())),
+                              rel=1e-15)
+    moved = transform_section(transform_section(sec, cert.translation), cert.rotation)
+    assert max(abs(moved.beta1), abs(moved.beta3), abs(moved.beta2 - 1j * c)) <= 1e-15 * c
+
+
+def _scaled(z, j):
+    return complex(math.ldexp(z.real, j), math.ldexp(z.imag, j))
+
+
+def test_normalize_commutes_with_power_of_two_scaling():
+    # alpha1, a1, gamma and both c's are linear in the section and the
+    # rotation is scale-free, so scaling by 2^j moves only exponents, also
+    # where c^2 + 4|gamma|^2 overflows (2^600 and up) and normalize reruns
+    # at a smaller scale
+    rng = random.Random(4711)
+    for _ in range(100):
+        sec = QuadraticSection(*[complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+                                 for _ in range(3)])
+        cert = normalize(sec)
+        for j in (300, 600, 1015):
+            big = normalize(QuadraticSection(*[_scaled(b, j) for b in (sec.beta1, sec.beta2,
+                                                                        sec.beta3)]))
+            assert big.rotation == cert.rotation
+            assert big.translation.alpha1 == _scaled(cert.translation.alpha1, j)
+            assert big.translation.a1 == math.ldexp(cert.translation.a1, j)
+            assert big.result.c == math.ldexp(cert.result.c, j)
+            assert big.intermediate_gamma == _scaled(cert.intermediate_gamma, j)
+            assert big.intermediate_c == math.ldexp(cert.intermediate_c, j)
 
 
 # -- induced structures on the standard sphere ---------------------------------
