@@ -70,9 +70,7 @@ class GeodesicState(Record):
         t = float(t)
         if not math.isfinite(t):
             raise DomainError(f"t must be finite, got {t!r}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "xi", finite_complex("xi", xi))
-        object.__setattr__(self, "xidot", finite_complex("xidot", xidot))
+        self._init_fields(t, finite_complex("xi", xi), finite_complex("xidot", xidot))
 
     @property
     def radius(self) -> float:
@@ -94,13 +92,15 @@ class PolarState(Record):
     __slots__ = ("R", "theta", "Rdot", "thetadot", "t")
 
     def __init__(self, R: float, theta: float, Rdot: float, thetadot: float, t: float = 0.0):
+        values = []
         for name, v in zip(self.__slots__, (R, theta, Rdot, thetadot, t)):
             v = float(v)
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        if self.R < 0.0:
-            raise DomainError(f"radius must be >= 0, got {self.R}")
+            values.append(v)
+        if values[0] < 0.0:
+            raise DomainError(f"radius must be >= 0, got {values[0]}")
+        self._init_fields(*values)
 
     def to_state(self) -> GeodesicState:
         phase = cmath.exp(1j * self.theta)
@@ -119,8 +119,7 @@ class FirstIntegrals(Record):
             raise DomainError(
                 f"first integrals must be finite doubles, got I1 = {I1!r}, I2 = {I2!r}"
             )
-        object.__setattr__(self, "I1", I1)
-        object.__setattr__(self, "I2", I2)
+        self._init_fields(I1, I2)
 
 
 def christoffel(xi: complex) -> complex:

@@ -19,13 +19,8 @@ from .line_space import (
     Rotation,
     TangentVector,
     Translation,
-    compose_rotations,
     metric,
 )
-
-#: below this, the post-translation constant coefficient is treated as zero
-#: and no rotation is needed
-GAMMA_TOL = 1e-13
 
 
 class QuadraticSection(Record):
@@ -54,7 +49,7 @@ class StandardSphere(Record):
         c = float(c)
         if not math.isfinite(c) or c < 0.0:
             raise DomainError(f"standard-form coefficient must be finite and >= 0, got {c!r}")
-        object.__setattr__(self, "c", c)
+        self._init_fields(c)
 
     def as_section(self) -> QuadraticSection:
         return QuadraticSection(0.0, 1j * self.c, 0.0)
@@ -121,6 +116,7 @@ def transform_section(s: QuadraticSection, motion) -> QuadraticSection:
     raise DomainError(f"not a Euclidean motion: {motion!r}")
 
 
+_IDENTITY = Rotation(1.0, 0.0)
 _HALF_TURN = Rotation(0.0, 1.0)  # maps eta = c i xi to eta = -c i xi
 
 
@@ -129,76 +125,47 @@ def normalize(s: QuadraticSection) -> NormalizationCertificate:
 
     The translation with alpha1 = (conj(beta3) - beta1)/2 and
     a1 = Re(beta2) reduces the section to
-    eta = gamma + c i xi + conj(gamma) xi^2 with gamma =
-    (beta1 + conj(beta3))/2 and c = Im(beta2).  If gamma is nonzero, the
-    rotation built from the direction
+    eta = gamma + c_mid i xi + conj(gamma) xi^2 with gamma =
+    (beta1 + conj(beta3))/2 and c_mid = Im(beta2).  The rotation with
+    spinor (1, -xi0), xi0 = (c_mid - c)/(2 i conj(gamma)), then leaves
+    eta = c i xi with c = sqrt(c_mid^2 + 4 |gamma|^2).  Rescaled, that
+    spinor is (c_mid + c, -2 i gamma), or (2 |gamma|,
+    -i (gamma/|gamma|)(c - c_mid)) when c_mid < 0, so that no sum
+    cancels; if gamma vanishes the rotation is the identity, or a
+    half-turn about a horizontal axis when c_mid < 0.
 
-        xi0 = (c - sqrt(c^2 + 4 |gamma|^2)) / (2 i conj(gamma))
-
-    removes the constant and quadratic parts, leaving
-    eta = sqrt(c^2 + 4 |gamma|^2) i xi; where |xi0|^2 overflows, its
-    spinor (1, -xi0) is scaled by 2 |gamma| / (c_final - c) before it is
-    formed.  If gamma vanishes the rotation is the identity, except that
-    a negative c is flipped by a half-turn about a horizontal axis so the
-    result always has c >= 0.
-
-    If a step overflows, the section is normalised scaled by 2^(500-e),
-    2^e just above its largest part, and alpha1, gamma and c scaled back
-    (the rotation is scale-free), exactly unless a part of beta1 or beta3
-    is below 2^(e-1522).  DomainError if c exceeds the largest double.
+    The rotation does not depend on the scale of the section, so c and
+    the spinor are formed from 2 gamma and c_mid scaled by the power of
+    two that brings the larger to unit size, and only c is scaled back:
+    no square overflows or underflows, whatever the magnitudes.
+    DomainError if c exceeds the largest double.
     """
-    try:
-        return _normalize(s, GAMMA_TOL)
-    except DomainError:  # s is finite, so a step overflowed
-        pass
-    e = math.frexp(max(abs(x) for b in (s.beta1, s.beta2, s.beta3) for x in (b.real, b.imag)))[1]
-    down, up = 2.0 ** (500 - e), 2.0 ** (e - 500)
-    cert = _normalize(QuadraticSection(*[complex(b.real * down, b.imag * down)
-                                         for b in (s.beta1, s.beta2, s.beta3)]), GAMMA_TOL * down)
-    c, alpha1, gamma = cert.result.c * up, cert.translation.alpha1, cert.intermediate_gamma
-    if c == math.inf:
-        raise DomainError("the standard form does not fit in doubles: c overflows")
-    return NormalizationCertificate(
-        Translation(complex(alpha1.real * up, alpha1.imag * up), s.beta2.real), cert.rotation,
-        StandardSphere(c), complex(gamma.real * up, gamma.imag * up), s.beta2.imag)
+    b1, b2, b3 = s.beta1, s.beta2, s.beta3
+    c_mid = b2.imag
+    two_gamma = b1 + b3.conjugate()  # overflows only where c does
+    e = math.frexp(max(abs(c_mid), abs(two_gamma.real), abs(two_gamma.imag)))[1]
+    m = math.ldexp(c_mid, -e)
+    g = complex(math.ldexp(two_gamma.real, -e), math.ldexp(two_gamma.imag, -e))
+    c = math.sqrt(m * m + (g.real * g.real + g.imag * g.imag))
+    try:  # ldexp overflows, or StandardSphere refuses c = inf from an infinite 2 gamma
+        result = StandardSphere(math.ldexp(c, e))
+    except (OverflowError, DomainError):
+        raise DomainError("the standard form does not fit in doubles: c overflows") from None
 
-
-def _normalize(s, gamma_tol):
-    """``normalize`` on the coefficients as given, ``gamma_tol`` for GAMMA_TOL."""
-    translation = Translation(
-        0.5 * (s.beta3.conjugate() - s.beta1),
-        s.beta2.real,  # (conj(beta2) + beta2)/2
-    )
-    gamma = 0.5 * (s.beta1 + s.beta3.conjugate())
-    c_mid = s.beta2.imag
-    c_final = math.sqrt(c_mid * c_mid + 4.0 * (gamma * gamma.conjugate()).real)
-    if c_final == math.inf:  # normalize runs again at a smaller scale
-        raise DomainError("c^2 + 4 |gamma|^2 overflows")
-
-    if abs(gamma) > gamma_tol:
-        xi0 = (c_mid - c_final) / (2.0j * gamma.conjugate())
-        norm = (1.0 + (xi0 * xi0.conjugate()).real) ** -0.5
-        if norm > 0.0:
-            rotation = Rotation(norm, -xi0 * norm)
-        else:  # xi0 or |xi0|^2 overflows: (1, -xi0) times 2|gamma|/(c_final - c)
-            rotation = Rotation(2.0 * abs(gamma) / (c_final - c_mid), -1j * gamma / abs(gamma))
-    elif c_mid < 0.0:
-        rotation = _HALF_TURN  # c_final = sqrt(c_mid^2) = -c_mid already
+    if g == 0.0:
+        rotation = _IDENTITY if m >= 0.0 else _HALF_TURN
+    elif m >= 0.0:
+        rotation = Rotation(m + c, -1j * g)
     else:
-        rotation = Rotation(1.0, 0.0)
-
-    # guard: if the rotated linear coefficient came out negative,
-    # compose a half-turn to land in c >= 0
-    final = rotate_section(translate_section(s, translation), rotation)
-    if final.beta2.imag < 0.0:
-        rotation = compose_rotations(_HALF_TURN, rotation)
-        c_final = -final.beta2.imag
-
+        rotation = Rotation(abs(g), -1j * (g / abs(g)) * (c - m))
     return NormalizationCertificate(
-        translation=translation,
+        # halved before the subtraction, which can overflow; 1.0 * gives the
+        # zero signs of 0.5 * (conj(beta3) - beta1)
+        translation=Translation(
+            1.0 * complex(0.5 * b3.real - 0.5 * b1.real, -0.5 * b3.imag - 0.5 * b1.imag), b2.real),
         rotation=rotation,
-        result=StandardSphere(c_final),
-        intermediate_gamma=gamma,
+        result=result,
+        intermediate_gamma=0.5 * two_gamma,
         intermediate_c=c_mid,
     )
 

@@ -4,9 +4,12 @@ import cmath
 import json
 import math
 import random
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linegeo import (
     DomainError,
@@ -151,7 +154,7 @@ def test_normalize_random_sections_residuals():
 
 def test_normalize_total_on_degenerate_inputs():
     assert normalize(QuadraticSection(0, 0, 0)).result.c == 0.0
-    cert = normalize(QuadraticSection(1e-14, 1j * 1e-14, 0))  # below gamma cutoff
+    cert = normalize(QuadraticSection(1e-14, 1j * 1e-14, 0))  # a section of size 1e-14
     assert cert.result.c >= 0.0
 
 
@@ -171,6 +174,21 @@ def test_normalize_a_section_on_which_a_step_overflows(sec):
     assert max(abs(moved.beta1), abs(moved.beta3), abs(moved.beta2 - 1j * c)) <= 1e-15 * c
 
 
+@pytest.mark.parametrize("sec", [
+    QuadraticSection(0, 0, -1.1233609679946154e-268),  # c^2 + 4|gamma|^2 underflows to 0
+    QuadraticSection(1e-160, 0, 0),  # ... to a subnormal
+    QuadraticSection(6.324555320336758e-08, 7.3j, 0),  # c_mid - c cancels
+    QuadraticSection(1e-14, 1e-14j, 0),
+], ids=repr)
+def test_normalize_keeps_full_precision_at_any_scale(sec):
+    cert = normalize(sec)
+    c = cert.result.c
+    if sec.beta2 == 0:  # c = |beta1 + conj(beta3)|, a double
+        assert c == abs(sec.beta1 + sec.beta3.conjugate())
+    moved = transform_section(transform_section(sec, cert.translation), cert.rotation)
+    assert max(abs(moved.beta1), abs(moved.beta3), abs(moved.beta2 - 1j * c)) <= 1e-15 * c
+
+
 def _scaled(z, j):
     return complex(math.ldexp(z.real, j), math.ldexp(z.imag, j))
 
@@ -178,14 +196,14 @@ def _scaled(z, j):
 def test_normalize_commutes_with_power_of_two_scaling():
     # alpha1, a1, gamma and both c's are linear in the section and the
     # rotation is scale-free, so scaling by 2^j moves only exponents, also
-    # where c^2 + 4|gamma|^2 overflows (2^600 and up) and normalize reruns
-    # at a smaller scale
+    # where c^2 + 4|gamma|^2 would overflow (2^600 and up) or underflow
+    # (2^-600 and down)
     rng = random.Random(4711)
     for _ in range(100):
         sec = QuadraticSection(*[complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
                                  for _ in range(3)])
         cert = normalize(sec)
-        for j in (300, 600, 1015):
+        for j in (300, 600, 1015, -300, -600, -1000):
             big = normalize(QuadraticSection(*[_scaled(b, j) for b in (sec.beta1, sec.beta2,
                                                                         sec.beta3)]))
             assert big.rotation == cert.rotation
@@ -194,6 +212,35 @@ def test_normalize_commutes_with_power_of_two_scaling():
             assert big.result.c == math.ldexp(cert.result.c, j)
             assert big.intermediate_gamma == _scaled(cert.intermediate_gamma, j)
             assert big.intermediate_c == math.ldexp(cert.intermediate_c, j)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6))
+@example([5e-324, 0.0, 0.0, 0.0, 5e-324, 0.0])  # c = 2 gamma = 2^-1073, two subnormal steps
+@example([2.588231963885125e-309, 1.96844693824274e-309, 1.850900823135115e-308,  # 1.09 steps off
+          -4.94228513363418e-309, -2.184106563322341e-308, -3.12974309033922e-309])
+@example([1e308, 0.0, 0.0, 1.0, 1e308, 0.0])  # c = 2e308
+def test_normalize_over_the_whole_double_range(parts):
+    sec = QuadraticSection(*[complex(parts[k], parts[k + 1]) for k in (0, 2, 4)])
+    with mpmath.workprec(200):
+        b1, b3 = mpmath.mpc(sec.beta1), mpmath.mpc(sec.beta3)
+        invariant = mpmath.sqrt(mpmath.mpf(sec.beta2.imag) ** 2 + abs(b1 + mpmath.conj(b3)) ** 2)
+        try:
+            cert = normalize(sec)
+        except DomainError:
+            assert invariant > sys.float_info.max
+            return
+        c = cert.result.c
+        error = abs(mpmath.mpf(c) - invariant)
+        # a subnormal c is rounded twice: from the unit scale, then to its grid
+        if invariant >= sys.float_info.min:
+            assert error <= 4e-16 * invariant
+        else:
+            assert error <= 2 * 2.0 ** -1074
+    assert c >= 0.0
+    a2, a3 = cert.rotation.alpha2, cert.rotation.alpha3
+    assert a2.imag == 0.0 and a2.real >= 0.0
+    assert abs(abs(a2) ** 2 + abs(a3) ** 2 - 1.0) <= 1e-15
 
 
 # -- induced structures on the standard sphere ---------------------------------
