@@ -39,8 +39,8 @@ _EXPORTS = {
     ),
     "line_space": (
         "ComplexPair", "Rotation", "TangentVector", "Translation", "apply_motion",
-        "apply_rotation", "apply_translation", "compose_rotations", "metric", "metric_matrix",
-        "push_forward", "symplectic_form", "symplectic_matrix",
+        "apply_rotation", "apply_translation", "metric", "metric_matrix", "push_forward",
+        "symplectic_form", "symplectic_matrix",
     ),
     "sections": (
         "NormalizationCertificate", "QuadraticSection", "StandardSphere", "certificate_to_dict",

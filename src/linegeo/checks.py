@@ -10,11 +10,12 @@ is set).
 import random
 import sys
 from cmath import rect
-from math import hypot, log, pi, sqrt
+from math import hypot, log, pi, sqrt, tau
 
 from . import analysis, geodesics, line_space, sections
 from .errors import DomainError, Record
 from .line_space import ComplexPair, Rotation, TangentVector, Translation
+from .sections import QuadraticSection, rotate_section, translate_section
 
 
 class CheckResult(Record):
@@ -34,17 +35,12 @@ class CheckResult(Record):
                 for name in ("name", "passed", "threshold", "observed", "margin", "detail")}
 
 
-def _normal_pair(rng):
-    """A complex number with independent standard normal parts, by one
+def _normal_pairs(rng):
+    """Complex numbers with independent standard normal parts, each by one
     Box-Muller draw: a Rayleigh modulus at a uniform angle."""
     draw = rng.random
-    return rect(sqrt(-2.0 * log(1.0 - draw())), 2.0 * pi * draw())
-
-
-def _random_motion(rng):
-    if rng.random() < 0.5:
-        return Translation(_normal_pair(rng), rng.gauss(0.0, 1.0))
-    return Rotation(_normal_pair(rng), _normal_pair(rng))
+    while True:
+        yield rect(sqrt(-2.0 * log(1.0 - draw())), tau * draw())
 
 
 def _pairing_scale(u, v):
@@ -62,20 +58,36 @@ def _pairing_scale(u, v):
 
 def _invariance_checks(samples, rng, threshold):
     """isometry_metric and symplectomorphism in one pass: each draw is
-    pushed forward once, and the metric and the symplectic form compared."""
+    pushed forward once, and the metric and the symplectic form compared.
+    Each sample draws a base point, u and v, then a motion: a translation
+    or a rotation with even odds."""
     metric, omega, push = line_space.metric, line_space.symplectic_form, line_space.push_forward
+    pairing_scale = _pairing_scale
+    normal = _normal_pairs(rng).__next__
+    draw, gauss = rng.random, rng.gauss
     worst_g = worst_w = 0.0
     for _ in range(samples):
-        base = ComplexPair(_normal_pair(rng), _normal_pair(rng))
-        u = TangentVector(base, _normal_pair(rng), _normal_pair(rng))
-        v = TangentVector(base, _normal_pair(rng), _normal_pair(rng))
-        m = _random_motion(rng)
+        base = ComplexPair(normal(), normal())
+        u = TangentVector(base, normal(), normal())
+        v = TangentVector(base, normal(), normal())
+        if draw() < 0.5:
+            m = Translation(normal(), gauss(0.0, 1.0))
+        else:
+            m = Rotation(normal(), normal())
         pu, pv = push(m, u), push(m, v)
-        scale = _pairing_scale(u, v)
+        scale = pairing_scale(u, v)
+        # each error relative to the larger of |before| and scale; the
+        # conditionals pick what max() would, NaN included
         before = metric(u, v)
-        worst_g = max(worst_g, abs(metric(pu, pv) - before) / max(abs(before), scale))
+        size = abs(before)
+        err = abs(metric(pu, pv) - before) / (scale if scale > size else size)
+        if err > worst_g:
+            worst_g = err
         before = omega(u, v)
-        worst_w = max(worst_w, abs(omega(pu, pv) - before) / max(abs(before), scale))
+        size = abs(before)
+        err = abs(omega(pu, pv) - before) / (scale if scale > size else size)
+        if err > worst_w:
+            worst_w = err
     return [CheckResult(name, worst < threshold, threshold, worst, f"{samples} samples")
             for name, worst in (("isometry_metric", worst_g), ("symplectomorphism", worst_w))]
 
@@ -152,28 +164,28 @@ def _energy_identity_check(tol, t_span, rng, threshold):
 
 
 def _normalization_check(samples, rng, threshold_resid, threshold_inv):
+    normalize = sections.normalize
+    draw = rng.random
     worst_resid = 0.0
     worst_inv = 0.0
     for _ in range(samples):
-        z = [rng.uniform(-10.0, 10.0) for _ in range(6)]
-        sec = sections.QuadraticSection(
-            complex(z[0], z[1]), complex(z[2], z[3]), complex(z[4], z[5])
-        )
-        cert = sections.normalize(sec)
-        moved = sections.transform_section(
-            sections.transform_section(sec, cert.translation), cert.rotation
-        )
+        # lo + (hi - lo) * draw() is rng.uniform(lo, hi), bit for bit
+        b1r, b1i, b2r, b2i, b3r, b3i = [-10.0 + (10.0 - -10.0) * draw() for _ in range(6)]
+        sec = QuadraticSection(complex(b1r, b1i), complex(b2r, b2i), complex(b3r, b3i))
+        cert = normalize(sec)
+        c = cert.result.c
+        moved = rotate_section(translate_section(sec, cert.translation), cert.rotation)
         worst_resid = max(
             worst_resid,
             abs(moved.beta1),
             abs(moved.beta3),
             abs(moved.beta2.real),
-            abs(moved.beta2.imag - cert.result.c),
+            abs(moved.beta2.imag - c),
         )
         invariant = sqrt(
             sec.beta2.imag ** 2 + abs(sec.beta1 + sec.beta3.conjugate()) ** 2
         )
-        worst_inv = max(worst_inv, abs(cert.result.c - invariant))
+        worst_inv = max(worst_inv, abs(c - invariant))
     passed = worst_resid < threshold_resid and worst_inv < threshold_inv
     return CheckResult(
         "normalization_residual",

@@ -61,7 +61,8 @@ class Rotation(Record):
     """Euclidean rotation, parameterised by a unit spinor (alpha2, alpha3).
 
     The pair is normalised to |alpha2|^2 + |alpha3|^2 = 1 at construction,
-    after division by its largest component if that sum overflows.
+    after division by its largest component if that sum overflows or is
+    below 1e-12; only the zero spinor is refused.
     """
 
     __slots__ = ("alpha2", "alpha3")
@@ -75,12 +76,12 @@ class Rotation(Record):
             n = abs(a2) ** 2 + abs(a3) ** 2
         except OverflowError:
             n = inf
-        if n == inf:
+        if n == inf or n < 1e-12:
             big = max(abs(a2.real), abs(a2.imag), abs(a3.real), abs(a3.imag))
+            if big == 0.0:
+                raise DomainError("rotation spinor is zero")
             a2, a3 = a2 / big, a3 / big
             n = abs(a2) ** 2 + abs(a3) ** 2
-        elif n < 1e-12:
-            raise DomainError("rotation spinor is numerically zero")
         scale = n ** -0.5
         set_alpha2, set_alpha3 = self._setters
         set_alpha2(self, a2 * scale)
@@ -165,14 +166,6 @@ def push_forward(m, u: TangentVector) -> TangentVector:
         deta = u.deta / d2 + 2.0 * m.alpha3.conjugate() * p.eta * u.dxi / (d2 * d)
         return TangentVector(new_base, dxi, deta)
     raise DomainError(f"not a Euclidean motion: {m!r}")
-
-
-def compose_rotations(outer: Rotation, inner: Rotation) -> Rotation:
-    """The rotation acting as ``inner`` followed by ``outer`` (unit-spinor
-    product)."""
-    p, q = outer.alpha2, outer.alpha3
-    r, s = inner.alpha2, inner.alpha3
-    return Rotation(p * r - q * s.conjugate(), p * s + q * r.conjugate())
 
 
 def _pairing(u: TangentVector, v: TangentVector) -> complex:

@@ -1,32 +1,46 @@
 """Test-only oracles: a pointwise route to a moved sphere, a least-squares
-refit of its coefficients, the inverse rotation, a bit-for-bit copy of
-the push-forward, the wedge and symmetrised expressions of the two
-pairings, the DOP853 tableau as rows of
-stage weights, and the JSON readers of the section and certificate wire
-format (the CLI only writes it)."""
+refit of its coefficients, the inverse and the composite rotation, a
+bit-for-bit copy of the push-forward, the wedge and symmetrised
+expressions of the two pairings, the check suite's sampling loops one
+helper call per draw, the DOP853 tableau as rows of stage weights, and
+the JSON readers of the section and certificate wire format (the CLI
+only writes it)."""
 
+import random
 import re
+from cmath import rect
+from math import log, pi, sqrt
 
 import numpy as np
 
 from linegeo import (
     ChartExitError,
+    ComplexPair,
     DomainError,
     NormalizationCertificate,
     QuadraticSection,
     Rotation,
     StandardSphere,
+    TangentVector,
     Translation,
     apply_motion,
     evaluate,
 )
-from linegeo import geodesics
+from linegeo import checks, geodesics, line_space, sections
 from linegeo.sections import _c2j
 
 
 def inverse_rotation(m: Rotation) -> Rotation:
     """The inverse rotation."""
     return Rotation(m.alpha2.conjugate(), -m.alpha3)
+
+
+def compose_rotations(outer: Rotation, inner: Rotation) -> Rotation:
+    """The rotation acting as ``inner`` followed by ``outer`` (unit-spinor
+    product)."""
+    p, q = outer.alpha2, outer.alpha3
+    r, s = inner.alpha2, inner.alpha3
+    return Rotation(p * r - q * s.conjugate(), p * s + q * r.conjugate())
 
 
 def refit_quadratic(points) -> tuple[QuadraticSection, float]:
@@ -129,6 +143,87 @@ def metric_terms(u, v) -> float:
     twist = 2.0 * (xi * eta.conjugate() - xi.conjugate() * eta) / pp
     value = (2.0j / pp**2) * (s_eta_xibar - s_etabar_xi + twist * s_xi_xibar)
     return value.real
+
+
+# -- the check suite's sampling loops, one helper call per draw ---------------
+#
+# The invariance and normalization checks as they were written before their
+# loops were inlined: each draw through a helper, each worst value through
+# max().  checks' loops must give equal results and leave the seeded stream
+# in an equal state.
+
+
+def normal_pair(rng):
+    """A complex number with independent standard normal parts, by one
+    Box-Muller draw: a Rayleigh modulus at a uniform angle."""
+    draw = rng.random
+    return rect(sqrt(-2.0 * log(1.0 - draw())), 2.0 * pi * draw())
+
+
+def random_motion(rng):
+    if rng.random() < 0.5:
+        return Translation(normal_pair(rng), rng.gauss(0.0, 1.0))
+    return Rotation(normal_pair(rng), normal_pair(rng))
+
+
+def invariance_checks(samples, rng, threshold):
+    metric, omega, push = line_space.metric, line_space.symplectic_form, line_space.push_forward
+    worst_g = worst_w = 0.0
+    for _ in range(samples):
+        base = ComplexPair(normal_pair(rng), normal_pair(rng))
+        u = TangentVector(base, normal_pair(rng), normal_pair(rng))
+        v = TangentVector(base, normal_pair(rng), normal_pair(rng))
+        m = random_motion(rng)
+        pu, pv = push(m, u), push(m, v)
+        scale = checks._pairing_scale(u, v)
+        before = metric(u, v)
+        worst_g = max(worst_g, abs(metric(pu, pv) - before) / max(abs(before), scale))
+        before = omega(u, v)
+        worst_w = max(worst_w, abs(omega(pu, pv) - before) / max(abs(before), scale))
+    return [checks.CheckResult(name, worst < threshold, threshold, worst, f"{samples} samples")
+            for name, worst in (("isometry_metric", worst_g), ("symplectomorphism", worst_w))]
+
+
+def normalization_check(samples, rng, threshold_resid, threshold_inv):
+    worst_resid = 0.0
+    worst_inv = 0.0
+    for _ in range(samples):
+        z = [rng.uniform(-10.0, 10.0) for _ in range(6)]
+        sec = QuadraticSection(complex(z[0], z[1]), complex(z[2], z[3]), complex(z[4], z[5]))
+        cert = sections.normalize(sec)
+        moved = sections.transform_section(
+            sections.transform_section(sec, cert.translation), cert.rotation
+        )
+        worst_resid = max(
+            worst_resid,
+            abs(moved.beta1),
+            abs(moved.beta3),
+            abs(moved.beta2.real),
+            abs(moved.beta2.imag - cert.result.c),
+        )
+        invariant = sqrt(sec.beta2.imag ** 2 + abs(sec.beta1 + sec.beta3.conjugate()) ** 2)
+        worst_inv = max(worst_inv, abs(cert.result.c - invariant))
+    passed = worst_resid < threshold_resid and worst_inv < threshold_inv
+    return checks.CheckResult(
+        "normalization_residual",
+        passed,
+        threshold_resid,
+        max(worst_resid, worst_inv),
+        f"{samples} sections; invariant worst {worst_inv:.3e} (limit {threshold_inv:g})",
+    )
+
+
+def sampling_loops(seed, samples, invariance, normalization):
+    """The invariance checks of ``samples`` draws and then the
+    normalization check of the suite's ``max(samples // 5, 10)`` sections,
+    with its thresholds, from ``random.Random(seed)``: their results and
+    the stream's state after them."""
+    rng = random.Random(seed)
+    results = [
+        *invariance(samples, rng, 1e-10),
+        normalization(max(samples // 5, 10), rng, 1e-9, 1e-10),
+    ]
+    return results, rng.getstate()
 
 
 # -- the DOP853 tableau as rows ----------------------------------------------

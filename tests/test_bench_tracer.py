@@ -7,6 +7,7 @@ these tests import the tracer read-only and run it against the package.
 
 import os
 import sys
+from collections import Counter
 
 import pytest
 
@@ -59,3 +60,23 @@ def test_kernel_spans_nest_in_integrate_and_uninstall_restores(tracer, tmp_path)
         assert end >= start
     assert recorder.counters["kernels.steps"] > 0
     assert recorder.counters["kernels.steps"] == recorder.counters["geodesics.steps"]
+
+
+@pytest.mark.parametrize("samples", [3, 60])
+def test_check_calls_every_traced_layer_once_per_use(tracer, tmp_path, samples):
+    # each invariance sample pushes u and v forward and pairs them before
+    # and after; each normalization sample normalises one section
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        assert cli.main([
+            "check", "--samples", str(samples), "--trajectories", "1", "--t-span", "1",
+            "--output", str(tmp_path / "check.json"),
+        ]) == 0
+    finally:
+        recorder.uninstall()
+
+    counts = Counter(name for name, *_ in recorder.spans)
+    for layer in ("line_space.push_forward", "line_space.metric", "line_space.symplectic_form"):
+        assert counts[layer] == 2 * samples, layer
+    assert counts["sections.normalize"] == max(samples // 5, 10)

@@ -22,6 +22,7 @@ from linegeo import (
 )
 from linegeo import cli
 from linegeo.cli import main
+from oracles import invariance_checks, normalization_check, sampling_loops
 
 
 def run_cli(capsys, *argv):
@@ -729,14 +730,26 @@ def test_check_detects_a_tampered_form_alone(capsys, monkeypatch, form):
 def test_normal_pair_parts_are_independent_standard_normals():
     from linegeo import checks
 
-    rng = random.Random(4242)
-    draws = [checks._normal_pair(rng) for _ in range(20_000)]
+    normal = checks._normal_pairs(random.Random(4242)).__next__
+    draws = [normal() for _ in range(20_000)]
     re = [z.real for z in draws]
     im = [z.imag for z in draws]
     for part in (re, im):
         assert abs(statistics.fmean(part)) < 0.03
         assert abs(statistics.pvariance(part) - 1.0) < 0.03
     assert abs(statistics.correlation(re, im)) < 0.03
+
+
+@pytest.mark.parametrize("samples", [1, 7, 1000])
+@pytest.mark.parametrize("seed", INVARIANCE_SEEDS + list(range(0, 600, 50)))
+def test_check_sampling_loops_match_their_oracle_copies(seed, samples):
+    # the inlined loops draw the stream in the same order as one helper
+    # call per draw, and score every sample as max() would
+    from linegeo import checks
+
+    assert sampling_loops(
+        seed, samples, checks._invariance_checks, checks._normalization_check
+    ) == sampling_loops(seed, samples, invariance_checks, normalization_check)
 
 
 @pytest.mark.parametrize("seed", range(0, 600, 37))

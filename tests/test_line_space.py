@@ -15,7 +15,6 @@ from linegeo import (
     Translation,
     apply_rotation,
     apply_translation,
-    compose_rotations,
     metric,
     metric_matrix,
     push_forward,
@@ -23,7 +22,13 @@ from linegeo import (
     symplectic_matrix,
 )
 from linegeo.checks import _pairing_scale
-from oracles import inverse_rotation, metric_terms, push_forward_terms, symplectic_form_terms
+from oracles import (
+    compose_rotations,
+    inverse_rotation,
+    metric_terms,
+    push_forward_terms,
+    symplectic_form_terms,
+)
 
 RNG = np.random.default_rng(91001)
 
@@ -130,7 +135,17 @@ def test_rotation_normalised_at_construction():
     [(1.2e154, 1.2e154), (1e200, 0.0), (0.5j, -1e200), (1e308 + 1e308j, 1e308), (1e150, -1e308j)],
 )
 def test_rotation_normalises_a_spinor_whose_square_overflows(alpha2, alpha3):
-    rot = Rotation(alpha2, alpha3)
+    assert_unit_spinor_along(Rotation(alpha2, alpha3), alpha2, alpha3)
+
+
+@pytest.mark.parametrize(
+    "alpha2, alpha3", [(1e-7, 1e-7j), (1e-200, 0.0), (5e-324, 0.0), (0.0, -1e-170j)]
+)
+def test_rotation_normalises_a_spinor_whose_square_is_tiny(alpha2, alpha3):
+    assert_unit_spinor_along(Rotation(alpha2, alpha3), alpha2, alpha3)
+
+
+def assert_unit_spinor_along(rot, alpha2, alpha3):
     n = abs(rot.alpha2) ** 2 + abs(rot.alpha3) ** 2
     assert abs(n - 1.0) <= 4 * math.ulp(min(n, 1.0))
     # the same direction as the unscaled pair
