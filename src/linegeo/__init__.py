@@ -35,17 +35,16 @@ _EXPORTS = {
     "geodesics": (
         "EQUATOR_CUTOFF", "FirstIntegrals", "GeodesicState", "OscillationReport", "PolarState",
         "Termination", "Trajectory", "christoffel", "first_integrals", "first_integrals_arrays",
-        "integrate", "oscillation_check", "rhs", "state_from_integrals", "write_csv",
+        "integrate", "oscillation_check", "state_from_integrals", "write_csv",
     ),
     "line_space": (
         "ComplexPair", "Rotation", "TangentVector", "Translation", "apply_motion",
-        "apply_rotation", "apply_translation", "metric", "metric_matrix", "push_forward",
-        "symplectic_form", "symplectic_matrix",
+        "apply_rotation", "apply_translation", "metric", "push_forward", "symplectic_form",
     ),
     "sections": (
         "NormalizationCertificate", "QuadraticSection", "StandardSphere", "certificate_to_dict",
         "evaluate", "induced_metric_factor", "lagrangian_defect", "normalize",
-        "pullback_consistency_check", "transform_section",
+        "transform_section",
     ),
 }
 

@@ -155,8 +155,7 @@ def _energy_identity_check(tol, t_span, rng, threshold):
         if not 1e-3 <= big_r <= 1.0 - 1e-3:
             continue
         u = analysis.effective_potential(big_r)
-        r2 = big_r * big_r
-        f = (1.0 - r2) / (1.0 + r2) ** 3
+        f = geodesics._conformal(big_r * big_r)
         rdot = (xi.conjugate() * xidot).real / big_r
         worst = max(worst, abs(i1 - u * i2**2 - f * rdot**2))
         kept += 1

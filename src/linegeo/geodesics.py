@@ -22,6 +22,9 @@ one, where the same equation holds with I1 negated.  The stepper,
 adaptive steps, on real and imaginary parts as floats; its step is
 generated once per process from the tableau, with the weights compiled
 in as constants, and it returns the first integrals at every sample.
+The scalar ``christoffel``, ``first_integrals_arrays`` and the conformal
+factor f = (1-|xi|^2)/(1+|xi|^2)^3 are generated with it from the same
+lines of source, so Gamma, f and (I1, I2) are each written once.
 ``integrate`` validates its input and wraps the result in a
 ``Trajectory``, which carries those integrals, their drift and the
 count of rejected steps.  All value types here are immutable
@@ -48,7 +51,7 @@ MIN_STEP = 1e-14
 #: step attempts, accepted or rejected, after which a run stops
 MAX_STEPS = 5_000_000
 
-#: christoffel/rhs refuse points closer to the equator than this
+#: christoffel refuses points closer to the equator than this
 DEGENERACY_TOL = 1e-13
 
 
@@ -122,26 +125,6 @@ class FirstIntegrals(Record):
         self._init_fields(I1, I2)
 
 
-def christoffel(xi: complex) -> complex:
-    """The single nonzero Christoffel symbol of the induced metric.
-
-    Equals the xi-derivative (with xibar held fixed) of
-    ln[(1-|xi|^2)/(1+|xi|^2)^3].  The mixed and conjugate symbols vanish
-    identically for a conformal metric of this form.
-    """
-    xi = finite_complex("xi", xi)
-    xb = xi.conjugate()
-    m = (xi * xb).real
-    if abs(1.0 - m) < DEGENERACY_TOL:
-        raise DegeneracyError(f"metric degenerate at |xi| = 1 (xi = {xi!r})")
-    return -xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m))
-
-
-def rhs(state: GeodesicState) -> tuple[complex, complex]:
-    """Time derivative (xidot, xiddot) of the state."""
-    return state.xidot, -christoffel(state.xi) * state.xidot * state.xidot
-
-
 def first_integrals(state: GeodesicState) -> FirstIntegrals:
     """Evaluate both conserved quantities at a state.
 
@@ -152,22 +135,6 @@ def first_integrals(state: GeodesicState) -> FirstIntegrals:
     except OverflowError:
         i1 = i2 = math.inf
     return FirstIntegrals(i1, i2)
-
-
-def first_integrals_arrays(xis, xidots):
-    """First integrals along samples: the lists (I1, I2), one entry per
-    (xi, xidot) pair.
-
-    Raises OverflowError when a float power overflows.
-    """
-    i1s, i2s = [], []
-    for xi, xidot in zip(xis, xidots):
-        xb = xi.conjugate()
-        m = (xi * xb).real
-        f = (1.0 - m) / (1.0 + m) ** 3
-        i1s.append(f * (xidot * xidot.conjugate()).real)
-        i2s.append(f * (xb * xidot).imag)
-    return i1s, i2s
 
 
 def state_from_integrals(
@@ -212,7 +179,7 @@ def state_from_integrals(
         # at a turning radius the rounding of U(r0) would leave Rdot != 0
         disc = 0.0 if r0 in (tp.R_min, tp.R_max) else i1 - effective_potential(r0) * i2 * i2
     r2 = r0 * r0
-    f = (1.0 - r2) / (1.0 + r2) ** 3
+    f = _conformal(r2)
     thetadot = i2 / (f * r2)
     rdot = math.sqrt(max(disc / f, 0.0))
     if not outward:
@@ -431,9 +398,46 @@ _FAC_MAX = 6.0
 RHS_EVALS_PER_STEP = 12
 
 
-# The stepper's source, less the code that _generate_kernel writes out
-# from the tableau literals, _rhs and _integrals.
+# The source of christoffel, _conformal, first_integrals_arrays and
+# geod_integrate, less what _generate_kernel writes out from the tableau
+# literals, _rhs and _integrals.
 _KERNEL = '''\
+def christoffel(xi: complex) -> complex:
+    """The single nonzero Christoffel symbol of the induced metric.
+
+    Equals the xi-derivative (with xibar held fixed) of
+    ln[(1-|xi|^2)/(1+|xi|^2)^3].  The mixed and conjugate symbols vanish
+    identically for a conformal metric of this form.
+    """
+    xi = finite_complex("xi", xi)
+    a0, b0 = xi.real, xi.imag
+    {m}
+    if abs(1.0 - m) < DEGENERACY_TOL:
+        raise DegeneracyError(f"metric degenerate at |xi| = 1 (xi = {{xi!r}})")
+    {gamma}
+    return complex(-u, v)
+
+
+def _conformal(m):
+    """The conformal factor f = (1-m)/(1+m)^3 at m = |xi|^2: the induced
+    metric of the sphere eta = c i xi is -4c f dxi dxibar."""
+    {f}
+    return f
+
+
+def first_integrals_arrays(xis, xidots):
+    """First integrals along samples: the lists (I1, I2), one entry per
+    (xi, xidot) pair.
+
+    Raises OverflowError when a float power overflows.
+    """
+    i1s, i2s = [], []
+    for xi, xidot in zip(xis, xidots):
+        a0, b0, a1, b1 = xi.real, xi.imag, xidot.real, xidot.imag
+        {integrals_loop}
+    return i1s, i2s
+
+
 def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     """Adaptive Dormand-Prince 8(5,3) integration of the geodesic system.
 
@@ -569,9 +573,11 @@ def _integrals(x, y, pr, pi):
 
 
 def _generate_kernel():
-    """Compile ``geod_integrate`` from ``_KERNEL``, its stages and error
-    estimates written out from the tableau literals, and register the
-    source with ``linecache`` for tracebacks, profilers and ``inspect``."""
+    """Compile ``christoffel``, ``_conformal``, ``first_integrals_arrays``
+    and ``geod_integrate`` from ``_KERNEL``, registering the source with
+    ``linecache`` for tracebacks, profilers and ``inspect``.  The stepper's
+    stages and error estimates are written out from the tableau literals;
+    its stage 1 (``_rhs``) and integrals (``_integrals``) give the others."""
     def weighted(prefix, k):  # sum_j w_j k_j, w_j the literals prefix + j
         _, stage, part = _COMPONENTS[k]
         g = globals()
@@ -602,20 +608,24 @@ def _generate_kernel():
                 errors += [f"c = {mag(e + k)} / w", f"{e} = c if c > {e} else {e}"]
 
     start, step = "\n    ", "\n" + " " * 12  # the indents of the kernel's start and loop
+    stage1 = _rhs("a0", "b0", "a1", "b1", "q1r", "q1i")
+    integrals0 = _integrals("a0", "b0", "a1", "b1")
     source = _KERNEL.format(
-        stage1=start.join(_rhs("a0", "b0", "a1", "b1", "q1r", "q1i")),
-        integrals0=start.join(_integrals("a0", "b0", "a1", "b1")),
+        m=stage1[0], gamma=start.join(stage1[1:3]), f=integrals0[0],
+        integrals_loop=(start + "    ").join([stage1[0], *integrals0]),
+        stage1=start.join(stage1), integrals0=start.join(integrals0),
         integrals=step.join(_integrals("a0n", "b0n", "a1n", "b1n")),
         stages=step.join(stages), errors=step.join(errors),
         safety=_SAFETY, fac_min=_FAC_MIN, fac_max=_FAC_MAX)
-    filename = "<linegeo.geodesics: generated geod_integrate>"
+    filename = "<linegeo.geodesics: generated source>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
     exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace["geod_integrate"]
+    return tuple(namespace[name] for name in
+                 ("christoffel", "_conformal", "first_integrals_arrays", "geod_integrate"))
 
 
-geod_integrate = _generate_kernel()
+christoffel, _conformal, first_integrals_arrays, geod_integrate = _generate_kernel()
 
 
 def integrate(
@@ -650,7 +660,10 @@ def integrate(
       reached: from the pole at speed 1 the run reaches the equator at
       tol 1e-10 and underflows at 1e-12, and at speeds 0.5 .. 3 some
       runs underflow from 1e-8 down; use a moderate tolerance
-      (1e-6 .. 1e-7) when the goal is the hit time;
+      (1e-6 .. 1e-7) when the goal is the hit time.  ``MIN_STEP`` is
+      absolute while a launch at speed v runs in time 1/v, so the
+      outcome also depends on the speed: from the pole at speed 1e3 the
+      run underflows at tol 1e-6 too;
     * ``MAX_STEPS`` -- ``MAX_STEPS`` step attempts (accepted or rejected)
       ran out first; the trajectory holds the steps accepted until then.
 

@@ -229,28 +229,3 @@ def metric(u: TangentVector, v: TangentVector) -> float:
     """
     return -2.0 * _pairing(u, v).imag
 
-
-def _coordinate_frame(p: ComplexPair):
-    # real coordinate frame (d/dx1, d/dy1, d/dx2, d/dy2) for
-    # xi = x1 + i y1, eta = x2 + i y2, in complex components
-    return (
-        TangentVector(p, 1.0, 0.0),
-        TangentVector(p, 1.0j, 0.0),
-        TangentVector(p, 0.0, 1.0),
-        TangentVector(p, 0.0, 1.0j),
-    )
-
-
-def symplectic_matrix(p: ComplexPair) -> tuple[tuple[float, ...], ...]:
-    """4x4 real antisymmetric matrix of the symplectic form at ``p`` in the
-    coordinate frame (Re xi, Im xi, Re eta, Im eta), as rows."""
-    frame = _coordinate_frame(p)
-    return tuple(tuple(symplectic_form(a, b) for b in frame) for a in frame)
-
-
-def metric_matrix(p: ComplexPair) -> tuple[tuple[float, ...], ...]:
-    """4x4 real symmetric matrix of the metric at ``p`` in the coordinate
-    frame (Re xi, Im xi, Re eta, Im eta), as rows; its eigenvalue signs
-    are (2,2)."""
-    frame = _coordinate_frame(p)
-    return tuple(tuple(metric(a, b) for b in frame) for a in frame)

@@ -14,13 +14,7 @@ import math
 from cmath import isfinite
 
 from .errors import DomainError, Record, finite_complex
-from .line_space import (
-    ComplexPair,
-    Rotation,
-    TangentVector,
-    Translation,
-    metric,
-)
+from .line_space import ComplexPair, Rotation, Translation
 
 
 class QuadraticSection(Record):
@@ -174,9 +168,10 @@ def lagrangian_defect(s: StandardSphere, xi: complex) -> float:
     """Scalar multiplying i dxi ^ dxibar in the symplectic form pulled
     back to the sphere: 4c(1-|xi|^2)/(1+|xi|^2)^3.  Zero exactly at the
     points where the sphere is Lagrangian."""
+    from . import geodesics  # here, so that normalize loads no stepper
+
     xi = finite_complex("xi", xi)
-    m = (xi * xi.conjugate()).real
-    return 4.0 * s.c * (1.0 - m) / (1.0 + m) ** 3
+    return 4.0 * s.c * geodesics._conformal((xi * xi.conjugate()).real)
 
 
 def induced_metric_factor(s: StandardSphere, xi: complex) -> float:
@@ -184,20 +179,6 @@ def induced_metric_factor(s: StandardSphere, xi: complex) -> float:
     -4c(1-|xi|^2)/(1+|xi|^2)^3.  Negative inside the equator, zero on it,
     positive outside: the Lagrangian defect with the opposite sign."""
     return -lagrangian_defect(s, xi)
-
-
-def pullback_consistency_check(s: StandardSphere, xi: complex) -> float:
-    """|closed-form induced metric factor - numeric pullback| at xi.
-
-    The numeric route embeds xi -> (xi, c i xi), pushes the frame vector
-    d/dxi through the embedding and evaluates the ambient metric on it.
-    Contract: below 1e-9 everywhere.
-    """
-    xi = finite_complex("xi", xi)
-    base = ComplexPair(xi, 1j * s.c * xi)
-    tangent = TangentVector(base, 1.0, 1j * s.c)  # d(eta) = c i d(xi) along the sphere
-    numeric = metric(tangent, tangent)
-    return abs(induced_metric_factor(s, xi) - numeric)
 
 
 # -- JSON wire format -------------------------------------------------------

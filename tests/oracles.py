@@ -1,8 +1,12 @@
 """Test-only oracles: a pointwise route to a moved sphere, a least-squares
 refit of its coefficients, the inverse and the composite rotation, a
 bit-for-bit copy of the push-forward, the wedge and symmetrised
-expressions of the two pairings, the check suite's sampling loops one
-helper call per draw, the DOP853 tableau as rows of stage weights, and
+expressions of the two pairings and their 4x4 matrices, the numeric
+pullback of the metric to the standard sphere, the check suite's
+sampling loops one helper call per draw, the Christoffel symbol, the
+right-hand side, the first integrals and the energy-identity check as
+written out in complex arithmetic before the stepper's source became
+their one definition, the DOP853 tableau as rows of stage weights, and
 the JSON readers of the section and certificate wire format (the CLI
 only writes it)."""
 
@@ -16,6 +20,7 @@ import numpy as np
 from linegeo import (
     ChartExitError,
     ComplexPair,
+    DegeneracyError,
     DomainError,
     NormalizationCertificate,
     QuadraticSection,
@@ -25,8 +30,11 @@ from linegeo import (
     Translation,
     apply_motion,
     evaluate,
+    induced_metric_factor,
 )
-from linegeo import checks, geodesics, line_space, sections
+from linegeo import analysis, checks, geodesics, line_space, sections
+from linegeo.errors import finite_complex
+from linegeo.geodesics import DEGENERACY_TOL
 from linegeo.sections import _c2j
 
 
@@ -145,6 +153,46 @@ def metric_terms(u, v) -> float:
     return value.real
 
 
+def coordinate_frame(p: ComplexPair):
+    """Real coordinate frame (d/dx1, d/dy1, d/dx2, d/dy2) for
+    xi = x1 + i y1, eta = x2 + i y2, in complex components."""
+    return (
+        TangentVector(p, 1.0, 0.0),
+        TangentVector(p, 1.0j, 0.0),
+        TangentVector(p, 0.0, 1.0),
+        TangentVector(p, 0.0, 1.0j),
+    )
+
+
+def symplectic_matrix(p: ComplexPair) -> tuple[tuple[float, ...], ...]:
+    """4x4 real antisymmetric matrix of the symplectic form at ``p`` in the
+    coordinate frame (Re xi, Im xi, Re eta, Im eta), as rows."""
+    frame = coordinate_frame(p)
+    return tuple(tuple(line_space.symplectic_form(a, b) for b in frame) for a in frame)
+
+
+def metric_matrix(p: ComplexPair) -> tuple[tuple[float, ...], ...]:
+    """4x4 real symmetric matrix of the metric at ``p`` in the coordinate
+    frame (Re xi, Im xi, Re eta, Im eta), as rows; its eigenvalue signs
+    are (2,2)."""
+    frame = coordinate_frame(p)
+    return tuple(tuple(line_space.metric(a, b) for b in frame) for a in frame)
+
+
+def pullback_consistency_check(s: StandardSphere, xi: complex) -> float:
+    """|closed-form induced metric factor - numeric pullback| at xi.
+
+    The numeric route embeds xi -> (xi, c i xi), pushes the frame vector
+    d/dxi through the embedding and evaluates the ambient metric on it.
+    Contract: below 1e-9 everywhere.
+    """
+    xi = finite_complex("xi", xi)
+    base = ComplexPair(xi, 1j * s.c * xi)
+    tangent = TangentVector(base, 1.0, 1j * s.c)  # d(eta) = c i d(xi) along the sphere
+    numeric = line_space.metric(tangent, tangent)
+    return abs(induced_metric_factor(s, xi) - numeric)
+
+
 # -- the check suite's sampling loops, one helper call per draw ---------------
 #
 # The invariance and normalization checks as they were written before their
@@ -224,6 +272,63 @@ def sampling_loops(seed, samples, invariance, normalization):
         normalization(max(samples // 5, 10), rng, 1e-9, 1e-10),
     ]
     return results, rng.getstate()
+
+
+# -- the flow's formulas in complex arithmetic --------------------------------
+#
+# As each was written before _rhs and _integrals became the package's one
+# source of Gamma, f and (I1, I2).  The generated christoffel equals the
+# copy here up to the sign of a component that is exactly zero, since
+# -conj(xi) * s multiplies by s + 0i; the first integrals and the
+# energy-identity check agree bit for bit.
+
+
+def christoffel(xi: complex) -> complex:
+    """Gamma(xi) = -conj(xi) (1/(1-|xi|^2) + 3/(1+|xi|^2))."""
+    xi = finite_complex("xi", xi)
+    xb = xi.conjugate()
+    m = (xi * xb).real
+    if abs(1.0 - m) < DEGENERACY_TOL:
+        raise DegeneracyError(f"metric degenerate at |xi| = 1 (xi = {xi!r})")
+    return -xb * (1.0 / (1.0 - m) + 3.0 / (1.0 + m))
+
+
+def rhs(state: geodesics.GeodesicState) -> tuple[complex, complex]:
+    """Time derivative (xidot, xiddot) of the state."""
+    return state.xidot, -geodesics.christoffel(state.xi) * state.xidot * state.xidot
+
+
+def first_integrals_arrays(xis, xidots):
+    """(I1, I2) = (f |xidot|^2, f Im(conj(xi) xidot)) along samples, for
+    f = (1-|xi|^2)/(1+|xi|^2)^3."""
+    i1s, i2s = [], []
+    for xi, xidot in zip(xis, xidots):
+        xb = xi.conjugate()
+        m = (xi * xb).real
+        f = (1.0 - m) / (1.0 + m) ** 3
+        i1s.append(f * (xidot * xidot.conjugate()).real)
+        i2s.append(f * (xb * xidot).imag)
+    return i1s, i2s
+
+
+def energy_identity_check(tol, t_span, rng, threshold):
+    """The energy-identity check with the conformal factor written inline."""
+    state = checks.sample_orbit_state(rng)
+    traj = geodesics.integrate(state, sections.StandardSphere(1.0), t_span, tol)
+    worst = 0.0
+    kept = 0
+    for xi, xidot, i1, i2 in zip(traj.xi, traj.xidot, *traj.integral_series()):
+        big_r = abs(xi)
+        if not 1e-3 <= big_r <= 1.0 - 1e-3:
+            continue
+        u = analysis.effective_potential(big_r)
+        r2 = big_r * big_r
+        f = (1.0 - r2) / (1.0 + r2) ** 3
+        rdot = (xi.conjugate() * xidot).real / big_r
+        worst = max(worst, abs(i1 - u * i2**2 - f * rdot**2))
+        kept += 1
+    return checks.CheckResult("energy_identity", worst < threshold, threshold, worst,
+                              f"{kept} samples")
 
 
 # -- the DOP853 tableau as rows ----------------------------------------------

@@ -1,6 +1,7 @@
 """Radial quadrature, hypergeometric series, potential and orbits."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -27,7 +28,7 @@ from linegeo import (
     state_from_integrals,
     turning_points,
 )
-from linegeo import analysis
+from linegeo import analysis, geodesics
 
 SPHERE = StandardSphere(1.0)
 
@@ -215,6 +216,20 @@ def test_potential_minimum_by_golden_section():
     assert abs(effective_potential(r_star) - 6.0 * math.sqrt(3.0)) < 1e-10
     assert abs(CRITICAL_RADIUS - math.sqrt(2.0 - math.sqrt(3.0))) == 0.0
     assert abs(MIN_ORBIT_RATIO - 6.0 * math.sqrt(3.0)) == 0.0
+
+
+def test_potential_is_the_reciprocal_of_the_conformal_factor():
+    # U(R) f(R^2) R^2 = 1: U keeps its own expression, and the energy
+    # identity I1 = U I2^2 + f Rdot^2 holds only while U and the flow's f
+    # are one formula; swept from near the overflow of U to near the equator
+    rng = random.Random(1501)
+    half = math.log10(0.5)
+    radii = [10.0 ** rng.uniform(-150.0, half) for _ in range(10_000)]
+    radii += [1.0 - 10.0 ** rng.uniform(-9.0, half) for _ in range(10_000)]
+    for big_r in radii:
+        r2 = big_r * big_r
+        product = effective_potential(big_r) * geodesics._conformal(r2) * r2
+        assert abs(product - 1.0) <= 4 * 2.0**-52, big_r
 
 
 def test_potential_diverges_at_both_ends():

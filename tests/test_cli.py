@@ -22,7 +22,12 @@ from linegeo import (
 )
 from linegeo import cli
 from linegeo.cli import main
-from oracles import invariance_checks, normalization_check, sampling_loops
+from oracles import (
+    energy_identity_check,
+    invariance_checks,
+    normalization_check,
+    sampling_loops,
+)
 
 
 def run_cli(capsys, *argv):
@@ -750,6 +755,18 @@ def test_check_sampling_loops_match_their_oracle_copies(seed, samples):
     assert sampling_loops(
         seed, samples, checks._invariance_checks, checks._normalization_check
     ) == sampling_loops(seed, samples, invariance_checks, normalization_check)
+
+
+@pytest.mark.parametrize("seed", range(0, 600, 30))
+def test_energy_identity_check_matches_its_inline_f_copy(seed):
+    # the check takes f from the flow's one definition; the residuals are
+    # those of the copy that writes f out
+    from linegeo import checks
+
+    args = (1e-10, 6.0)
+    assert checks._energy_identity_check(*args, random.Random(seed), 1e-8) == (
+        energy_identity_check(*args, random.Random(seed), 1e-8)
+    )
 
 
 @pytest.mark.parametrize("seed", range(0, 600, 37))

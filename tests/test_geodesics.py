@@ -24,14 +24,15 @@ from linegeo import (
     christoffel,
     first_integrals,
     integrate,
-    rhs,
     state_from_integrals,
     turning_points,
     write_csv,
 )
 from linegeo import geodesics
 from linegeo.geodesics import CSV_HEADER, EQUATOR_CUTOFF, MIN_STEP
-from oracles import DOP853_A, DOP853_B, DOP853_BHH, DOP853_E5
+from oracles import DOP853_A, DOP853_B, DOP853_BHH, DOP853_E5, rhs
+from oracles import christoffel as complex_christoffel
+from oracles import first_integrals_arrays as complex_first_integrals_arrays
 
 RNG = np.random.default_rng(91003)
 SPHERE = StandardSphere(1.0)
@@ -86,6 +87,51 @@ def test_christoffel_matches_finite_difference():
 def test_christoffel_degeneracy_error():
     with pytest.raises(DegeneracyError):
         christoffel(1.0)
+
+
+def flow_points(count, seed):
+    """Seeded xi: the four signed zeros of the pole, then a quarter on
+    the real axis and a quarter on the imaginary axis, each with a signed
+    zero for its other part, the rest at uniform angles; radii uniform in
+    [0, 3) or log-uniform in [e^-300, e^100]."""
+    rng = random.Random(seed)
+    yield from (complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0))
+    for k in range(count - 4):
+        r = rng.uniform(0.0, 3.0) if rng.random() < 0.5 else math.exp(rng.uniform(-300.0, 100.0))
+        x = r if rng.random() < 0.5 else -r
+        zero = 0.0 if rng.random() < 0.5 else -0.0
+        if k % 4 == 0:
+            yield complex(x, zero)
+        elif k % 4 == 1:
+            yield complex(zero, x)
+        else:
+            yield cmath.rect(r, rng.uniform(-math.pi, math.pi))
+
+
+def test_christoffel_equals_its_complex_oracle():
+    # equal values; the oracle's -conj(xi) * s multiplies by s + 0i, so
+    # the sign of a component that is exactly zero may differ
+    points = [*flow_points(60_000, 2211), 1.0, 1.0 - 1e-14, cmath.rect(1.0 + 1e-14, 0.7)]
+    degenerate = 0
+    for xi in points:
+        try:
+            want = complex_christoffel(xi)
+        except DegeneracyError:
+            with pytest.raises(DegeneracyError, match="metric degenerate at"):
+                christoffel(xi)
+            degenerate += 1
+            continue
+        assert christoffel(xi) == want, xi
+    assert degenerate == 3
+
+
+def test_first_integrals_arrays_equal_their_complex_oracle_bit_for_bit():
+    xis = list(flow_points(50_000, 2212))
+    xidots = list(flow_points(50_000, 2213))
+    got = geodesics.first_integrals_arrays(xis, xidots)
+    want = complex_first_integrals_arrays(xis, xidots)
+    for g, w in zip(got, want):
+        assert bits(g) == bits(w)
 
 
 def test_rhs_examples():
@@ -692,17 +738,37 @@ def test_kernel_weights_are_compiled_constants():
 
 def test_kernel_calls_no_python_helper():
     # every rhs evaluation, stage 1 included, is generated inline
-    assert "_christoffel" not in geodesics.geod_integrate.__code__.co_names
+    names = set(geodesics.geod_integrate.__code__.co_names)
+    assert not names & {"_christoffel", "christoffel", "_conformal", "first_integrals_arrays"}
     assert not hasattr(geodesics, "_christoffel")
 
 
+#: the functions compiled from one generated source, in its order
+GENERATED = ("christoffel", "_conformal", "first_integrals_arrays", "geod_integrate")
+
+
 def test_kernel_source_is_the_generated_text():
-    code = geodesics.geod_integrate.__code__
-    source = inspect.getsource(geodesics.geod_integrate)
-    assert source == "".join(linecache.getlines(code.co_filename))
-    assert source.startswith("def geod_integrate(xi0, xidot0, t_span, tol, equator_cut,")
-    assert f"{geodesics._A12_11!r} * q11i" in source
-    assert "{" not in source  # every field of the template is filled
+    filename = geodesics.geod_integrate.__code__.co_filename
+    text = "".join(linecache.getlines(filename))
+    sources = []
+    for name in GENERATED:
+        function = getattr(geodesics, name)
+        assert function.__code__.co_filename == filename
+        sources.append(inspect.getsource(function))
+        assert sources[-1].startswith(f"def {name}(")
+    assert text == "\n\n".join(sources)
+    assert sources[-1].startswith("def geod_integrate(xi0, xidot0, t_span, tol, equator_cut,")
+    assert f"{geodesics._A12_11!r} * q11i" in sources[-1]
+    # every field of the template is filled; christoffel's message is an f-string
+    assert "{" not in text.replace("{xi!r}", "")
+    # Gamma, f and (I1, I2) are the lines of the stepper's stage 1 and integrals
+    stage1 = geodesics._rhs("a0", "b0", "a1", "b1", "q1r", "q1i")
+    integrals = geodesics._integrals("a0", "b0", "a1", "b1")
+    christoffel_source, conformal_source, arrays_source, kernel_source = sources
+    assert all(line in christoffel_source for line in stage1[:3])
+    assert integrals[0] in conformal_source
+    assert all(line in arrays_source for line in [stage1[0], *integrals])
+    assert all(line in kernel_source for line in stage1 + integrals)
 
 
 # -- trajectory export -------------------------------------------------------------

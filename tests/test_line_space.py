@@ -16,18 +16,18 @@ from linegeo import (
     apply_rotation,
     apply_translation,
     metric,
-    metric_matrix,
     push_forward,
     symplectic_form,
-    symplectic_matrix,
 )
 from linegeo.checks import _pairing_scale
 from oracles import (
     compose_rotations,
     inverse_rotation,
+    metric_matrix,
     metric_terms,
     push_forward_terms,
     symplectic_form_terms,
+    symplectic_matrix,
 )
 
 RNG = np.random.default_rng(91001)
