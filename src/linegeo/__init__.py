@@ -38,13 +38,12 @@ _EXPORTS = {
         "integrate", "oscillation_check", "state_from_integrals", "write_csv",
     ),
     "line_space": (
-        "ComplexPair", "Rotation", "TangentVector", "Translation", "apply_motion",
-        "apply_rotation", "apply_translation", "metric", "push_forward", "symplectic_form",
+        "ComplexPair", "Rotation", "TangentVector", "Translation", "apply_rotation",
+        "apply_translation", "metric", "push_forward", "symplectic_form",
     ),
     "sections": (
         "NormalizationCertificate", "QuadraticSection", "StandardSphere", "certificate_to_dict",
         "evaluate", "induced_metric_factor", "lagrangian_defect", "normalize",
-        "transform_section",
     ),
 }
 

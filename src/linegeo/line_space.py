@@ -141,15 +141,6 @@ def apply_rotation(m: Rotation, p: ComplexPair) -> ComplexPair:
     return _rotate(m, p)[0]
 
 
-def apply_motion(m, p: ComplexPair) -> ComplexPair:
-    """Apply a Translation or Rotation to a point."""
-    if isinstance(m, Translation):
-        return apply_translation(m, p)
-    if isinstance(m, Rotation):
-        return apply_rotation(m, p)
-    raise DomainError(f"not a Euclidean motion: {m!r}")
-
-
 def push_forward(m, u: TangentVector) -> TangentVector:
     """Push a tangent vector forward through a motion, using the exact
     holomorphic Jacobian of the action (both actions are holomorphic in

@@ -101,15 +101,6 @@ def rotate_section(s: QuadraticSection, m: Rotation) -> QuadraticSection:
     )
 
 
-def transform_section(s: QuadraticSection, motion) -> QuadraticSection:
-    """Transform a sphere by a Translation or Rotation."""
-    if isinstance(motion, Translation):
-        return translate_section(s, motion)
-    if isinstance(motion, Rotation):
-        return rotate_section(s, motion)
-    raise DomainError(f"not a Euclidean motion: {motion!r}")
-
-
 _IDENTITY = Rotation(1.0, 0.0)
 _HALF_TURN = Rotation(0.0, 1.0)  # maps eta = c i xi to eta = -c i xi
 

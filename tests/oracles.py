@@ -1,4 +1,5 @@
-"""Test-only oracles: a pointwise route to a moved sphere, a least-squares
+"""Test-only oracles: the action of a motion of either kind on a point
+and on a sphere, a pointwise route to a moved sphere, a least-squares
 refit of its coefficients, the inverse and the composite rotation, a
 bit-for-bit copy of the push-forward, the wedge and symmetrised
 expressions of the two pairings and their 4x4 matrices, the numeric
@@ -28,7 +29,8 @@ from linegeo import (
     StandardSphere,
     TangentVector,
     Translation,
-    apply_motion,
+    apply_rotation,
+    apply_translation,
     evaluate,
     induced_metric_factor,
 )
@@ -68,6 +70,24 @@ def refit_quadratic(points) -> tuple[QuadraticSection, float]:
     coef, *_ = np.linalg.lstsq(vand, es, rcond=None)
     residual = float(np.max(np.abs(vand @ coef - es)))
     return QuadraticSection(coef[0], coef[1], coef[2]), residual
+
+
+def apply_motion(m, p: ComplexPair) -> ComplexPair:
+    """Apply a Translation or Rotation to a point."""
+    if isinstance(m, Translation):
+        return apply_translation(m, p)
+    if isinstance(m, Rotation):
+        return apply_rotation(m, p)
+    raise DomainError(f"not a Euclidean motion: {m!r}")
+
+
+def transform_section(s: QuadraticSection, motion) -> QuadraticSection:
+    """Transform a sphere by a Translation or Rotation."""
+    if isinstance(motion, Translation):
+        return sections.translate_section(s, motion)
+    if isinstance(motion, Rotation):
+        return sections.rotate_section(s, motion)
+    raise DomainError(f"not a Euclidean motion: {motion!r}")
 
 
 REFIT_SAMPLE_DIRECTIONS = (0.0, 1.0, -1.0, 1.0j, -1.0j)
@@ -239,9 +259,7 @@ def normalization_check(samples, rng, threshold_resid, threshold_inv):
         z = [rng.uniform(-10.0, 10.0) for _ in range(6)]
         sec = QuadraticSection(complex(z[0], z[1]), complex(z[2], z[3]), complex(z[4], z[5]))
         cert = sections.normalize(sec)
-        moved = sections.transform_section(
-            sections.transform_section(sec, cert.translation), cert.rotation
-        )
+        moved = transform_section(transform_section(sec, cert.translation), cert.rotation)
         worst_resid = max(
             worst_resid,
             abs(moved.beta1),

@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -105,6 +106,13 @@ def test_negative_numbers_in_exponent_form_are_values(capsys):
         got = run_cli(capsys, *exponent_form)
         assert got[0] == 0
         assert got == run_cli(capsys, *plain)
+    # a section too small to square in doubles: c^2 + 4|gamma|^2 underflows to 0
+    code, out, err = run_cli(
+        capsys, "normalize", "--beta1", "0", "0", "--beta2", "0", "0",
+        "--beta3", "-1.1233609679946154e-268", "0",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["c"] == 1.1233609679946154e-268
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "turning-points", "--I1", "20", "--I2", "-1e-0", "--bogus"])
     assert exc.value.code == 2
@@ -116,10 +124,15 @@ def test_malformed_flag_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_missing_subcommand_is_usage_error():
+def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    # an unknown one gets the full parser's usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    assert "linegeo: error: argument command: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 #: command lines answered by argparse, or by main's own usage check
@@ -407,6 +420,14 @@ def test_non_finite_inputs_exit_3(capsys, argv):
     assert "must be" in err
 
 
+def test_non_finite_sphere_coefficient_is_named(capsys):
+    code, out, err = run_cli(
+        capsys, "normalize", "--beta1", "nan", "0", "--beta2", "0", "1", "--beta3", "0", "0"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("linegeo: beta1 must be finite")
+
+
 #: lower-hemisphere starts, run in zeta = 1/xi: radially out from |xi| = 1.5
 #: through the south pole zeta = 0 to the equator (with a little angular
 #: momentum the orbit passes close to the pole), and starts far out,
@@ -482,7 +503,8 @@ def test_analyze_blowup(capsys):
     code, out, _ = run_cli(capsys, "analyze", "blowup", "--I1", "1")
     assert code == 0
     assert abs(float(out.strip()) - 0.599070) < 1e-6 + 2e-7  # paper value, 6 digits
-    assert abs(float(out.strip()) - blowup_time(1.0)) < 1e-15
+    # Q(1), which test_analysis holds to 4e-16 of E(-1) - K(-1)
+    assert float(out.strip()) == blowup_time(1.0) == analysis.radial_quadrature(1.0)
 
 
 def test_analyze_blowup_json(capsys):
@@ -554,21 +576,22 @@ CHECK_ARGS = ["check", "--samples", "120", "--trajectories", "2", "--t-span", "3
 
 
 def test_check_passes(capsys):
-    code, out, _ = run_cli(capsys, *CHECK_ARGS)
-    assert code == 0
-    report = json.loads(out)
-    assert report["all_passed"] is True
-    names = {c["name"] for c in report["checks"]}
-    assert {
-        "isometry_metric",
-        "symplectomorphism",
-        "conservation_drift",
-        "triple_agreement",
-        "energy_identity",
-        "normalization_residual",
-    } <= names
-    for c in report["checks"]:
-        assert c["passed"] and c["margin"] > 1.0
+    for args in (CHECK_ARGS, ["check", "--samples", "200", "--trajectories", "2", "--t-span", "2"]):
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        report = json.loads(out)
+        assert report["all_passed"] is True
+        names = {c["name"] for c in report["checks"]}
+        assert {
+            "isometry_metric",
+            "symplectomorphism",
+            "conservation_drift",
+            "triple_agreement",
+            "energy_identity",
+            "normalization_residual",
+        } <= names
+        for c in report["checks"]:
+            assert c["passed"] and c["margin"] > 1.0
 
 
 def test_check_detects_injected_bias(capsys, monkeypatch):
@@ -964,3 +987,22 @@ def test_console_entry_point_exists():
     result = _run(["--help"])
     assert result.returncode == 0
     assert "normalize" in result.stdout and "geodesic" in result.stdout
+
+
+@pytest.mark.parametrize("argv, code", [(["analyze", "blowup", "--I1", "1"], 0),
+                                        (["analyze", "blowup", "--I1", "nan"], 3)])
+def test_console_script_exits_with_the_code_of_main(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["linegeo", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main_entry()
+    assert exc.value.code == code
+
+
+def test_console_script_names_main_entry():
+    # tomllib is missing on 3.10, so the script table is read as text
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "pyproject.toml")
+    with open(pyproject) as fh:
+        scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", fh.read(), re.M | re.S)
+    assert scripts is not None
+    assert re.search(r'^linegeo\s*=\s*"linegeo\.cli:main_entry"\s*$', scripts.group(1), re.M)

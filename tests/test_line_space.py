@@ -21,6 +21,7 @@ from linegeo import (
 )
 from linegeo.checks import _pairing_scale
 from oracles import (
+    apply_motion,
     compose_rotations,
     inverse_rotation,
     metric_matrix,
@@ -347,7 +348,6 @@ def test_matrices_agree_with_evaluators():
 
 def numeric_push_forward(m, u, eps=1e-6):
     """Central-difference Jacobian of the action (oracle for the exact one)."""
-    from linegeo import apply_motion
 
     def action(pair):
         q = apply_motion(m, pair)

@@ -17,21 +17,21 @@ from linegeo import (
     Rotation,
     StandardSphere,
     Translation,
-    apply_motion,
     certificate_to_dict,
     evaluate,
     induced_metric_factor,
     lagrangian_defect,
     normalize,
-    transform_section,
 )
 from oracles import (
+    apply_motion,
     certificate_from_dict,
     pullback_consistency_check,
     refit_quadratic,
     section_from_dict,
     section_to_dict,
     transform_pointwise,
+    transform_section,
 )
 
 RNG = np.random.default_rng(91002)
