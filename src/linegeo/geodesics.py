@@ -75,10 +75,6 @@ class GeodesicState(Record):
             raise DomainError(f"t must be finite, got {t!r}")
         self._init_fields(t, finite_complex("xi", xi), finite_complex("xidot", xidot))
 
-    @property
-    def radius(self) -> float:
-        return abs(self.xi)
-
     def to_polar(self) -> "PolarState":
         """Polar view (R, theta, Rdot, thetadot); requires xi != 0."""
         big_r = abs(self.xi)
@@ -159,9 +155,10 @@ def state_from_integrals(
         If I2 != 0 and I1/I2^2 lies below the potential minimum 6*sqrt(3),
         so no radius admits real radial motion.
     DomainError
-        If the requested radius lies outside the orbit annulus, or
-        I1/I2^2 is not a finite double.
+        If I1 or I2 is not finite, the requested radius lies outside the
+        orbit annulus, or I1/I2^2 is not a finite double.
     """
+    FirstIntegrals(i1, i2)  # DomainError unless both are finite doubles
     if not (0.0 < r0 < 1.0):
         raise DomainError(f"launch radius must lie in (0, 1), got {r0}")
     if i1 <= 0.0:
@@ -310,81 +307,53 @@ def oscillation_check(traj: Trajectory) -> OscillationReport:
 # -- the adaptive stepper -----------------------------------------------------
 
 # Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving
-# Ordinary Differential Equations I, section II.10, and Hairer's dop853.f).
-# _Ai_j is the weight of stage j in stage i, _Bj the eighth-order weight of
-# stage j, _E5_j the weight of stage j in the fifth-order error estimate, and
-# _BHHj that of the third-order pair, whose estimate is sum_j (_Bj - _BHHj) k_j.
-# Omitted weights are zero.  The flow is autonomous, so the nodes are not
-# needed; they are the row sums of the stage weights.
-_A2_1 = 5.26001519587677318785587544488e-2
-_A3_1 = 1.97250569845378994544595329183e-2
-_A3_2 = 5.91751709536136983633785987549e-2
-_A4_1 = 2.95875854768068491816892993775e-2
-_A4_3 = 8.87627564304205475450678981324e-2
-_A5_1 = 2.41365134159266685502369798665e-1
-_A5_3 = -8.84549479328286085344864962717e-1
-_A5_4 = 9.24834003261792003115737966543e-1
-_A6_1 = 3.7037037037037037037037037037e-2
-_A6_4 = 1.70828608729473871279604482173e-1
-_A6_5 = 1.25467687566822425016691814123e-1
-_A7_1 = 3.7109375e-2
-_A7_4 = 1.70252211019544039314978060272e-1
-_A7_5 = 6.02165389804559606850219397283e-2
-_A7_6 = -1.7578125e-2
-_A8_1 = 3.70920001185047927108779319836e-2
-_A8_4 = 1.70383925712239993810214054705e-1
-_A8_5 = 1.07262030446373284651809199168e-1
-_A8_6 = -1.53194377486244017527936158236e-2
-_A8_7 = 8.27378916381402288758473766002e-3
-_A9_1 = 6.24110958716075717114429577812e-1
-_A9_4 = -3.36089262944694129406857109825
-_A9_5 = -8.68219346841726006818189891453e-1
-_A9_6 = 2.75920996994467083049415600797e1
-_A9_7 = 2.01540675504778934086186788979e1
-_A9_8 = -4.34898841810699588477366255144e1
-_A10_1 = 4.77662536438264365890433908527e-1
-_A10_4 = -2.48811461997166764192642586468
-_A10_5 = -5.90290826836842996371446475743e-1
-_A10_6 = 2.12300514481811942347288949897e1
-_A10_7 = 1.52792336328824235832596922938e1
-_A10_8 = -3.32882109689848629194453265587e1
-_A10_9 = -2.03312017085086261358222928593e-2
-_A11_1 = -9.3714243008598732571704021658e-1
-_A11_4 = 5.18637242884406370830023853209
-_A11_5 = 1.09143734899672957818500254654
-_A11_6 = -8.14978701074692612513997267357
-_A11_7 = -1.85200656599969598641566180701e1
-_A11_8 = 2.27394870993505042818970056734e1
-_A11_9 = 2.49360555267965238987089396762
-_A11_10 = -3.0467644718982195003823669022
-_A12_1 = 2.27331014751653820792359768449
-_A12_4 = -1.05344954667372501984066689879e1
-_A12_5 = -2.00087205822486249909675718444
-_A12_6 = -1.79589318631187989172765950534e1
-_A12_7 = 2.79488845294199600508499808837e1
-_A12_8 = -2.85899827713502369474065508674
-_A12_9 = -8.87285693353062954433549289258
-_A12_10 = 1.23605671757943030647266201528e1
-_A12_11 = 6.43392746015763530355970484046e-1
-_B1 = 5.42937341165687622380535766363e-2
-_B6 = 4.45031289275240888144113950566
-_B7 = 1.89151789931450038304281599044
-_B8 = -5.8012039600105847814672114227
-_B9 = 3.1116436695781989440891606237e-1
-_B10 = -1.52160949662516078556178806805e-1
-_B11 = 2.01365400804030348374776537501e-1
-_B12 = 4.47106157277725905176885569043e-2
-_E5_1 = 1.312004499419488073250102996e-2
-_E5_6 = -1.225156446376204440720569753
-_E5_7 = -4.957589496572501915214079952e-1
-_E5_8 = 1.664377182454986536961530415
-_E5_9 = -3.503288487499736816886487290e-1
-_E5_10 = 3.341791187130174790297318841e-1
-_E5_11 = 8.192320648511571246570742613e-2
-_E5_12 = -2.235530786388629525884427845e-2
-_BHH1 = 2.44094488188976377952755905512e-1
-_BHH9 = 7.33846688281611857341361741547e-1
-_BHH12 = 2.20588235294117647058823529412e-2
+# Ordinary Differential Equations I, section II.10, and Hairer's dop853.f),
+# as rows of stage weights, zeros included: _A[i-1][j-1] is the weight of
+# stage j in stage i, _B[j-1] the eighth-order weight of stage j, _E5[j-1]
+# its weight in the fifth-order error estimate, and _BHH[j-1] that of the
+# third-order pair, whose estimate is sum_j (_B[j-1] - _BHH[j-1]) k_j.  The
+# flow is autonomous, so the nodes are not needed; they are the row sums of _A.
+_A = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+)
+_B = (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+      1.89151789931450038304281599044, -5.8012039600105847814672114227,
+      3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+      2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2)
+_E5 = (1.312004499419488073250102996e-2, 0.0, 0.0, 0.0, 0.0, -1.225156446376204440720569753,
+       -4.957589496572501915214079952e-1, 1.664377182454986536961530415,
+       -3.503288487499736816886487290e-1, 3.341791187130174790297318841e-1,
+       8.192320648511571246570742613e-2, -2.235530786388629525884427845e-2)
+_BHH = (2.44094488188976377952755905512e-1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        7.33846688281611857341361741547e-1, 0.0, 0.0, 2.20588235294117647058823529412e-2)
 
 #: step-size control: safety factor on the optimal step (0.9 rejects about
 #: a fifth of the attempts on long orbits at tol 1e-10, 0.8 about 4%), and
@@ -400,7 +369,7 @@ RHS_EVALS_PER_STEP = 12
 
 # The source of christoffel, _conformal, first_integrals_arrays and
 # geod_integrate, less what _generate_kernel writes out from the tableau
-# literals, _rhs and _integrals.
+# rows, _rhs and _integrals.
 _KERNEL = '''\
 def christoffel(xi: complex) -> complex:
     """The single nonzero Christoffel symbol of the induced metric.
@@ -459,14 +428,17 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     1 + max(|y|, |y_new|); the step is accepted when err <= 1.  After
     each attempt the step is scaled by min(facmax, max(1/3, 0.8 err^(-1/8)))
     (``_FAC_MIN``, ``_SAFETY``), or by facmax when err = 0, with facmax
-    6 (``_FAC_MAX``) and 1 after a rejection.  A stage exactly on the
-    equator divides by zero; the attempt is then rejected and the step
-    shrinks fivefold.  A start exactly on the equator raises
+    6 (``_FAC_MAX``) and 1 after a rejection.  An attempt is rejected,
+    and the step shrinks fivefold, when a stage lands exactly on the
+    equator, which divides by zero, or when its proposed point lies past
+    the cutoff band on the far side of the equator from the start.  So
+    no sample crosses the equator at any tol: a loose tol costs
+    rejections, not a crossing.  A start exactly on the equator raises
     ZeroDivisionError; ``integrate`` refuses starts in the cutoff band.
 
     ``_generate_kernel`` writes this function once per process.  The
-    stages come from the tableau literals, each weight as the literal of
-    its double, which compiles to a constant.  Every right-hand side,
+    stages come from the tableau rows, each nonzero weight as the literal
+    of its double, which compiles to a constant.  Every right-hand side,
     stage 1 included, is the source of ``_rhs`` (the Christoffel symbol
     in real arithmetic) and every sample's integrals that of
     ``_integrals``: xi = a0 + i b0, xidot = a1 + i b1, and stage i is
@@ -495,6 +467,7 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     {stage1}
     i1s, i2s = [], []
     {integrals0}
+    side = 1.0 if m < 1.0 else -1.0  # the sign of 1 - |xi|^2 at the start
     status, t_hit, rejected = Termination.MAX_STEPS, None, 0
 
     for _ in range(max_steps):
@@ -510,6 +483,8 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
             e5 *= e5
             deno = e5 + 0.01 * e3 * e3
             err = h * e5 / math.sqrt(deno) / tol if deno else 0.0
+            if side * (1.0 - m) < -equator_cut:  # past the band, across the equator
+                err = math.nan
 
         if err <= 1.0:
             t = t_span if clipped else t + h
@@ -533,7 +508,7 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
         else:
             rejected += 1
             next_facmax = 1.0  # the step after a rejection does not grow
-        if err != err:  # NaN: a stage hit the degeneracy exactly
+        if err != err:  # NaN: a stage on the equator, or a proposed point across it
             fac = 0.2
         elif err == 0.0:
             fac = facmax
@@ -576,28 +551,26 @@ def _generate_kernel():
     """Compile ``christoffel``, ``_conformal``, ``first_integrals_arrays``
     and ``geod_integrate`` from ``_KERNEL``, registering the source with
     ``linecache`` for tracebacks, profilers and ``inspect``.  The stepper's
-    stages and error estimates are written out from the tableau literals;
+    stages and error estimates are written out from the tableau rows;
     its stage 1 (``_rhs``) and integrals (``_integrals``) give the others."""
-    def weighted(prefix, k):  # sum_j w_j k_j, w_j the literals prefix + j
+    def weighted(row, k):  # sum_j w_j k_j over the nonzero weights w_j of row
         _, stage, part = _COMPONENTS[k]
-        g = globals()
-        weights = {j: g[f"{prefix}{j}"] for j in range(1, 13) if f"{prefix}{j}" in g}
-        return " + ".join(f"{w!r} * {stage}{j}{part}" for j, w in weights.items())
+        return " + ".join(f"{w!r} * {stage}{j}{part}" for j, w in enumerate(row, 1) if w)
 
     def mag(x):  # |x| without a call
         return f"(-{x} if {x} < 0.0 else {x})"
 
     stages = []
-    for i in range(2, 13):
+    for i, row in enumerate(_A[1:], 2):
         for k, target in zip(_COMPONENTS, ("x", "y", f"p{i}r", f"p{i}i")):
-            stages.append(f"{target} = {_COMPONENTS[k][0]} + h * ({weighted(f'_A{i}_', k)})")
+            stages.append(f"{target} = {_COMPONENTS[k][0]} + h * ({weighted(row, k)})")
         stages += _rhs("x", "y", f"p{i}r", f"p{i}i", f"q{i}r", f"q{i}i")
-    stages += [f"s{k} = {weighted('_B', k)}" for k in _COMPONENTS]
+    stages += [f"s{k} = {weighted(_B, k)}" for k in _COMPONENTS]
     stages += [f"{y}n = {y} + h * s{k}" for k, (y, _, _) in _COMPONENTS.items()]
     stages.append("# the 13th evaluation, at the proposed point: stage 1 of the next step")
     stages += _rhs("a0n", "b0n", "a1n", "b1n", "q13r", "q13i")
-    errors = [f"e5{k} = {weighted('_E5_', k)}" for k in _COMPONENTS]
-    errors += [f"e3{k} = s{k} - ({weighted('_BHH', k)})" for k in _COMPONENTS]
+    errors = [f"e5{k} = {weighted(_E5, k)}" for k in _COMPONENTS]
+    errors += [f"e3{k} = s{k} - ({weighted(_BHH, k)})" for k in _COMPONENTS]
     errors.append("# max over the 4 real components, each scaled by 1 + its larger magnitude")
     for k, (y, _, _) in _COMPONENTS.items():
         errors += [f"c = {mag(y)}", f"d = {mag(y + 'n')}", "w = 1.0 + (d if d > c else c)"]
@@ -667,7 +640,11 @@ def integrate(
     * ``MAX_STEPS`` -- ``MAX_STEPS`` step attempts (accepted or rejected)
       ran out first; the trajectory holds the steps accepted until then.
 
-    The three limits are the module constants, read at each call.
+    The three limits are the module constants, read at each call.  No
+    tol carries the run across the equator: the stepper rejects an
+    attempt whose proposed point lies past the cutoff band on the far
+    side, so every sample keeps 1 - |z|^2 >= -``EQUATOR_CUTOFF``, and a
+    loose tol shows in ``max_drift`` and the rejected steps instead.
 
     Raises
     ------

@@ -7,12 +7,10 @@ pullback of the metric to the standard sphere, the check suite's
 sampling loops one helper call per draw, the Christoffel symbol, the
 right-hand side, the first integrals and the energy-identity check as
 written out in complex arithmetic before the stepper's source became
-their one definition, the DOP853 tableau as rows of stage weights, and
-the JSON readers of the section and certificate wire format (the CLI
-only writes it)."""
+their one definition, and the JSON readers of the section and
+certificate wire format (the CLI only writes it)."""
 
 import random
-import re
 from cmath import rect
 from math import log, pi, sqrt
 
@@ -347,26 +345,6 @@ def energy_identity_check(tol, t_span, rng, threshold):
         kept += 1
     return checks.CheckResult("energy_identity", worst < threshold, threshold, worst,
                               f"{kept} samples")
-
-
-# -- the DOP853 tableau as rows ----------------------------------------------
-
-
-def _dop853_rows():
-    """(A, B, E5, BHH): the stepper's named literals _Ai_j, _Bj, _E5_j and
-    _BHHj as rows of stage weights, zeros included.  A[i-1] holds the
-    weights of stages 1 .. i-1 in stage i; the others have 12 entries."""
-    a = [[0.0] * i for i in range(12)]
-    b, e5, bhh = [0.0] * 12, [0.0] * 12, [0.0] * 12
-    for name, value in vars(geodesics).items():
-        if m := re.fullmatch(r"_A(\d+)_(\d+)", name):
-            a[int(m[1]) - 1][int(m[2]) - 1] = value
-        elif m := re.fullmatch(r"_(B|E5_|BHH)(\d+)", name):
-            {"B": b, "E5_": e5, "BHH": bhh}[m[1]][int(m[2]) - 1] = value
-    return tuple(map(tuple, a)), tuple(b), tuple(e5), tuple(bhh)
-
-
-DOP853_A, DOP853_B, DOP853_E5, DOP853_BHH = _dop853_rows()
 
 
 # -- JSON wire format -------------------------------------------------------

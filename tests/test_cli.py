@@ -214,6 +214,31 @@ def test_geodesic_trial_stage_exactly_on_equator(tmp_path, capsys):
     assert summary["rejected_steps"] >= 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--xi", "0", "0", "--xidot", "1", "0", "--tol", "0.5"],
+    ["--polar", "0.5", "0", "0.5", "1", "--tol", "0.1", "--t-max", "20"],
+])
+def test_geodesic_at_a_loose_tol_keeps_to_its_side_of_the_equator(tmp_path, capsys, argv):
+    # a proposed point past the cutoff band across the equator is rejected,
+    # so these runs neither overflow beyond it (the first) nor carry their
+    # samples over (the second, to 1 - R^2 = -43.6 without the rule)
+    csv_path = tmp_path / "loose.csv"
+    code, _, err = run_cli(capsys, "geodesic", *argv, "--output", str(csv_path))
+    assert code == 0, err
+    radii = [float(row.split(",")[1]) for row in csv_path.read_text().splitlines()[1:]]
+    assert min(1.0 - r * r for r in radii) >= -geodesics.EQUATOR_CUTOFF
+
+
+@pytest.mark.parametrize("tol", ["1", "1e300"])
+def test_check_at_a_loose_tol_reports_its_drift(capsys, tol):
+    code, out, err = run_cli(capsys, "check", "--samples", "1", "--trajectories", "1",
+                             "--tol", tol)
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert "conservation_drift" in failed
+
+
 def test_geodesic_csv_to_stdout_summary_to_stderr(capsys):
     code, out, err = run_cli(
         capsys, "geodesic", "--xi", "0.2", "0", "--xidot", "0", "0.5", "--t-max", "1"
@@ -418,6 +443,13 @@ def test_non_finite_inputs_exit_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert "must be" in err
+
+
+@pytest.mark.parametrize("i1", ["nan", "inf"])
+def test_geodesic_non_finite_integrals_are_named(capsys, i1):
+    code, out, err = run_cli(capsys, "geodesic", "--integrals", i1, "0", "0.5")
+    assert (code, out) == (3, "")
+    assert err == f"linegeo: first integrals must be finite doubles, got I1 = {i1}, I2 = 0.0\n"
 
 
 def test_non_finite_sphere_coefficient_is_named(capsys):

@@ -6,11 +6,11 @@ import io
 import linecache
 import math
 import random
-import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linegeo import (
     DegeneracyError,
@@ -30,7 +30,8 @@ from linegeo import (
 )
 from linegeo import geodesics
 from linegeo.geodesics import CSV_HEADER, EQUATOR_CUTOFF, MIN_STEP
-from oracles import DOP853_A, DOP853_B, DOP853_BHH, DOP853_E5, rhs
+from linegeo.geodesics import _A as DOP853_A, _B as DOP853_B, _BHH as DOP853_BHH, _E5 as DOP853_E5
+from oracles import rhs
 from oracles import christoffel as complex_christoffel
 from oracles import first_integrals_arrays as complex_first_integrals_arrays
 
@@ -209,6 +210,17 @@ def test_state_from_integrals_outside_annulus():
     tp = turning_points(1.0, math.sqrt(1.0 / (2.0 * 6.0 * math.sqrt(3.0))))
     with pytest.raises(DomainError):
         state_from_integrals(1.0, math.sqrt(1.0 / (2.0 * 6.0 * math.sqrt(3.0))), tp.R_min / 2.0)
+
+
+@pytest.mark.parametrize("i1, i2, r0", [
+    (math.nan, 0.0, 0.5), (math.inf, 0.0, 0.5), (-math.inf, 0.2, 0.5), (0.6, math.nan, 0.5),
+    (math.nan, 0.0, 2.0),  # named before the radius is looked at
+])
+def test_state_from_integrals_names_non_finite_integrals(i1, i2, r0):
+    with pytest.raises(DomainError) as info:
+        state_from_integrals(i1, i2, r0)
+    assert str(info.value) == (
+        f"first integrals must be finite doubles, got I1 = {i1!r}, I2 = {i2!r}")
 
 
 def test_state_from_integrals_inward_sign():
@@ -397,6 +409,27 @@ def test_restart_from_final_state_keeps_the_chart_and_the_sign_of_i1():
         traj.final_state()
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.0, 0.95), st.booleans(), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 3.0),
+    st.floats(0.0, 2.0 * math.pi), st.floats(-8.0, 3.0), st.floats(1e-3, 2.0),
+)
+def test_integrate_stays_on_its_side_of_the_equator_at_any_tol(
+    rho, lower, theta, speed, phi, log_tol, t_max
+):
+    # starts with |xi0| <= 0.95 or >= 1/0.95 and |xidot0| <= 3, tol from
+    # 1e-8 to 1e3: every run returns or raises DomainError, and no sample
+    # lies past the cutoff band across the equator of its chart
+    if lower:
+        rho = 1.0 / max(rho, 1e-3)
+    start = GeodesicState(0.0, cmath.rect(rho, theta), cmath.rect(speed, phi))
+    try:
+        traj = integrate(start, SPHERE, t_max, 10.0 ** log_tol)
+    except DomainError:
+        return
+    assert min(1.0 - abs(z) ** 2 for z in traj.xi) >= -EQUATOR_CUTOFF
+
+
 def test_integrate_samples_strictly_increasing():
     traj = integrate(random_orbit_state(), SPHERE, 4.0, 1e-8)
     assert np.all(np.diff(traj.t) > 0.0)
@@ -537,7 +570,9 @@ def weighted_sum(weights, stages, part):
 def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     """The DOP853 stepper as a generic loop over the tableau tuples;
     ``geod_integrate`` must reproduce it bit for bit.  A NaN stage (a
-    point exactly on the equator) rejects the attempt."""
+    point exactly on the equator) rejects the attempt, and so does a
+    proposed point past the cutoff band on the far side of the equator
+    from the start."""
     t = 0.0
     y0, y1 = complex(xi0), complex(xidot0)
     ts = [0.0]
@@ -546,6 +581,7 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
     h = min(1e-2, 1e-2 * (1.0 + abs(y0)) / (1.0 + abs(y1)), t_span)
     facmax = 6.0
     k = [reference_rhs(y0, y1)]
+    side = 1.0 if (y0 * y0.conjugate()).real < 1.0 else -1.0
     status = Termination.MAX_STEPS
     t_hit = None
     rejected = 0
@@ -581,6 +617,8 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
             n5 *= n5
             deno = n5 + 0.01 * n3 * n3
             err = h * n5 / math.sqrt(deno) / tol if deno else 0.0
+        if side * (1.0 - (y0n * y0n.conjugate()).real) < -equator_cut:
+            err = math.nan
         if err <= 1.0:
             y0o = y0
             t = t_span if clipped else t + h
@@ -671,6 +709,9 @@ _ORACLE_RUNS = [
     ),
     # a lower-hemisphere orbit, integrated in zeta
     pytest.param(ZETA0, ZETADOT0, 8.0, 1e-10, Termination.TIME_LIMIT, id="zeta-orbit"),
+    # a loose tol: the controller proposes points past the equator, which
+    # are rejected; without that rule this run crossed and overflowed
+    pytest.param(0.0, 1.0, 10.0, 0.5, Termination.STEP_UNDERFLOW, id="loose-tol-radial"),
 ]
 
 
@@ -729,9 +770,10 @@ def test_integral_series_is_first_integrals_arrays_bit_for_bit(xi0, xidot0, tol,
 
 def test_kernel_weights_are_compiled_constants():
     code = geodesics.geod_integrate.__code__
-    tableau = re.compile(r"_A\d+_\d+|_B\d+|_E5_\d+|_BHH\d+|_SAFETY|_FAC_\w+")
-    assert not [name for name in code.co_names if tableau.fullmatch(name)]
-    weights = [v for name, v in vars(geodesics).items() if tableau.fullmatch(name)]
+    controller = ("_SAFETY", "_FAC_MIN", "_FAC_MAX")
+    assert not {"_A", "_B", "_E5", "_BHH", *controller} & set(code.co_names)
+    rows = (*DOP853_A, DOP853_B, DOP853_E5, DOP853_BHH)
+    weights = [w for row in rows for w in row if w] + [getattr(geodesics, c) for c in controller]
     assert len(weights) == 72
     assert set(weights) <= set(code.co_consts)
 
@@ -758,7 +800,7 @@ def test_kernel_source_is_the_generated_text():
         assert sources[-1].startswith(f"def {name}(")
     assert text == "\n\n".join(sources)
     assert sources[-1].startswith("def geod_integrate(xi0, xidot0, t_span, tol, equator_cut,")
-    assert f"{geodesics._A12_11!r} * q11i" in sources[-1]
+    assert f"{DOP853_A[11][10]!r} * q11i" in sources[-1]
     # every field of the template is filled; christoffel's message is an f-string
     assert "{" not in text.replace("{xi!r}", "")
     # Gamma, f and (I1, I2) are the lines of the stepper's stage 1 and integrals
