@@ -42,8 +42,8 @@ _EXPORTS = {
         "apply_translation", "metric", "push_forward", "symplectic_form",
     ),
     "sections": (
-        "NormalizationCertificate", "QuadraticSection", "StandardSphere", "certificate_to_dict",
-        "evaluate", "induced_metric_factor", "lagrangian_defect", "normalize",
+        "NormalizationCertificate", "QuadraticSection", "StandardSphere", "evaluate",
+        "induced_metric_factor", "lagrangian_defect", "normalize",
     ),
 }
 

@@ -242,11 +242,17 @@ def potential_curve(
     return [(r, effective_potential(r)) for r in linspace(r_lo, r_hi, num)]
 
 
-def series_quadrature_table(r_values) -> list[tuple[float, float, float, float]]:
+def series_quadrature_table(
+    r_lo: float = 0.05, r_hi: float = 0.95, num: int = 19
+) -> list[tuple[float, float, float, float]]:
     """Rows (R, series, quadrature, difference) comparing the two
-    evaluations of the travel-time primitive."""
+    evaluations of the travel-time primitive at ``num`` evenly spaced R."""
+    if not (0.0 <= r_lo < r_hi < 1.0):
+        raise DomainError(f"need 0 <= r_lo < r_hi < 1, got ({r_lo}, {r_hi})")
+    if num < 1:
+        raise DomainError(f"need at least 1 sample, got {num}")
     rows = []
-    for big_r in r_values:
+    for big_r in linspace(r_lo, r_hi, num):
         s = appell_f1_series(big_r)
         q = radial_quadrature(big_r)
         rows.append((big_r, s, q, s - q))

@@ -7,7 +7,8 @@ summary's ``chart`` key name, with I1 in the xi sense, so negative),
 ``analyze`` (blow-up time, effective potential, turning points, series
 cross-check) and ``check`` (the cross-module invariant suite).  Each
 handler imports the modules it runs, so a cold call loads only those,
-and ``main`` builds only the parser of the subcommand it is given.
+and ``main`` adds the arguments of its subcommand alone.  The JSON
+outputs write each value type by its fields, in slot order (``_fields``).
 
 Exit codes: 0 success, 1 internal error or failed checks, 2 usage
 errors, 3 domain errors (invalid region, no orbit).  Set
@@ -21,7 +22,7 @@ import re
 import sys
 from contextlib import contextmanager
 
-from .errors import DomainError, LineGeoError
+from .errors import LineGeoError, Record
 
 
 def _log_info(msg, *args):
@@ -43,10 +44,20 @@ def _out_stream(path, fallback=None):
             yield fh
 
 
+def _fields(obj):
+    """The JSON form of a value type: a ``Record`` as the dict of its
+    fields in slot order, a complex as [re, im]."""
+    if isinstance(obj, Record):
+        return dict(zip(obj.__slots__, obj._values()))
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(obj, path, fallback=None):
     import json
 
-    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(obj, indent=2, allow_nan=False, default=_fields) + "\n"
     with _out_stream(path, fallback) as fh:
         fh.write(text)
 
@@ -70,7 +81,7 @@ def cmd_normalize(args) -> int:
     )
     cert = sections.normalize(sec)
     _log_info("normalized section to c = %.17g", cert.result.c)
-    _write_json(sections.certificate_to_dict(cert), args.output)
+    _write_json(cert, args.output)
     return 0
 
 
@@ -153,14 +164,11 @@ def cmd_analyze(args) -> int:
         return 0
 
     if args.what == "turning-points":
-        tp = analysis.turning_points(args.I1, args.I2)
-        _write_json({"R_min": tp.R_min, "R_max": tp.R_max, "ratio": tp.ratio}, args.output)
+        _write_json(analysis.turning_points(args.I1, args.I2), args.output)
         return 0
 
     # series-check
-    if args.num < 1:
-        raise DomainError(f"need at least 1 sample, got {args.num}")
-    rows = analysis.series_quadrature_table(analysis.linspace(args.r_lo, args.r_hi, args.num))
+    rows = analysis.series_quadrature_table(args.r_lo, args.r_hi, args.num)
     _write_csv("R,series,quadrature,diff", rows, args.output)
     return 0
 
@@ -172,11 +180,7 @@ def cmd_check(args) -> int:
     config = {name: getattr(args, name) for name in names}
     results = checks.run_checks(**config)
     all_passed = all(r.passed for r in results)
-    report = {
-        "config": config,
-        "all_passed": all_passed,
-        "checks": [r.to_dict() for r in results],
-    }
+    report = {"config": config, "all_passed": all_passed, "checks": results}
     _write_json(report, args.output)
     return 0 if all_passed else 1
 
@@ -184,18 +188,15 @@ def cmd_check(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_normalize(sub):
-    p_norm = sub.add_parser("normalize", help="put a quadratic sphere in standard form")
+def _add_normalize(p_norm):
     for name in ("beta1", "beta2", "beta3"):
         p_norm.add_argument(
             f"--{name}", nargs=2, type=float, required=True, metavar=("RE", "IM")
         )
     p_norm.add_argument("--output", help="write the certificate JSON here (default stdout)")
-    p_norm.set_defaults(handler=cmd_normalize)
 
 
-def _add_geodesic(sub):
-    p_geo = sub.add_parser("geodesic", help="integrate a geodesic and export CSV")
+def _add_geodesic(p_geo):
     p_geo.add_argument("--c", type=float, default=1.0, help="sphere coefficient (c > 0)")
     p_geo.add_argument("--xi", nargs=2, type=float, metavar=("RE", "IM"))
     p_geo.add_argument("--xidot", nargs=2, type=float, metavar=("RE", "IM"))
@@ -226,12 +227,9 @@ def _add_geodesic(sub):
         "--summary",
         help="summary JSON path (default: stderr if the CSV is on stdout, else stdout)",
     )
-    p_geo.set_defaults(handler=cmd_geodesic)
 
 
-def _add_analyze(sub):
-    p_ana = sub.add_parser("analyze", help="radial analysis outputs")
-    p_ana.set_defaults(handler=cmd_analyze)
+def _add_analyze(p_ana):
     ana_sub = p_ana.add_subparsers(dest="what", required=True)
 
     p_blow = ana_sub.add_parser("blowup", help="equator arrival time for radial motion")
@@ -253,23 +251,21 @@ def _add_analyze(sub):
         p.add_argument("--output")
 
 
-def _add_check(sub):
-    p_chk = sub.add_parser("check", help="run the invariant suite")
+def _add_check(p_chk):
     p_chk.add_argument("--samples", type=int, default=1000)
     p_chk.add_argument("--trajectories", type=int, default=6)
     p_chk.add_argument("--tol", type=float, default=1e-10)
     p_chk.add_argument("--t-span", type=float, default=6.0)
     p_chk.add_argument("--seed", type=int, default=2025)
     p_chk.add_argument("--output")
-    p_chk.set_defaults(handler=cmd_check)
 
 
-#: each subcommand's parser, in the order ``-h`` lists them
+#: each subcommand's help line, handler and arguments, in ``-h`` order
 _SUBCOMMANDS = {
-    "normalize": _add_normalize,
-    "geodesic": _add_geodesic,
-    "analyze": _add_analyze,
-    "check": _add_check,
+    "normalize": ("put a quadratic sphere in standard form", cmd_normalize, _add_normalize),
+    "geodesic": ("integrate a geodesic and export CSV", cmd_geodesic, _add_geodesic),
+    "analyze": ("radial analysis outputs", cmd_analyze, _add_analyze),
+    "check": ("run the invariant suite", cmd_check, _add_check),
 }
 
 
@@ -283,23 +279,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The command-line parser: with ``command`` a subcommand's name, the
-    parser of that subcommand alone, which parses its command lines as
-    the full parser does; otherwise the parsers of all of them."""
+    """The command-line parser: every subcommand listed, and ``command``,
+    if it names one, given its handler and arguments, so that a command
+    line starting with that name parses as with all of them given theirs."""
     parser = _Parser(
         prog="linegeo",
         description="Geometry of oriented-line space and geodesics on twisting spheres.",
     )
-    if command in _SUBCOMMANDS:
-        # the metavar keeps the usage line of the full parser
-        sub = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(_SUBCOMMANDS) + "}"
-        )
-        _SUBCOMMANDS[command](sub)
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-        for add in _SUBCOMMANDS.values():
-            add(sub)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, handler, add_arguments) in _SUBCOMMANDS.items():
+        p_cmd = sub.add_parser(name, help=help_line)
+        if name == command:
+            p_cmd.set_defaults(handler=handler)
+            add_arguments(p_cmd)
     return parser
 
 

@@ -651,9 +651,9 @@ def integrate(
     DomainError
         If the sphere is not twisting (c <= 0), tol is not positive and
         finite, t_max is not finite, t_max <= initial.t, t_max - initial.t
-        overflows, the initial I1 or I2 is not a finite double in the
-        run's chart, the initial point sits inside the cutoff band of its
-        chart, or I1 or I2 is not finite at some sample.
+        overflows, the initial point sits inside the cutoff band of its
+        chart, or I1 or I2 is not a finite double at some sample, the
+        first included.
     """
     if sphere.c <= 0.0:
         raise DomainError("geodesic flow requires a twisting sphere (c > 0)")
@@ -669,8 +669,6 @@ def integrate(
     if (z0 * z0.conjugate()).real > 1.0:  # |xi|^2, which may overflow to inf
         z0 = 1.0 / z0
         zdot0, chart = -zdot0 * z0 * z0, "zeta"  # -xidot/xi^2 without forming xi^2
-    # DomainError unless I1 and I2 are finite doubles in the run's chart
-    first_integrals(GeodesicState(initial.t, z0, zdot0))
     s0 = 1.0 - abs(z0) ** 2
     if abs(s0) <= EQUATOR_CUTOFF:
         raise DomainError(

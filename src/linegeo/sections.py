@@ -171,19 +171,3 @@ def induced_metric_factor(s: StandardSphere, xi: complex) -> float:
     positive outside: the Lagrangian defect with the opposite sign."""
     return -lagrangian_defect(s, xi)
 
-
-# -- JSON wire format -------------------------------------------------------
-
-
-def _c2j(z: complex):
-    return [z.real, z.imag]
-
-
-def certificate_to_dict(cert: NormalizationCertificate) -> dict:
-    return {
-        "translation": {"alpha1": _c2j(cert.translation.alpha1), "a1": cert.translation.a1},
-        "rotation": {"alpha2": _c2j(cert.rotation.alpha2), "alpha3": _c2j(cert.rotation.alpha3)},
-        "result": {"c": cert.result.c},
-        "intermediate_gamma": _c2j(cert.intermediate_gamma),
-        "intermediate_c": cert.intermediate_c,
-    }

@@ -35,7 +35,6 @@ from linegeo import (
 from linegeo import analysis, checks, geodesics, line_space, sections
 from linegeo.errors import finite_complex
 from linegeo.geodesics import DEGENERACY_TOL
-from linegeo.sections import _c2j
 
 
 def inverse_rotation(m: Rotation) -> Rotation:
@@ -348,6 +347,10 @@ def energy_identity_check(tol, t_span, rng, threshold):
 
 
 # -- JSON wire format -------------------------------------------------------
+
+
+def _c2j(z: complex):
+    return [z.real, z.imag]
 
 
 def _j2c(pair) -> complex:

@@ -458,7 +458,7 @@ def test_potential_curve_rows():
 
 
 def test_series_quadrature_table():
-    rows = np.asarray(series_quadrature_table([0.1, 0.5, 0.9]))
+    rows = np.asarray(series_quadrature_table(0.1, 0.9, 3))
     assert rows.shape == (3, 4)
     assert np.all(np.abs(rows[:, 3]) < 1e-10)
     assert np.all(np.abs(rows[:, 1] - rows[:, 2] - rows[:, 3]) == 0.0)

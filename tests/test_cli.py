@@ -155,9 +155,20 @@ def test_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch, argv)
             main(list(argv))
         return exc.value.code, *capsys.readouterr()
 
+    description = cli.build_parser().description
+
+    def build_full(command=None):
+        # every subcommand with its handler and arguments
+        parser = cli._Parser(prog="linegeo", description=description)
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (help_line, handler, add_arguments) in cli._SUBCOMMANDS.items():
+            p_cmd = sub.add_parser(name, help=help_line)
+            p_cmd.set_defaults(handler=handler)
+            add_arguments(p_cmd)
+        return parser
+
     partial = outcome()
-    build_full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_full())
+    monkeypatch.setattr(cli, "build_parser", build_full)
     assert outcome() == partial
 
 
@@ -165,7 +176,57 @@ def test_a_subcommand_parser_knows_no_other_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.build_parser("geodesic").parse_args(["analyze", "blowup", "--I1", "1"])
     assert exc.value.code == 2
-    assert cli.build_parser().parse_args(["analyze", "blowup", "--I1", "1"]).I1 == 1.0
+    assert cli.build_parser("analyze").parse_args(["analyze", "blowup", "--I1", "1"]).I1 == 1.0
+
+
+# -- JSON layout ----------------------------------------------------------------
+
+
+def _layout(text):
+    """The keys, in order, and the value types of a JSON text, not its
+    digits: an object as a list of (key, layout) pairs, an array as a
+    list of layouts."""
+
+    def layout(value):
+        if isinstance(value, tuple):
+            return (value[0], layout(value[1]))
+        if isinstance(value, list):
+            return [layout(item) for item in value]
+        return type(value).__name__
+
+    return layout(json.loads(text, object_pairs_hook=list))
+
+
+COMPLEX = ["float", "float"]  # [re, im]
+CHECK_RESULT = [("name", "str"), ("passed", "bool"), ("threshold", "float"),
+                ("observed", "float"), ("margin", "float"), ("detail", "str")]
+
+
+@pytest.mark.parametrize("argv, layout", [
+    # the certificate's translation, rotation and standard sphere are objects
+    (["normalize", "--beta1", "1", "0", "--beta2", "0", "-2", "--beta3", "3", "0"], [
+        ("translation", [("alpha1", COMPLEX), ("a1", "float")]),
+        ("rotation", [("alpha2", COMPLEX), ("alpha3", COMPLEX)]),
+        ("result", [("c", "float")]),
+        ("intermediate_gamma", COMPLEX),
+        ("intermediate_c", "float"),
+    ]),
+    (["analyze", "turning-points", "--I1", "20", "--I2", "1"],
+     [("R_min", "float"), ("R_max", "float"), ("ratio", "float")]),
+    (["check", "--samples", "7", "--trajectories", "1", "--t-span", "1"], [
+        ("config", [("samples", "int"), ("trajectories", "int"), ("tol", "float"),
+                    ("t_span", "float"), ("seed", "int")]),
+        ("all_passed", "bool"),
+        ("checks", [CHECK_RESULT] * 6),
+    ]),
+], ids=["normalize", "turning-points", "check"])
+def test_value_types_are_written_by_their_fields(capsys, argv, layout):
+    assert _layout(run_cli(capsys, *argv)[1]) == layout
+
+
+def test_the_encoder_refuses_what_is_not_a_value_type():
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        json.dumps({"a": {1.0}}, default=cli._fields)
 
 
 # -- geodesic -----------------------------------------------------------------
@@ -401,6 +462,19 @@ def test_geodesic_integrals_overflowing_along_the_run_exit_3(tmp_path, capsys):
         cli._write_json({"max_drift_I1": math.inf}, str(summary_path))
 
 
+@pytest.mark.parametrize("xi, xidot, i1", [
+    ("0", "1e200", "inf"),
+    ("0", "2e154", "inf"),
+    # the run is in zeta = 1/xi, and I1 is named in the xi sense
+    ("2", "1e160", "-inf"),
+])
+def test_geodesic_initial_integrals_overflowing_exit_3(capsys, xi, xidot, i1):
+    code, out, err = run_cli(capsys, "geodesic", "--xi", xi, "0", "--xidot", xidot, "0")
+    assert (code, out) == (3, "")
+    assert err == ("linegeo: first integrals must be finite doubles along the run, "
+                   f"got I1 = {i1}, I2 = 0.0 at t = 0.0\n")
+
+
 def test_geodesic_on_equator_exit_3(capsys):
     code, _, err = run_cli(capsys, "geodesic", "--xi", "1", "0", "--xidot", "0", "1")
     assert code == 3
@@ -601,6 +675,28 @@ def test_analyze_series_check_close_to_one(capsys):
         assert abs(float(line.split(",")[3])) <= 1e-10
 
 
+@pytest.mark.parametrize("argv, given", [
+    (["--r-hi", "inf"], "(0.05, inf)"),
+    (["--r-lo", "0.5", "--r-hi", "0.4"], "(0.5, 0.4)"),
+    (["--r-lo", "0.5", "--r-hi", "0.5", "--num", "1"], "(0.5, 0.5)"),
+    (["--r-lo", "nan"], "(nan, 0.95)"),
+    (["--r-lo", "-0.1"], "(-0.1, 0.95)"),
+    (["--r-hi", "1"], "(0.05, 1.0)"),
+])
+def test_analyze_series_check_refuses_a_bad_range_naming_it(capsys, argv, given):
+    # as analyze potential does: a descending table is refused, and a
+    # non-finite bound is named as given
+    code, out, err = run_cli(capsys, "analyze", "series-check", *argv)
+    assert (code, out) == (3, "")
+    assert err == f"linegeo: need 0 <= r_lo < r_hi < 1, got {given}\n"
+
+
+def test_analyze_series_check_of_one_sample(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "series-check", "--r-lo", "0.3", "--num", "1")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["R", "0.29999999999999999"]
+
+
 # -- check ---------------------------------------------------------------------
 
 
@@ -763,6 +859,46 @@ def test_check_detects_tampered_push_forward(capsys, monkeypatch):
         assert code == 1
         failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
         assert failed == INVARIANCE_CHECKS
+
+
+def _raise_c(monkeypatch):
+    from linegeo import NormalizationCertificate, StandardSphere, sections
+
+    exact = sections.normalize
+
+    def tampered(sec):
+        cert = exact(sec)
+        return NormalizationCertificate(
+            cert.translation, cert.rotation, StandardSphere(cert.result.c + 5e-10),
+            cert.intermediate_gamma, cert.intermediate_c,
+        )
+
+    monkeypatch.setattr(sections, "normalize", tampered)
+
+
+def _raise_series(monkeypatch):
+    exact = analysis.appell_f1_series
+    monkeypatch.setattr(analysis, "appell_f1_series", lambda big_r: exact(big_r) + 5e-10)
+
+
+@pytest.mark.parametrize("tamper, name", [
+    (_raise_series, "triple_agreement"), (_raise_c, "normalization_residual"),
+])
+def test_a_check_failing_its_second_criterion_reports_no_headroom(
+    capsys, monkeypatch, tamper, name
+):
+    # the error that fails the check lies below the threshold the margin
+    # is taken against: threshold/observed would read as headroom
+    tamper(monkeypatch)
+    code, out, _ = run_cli(capsys, *CHECK_ARGS)
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert {c["name"] for c in checks if not c["passed"]} == {name}
+    failed = next(c for c in checks if c["name"] == name)
+    assert failed["observed"] < failed["threshold"]
+    assert failed["margin"] == 1.0
+    for c in checks:
+        assert (c["margin"] > 1.0) == c["passed"]
 
 
 @pytest.mark.parametrize("form", ["metric", "symplectic_form"])

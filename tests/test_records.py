@@ -1,6 +1,7 @@
 """The immutable value types: the contract every ``Record`` keeps."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -27,7 +28,8 @@ from linegeo.checks import CheckResult
 _TRAJ = integrate(GeodesicState(0.0, 0.3, 0.5j), StandardSphere(1.0), 0.5, 1e-8)
 _TP = TurningPoints(R_min=0.2, R_max=0.6, ratio=12.5)
 
-#: (type, keyword arguments, defaults of the fields left out)
+#: (type, keyword arguments, values of the fields left out: defaults, or
+#: derived at construction)
 RECORDS = [
     (ComplexPair, {"xi": 0.3 + 0.1j, "eta": -1.0 + 2.0j}, {}),
     (Translation, {"alpha1": 0.5 - 1.0j, "a1": 0.25}, {}),
@@ -72,7 +74,7 @@ RECORDS = [
     (
         CheckResult,
         {"name": "demo", "passed": True, "threshold": 1e-8, "observed": 3e-11},
-        {"detail": ""},
+        {"margin": 1e-8 / 3e-11, "detail": ""},
     ),
 ]
 
@@ -86,8 +88,12 @@ def test_record_contract(cls, kwargs, defaults):
     assert set(fields) == set(kwargs) | set(defaults)
     values = [getattr(record, name) for name in fields]
 
-    # keyword and positional construction agree, and the defaults hold
-    assert cls(*[kwargs.get(name, defaults.get(name)) for name in fields]) == record
+    # keyword and positional construction agree, the constructor taking the
+    # fields in slot order (less those derived at construction), and the
+    # defaults hold
+    params = [name for name in fields if name in inspect.signature(cls).parameters]
+    assert list(inspect.signature(cls).parameters) == params
+    assert cls(*[kwargs.get(name, defaults.get(name)) for name in params]) == record
     for name, default in defaults.items():
         assert getattr(record, name) == default
 

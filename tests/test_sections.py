@@ -17,12 +17,12 @@ from linegeo import (
     Rotation,
     StandardSphere,
     Translation,
-    certificate_to_dict,
     evaluate,
     induced_metric_factor,
     lagrangian_defect,
     normalize,
 )
+from linegeo import cli
 from oracles import (
     apply_motion,
     certificate_from_dict,
@@ -339,7 +339,7 @@ def test_section_json_round_trip():
 
 def test_certificate_json_round_trip():
     cert = normalize(random_section())
-    d = json.loads(json.dumps(certificate_to_dict(cert)))
+    d = json.loads(json.dumps(cert, default=cli._fields))
     back = certificate_from_dict(d)
     assert abs(back.result.c - cert.result.c) < 1e-15
     assert abs(back.rotation.alpha2 - cert.rotation.alpha2) < 1e-15
