@@ -11,9 +11,9 @@ and ``main`` adds the arguments of its subcommand alone.  The JSON
 outputs write each value type by its fields, in slot order (``_fields``).
 
 Exit codes: 0 success, 1 internal error or failed checks, 2 usage
-errors, 3 domain errors (invalid region, no orbit).  Set
-``GEODESIC_LOG=debug`` or ``info`` for diagnostics on stderr; ``logging``
-is imported only then or on an internal error.
+errors or an unwritable output, 3 domain errors (invalid region,
+no orbit).  Set ``GEODESIC_LOG=debug`` or ``info`` for diagnostics on
+stderr; ``logging`` is imported only then or on an internal error.
 """
 
 import argparse
@@ -86,15 +86,16 @@ def cmd_normalize(args) -> int:
 
 
 def _initial_state_usage_error(args) -> str | None:
-    """What is wrong with the initial-condition flags of ``geodesic``, if
-    anything (argparse cannot express these combinations)."""
+    """What is wrong with the flags that go with ``geodesic``'s launch mode,
+    if anything (argparse makes the modes exclusive, but ties no flag to one)."""
     if args.xidot is not None and args.xi is None:
         return "--xidot requires --xi"
-    given = [args.xi is not None, args.polar is not None, args.integrals is not None]
-    if sum(given) != 1:
-        return "give exactly one of --xi/--xidot, --polar or --integrals"
     if args.xi is not None and args.xidot is None:
         return "--xi requires --xidot"
+    if args.integrals is None and args.theta0 is not None:
+        return "--theta0 requires --integrals"
+    if args.integrals is None and args.inward:
+        return "--inward requires --integrals"
     return None
 
 
@@ -107,17 +108,16 @@ def _initial_state(args) -> "geodesics.GeodesicState":
         big_r, theta, rdot, thetadot = args.polar
         return geodesics.PolarState(big_r, theta, rdot, thetadot).to_state()
     i1, i2, r0 = args.integrals
-    return geodesics.state_from_integrals(
-        i1, i2, r0, theta0=args.theta0, outward=not args.inward
-    )
+    theta0 = 0.0 if args.theta0 is None else args.theta0  # keeps the sign of -0
+    return geodesics.state_from_integrals(i1, i2, r0, theta0=theta0, outward=not args.inward)
 
 
 def cmd_geodesic(args) -> int:
     from . import geodesics, sections
 
     state = _initial_state(args)
-    sphere = sections.StandardSphere(args.c)
-    traj = geodesics.integrate(state, sphere, args.t_max, args.tol)
+    # c > 0 only scales the induced metric by a constant, so c = 1 stands for all
+    traj = geodesics.integrate(state, sections.StandardSphere(1.0), args.t_max, args.tol)
     _log_info("integrated %d samples, termination %s", len(traj), traj.termination.value)
 
     with _out_stream(args.output) as fh:
@@ -197,23 +197,19 @@ def _add_normalize(p_norm):
 
 
 def _add_geodesic(p_geo):
-    p_geo.add_argument("--c", type=float, default=1.0, help="sphere coefficient (c > 0)")
-    p_geo.add_argument("--xi", nargs=2, type=float, metavar=("RE", "IM"))
-    p_geo.add_argument("--xidot", nargs=2, type=float, metavar=("RE", "IM"))
-    p_geo.add_argument(
-        "--polar", nargs=4, type=float, metavar=("R", "THETA", "RDOT", "THETADOT")
-    )
-    p_geo.add_argument(
+    launch = p_geo.add_mutually_exclusive_group(required=True)
+    launch.add_argument("--xi", nargs=2, type=float, metavar=("RE", "IM"))
+    launch.add_argument("--polar", nargs=4, type=float, metavar=("R", "THETA", "RDOT", "THETADOT"))
+    launch.add_argument(
         "--integrals",
         nargs=3,
         type=float,
         metavar=("I1", "I2", "R0"),
         help="launch at radius R0 with the given first integrals",
     )
-    p_geo.add_argument("--theta0", type=float, default=0.0)
-    p_geo.add_argument(
-        "--inward", action="store_true", help="negative initial radial velocity"
-    )
+    p_geo.add_argument("--xidot", nargs=2, type=float, metavar=("RE", "IM"))
+    p_geo.add_argument("--theta0", type=float, help="launch angle (--integrals only; default 0)")
+    p_geo.add_argument("--inward", action="store_true", help="launch inward (--integrals only)")
     p_geo.add_argument("--t-max", type=float, default=10.0)
     p_geo.add_argument(
         "--tol",
@@ -322,6 +318,9 @@ def main(argv=None) -> int:
     except LineGeoError as exc:
         print(f"linegeo: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an unwritable output: one line, as argparse's "can't open"
+        print(f"linegeo: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # internal failure
         import logging  # with no handler configured, its last resort prints to stderr
 

@@ -380,21 +380,6 @@ def test_geodesic_constant_trajectory(capsys):
     assert json.loads(err)["termination"] == "time_limit"
 
 
-def test_geodesic_output_does_not_depend_on_c(tmp_path, capsys):
-    # c > 0 only scales the induced metric by a constant, which leaves the flow alone
-    outputs = set()
-    for c in ("0.001", "1", "2"):
-        csv_path, summary_path = tmp_path / f"{c}.csv", tmp_path / f"{c}.json"
-        code, _, _ = run_cli(
-            capsys, "geodesic", "--c", c, "--xi", "0", "0.3", "--xidot", "0.5", "-0.2",
-            "--t-max", "5", "--tol", "1e-10", "--output", str(csv_path),
-            "--summary", str(summary_path),
-        )
-        assert code == 0
-        outputs.add((csv_path.read_bytes(), summary_path.read_bytes()))
-    assert len(outputs) == 1
-
-
 def test_geodesic_polar_input(capsys):
     code, out, err = run_cli(
         capsys, "geodesic", "--polar", "0.4", "0", "0.2", "1.2", "--t-max", "1"
@@ -429,21 +414,45 @@ def test_geodesic_inadmissible_integrals_exit_3(capsys):
 
 
 def test_geodesic_conflicting_initial_conditions_exit_2(capsys):
-    # a usage error exits through argparse, as a malformed flag does
-    for argv, message in [
-        (["--xi", "0", "0", "--xidot", "1", "0", "--polar", "0.5", "0", "0", "1"],
-         "give exactly one of"),
-        ([], "give exactly one of"),
-        (["--xi", "0", "0"], "--xi requires --xidot"),
-        (["--xidot", "1", "0", "--polar", "0.5", "0", "0", "1"], "--xidot requires --xi"),
+    # a usage error exits through argparse, as a malformed flag does: the
+    # launch modes are its exclusive group, under the geodesic usage line,
+    # and a flag that only goes with one mode is refused with any other
+    xi, polar = ["--xi", "0.3", "0", "--xidot", "0", "1"], ["--polar", "0.5", "0", "0", "1"]
+    for argv, prog, message in [
+        ([*xi, *polar], "linegeo geodesic", "argument --polar: not allowed with argument --xi"),
+        ([], "linegeo geodesic", "one of the arguments --xi --polar --integrals is required"),
+        (["--c", "1", *xi], "linegeo", "unrecognized arguments: --c 1"),
+        (["--xi", "0", "0"], "linegeo", "--xi requires --xidot"),
+        (["--xidot", "1", "0", *polar], "linegeo", "--xidot requires --xi"),
+        ([*xi, "--inward", "--theta0", "2"], "linegeo", "--theta0 requires --integrals"),
+        ([*polar, "--theta0", "1"], "linegeo", "--theta0 requires --integrals"),
+        ([*xi, "--inward"], "linegeo", "--inward requires --integrals"),
+        ([*polar, "--inward"], "linegeo", "--inward requires --integrals"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(["geodesic", *argv])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage: linegeo ")
-        assert f"\nlinegeo: error: {message}" in captured.err
+        assert captured.err.startswith(f"usage: {prog} ")
+        assert captured.err.endswith(f"\n{prog}: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0",
+      "--output", "{}"], "missing"),
+    (["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--output", "{}"], "missing"),
+    (["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--output", os.devnull,
+      "--summary", "{}"], "missing"),
+    (["analyze", "blowup", "--I1", "1", "--output", "{}"], "directory"),
+])
+def test_an_output_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, argv, kind):
+    # one line naming the path, exit 2, as argparse's own "can't open"
+    path = str(tmp_path / "missing" / "out" if kind == "missing" else tmp_path)
+    code, out, err = run_cli(capsys, *[arg.format(path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert re.fullmatch(rf"linegeo: \[Errno \d+\] .*: '{re.escape(path)}'\n", err)
 
 
 def test_geodesic_integrals_overflowing_along_the_run_exit_3(tmp_path, capsys):
@@ -498,15 +507,15 @@ def test_geodesic_on_equator_exit_3(capsys):
         # |zetadot|^2 in zeta = 1/xi
         ["geodesic", "--xi", "0.5", "0", "--xidot", "1e300", "0", "--t-max", "1"],
         ["geodesic", "--xi", "1.5", "0", "--xidot", "1e300", "0", "--t-max", "1"],
-        # non-finite initial data and sphere coefficient
+        # non-finite initial data, in each launch mode
         ["geodesic", "--xi", "nan", "0", "--xidot", "1", "0", "--t-max", "1"],
         ["geodesic", "--xi", "0.5", "0", "--xidot", "0", "inf", "--t-max", "1"],
-        ["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--c", "nan"],
+        ["geodesic", "--polar", "0.5", "0", "inf", "1", "--t-max", "1"],
+        ["geodesic", "--integrals", "1", "0", "0.5", "--theta0", "nan", "--t-max", "1"],
         # non-finite data at a lower-hemisphere start is refused before the
-        # change to zeta = 1/xi, and an infinite sphere coefficient
+        # change to zeta = 1/xi
         ["geodesic", "--xi", "1.5", "inf", "--xidot", "1", "0", "--t-max", "1"],
         ["geodesic", "--xi", "2", "0", "--xidot", "0", "nan", "--t-max", "1"],
-        ["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--c", "inf"],
         # U(R) is not a finite double: R^2 underflows to 0, or U overflows
         ["analyze", "potential", "--r-lo", "1e-170", "--r-hi", "0.5", "--num", "3"],
         ["analyze", "potential", "--r-lo", "1e-155", "--r-hi", "0.5", "--num", "3"],
@@ -1008,59 +1017,13 @@ def test_geodesic_log_env_controls_stderr():
     assert _run(args).stderr == ""
 
 
-SCIPY_MODULES = (
-    "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-    "file=sys.stderr)"
-)
-
-
-@pytest.mark.parametrize(
-    "code",
-    [
-        "import linegeo",
-        "from linegeo.cli import main; main(['analyze', 'blowup', '--I1', '1'])",
-    ],
-)
-def test_no_scipy_module_is_loaded(code):
-    result = _python(["-c", f"{code}; {SCIPY_MODULES}"])
-    assert result.returncode == 0, result.stderr
-    assert result.stderr.strip() == "[]"
-
-
-NUMPY_MODULES = (
-    "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'), "
-    "file=sys.stderr)"
-)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        None,
-        ["analyze", "blowup", "--I1", "1"],
-        ["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0"],
-        ["analyze", "series-check"],
-        ["geodesic", "--xi", "0", "0", "--xidot", "1", "0"],
-        ["check", "--samples", "10", "--trajectories", "1"],
-    ],
-)
-def test_no_numpy_module_is_loaded(argv):
-    code = "import linegeo"
-    if argv is not None:
-        argv = [*argv, "--output", os.devnull]
-        code = f"from linegeo.cli import main; assert main({argv!r}) == 0"
-    result = _python(["-c", f"{code}; {NUMPY_MODULES}"])
-    assert result.returncode == 0, result.stderr
-    assert result.stderr.strip() == "[]"
-
-
 #: modules a cold call should load only when its subcommand runs them: the
 #: dataclasses machinery (with the inspect import it brings), logging (only
 #: for GEODESIC_LOG), the stepper, the radial analysis, the invariant suite
-#: and the line-space geometry
+#: and the line-space geometry; numpy and scipy, which no call loads
 LAZY_MODULES = (
     "dataclasses", "inspect", "logging", "linegeo.analysis", "linegeo.checks",
-    "linegeo.geodesics", "linegeo.line_space",
+    "linegeo.geodesics", "linegeo.line_space", "numpy", "scipy",
 )
 LOADED_LAZY_MODULES = (
     f"import sys; print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules), "

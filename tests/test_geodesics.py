@@ -430,6 +430,19 @@ def test_integrate_stays_on_its_side_of_the_equator_at_any_tol(
     assert min(1.0 - abs(z) ** 2 for z in traj.xi) >= -EQUATOR_CUTOFF
 
 
+def test_integrate_does_not_depend_on_c():
+    # c > 0 only scales the induced metric by a constant, which leaves the flow alone
+    start = GeodesicState(0.0, 0.3j, 0.5 - 0.2j)
+    ref = integrate(start, SPHERE, 5.0, 1e-10)
+    for c in (0.001, 1.0, 2.0):
+        traj = integrate(start, StandardSphere(c), 5.0, 1e-10)
+        assert (traj.t, traj.xi, traj.xidot) == (ref.t, ref.xi, ref.xidot)
+        assert traj.integral_series() == ref.integral_series()
+        assert traj.max_drift == ref.max_drift
+        assert traj.termination is ref.termination
+        assert traj.rejected_steps == ref.rejected_steps
+
+
 def test_integrate_samples_strictly_increasing():
     traj = integrate(random_orbit_state(), SPHERE, 4.0, 1e-8)
     assert np.all(np.diff(traj.t) > 0.0)

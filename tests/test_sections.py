@@ -308,8 +308,9 @@ def test_pullback_consistency():
 
 
 def test_standard_sphere_rejects_negative_c():
-    with pytest.raises(DomainError):
-        StandardSphere(-1.0)
+    for c in (-1.0, math.nan, math.inf):  # negative or not finite
+        with pytest.raises(DomainError):
+            StandardSphere(c)
 
 
 def test_section_rejects_non_finite():
