@@ -2,9 +2,10 @@
 
 Each check samples randomly (seeded), records the worst observed error
 against its threshold, and reports a margin; the two invariance checks
-share their samples.  Results are logged on ``linegeo.checks`` at info
-level once ``logging`` is loaded (the CLI loads it when ``GEODESIC_LOG``
-is set).
+share their samples, and the two orbit checks (conservation_drift and
+energy_identity) their orbits.  Results are logged on ``linegeo.checks``
+at info level once ``logging`` is loaded (the CLI loads it when
+``GEODESIC_LOG`` is set).
 """
 
 import random
@@ -105,23 +106,37 @@ def sample_orbit_state(rng):
             return state
 
 
-def _conservation_check(trajectories, tol, t_span, rng, threshold):
-    sphere = sections.StandardSphere(1.0)
-    worst = 0.0
+def _orbit_checks(trajectories, tol, t_span, sphere, rng, threshold):
+    """conservation_drift and energy_identity in one pass: each orbit is
+    drawn and integrated once, and its drift and the residual of
+    I1 = U(R) I2^2 + f Rdot^2 (where 1e-3 <= R <= 1 - 1e-3) measured on it."""
+    worst_drift = worst_energy = 0.0
+    kept = 0
     for _ in range(trajectories):
-        state = sample_orbit_state(rng)
-        traj = geodesics.integrate(state, sphere, t_span, tol)
-        worst = max(worst, *traj.max_drift)
-    return CheckResult("conservation_drift", worst < threshold, threshold, worst,
-                       f"{trajectories} trajectories, tol={tol:g}, span={t_span:g}")
+        traj = geodesics.integrate(sample_orbit_state(rng), sphere, t_span, tol)
+        worst_drift = max(worst_drift, *traj.max_drift)
+        for xi, xidot, i1, i2 in zip(traj.xi, traj.xidot, *traj.integral_series()):
+            big_r = abs(xi)
+            if not 1e-3 <= big_r <= 1.0 - 1e-3:
+                continue
+            rdot = (xi.conjugate() * xidot).real / big_r
+            u, f = analysis.effective_potential(big_r), geodesics._conformal(big_r * big_r)
+            worst_energy = max(worst_energy, abs(i1 - u * i2**2 - f * rdot**2))
+            kept += 1
+    return [
+        CheckResult("conservation_drift", worst_drift < threshold, threshold, worst_drift,
+                    f"{trajectories} trajectories, tol={tol:g}, span={t_span:g}"),
+        CheckResult("energy_identity", worst_energy < threshold, threshold, worst_energy,
+                    f"{kept} samples"),
+    ]
 
 
-def _triple_agreement_check(threshold_pair, threshold_ode):
+def _triple_agreement_check(sphere, threshold_pair, threshold_ode):
     table = analysis.series_quadrature_table()
     worst_pair = max(abs(diff) for *_, diff in table)
     # one radial blow-up cross-check against the ODE hit time
     state = geodesics.GeodesicState(0.0, 0.0, 1.0)
-    traj = geodesics.integrate(state, sections.StandardSphere(1.0), 10.0, 1e-6)
+    traj = geodesics.integrate(state, sphere, 10.0, 1e-6)
     reached = traj.termination is geodesics.Termination.EQUATOR_REACHED
     predicted = analysis.blowup_time(1.0)
     # a run that stops short is measured by where it stopped, so that the
@@ -137,24 +152,6 @@ def _triple_agreement_check(threshold_pair, threshold_ode):
         f"ODE hit-time relative error {ode_err:.3e}"
         + ("" if reached else f"; radial run terminated by {traj.termination.value}"),
     )
-
-
-def _energy_identity_check(tol, t_span, rng, threshold):
-    sphere = sections.StandardSphere(1.0)
-    state = sample_orbit_state(rng)
-    traj = geodesics.integrate(state, sphere, t_span, tol)
-    worst = 0.0
-    kept = 0
-    for xi, xidot, i1, i2 in zip(traj.xi, traj.xidot, *traj.integral_series()):
-        big_r = abs(xi)
-        if not 1e-3 <= big_r <= 1.0 - 1e-3:
-            continue
-        u = analysis.effective_potential(big_r)
-        f = geodesics._conformal(big_r * big_r)
-        rdot = (xi.conjugate() * xidot).real / big_r
-        worst = max(worst, abs(i1 - u * i2**2 - f * rdot**2))
-        kept += 1
-    return CheckResult("energy_identity", worst < threshold, threshold, worst, f"{kept} samples")
 
 
 def _normalization_check(samples, rng, threshold_resid, threshold_inv):
@@ -207,11 +204,13 @@ def run_checks(
             f"samples and trajectories must be at least 1, got {samples} and {trajectories}"
         )
     rng = random.Random(seed)
-    results = [
-        *_invariance_checks(samples, rng, 1e-10),
-        _conservation_check(trajectories, tol, t_span, rng, 1e-8),
-        _triple_agreement_check(1e-10, 1e-4),
-        _energy_identity_check(tol, t_span, rng, 1e-8),
+    sphere = sections.StandardSphere(1.0)
+    results = _invariance_checks(samples, rng, 1e-10)
+    conservation, energy = _orbit_checks(trajectories, tol, t_span, sphere, rng, 1e-8)
+    results += [
+        conservation,
+        _triple_agreement_check(sphere, 1e-10, 1e-4),
+        energy,
         _normalization_check(max(samples // 5, 10), rng, 1e-9, 1e-10),
     ]
     logging = sys.modules.get("logging")  # unloaded, it has no handler to show them

@@ -10,10 +10,11 @@ handler imports the modules it runs, so a cold call loads only those,
 and ``main`` adds the arguments of its subcommand alone.  The JSON
 outputs write each value type by its fields, in slot order (``_fields``).
 
-Exit codes: 0 success, 1 internal error or failed checks, 2 usage
-errors or an unwritable output, 3 domain errors (invalid region,
-no orbit).  Set ``GEODESIC_LOG=debug`` or ``info`` for diagnostics on
-stderr; ``logging`` is imported only then or on an internal error.
+Exit codes: 0 success, 1 internal error, failed checks or a stdout
+closed by its reader, 2 usage errors or an unwritable output, 3 domain
+errors (invalid region, no orbit).  Set ``GEODESIC_LOG=debug`` or
+``info`` for diagnostics on stderr; ``logging`` is imported only then or
+on an internal error.
 """
 
 import argparse
@@ -36,12 +37,20 @@ def _log_info(msg, *args):
 @contextmanager
 def _out_stream(path, fallback=None):
     """The file at ``path``, or ``fallback`` (default the current
-    ``sys.stdout``) when the path is None or "-"."""
+    ``sys.stdout``) when the path is None or "-".  A file that this call
+    creates is removed again if the block raises."""
     if path is None or path == "-":
         yield sys.stdout if fallback is None else fallback
-    else:
-        with open(path, "w", newline="") as fh:
+        return
+    created = not os.path.exists(path)
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
             yield fh
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _fields(obj):
@@ -54,11 +63,15 @@ def _fields(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_json(obj, path, fallback=None):
+def _json_text(obj):
     import json
 
-    text = json.dumps(obj, indent=2, allow_nan=False, default=_fields) + "\n"
-    with _out_stream(path, fallback) as fh:
+    return json.dumps(obj, indent=2, allow_nan=False, default=_fields) + "\n"
+
+
+def _write_json(obj, path):
+    text = _json_text(obj)
+    with _out_stream(path) as fh:
         fh.write(text)
 
 
@@ -116,33 +129,33 @@ def cmd_geodesic(args) -> int:
     from . import geodesics, sections
 
     state = _initial_state(args)
-    # c > 0 only scales the induced metric by a constant, so c = 1 stands for all
-    traj = geodesics.integrate(state, sections.StandardSphere(1.0), args.t_max, args.tol)
-    _log_info("integrated %d samples, termination %s", len(traj), traj.termination.value)
-
-    with _out_stream(args.output) as fh:
-        geodesics.write_csv(traj, fh)
-
-    big_r = traj.radius
-    summary = {
-        "termination": traj.termination.value,
-        "t_hit": traj.t_hit,
-        "t_final": traj.t[-1],
-        "I1": traj.integrals0.I1,
-        "I2": traj.integrals0.I2,
-        "max_drift_I1": traj.max_drift[0],
-        "max_drift_I2": traj.max_drift[1],
-        "n_samples": len(traj),
-        "observed_R_min": min(big_r),
-        "observed_R_max": max(big_r),
-        "rejected_steps": traj.rejected_steps,
-        "rhs_evals": traj.stats["rhs_evals"],
-        "chart": traj.chart,
-    }
     # keep the CSV stream clean: summary goes to stderr when the CSV
-    # occupies stdout, to stdout once the CSV went to a file
+    # occupies stdout, to stdout once the CSV goes to a file
     fallback = sys.stderr if args.output in (None, "-") else sys.stdout
-    _write_json(summary, args.summary, fallback=fallback)
+    # both opened before the run, so that a path that cannot be opened
+    # costs no integration
+    with _out_stream(args.output) as csv_fh, _out_stream(args.summary, fallback) as summary_fh:
+        # c > 0 only scales the induced metric by a constant, so c = 1 stands for all
+        traj = geodesics.integrate(state, sections.StandardSphere(1.0), args.t_max, args.tol)
+        _log_info("integrated %d samples, termination %s", len(traj), traj.termination.value)
+        geodesics.write_csv(traj, csv_fh)
+        big_r = traj.radius
+        summary = {
+            "termination": traj.termination.value,
+            "t_hit": traj.t_hit,
+            "t_final": traj.t[-1],
+            "I1": traj.integrals0.I1,
+            "I2": traj.integrals0.I2,
+            "max_drift_I1": traj.max_drift[0],
+            "max_drift_I2": traj.max_drift[1],
+            "n_samples": len(traj),
+            "observed_R_min": min(big_r),
+            "observed_R_max": max(big_r),
+            "rejected_steps": traj.rejected_steps,
+            "rhs_evals": traj.stats["rhs_evals"],
+            "chart": traj.chart,
+        }
+        summary_fh.write(_json_text(summary))
     return 0
 
 
@@ -318,6 +331,8 @@ def main(argv=None) -> int:
     except LineGeoError as exc:
         print(f"linegeo: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # a reader that closed the output early (`| head`)
+        return 1
     except OSError as exc:  # an unwritable output: one line, as argparse's "can't open"
         print(f"linegeo: {exc}", file=sys.stderr)
         return 2
@@ -330,7 +345,15 @@ def main(argv=None) -> int:
 
 
 def main_entry():
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit quietly, and send the interpreter's
+        # last flush of what is still buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ bit-for-bit copy of the push-forward, the wedge and symmetrised
 expressions of the two pairings and their 4x4 matrices, the numeric
 pullback of the metric to the standard sphere, the check suite's
 sampling loops one helper call per draw, the Christoffel symbol, the
-right-hand side, the first integrals and the energy-identity check as
-written out in complex arithmetic before the stepper's source became
-their one definition, and the JSON readers of the section and
-certificate wire format (the CLI only writes it)."""
+right-hand side and the first integrals as written out in complex
+arithmetic before the stepper's source became their one definition, the
+check suite's orbit pass with the conformal factor written inline, and
+the JSON readers of the section and certificate wire format (the CLI
+only writes it)."""
 
 import random
 from cmath import rect
@@ -326,24 +327,30 @@ def first_integrals_arrays(xis, xidots):
     return i1s, i2s
 
 
-def energy_identity_check(tol, t_span, rng, threshold):
-    """The energy-identity check with the conformal factor written inline."""
-    state = checks.sample_orbit_state(rng)
-    traj = geodesics.integrate(state, sections.StandardSphere(1.0), t_span, tol)
-    worst = 0.0
+def orbit_checks(trajectories, tol, t_span, sphere, rng, threshold):
+    """The orbit pass (drift and energy identity) with the conformal
+    factor written inline."""
+    worst_drift = worst_energy = 0.0
     kept = 0
-    for xi, xidot, i1, i2 in zip(traj.xi, traj.xidot, *traj.integral_series()):
-        big_r = abs(xi)
-        if not 1e-3 <= big_r <= 1.0 - 1e-3:
-            continue
-        u = analysis.effective_potential(big_r)
-        r2 = big_r * big_r
-        f = (1.0 - r2) / (1.0 + r2) ** 3
-        rdot = (xi.conjugate() * xidot).real / big_r
-        worst = max(worst, abs(i1 - u * i2**2 - f * rdot**2))
-        kept += 1
-    return checks.CheckResult("energy_identity", worst < threshold, threshold, worst,
-                              f"{kept} samples")
+    for _ in range(trajectories):
+        traj = geodesics.integrate(checks.sample_orbit_state(rng), sphere, t_span, tol)
+        worst_drift = max(worst_drift, *traj.max_drift)
+        for xi, xidot, i1, i2 in zip(traj.xi, traj.xidot, *traj.integral_series()):
+            big_r = abs(xi)
+            if not 1e-3 <= big_r <= 1.0 - 1e-3:
+                continue
+            u = analysis.effective_potential(big_r)
+            r2 = big_r * big_r
+            f = (1.0 - r2) / (1.0 + r2) ** 3
+            rdot = (xi.conjugate() * xidot).real / big_r
+            worst_energy = max(worst_energy, abs(i1 - u * i2**2 - f * rdot**2))
+            kept += 1
+    return [
+        checks.CheckResult("conservation_drift", worst_drift < threshold, threshold, worst_drift,
+                           f"{trajectories} trajectories, tol={tol:g}, span={t_span:g}"),
+        checks.CheckResult("energy_identity", worst_energy < threshold, threshold, worst_energy,
+                           f"{kept} samples"),
+    ]
 
 
 # -- JSON wire format -------------------------------------------------------

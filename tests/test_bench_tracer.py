@@ -80,3 +80,6 @@ def test_check_calls_every_traced_layer_once_per_use(tracer, tmp_path, samples):
     for layer in ("line_space.push_forward", "line_space.metric", "line_space.symplectic_form"):
         assert counts[layer] == 2 * samples, layer
     assert counts["sections.normalize"] == max(samples // 5, 10)
+    # the --trajectories orbit, which both orbit checks measure, and
+    # triple_agreement's radial run
+    assert counts["geodesics.integrate"] == 2

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import logging
 import math
@@ -11,6 +13,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linegeo
 from linegeo import (
@@ -24,9 +27,9 @@ from linegeo import (
 from linegeo import cli
 from linegeo.cli import main
 from oracles import (
-    energy_identity_check,
     invariance_checks,
     normalization_check,
+    orbit_checks,
     sampling_loops,
 )
 
@@ -442,17 +445,27 @@ def test_geodesic_conflicting_initial_conditions_exit_2(capsys):
     (["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0",
       "--output", "{}"], "missing"),
     (["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--output", "{}"], "missing"),
-    (["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--output", os.devnull,
+    (["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--output", "{csv}",
       "--summary", "{}"], "missing"),
     (["analyze", "blowup", "--I1", "1", "--output", "{}"], "directory"),
 ])
-def test_an_output_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, argv, kind):
-    # one line naming the path, exit 2, as argparse's own "can't open"
+def test_an_output_path_that_cannot_be_opened_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, argv, kind
+):
+    # one line naming the path, exit 2, as argparse's own "can't open";
+    # geodesic opens both outputs before the run, so it neither reaches
+    # the stepper nor leaves a CSV behind
+    def stepper(*args):
+        raise AssertionError("the stepper ran")
+
+    monkeypatch.setattr(geodesics, "geod_integrate", stepper)
     path = str(tmp_path / "missing" / "out" if kind == "missing" else tmp_path)
-    code, out, err = run_cli(capsys, *[arg.format(path) for arg in argv])
+    csv_path = tmp_path / "orbit.csv"
+    code, out, err = run_cli(capsys, *[arg.format(path, csv=csv_path) for arg in argv])
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert re.fullmatch(rf"linegeo: \[Errno \d+\] .*: '{re.escape(path)}'\n", err)
+    assert not csv_path.exists()
 
 
 def test_geodesic_integrals_overflowing_along_the_run_exit_3(tmp_path, capsys):
@@ -526,6 +539,46 @@ def test_non_finite_inputs_exit_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert "must be" in err
+
+
+def _run_quiet(*argv):
+    """``main`` with stdout and stderr caught here, not by a fixture, so
+    that hypothesis can call it once per example."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+#: every double (nan, the infinities, zeros and subnormals included), with
+#: as many draws again from [-2, 2], where the analyses have their domains
+ANY_FLOAT = st.floats() | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ANY_FLOAT, ANY_FLOAT)
+def test_analyze_blowup_prints_a_finite_time_or_exits_3(i1, r_start):
+    # --name=value, so that "-inf" is read as a value
+    code, out, err = _run_quiet("analyze", "blowup", f"--I1={i1!r}", f"--r-start={r_start!r}")
+    if code == 0:
+        assert math.isfinite(float(out)) and err == ""
+    else:
+        assert (code, out) == (3, "") and err.startswith("linegeo: ")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ANY_FLOAT, ANY_FLOAT)
+def test_analyze_turning_points_prints_strict_json_or_exits_3(i1, i2):
+    code, out, err = _run_quiet("analyze", "turning-points", f"--I1={i1!r}", f"--I2={i2!r}")
+    if code == 0:
+        assert set(json.loads(out, parse_constant=_reject_constant)) == {"R_min", "R_max", "ratio"}
+        assert err == ""
+    else:
+        assert (code, out) == (3, "") and err.startswith("linegeo: ")
 
 
 @pytest.mark.parametrize("i1", ["nan", "inf"])
@@ -779,6 +832,8 @@ def test_energy_identity_squares_r_as_the_potential_does(monkeypatch):
         i1.append((1.0 - r * r) / (1.0 + r * r) ** 3 * rdot**2)
 
     class Samples:
+        max_drift = (0.0, 0.0)
+
         def integral_series(self):
             return i1, [0.0] * len(radii)
 
@@ -786,7 +841,7 @@ def test_energy_identity_squares_r_as_the_potential_does(monkeypatch):
     samples.xi, samples.xidot = xi, xidot
     monkeypatch.setattr(checks, "sample_orbit_state", lambda rng: None)
     monkeypatch.setattr(geodesics, "integrate", lambda state, sphere, t_max, tol: samples)
-    result = checks._energy_identity_check(1e-10, 1.0, random.Random(0), 1e-8)
+    _, result = checks._orbit_checks(1, 1e-10, 1.0, None, random.Random(0), 1e-8)
     assert result.observed == 0.0 and result.detail == "3 samples"
 
 
@@ -959,13 +1014,13 @@ def test_check_sampling_loops_match_their_oracle_copies(seed, samples):
 
 @pytest.mark.parametrize("seed", range(0, 600, 30))
 def test_energy_identity_check_matches_its_inline_f_copy(seed):
-    # the check takes f from the flow's one definition; the residuals are
-    # those of the copy that writes f out
-    from linegeo import checks
+    # the orbit pass takes f from the flow's one definition; its drift and
+    # residuals are those of the copy that writes f out
+    from linegeo import checks, sections
 
-    args = (1e-10, 6.0)
-    assert checks._energy_identity_check(*args, random.Random(seed), 1e-8) == (
-        energy_identity_check(*args, random.Random(seed), 1e-8)
+    args = (6, 1e-10, 6.0, sections.StandardSphere(1.0))
+    assert checks._orbit_checks(*args, random.Random(seed), 1e-8) == (
+        orbit_checks(*args, random.Random(seed), 1e-8)
     )
 
 
@@ -978,18 +1033,52 @@ def test_check_passes_across_seeds(capsys, seed):
 # -- determinism and logging (subprocess level) ----------------------------------
 
 
-def _python(args, env_extra=None):
-    """Run a child interpreter that imports the same linegeo as this process."""
+def _child_env(env_extra=None):
+    """The environment of a child interpreter that imports the same
+    linegeo as this process."""
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(linegeo.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return env
+
+
+def _python(args, env_extra=None):
+    """Run a child interpreter that imports the same linegeo as this process."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=_child_env(env_extra)
+    )
 
 
 def _run(args, env_extra=None):
     return _python(["-m", "linegeo.cli", *args], env_extra)
+
+
+def test_a_reader_that_closes_stdout_ends_the_run_quietly():
+    # stdout block-buffered, as by default on a pipe
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    # `linegeo analyze potential --num 200000 | head -1`: the CSV is far
+    # larger than a pipe holds, so the run meets the closed pipe mid-write
+    argv = [sys.executable, "-m", "linegeo.cli", "analyze", "potential", "--num", "200000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"R,U_eff\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")
+    # a pipe closed before the run starts: the one buffered line meets it
+    # only at the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "linegeo.cli", "analyze", "blowup", "--I1", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_cli_outputs_are_deterministic():
