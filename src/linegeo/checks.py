@@ -11,7 +11,7 @@ at info level once ``logging`` is loaded (the CLI loads it when
 import random
 import sys
 from cmath import rect
-from math import hypot, log, pi, sqrt, tau
+from math import hypot, inf, log, pi, sqrt, tau
 
 from . import analysis, geodesics, line_space, sections
 from .errors import DomainError, Record
@@ -196,13 +196,16 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the full invariant suite; returns one result per check.
 
-    Raises DomainError unless ``samples`` and ``trajectories`` are at
-    least 1, so that every check checks something.
+    Raises DomainError, before anything is sampled, unless ``samples``
+    and ``trajectories`` are at least 1, so that every check checks
+    something, and ``t_span`` is positive and finite.
     """
     if samples < 1 or trajectories < 1:
         raise DomainError(
             f"samples and trajectories must be at least 1, got {samples} and {trajectories}"
         )
+    if not 0.0 < t_span < inf:
+        raise DomainError(f"t_span must be positive and finite, got {t_span}")
     rng = random.Random(seed)
     sphere = sections.StandardSphere(1.0)
     results = _invariance_checks(samples, rng, 1e-10)

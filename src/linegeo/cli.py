@@ -7,8 +7,8 @@ summary's ``chart`` key name, with I1 in the xi sense, so negative),
 ``analyze`` (blow-up time, effective potential, turning points, series
 cross-check) and ``check`` (the cross-module invariant suite).  Each
 handler imports the modules it runs, so a cold call loads only those,
-and ``main`` adds the arguments of its subcommand alone.  The JSON
-outputs write each value type by its fields, in slot order (``_fields``).
+and the parser is built once per process.  The JSON outputs write each
+value type by its fields, in slot order (``_fields``).
 
 Exit codes: 0 success, 1 internal error, failed checks or a stdout
 closed by its reader, 2 usage errors or an unwritable output, 3 domain
@@ -18,6 +18,7 @@ on an internal error.
 """
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -287,10 +288,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The command-line parser: every subcommand listed, and ``command``,
-    if it names one, given its handler and arguments, so that a command
-    line starting with that name parses as with all of them given theirs."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, every subcommand with its handler and
+    arguments; built once per process."""
     parser = _Parser(
         prog="linegeo",
         description="Geometry of oriented-line space and geodesics on twisting spheres.",
@@ -298,9 +299,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, handler, add_arguments) in _SUBCOMMANDS.items():
         p_cmd = sub.add_parser(name, help=help_line)
-        if name == command:
-            p_cmd.set_defaults(handler=handler)
-            add_arguments(p_cmd)
+        p_cmd.set_defaults(handler=handler)
+        add_arguments(p_cmd)
     return parser
 
 
@@ -318,9 +318,7 @@ def _configure_logging():
 
 def main(argv=None) -> int:
     _configure_logging()
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "geodesic":
         problem = _initial_state_usage_error(args)

@@ -131,55 +131,22 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-    # an unknown one gets the full parser's usage error
+    # an unknown one is named in argparse's usage error
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
     assert "linegeo: error: argument command: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
-#: command lines answered by argparse, or by main's own usage check
-PARSER_ARGVS = [
-    ["-h"],
-    *([command, "-h"] for command in ("normalize", "geodesic", "analyze", "check")),
-    ["analyze", "blowup", "-h"],
-    [],
-    ["bogus"],
-    ["analyze", "nope"],
-    ["geodesic", "--xi", "0", "0"],
-    ["check", "--seed", "x"],
-]
-
-
-@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
-def test_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
-    def outcome():
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        return exc.value.code, *capsys.readouterr()
-
-    description = cli.build_parser().description
-
-    def build_full(command=None):
-        # every subcommand with its handler and arguments
-        parser = cli._Parser(prog="linegeo", description=description)
-        sub = parser.add_subparsers(dest="command", required=True)
-        for name, (help_line, handler, add_arguments) in cli._SUBCOMMANDS.items():
-            p_cmd = sub.add_parser(name, help=help_line)
-            p_cmd.set_defaults(handler=handler)
-            add_arguments(p_cmd)
-        return parser
-
-    partial = outcome()
-    monkeypatch.setattr(cli, "build_parser", build_full)
-    assert outcome() == partial
-
-
-def test_a_subcommand_parser_knows_no_other_subcommand():
-    with pytest.raises(SystemExit) as exc:
-        cli.build_parser("geodesic").parse_args(["analyze", "blowup", "--I1", "1"])
-    assert exc.value.code == 2
-    assert cli.build_parser("analyze").parse_args(["analyze", "blowup", "--I1", "1"]).I1 == 1.0
+def test_one_parser_serves_every_subcommand():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    for argv, handler in [
+        (["check"], cli.cmd_check),
+        (["geodesic", "--xi", "0", "0", "--xidot", "1", "0"], cli.cmd_geodesic),
+        (["analyze", "blowup", "--I1", "1"], cli.cmd_analyze),
+    ]:
+        assert parser.parse_args(argv).handler is handler
 
 
 # -- JSON layout ----------------------------------------------------------------
@@ -581,6 +548,31 @@ def test_analyze_turning_points_prints_strict_json_or_exits_3(i1, i2):
         assert (code, out) == (3, "") and err.startswith("linegeo: ")
 
 
+#: (r_lo, r_hi): any two doubles, with as many draws again of an ordered
+#: pair in [0, 1], since two independent doubles almost never make a range
+RADIUS_PAIRS = st.tuples(ANY_FLOAT, ANY_FLOAT) | st.tuples(
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+).map(sorted)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(RADIUS_PAIRS, st.integers(-2, 40))
+def test_analyze_potential_writes_a_finite_table_or_exits_3(radii, num):
+    r_lo, r_hi = radii
+    code, out, err = _run_quiet(
+        "analyze", "potential", f"--r-lo={r_lo!r}", f"--r-hi={r_hi!r}", f"--num={num}"
+    )
+    if code == 0:
+        header, *lines = out.splitlines()
+        rows = [[float(value) for value in line.split(",")] for line in lines]
+        assert (header, len(rows), err) == ("R,U_eff", num, "")
+        assert all(len(row) == 2 and all(map(math.isfinite, row)) for row in rows)
+        column = [big_r for big_r, _ in rows]
+        assert all(0.0 < big_r < 1.0 for big_r in column) and column == sorted(column)
+    else:
+        assert (code, out) == (3, "") and err.startswith("linegeo: ")
+
+
 @pytest.mark.parametrize("i1", ["nan", "inf"])
 def test_geodesic_non_finite_integrals_are_named(capsys, i1):
     code, out, err = run_cli(capsys, "geodesic", "--integrals", i1, "0", "0.5")
@@ -860,6 +852,19 @@ def test_empty_sample_counts_exit_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert "at least 1" in err
+
+
+@pytest.mark.parametrize("t_span", ["0", "nan", "-1", "inf"])
+def test_check_refuses_a_bad_t_span_before_it_samples(capsys, monkeypatch, t_span):
+    from linegeo import line_space
+
+    calls = []
+    monkeypatch.setattr(line_space, "push_forward", lambda *a: calls.append(a))
+    code, out, err = run_cli(
+        capsys, "check", "--samples", "1", "--trajectories", "1", f"--t-span={t_span}"
+    )
+    assert (code, out, calls) == (3, "", [])
+    assert err == f"linegeo: t_span must be positive and finite, got {float(t_span)}\n"
 
 
 # a seed whose suite pairs near-cancelling tangent vectors: its smallest

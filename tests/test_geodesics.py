@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linegeo import (
+    CRITICAL_RADIUS,
+    MIN_ORBIT_RATIO,
     DegeneracyError,
     DomainError,
     GeodesicState,
@@ -238,6 +240,22 @@ def test_state_from_integrals_launches_at_a_turning_radius_at_rest_radially(k):
             st = state_from_integrals(k, 1.0, r0, outward=outward)
             assert st.to_polar().Rdot == 0.0
             assert abs(st.xi) == r0
+
+
+def test_energy_momentum_image_lies_above_the_critical_parabola():
+    # I1 = U(R) I2^2 + f Rdot^2 with U >= MIN_ORBIT_RATIO and f > 0 on the
+    # upper hemisphere, so (I1, I2) maps into I1 >= 6 sqrt(3) I2^2; the
+    # boundary is reached by the circular orbits at CRITICAL_RADIUS
+    rng = random.Random(18)
+    for _ in range(2000):
+        xi = cmath.rect(0.999 * rng.random(), rng.uniform(-math.pi, math.pi))
+        xidot = cmath.rect(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-math.pi, math.pi))
+        ints = first_integrals(GeodesicState(0.0, xi, xidot))
+        assert ints.I1 >= MIN_ORBIT_RATIO * ints.I2**2 - 1e-12 * ints.I1
+    circular = first_integrals(
+        state_from_integrals(1.0, 1.0 / math.sqrt(MIN_ORBIT_RATIO), CRITICAL_RADIUS)
+    )
+    assert abs(circular.I1 - MIN_ORBIT_RATIO * circular.I2**2) / circular.I1 <= 1e-12
 
 
 # -- integrate --------------------------------------------------------------------
