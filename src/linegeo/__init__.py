@@ -29,13 +29,12 @@ _EXPORTS = {
         "series_quadrature_table", "turning_points",
     ),
     "errors": (
-        "ChartExitError", "ConvergenceError", "DegeneracyError", "DomainError",
-        "LineGeoError", "NoOrbitError",
+        "ChartExitError", "ConvergenceError", "DomainError", "LineGeoError", "NoOrbitError",
     ),
     "geodesics": (
         "EQUATOR_CUTOFF", "FirstIntegrals", "GeodesicState", "OscillationReport", "PolarState",
-        "Termination", "Trajectory", "christoffel", "first_integrals", "first_integrals_arrays",
-        "integrate", "oscillation_check", "state_from_integrals", "write_csv",
+        "Termination", "Trajectory", "first_integrals", "first_integrals_arrays", "integrate",
+        "oscillation_check", "state_from_integrals", "write_csv",
     ),
     "line_space": (
         "ComplexPair", "Rotation", "TangentVector", "Translation", "apply_rotation",

@@ -198,14 +198,15 @@ def run_checks(
 
     Raises DomainError, before anything is sampled, unless ``samples``
     and ``trajectories`` are at least 1, so that every check checks
-    something, and ``t_span`` is positive and finite.
+    something, and ``t_span`` and ``tol`` are positive and finite.
     """
     if samples < 1 or trajectories < 1:
         raise DomainError(
             f"samples and trajectories must be at least 1, got {samples} and {trajectories}"
         )
-    if not 0.0 < t_span < inf:
-        raise DomainError(f"t_span must be positive and finite, got {t_span}")
+    for name, value in (("t_span", t_span), ("tol", tol)):
+        if not 0.0 < value < inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
     rng = random.Random(seed)
     sphere = sections.StandardSphere(1.0)
     results = _invariance_checks(samples, rng, 1e-10)

@@ -280,12 +280,13 @@ _SUBCOMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Takes "-" or "-." and a digit for a number, -1e-3 included, which
-    argparse on Python 3.11 took for an option; its subparsers share it."""
+    """Takes "-" or "-." and a digit, or "-" and inf or nan in any case,
+    for a number: argparse took -1e-3 for an option on Python 3.11, and
+    -inf and -nan on every Python.  Its subparsers share it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 @functools.cache

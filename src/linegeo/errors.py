@@ -24,11 +24,6 @@ class ChartExitError(DomainError):
     direction to the south pole, or |xi| overflows the chart bound."""
 
 
-class DegeneracyError(DomainError):
-    """Evaluation requested on the equator |xi| = 1, where the induced
-    metric on a twisting sphere degenerates."""
-
-
 class NoOrbitError(DomainError):
     """No real radial motion exists: the integral ratio I1/I2^2 lies
     below the minimum of the effective potential."""

@@ -22,9 +22,9 @@ one, where the same equation holds with I1 negated.  The stepper,
 adaptive steps, on real and imaginary parts as floats; its step is
 generated once per process from the tableau, with the weights compiled
 in as constants, and it returns the first integrals at every sample.
-The scalar ``christoffel``, ``first_integrals_arrays`` and the conformal
-factor f = (1-|xi|^2)/(1+|xi|^2)^3 are generated with it from the same
-lines of source, so Gamma, f and (I1, I2) are each written once.
+``first_integrals_arrays`` and the conformal factor
+f = (1-|xi|^2)/(1+|xi|^2)^3 are generated with it from the same lines
+of source, so Gamma, f and (I1, I2) are each written once.
 ``integrate`` validates its input and wraps the result in a
 ``Trajectory``, which carries those integrals, their drift and the
 count of rejected steps.  All value types here are immutable
@@ -40,7 +40,7 @@ import linecache
 import math
 from collections.abc import Sequence
 
-from .errors import DegeneracyError, DomainError, Record, finite_complex
+from .errors import DomainError, Record, finite_complex
 
 #: integration stops once |1 - |xi|^2| falls below this
 EQUATOR_CUTOFF = 1e-8
@@ -50,9 +50,6 @@ MIN_STEP = 1e-14
 
 #: step attempts, accepted or rejected, after which a run stops
 MAX_STEPS = 5_000_000
-
-#: christoffel refuses points closer to the equator than this
-DEGENERACY_TOL = 1e-13
 
 
 class Termination(enum.Enum):
@@ -367,26 +364,10 @@ _FAC_MAX = 6.0
 RHS_EVALS_PER_STEP = 12
 
 
-# The source of christoffel, _conformal, first_integrals_arrays and
-# geod_integrate, less what _generate_kernel writes out from the tableau
-# rows, _rhs and _integrals.
+# The source of _conformal, first_integrals_arrays and geod_integrate,
+# less what _generate_kernel writes out from the tableau rows, _rhs and
+# _integrals.
 _KERNEL = '''\
-def christoffel(xi: complex) -> complex:
-    """The single nonzero Christoffel symbol of the induced metric.
-
-    Equals the xi-derivative (with xibar held fixed) of
-    ln[(1-|xi|^2)/(1+|xi|^2)^3].  The mixed and conjugate symbols vanish
-    identically for a conformal metric of this form.
-    """
-    xi = finite_complex("xi", xi)
-    a0, b0 = xi.real, xi.imag
-    {m}
-    if abs(1.0 - m) < DEGENERACY_TOL:
-        raise DegeneracyError(f"metric degenerate at |xi| = 1 (xi = {{xi!r}})")
-    {gamma}
-    return complex(-u, v)
-
-
 def _conformal(m):
     """The conformal factor f = (1-m)/(1+m)^3 at m = |xi|^2: the induced
     metric of the sphere eta = c i xi is -4c f dxi dxibar."""
@@ -548,8 +529,8 @@ def _integrals(x, y, pr, pi):
 
 
 def _generate_kernel():
-    """Compile ``christoffel``, ``_conformal``, ``first_integrals_arrays``
-    and ``geod_integrate`` from ``_KERNEL``, registering the source with
+    """Compile ``_conformal``, ``first_integrals_arrays`` and
+    ``geod_integrate`` from ``_KERNEL``, registering the source with
     ``linecache`` for tracebacks, profilers and ``inspect``.  The stepper's
     stages and error estimates are written out from the tableau rows;
     its stage 1 (``_rhs``) and integrals (``_integrals``) give the others."""
@@ -584,7 +565,7 @@ def _generate_kernel():
     stage1 = _rhs("a0", "b0", "a1", "b1", "q1r", "q1i")
     integrals0 = _integrals("a0", "b0", "a1", "b1")
     source = _KERNEL.format(
-        m=stage1[0], gamma=start.join(stage1[1:3]), f=integrals0[0],
+        f=integrals0[0],
         integrals_loop=(start + "    ").join([stage1[0], *integrals0]),
         stage1=start.join(stage1), integrals0=start.join(integrals0),
         integrals=step.join(_integrals("a0n", "b0n", "a1n", "b1n")),
@@ -595,10 +576,10 @@ def _generate_kernel():
     namespace = {}
     exec(compile(source, filename, "exec"), globals(), namespace)
     return tuple(namespace[name] for name in
-                 ("christoffel", "_conformal", "first_integrals_arrays", "geod_integrate"))
+                 ("_conformal", "first_integrals_arrays", "geod_integrate"))
 
 
-christoffel, _conformal, first_integrals_arrays, geod_integrate = _generate_kernel()
+_conformal, first_integrals_arrays, geod_integrate = _generate_kernel()
 
 
 def integrate(

@@ -45,9 +45,6 @@ class StandardSphere(Record):
             raise DomainError(f"standard-form coefficient must be finite and >= 0, got {c!r}")
         self._init_fields(c)
 
-    def as_section(self) -> QuadraticSection:
-        return QuadraticSection(0.0, 1j * self.c, 0.0)
-
 
 class NormalizationCertificate(Record):
     """The motions that carry a quadratic sphere to standard form.

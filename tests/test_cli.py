@@ -13,7 +13,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import linegeo
 from linegeo import (
@@ -499,6 +499,10 @@ def test_geodesic_on_equator_exit_3(capsys):
         # U(R) is not a finite double: R^2 underflows to 0, or U overflows
         ["analyze", "potential", "--r-lo", "1e-170", "--r-hi", "0.5", "--num", "3"],
         ["analyze", "potential", "--r-lo", "1e-155", "--r-hi", "0.5", "--num", "3"],
+        # -inf and -nan are values, not options, in each flag's plain form
+        ["analyze", "blowup", "--I1", "-inf"],
+        ["normalize", "--beta1", "-inf", "0", "--beta2", "0", "0", "--beta3", "0", "0"],
+        ["geodesic", "--xi", "-nan", "0", "--xidot", "1", "0"],
     ],
 )
 def test_non_finite_inputs_exit_3(capsys, argv):
@@ -529,7 +533,7 @@ ANY_FLOAT = st.floats() | st.floats(-2.0, 2.0)
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(ANY_FLOAT, ANY_FLOAT)
 def test_analyze_blowup_prints_a_finite_time_or_exits_3(i1, r_start):
-    # --name=value, so that "-inf" is read as a value
+    # --name=value; the plain "--I1 -inf" is read as a value too
     code, out, err = _run_quiet("analyze", "blowup", f"--I1={i1!r}", f"--r-start={r_start!r}")
     if code == 0:
         assert math.isfinite(float(out)) and err == ""
@@ -544,6 +548,24 @@ def test_analyze_turning_points_prints_strict_json_or_exits_3(i1, i2):
     if code == 0:
         assert set(json.loads(out, parse_constant=_reject_constant)) == {"R_min", "R_max", "ratio"}
         assert err == ""
+    else:
+        assert (code, out) == (3, "") and err.startswith("linegeo: ")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[ANY_FLOAT] * 6))
+# -inf as the first and the second value of a flag: the 300 draws hold none
+@example((-math.inf, 0.0, 0.0, 1.0, 0.0, 0.0))
+@example((0.0, 0.0, 0.0, 1.0, 0.0, -math.inf))
+def test_normalize_prints_strict_json_or_exits_3(parts):
+    # the plain "--betaN RE IM" form: the multi-value flags have no other
+    argv = ["normalize"]
+    for n in range(3):
+        argv += [f"--beta{n + 1}", repr(parts[2 * n]), repr(parts[2 * n + 1])]
+    code, out, err = _run_quiet(*argv)
+    if code == 0:
+        c = json.loads(out, parse_constant=_reject_constant)["result"]["c"]
+        assert math.isfinite(c) and c >= 0.0 and err == ""
     else:
         assert (code, out) == (3, "") and err.startswith("linegeo: ")
 
@@ -854,17 +876,27 @@ def test_empty_sample_counts_exit_3(capsys, argv):
     assert "at least 1" in err
 
 
-@pytest.mark.parametrize("t_span", ["0", "nan", "-1", "inf"])
-def test_check_refuses_a_bad_t_span_before_it_samples(capsys, monkeypatch, t_span):
+#: values of --t-span and --tol that are not positive and finite
+NOT_POSITIVE_FINITE = ["0", "nan", "-1", "inf"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [pytest.param("t-span", v, id=v) for v in NOT_POSITIVE_FINITE]
+    + [pytest.param("tol", v, id=f"tol-{v}") for v in NOT_POSITIVE_FINITE],
+)
+def test_check_refuses_a_bad_t_span_before_it_samples(capsys, monkeypatch, flag, value):
+    # --tol too: integrate would refuse it, but only after the invariance pass
     from linegeo import line_space
 
     calls = []
     monkeypatch.setattr(line_space, "push_forward", lambda *a: calls.append(a))
     code, out, err = run_cli(
-        capsys, "check", "--samples", "1", "--trajectories", "1", f"--t-span={t_span}"
+        capsys, "check", "--samples", "1", "--trajectories", "1", f"--{flag}={value}"
     )
     assert (code, out, calls) == (3, "", [])
-    assert err == f"linegeo: t_span must be positive and finite, got {float(t_span)}\n"
+    name = flag.replace("-", "_")
+    assert err == f"linegeo: {name} must be positive and finite, got {float(value)}\n"
 
 
 # a seed whose suite pairs near-cancelling tangent vectors: its smallest

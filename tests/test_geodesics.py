@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from linegeo import (
     CRITICAL_RADIUS,
     MIN_ORBIT_RATIO,
-    DegeneracyError,
     DomainError,
     GeodesicState,
     NoOrbitError,
@@ -23,7 +22,6 @@ from linegeo import (
     StandardSphere,
     Termination,
     blowup_time,
-    christoffel,
     first_integrals,
     integrate,
     state_from_integrals,
@@ -33,8 +31,7 @@ from linegeo import (
 from linegeo import geodesics
 from linegeo.geodesics import CSV_HEADER, EQUATOR_CUTOFF, MIN_STEP
 from linegeo.geodesics import _A as DOP853_A, _B as DOP853_B, _BHH as DOP853_BHH, _E5 as DOP853_E5
-from oracles import rhs
-from oracles import christoffel as complex_christoffel
+from oracles import christoffel, rhs
 from oracles import first_integrals_arrays as complex_first_integrals_arrays
 
 RNG = np.random.default_rng(91003)
@@ -52,7 +49,7 @@ def random_orbit_state(max_ratio=60.0):
             return st
 
 
-# -- christoffel / rhs ----------------------------------------------------------
+# -- the Christoffel symbol and the rhs, in complex arithmetic -----------------
 
 
 def test_christoffel_vanishes_at_pole():
@@ -87,11 +84,6 @@ def test_christoffel_matches_finite_difference():
         assert abs(christoffel(xi) - log_metric_derivative(xi)) < 1e-6
 
 
-def test_christoffel_degeneracy_error():
-    with pytest.raises(DegeneracyError):
-        christoffel(1.0)
-
-
 def flow_points(count, seed):
     """Seeded xi: the four signed zeros of the pole, then a quarter on
     the real axis and a quarter on the imaginary axis, each with a signed
@@ -111,21 +103,13 @@ def flow_points(count, seed):
             yield cmath.rect(r, rng.uniform(-math.pi, math.pi))
 
 
-def test_christoffel_equals_its_complex_oracle():
-    # equal values; the oracle's -conj(xi) * s multiplies by s + 0i, so
-    # the sign of a component that is exactly zero may differ
-    points = [*flow_points(60_000, 2211), 1.0, 1.0 - 1e-14, cmath.rect(1.0 + 1e-14, 0.7)]
-    degenerate = 0
-    for xi in points:
-        try:
-            want = complex_christoffel(xi)
-        except DegeneracyError:
-            with pytest.raises(DegeneracyError, match="metric degenerate at"):
-                christoffel(xi)
-            degenerate += 1
-            continue
-        assert christoffel(xi) == want, xi
-    assert degenerate == 3
+def test_christoffel_is_the_reference_rhs_at_unit_velocity():
+    # ties the Gamma above to the stepper: the kernel equals the tableau
+    # loop on reference_rhs bit for bit, and reference_rhs(xi, 1) is
+    # -Gamma(xi) off the equator, on which no point here lies (== ignores
+    # the sign of a part that is exactly zero)
+    for xi in [*flow_points(60_000, 2211), 1.0 - 1e-14, cmath.rect(1.0 + 1e-14, 0.7)]:
+        assert reference_rhs(xi, 1.0)[1] == -christoffel(xi), xi
 
 
 def test_first_integrals_arrays_equal_their_complex_oracle_bit_for_bit():
@@ -242,20 +226,109 @@ def test_state_from_integrals_launches_at_a_turning_radius_at_rest_radially(k):
             assert abs(st.xi) == r0
 
 
+def upper_hemisphere_states(count, seed):
+    """Seeded states: R uniform in [0, 0.999), |xidot| log-uniform in
+    [1e-3, 1e3], both angles uniform."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        xi = cmath.rect(0.999 * rng.random(), rng.uniform(-math.pi, math.pi))
+        xidot = cmath.rect(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-math.pi, math.pi))
+        yield GeodesicState(0.0, xi, xidot)
+
+
 def test_energy_momentum_image_lies_above_the_critical_parabola():
     # I1 = U(R) I2^2 + f Rdot^2 with U >= MIN_ORBIT_RATIO and f > 0 on the
     # upper hemisphere, so (I1, I2) maps into I1 >= 6 sqrt(3) I2^2; the
     # boundary is reached by the circular orbits at CRITICAL_RADIUS
-    rng = random.Random(18)
-    for _ in range(2000):
-        xi = cmath.rect(0.999 * rng.random(), rng.uniform(-math.pi, math.pi))
-        xidot = cmath.rect(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-math.pi, math.pi))
-        ints = first_integrals(GeodesicState(0.0, xi, xidot))
+    for state in upper_hemisphere_states(2000, 18):
+        ints = first_integrals(state)
         assert ints.I1 >= MIN_ORBIT_RATIO * ints.I2**2 - 1e-12 * ints.I1
     circular = first_integrals(
         state_from_integrals(1.0, 1.0 / math.sqrt(MIN_ORBIT_RATIO), CRITICAL_RADIUS)
     )
     assert abs(circular.I1 - MIN_ORBIT_RATIO * circular.I2**2) / circular.I1 <= 1e-12
+
+
+def energy_momentum_jacobian(xi, xidot):
+    """The 2x4 Jacobian of (I1, I2) = (f |xidot|^2, f Im(conj(xi) xidot))
+    in (Re xi, Im xi, Re xidot, Im xidot), with f'(m) = -2(2-m)/(1+m)^4."""
+    x, y, u, v = xi.real, xi.imag, xidot.real, xidot.imag
+    m = x * x + y * y
+    f = (1.0 - m) / (1.0 + m) ** 3
+    df = -2.0 * (2.0 - m) / (1.0 + m) ** 4
+    speed2, momentum = u * u + v * v, x * v - y * u
+    return np.array([
+        [2.0 * df * x * speed2, 2.0 * df * y * speed2, 2.0 * f * u, 2.0 * f * v],
+        [2.0 * df * x * momentum + f * v, 2.0 * df * y * momentum - f * u, -f * y, f * x],
+    ])
+
+
+def independence(state):
+    """sigma_min of the Jacobian with its velocity columns scaled by
+    |xidot| and its rows normalised: both then scale alike with the
+    speed, so the value depends on the orbit, not on how fast it runs."""
+    speed = abs(state.xidot)
+    rows = energy_momentum_jacobian(state.xi, state.xidot) * [1.0, 1.0, speed, speed]
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.linalg.svd(rows, compute_uv=False)[-1]
+
+
+def test_energy_momentum_jacobian_matches_mpmath_differences():
+    def integrals(x, y, u, v):
+        f = (1 - x * x - y * y) / (1 + x * x + y * y) ** 3
+        return f * (u * u + v * v), f * (x * v - y * u)
+
+    with mpmath.workdps(40):
+        h = mpmath.mpf("1e-15")
+        for state in upper_hemisphere_states(50, 19):
+            point = [mpmath.mpf(p) for p in (state.xi.real, state.xi.imag,
+                                             state.xidot.real, state.xidot.imag)]
+            columns = []
+            for k in range(4):
+                up, down = list(point), list(point)
+                up[k] += h
+                down[k] -= h
+                pairs = zip(integrals(*up), integrals(*down))
+                columns.append([(a - b) / (2 * h) for a, b in pairs])
+            want = np.array(columns, dtype=float).T
+            got = energy_momentum_jacobian(state.xi, state.xidot)
+            scale = np.linalg.norm(want, axis=1)
+            assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * scale)
+
+
+def test_energy_momentum_map_drops_rank_on_the_circular_orbits():
+    circular = state_from_integrals(1.0, 1.0 / math.sqrt(MIN_ORBIT_RATIO), CRITICAL_RADIUS)
+    assert independence(circular) < 1e-15
+    # tangential launches at R_c (1 + eps): sigma_min ~ sqrt(k / 6 sqrt(3) - 1)
+    excess, sigma = [], []
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        state = GeodesicState(0.0, CRITICAL_RADIUS * (1.0 + eps), 1j)
+        ints = first_integrals(state)
+        excess.append(ints.I1 / ints.I2**2 / MIN_ORBIT_RATIO - 1.0)
+        sigma.append(independence(state))
+    exponent = np.polyfit(np.log(excess), np.log(sigma), 1)[0]
+    assert abs(exponent - 0.5) <= 0.01
+
+
+def test_energy_momentum_independence_falls_like_the_equator_distance():
+    # the degenerate equator, not a critical orbit: sigma_min / (1 - |xi|^2)
+    # tends to 1/(2 sqrt(2)), at every speed
+    for big_r in (0.99, 0.999, 0.9999, 0.99999):
+        ratios = [independence(GeodesicState(0.0, big_r, 1j * speed)) / (1.0 - big_r**2)
+                  for speed in (1e-3, 1.0, 1e3)]
+        assert all(0.34 <= ratio <= 0.36 for ratio in ratios)
+        assert max(ratios) - min(ratios) <= 1e-12
+
+
+def test_energy_momentum_integrals_are_independent_off_the_critical_set():
+    # sigma_min >= 1e-3 (1 - |xi|^2) min(1, sqrt(k / 6 sqrt(3) - 1)), with
+    # k = I1 / I2^2 (infinite on radial states); the smallest ratio is 0.21
+    for state in upper_hemisphere_states(2000, 18):
+        ints = first_integrals(state)
+        k = ints.I1 / ints.I2**2 if ints.I2 else math.inf
+        excess = max(0.0, k / MIN_ORBIT_RATIO - 1.0)
+        floor = (1.0 - abs(state.xi) ** 2) * min(1.0, math.sqrt(excess))
+        assert independence(state) >= 1e-3 * floor
 
 
 # -- integrate --------------------------------------------------------------------
@@ -817,7 +890,7 @@ def test_kernel_calls_no_python_helper():
 
 
 #: the functions compiled from one generated source, in its order
-GENERATED = ("christoffel", "_conformal", "first_integrals_arrays", "geod_integrate")
+GENERATED = ("_conformal", "first_integrals_arrays", "geod_integrate")
 
 
 def test_kernel_source_is_the_generated_text():
@@ -832,13 +905,11 @@ def test_kernel_source_is_the_generated_text():
     assert text == "\n\n".join(sources)
     assert sources[-1].startswith("def geod_integrate(xi0, xidot0, t_span, tol, equator_cut,")
     assert f"{DOP853_A[11][10]!r} * q11i" in sources[-1]
-    # every field of the template is filled; christoffel's message is an f-string
-    assert "{" not in text.replace("{xi!r}", "")
+    assert "{" not in text  # every field of the template is filled
     # Gamma, f and (I1, I2) are the lines of the stepper's stage 1 and integrals
     stage1 = geodesics._rhs("a0", "b0", "a1", "b1", "q1r", "q1i")
     integrals = geodesics._integrals("a0", "b0", "a1", "b1")
-    christoffel_source, conformal_source, arrays_source, kernel_source = sources
-    assert all(line in christoffel_source for line in stage1[:3])
+    conformal_source, arrays_source, kernel_source = sources
     assert integrals[0] in conformal_source
     assert all(line in arrays_source for line in [stage1[0], *integrals])
     assert all(line in kernel_source for line in stage1 + integrals)

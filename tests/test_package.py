@@ -8,7 +8,7 @@ import linegeo
 
 
 def test_every_exported_name_is_its_module_object():
-    assert len(linegeo.__all__) == 47
+    assert len(linegeo.__all__) == 45
     for name in linegeo.__all__:
         if name == "BACKEND":
             continue

@@ -67,7 +67,7 @@ def test_evaluate_zero_section():
 
 def test_evaluate_standard_form():
     c = 1.25
-    p = evaluate(StandardSphere(c).as_section(), 1)
+    p = evaluate(QuadraticSection(0.0, 1j * c, 0.0), 1)
     assert p.eta == 1j * c
 
 
@@ -130,7 +130,7 @@ def test_normalize_negative_c_half_turn():
 
 def test_normalize_idempotent_on_standard_spheres():
     for c in (0.0, 0.5, 3.0):
-        cert = normalize(StandardSphere(c).as_section())
+        cert = normalize(QuadraticSection(0.0, 1j * c, 0.0))
         assert abs(cert.result.c - c) < 1e-14
         assert cert.translation.alpha1 == 0 and cert.translation.a1 == 0
         assert cert.rotation.alpha3 == 0  # identity up to phase
