@@ -7,8 +7,10 @@ summary's ``chart`` key name, with I1 in the xi sense, so negative),
 ``analyze`` (blow-up time, effective potential, turning points, series
 cross-check) and ``check`` (the cross-module invariant suite).  Each
 handler imports the modules it runs, so a cold call loads only those,
-and the parser is built once per process.  The JSON outputs write each
-value type by its fields, in slot order (``_fields``).
+and opens its outputs before it computes, so a path that cannot be
+opened costs no work; the parser is built once per process.  The JSON
+outputs write each value type by its fields, in slot order
+(``_fields``).
 
 Exit codes: 0 success, 1 internal error, failed checks or a stdout
 closed by its reader, 2 usage errors or an unwritable output, 3 domain
@@ -70,18 +72,11 @@ def _json_text(obj):
     return json.dumps(obj, indent=2, allow_nan=False, default=_fields) + "\n"
 
 
-def _write_json(obj, path):
-    text = _json_text(obj)
-    with _out_stream(path) as fh:
-        fh.write(text)
-
-
-def _write_csv(header, rows, path):
+def _write_csv(header, rows, fh):
     """``header``, then a line of each row's values to 17 significant digits."""
     row = ",".join(["%.17g"] * len(header.split(","))) + "\n"
-    with _out_stream(path) as fh:
-        fh.write(header + "\n")
-        fh.writelines(row % values for values in rows)
+    fh.write(header + "\n")
+    fh.writelines(row % values for values in rows)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -93,9 +88,10 @@ def cmd_normalize(args) -> int:
     sec = sections.QuadraticSection(
         complex(*args.beta1), complex(*args.beta2), complex(*args.beta3)
     )
-    cert = sections.normalize(sec)
-    _log_info("normalized section to c = %.17g", cert.result.c)
-    _write_json(cert, args.output)
+    with _out_stream(args.output) as fh:
+        cert = sections.normalize(sec)
+        _log_info("normalized section to c = %.17g", cert.result.c)
+        fh.write(_json_text(cert))
     return 0
 
 
@@ -133,8 +129,6 @@ def cmd_geodesic(args) -> int:
     # keep the CSV stream clean: summary goes to stderr when the CSV
     # occupies stdout, to stdout once the CSV goes to a file
     fallback = sys.stderr if args.output in (None, "-") else sys.stdout
-    # both opened before the run, so that a path that cannot be opened
-    # costs no integration
     with _out_stream(args.output) as csv_fh, _out_stream(args.summary, fallback) as summary_fh:
         # c > 0 only scales the induced metric by a constant, so c = 1 stands for all
         traj = geodesics.integrate(state, sections.StandardSphere(1.0), args.t_max, args.tol)
@@ -163,39 +157,34 @@ def cmd_geodesic(args) -> int:
 def cmd_analyze(args) -> int:
     from . import analysis
 
-    if args.what == "blowup":
-        value = analysis.blowup_time(args.I1, args.r_start)
-        if args.format == "json":
-            _write_json({"t_blowup": value, "I1": args.I1, "r_start": args.r_start}, args.output)
-        else:
-            with _out_stream(args.output) as fh:
-                fh.write(f"{value:.17g}\n")
-        return 0
-
-    if args.what == "potential":
-        rows = analysis.potential_curve(args.r_lo, args.r_hi, args.num)
-        _write_csv("R,U_eff", rows, args.output)
-        return 0
-
-    if args.what == "turning-points":
-        _write_json(analysis.turning_points(args.I1, args.I2), args.output)
-        return 0
-
-    # series-check
-    rows = analysis.series_quadrature_table(args.r_lo, args.r_hi, args.num)
-    _write_csv("R,series,quadrature,diff", rows, args.output)
+    with _out_stream(args.output) as fh:
+        if args.what == "blowup":
+            fh.write(f"{analysis.blowup_time(args.I1, args.r_start):.17g}\n")
+        elif args.what == "potential":
+            rows = analysis.potential_curve(args.r_lo, args.r_hi, args.num)
+            _write_csv("R,U_eff", rows, fh)
+        elif args.what == "turning-points":
+            fh.write(_json_text(analysis.turning_points(args.I1, args.I2)))
+        else:  # series-check
+            rows = analysis.series_quadrature_table(args.r_lo, args.r_hi, args.num)
+            _write_csv("R,series,quadrature,diff", rows, fh)
     return 0
 
 
 def cmd_check(args) -> int:
     from . import checks  # only this subcommand needs the invariant suite
 
-    names = ("samples", "trajectories", "tol", "t_span", "seed")
-    config = {name: getattr(args, name) for name in names}
-    results = checks.run_checks(**config)
-    all_passed = all(r.passed for r in results)
-    report = {"config": config, "all_passed": all_passed, "checks": results}
-    _write_json(report, args.output)
+    with _out_stream(args.output) as fh:
+        results = checks.run_checks(args.seed)
+        all_passed = all(r.passed for r in results)
+        config = {
+            "samples": checks.SAMPLES,
+            "trajectories": checks.TRAJECTORIES,
+            "tol": checks.TOL,
+            "t_span": checks.T_SPAN,
+            "seed": args.seed,
+        }
+        fh.write(_json_text({"config": config, "all_passed": all_passed, "checks": results}))
     return 0 if all_passed else 1
 
 
@@ -245,7 +234,6 @@ def _add_analyze(p_ana):
     p_blow = ana_sub.add_parser("blowup", help="equator arrival time for radial motion")
     p_blow.add_argument("--I1", type=float, required=True)
     p_blow.add_argument("--r-start", type=float, default=0.0)
-    p_blow.add_argument("--format", choices=("text", "json"), default="text")
     p_pot = ana_sub.add_parser("potential", help="CSV of the effective potential")
     p_tp = ana_sub.add_parser("turning-points", help="orbit annulus for given integrals")
     p_tp.add_argument("--I1", type=float, required=True)
@@ -262,10 +250,6 @@ def _add_analyze(p_ana):
 
 
 def _add_check(p_chk):
-    p_chk.add_argument("--samples", type=int, default=1000)
-    p_chk.add_argument("--trajectories", type=int, default=6)
-    p_chk.add_argument("--tol", type=float, default=1e-10)
-    p_chk.add_argument("--t-span", type=float, default=6.0)
     p_chk.add_argument("--seed", type=int, default=2025)
     p_chk.add_argument("--output")
 

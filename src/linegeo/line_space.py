@@ -40,8 +40,8 @@ class ComplexPair(Record):
 
 
 class Translation(Record):
-    """Euclidean translation, split into a horizontal complex part and a
-    vertical real part."""
+    """Euclidean translation by v = (2 Re alpha1, 2 Im alpha1, a1), split
+    into a horizontal complex part and a vertical real part."""
 
     __slots__ = ("alpha1", "a1")
 

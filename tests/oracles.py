@@ -7,9 +7,9 @@ pullback of the metric to the standard sphere, the check suite's
 sampling loops one helper call per draw, the Christoffel symbol, the
 right-hand side and the first integrals as written out in complex
 arithmetic before the stepper's source became their one definition, the
-check suite's orbit pass with the conformal factor written inline, and
-the JSON readers of the section and certificate wire format (the CLI
-only writes it)."""
+check suite's orbit pass with the conformal factor written inline, the
+oriented line in R^3 that a chart point names, and the JSON readers of
+the section and certificate wire format (the CLI only writes it)."""
 
 import random
 from cmath import rect
@@ -277,9 +277,10 @@ def normalization_check(samples, rng, threshold_resid, threshold_inv):
 
 def sampling_loops(seed, samples, invariance, normalization):
     """The invariance checks of ``samples`` draws and then the
-    normalization check of the suite's ``max(samples // 5, 10)`` sections,
-    with its thresholds, from ``random.Random(seed)``: their results and
-    the stream's state after them."""
+    normalization check of ``samples // 5`` sections (the suite's count
+    at ``checks.SAMPLES``), at least 10, with the suite's thresholds, from
+    ``random.Random(seed)``: their results and the stream's state after
+    them."""
     rng = random.Random(seed)
     results = [
         *invariance(samples, rng, 1e-10),
@@ -349,6 +350,35 @@ def orbit_checks(trajectories, tol, t_span, sphere, rng, threshold):
         checks.CheckResult("energy_identity", worst_energy < threshold, threshold, worst_energy,
                            f"{kept} samples"),
     ]
+
+
+# -- the oriented line in R^3 -------------------------------------------------
+#
+# Guilfoyle-Klingenberg's map from chart coordinates to the line itself
+# (J. London Math. Soc. 72 (2005) 497-509), in Plucker coordinates (D, M):
+# the unit direction D and the moment M = P x D of a point P on the line
+# (Pottmann-Wallner, Computational Line Geometry, Ch. 2).  A motion of R^3
+# acts on them as a rigid motion: a shift by v keeps D and adds v x D to
+# M, and a rotation turns both.
+
+
+def line_point(p: ComplexPair) -> tuple[np.ndarray, np.ndarray]:
+    """The unit direction D = (2 xi, 1-|xi|^2)/(1+|xi|^2) of the line
+    (xi, eta) and its point P: z = x1 + i x2 = 2(eta - conj(eta) xi^2)/(1+|xi|^2)^2
+    and x3 = -4 Re(eta conj(xi))/(1+|xi|^2)^2, the foot of the
+    perpendicular from the origin."""
+    xi, eta = p.xi, p.eta
+    r2 = (xi * xi.conjugate()).real
+    pp = 1.0 + r2
+    z = 2.0 * (eta - eta.conjugate() * xi * xi) / pp**2
+    direction = np.array([2.0 * xi.real, 2.0 * xi.imag, 1.0 - r2]) / pp
+    return direction, np.array([z.real, z.imag, -4.0 * (eta * xi.conjugate()).real / pp**2])
+
+
+def line(p: ComplexPair) -> tuple[np.ndarray, np.ndarray]:
+    """The Plucker coordinates (D, M = P x D) of the line (xi, eta)."""
+    direction, point = line_point(p)
+    return direction, np.cross(point, direction)
 
 
 # -- JSON wire format -------------------------------------------------------

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from linegeo import cli
+from linegeo import checks, cli
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -40,10 +40,7 @@ def test_kernel_spans_nest_in_integrate_and_uninstall_restores(tracer, tmp_path)
             "geodesic", "--xi", "0.3", "0", "--xidot", "0.2", "0.1", "--t-max", "1",
             "--output", str(tmp_path / "orbit.csv"), "--summary", str(tmp_path / "orbit.json"),
         ]) == 0
-        assert cli.main([
-            "check", "--samples", "20", "--trajectories", "1", "--t-span", "1",
-            "--output", str(tmp_path / "check.json"),
-        ]) == 0
+        assert cli.main(["check", "--output", str(tmp_path / "check.json")]) == 0
     finally:
         recorder.uninstall()
 
@@ -63,23 +60,25 @@ def test_kernel_spans_nest_in_integrate_and_uninstall_restores(tracer, tmp_path)
 
 
 @pytest.mark.parametrize("samples", [3, 60])
-def test_check_calls_every_traced_layer_once_per_use(tracer, tmp_path, samples):
+def test_check_calls_every_traced_layer_once_per_use(tracer, tmp_path, monkeypatch, samples):
     # each invariance sample pushes u and v forward and pairs them before
-    # and after; each normalization sample normalises one section
+    # and after; each normalization sample normalises one section. The plan
+    # is shrunk to a few draws and one short orbit so the count is read at
+    # two sizes.
+    monkeypatch.setattr(checks, "SAMPLES", samples)
+    monkeypatch.setattr(checks, "TRAJECTORIES", 1)
+    monkeypatch.setattr(checks, "T_SPAN", 1.0)
     recorder = tracer.Tracer()
     recorder.install()
     try:
-        assert cli.main([
-            "check", "--samples", str(samples), "--trajectories", "1", "--t-span", "1",
-            "--output", str(tmp_path / "check.json"),
-        ]) == 0
+        assert cli.main(["check", "--output", str(tmp_path / "check.json")]) == 0
     finally:
         recorder.uninstall()
 
     counts = Counter(name for name, *_ in recorder.spans)
     for layer in ("line_space.push_forward", "line_space.metric", "line_space.symplectic_form"):
         assert counts[layer] == 2 * samples, layer
-    assert counts["sections.normalize"] == max(samples // 5, 10)
-    # the --trajectories orbit, which both orbit checks measure, and
+    assert counts["sections.normalize"] == samples // 5
+    # the sampled orbit, which both orbit checks measure, and
     # triple_agreement's radial run
     assert counts["geodesics.integrate"] == 2

@@ -19,11 +19,14 @@ from linegeo import (
     push_forward,
     symplectic_form,
 )
+from linegeo import line_space
 from linegeo.checks import _pairing_scale
 from oracles import (
     apply_motion,
     compose_rotations,
     inverse_rotation,
+    line,
+    line_point,
     metric_matrix,
     metric_terms,
     push_forward_terms,
@@ -409,3 +412,89 @@ def test_push_forward_and_pairings_match_their_expressions_bit_for_bit():
         assert abs(metric(u, v) - metric_terms(u, v)) <= 2e-15 * scale
         assert abs(symplectic_form(u, v) - symplectic_form_terms(u, v)) <= 2e-15 * scale
     assert kinds == {Translation, Rotation}
+
+
+# -- the motions as rigid motions of the lines in R^3 ---------------------------
+
+
+def _normal_complex(rng):
+    return complex(*rng.normal(size=2))
+
+
+def _turn(axis, phi):
+    """The matrix that turns R^3 by phi about e3 or e2, right-handed."""
+    c, s = math.cos(phi), math.sin(phi)
+    if axis == "e3":
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def translation_error(draws):
+    """Worst deviation of ``line_space.apply_translation`` from the rigid
+    shift by v = (2 Re alpha1, 2 Im alpha1, a1), which keeps D and takes
+    M to M + v x D, over seeded draws."""
+    rng = np.random.default_rng(5150)
+    worst = 0.0
+    for _ in range(draws):
+        p = ComplexPair(_normal_complex(rng), _normal_complex(rng))
+        alpha1, a1 = _normal_complex(rng), rng.normal()
+        d, m = line(p)
+        d_moved, m_moved = line(line_space.apply_translation(Translation(alpha1, a1), p))
+        v = np.array([2.0 * alpha1.real, 2.0 * alpha1.imag, a1])
+        worst = max(worst, *abs(d_moved - d), *abs(m_moved - m - np.cross(v, d)))
+    return worst
+
+
+def rotation_error(draws):
+    """Worst deviation of ``line_space.apply_rotation`` from turning D and
+    M by phi, about e3 for the spinor (e^{i phi/2}, 0) and about e2 for
+    (cos phi/2, sin phi/2), over seeded draws."""
+    rng = np.random.default_rng(5151)
+    worst = 0.0
+    for _ in range(draws):
+        p = ComplexPair(_normal_complex(rng), _normal_complex(rng))
+        phi = rng.uniform(-math.pi, math.pi)
+        d, m = line(p)
+        for rot, axis in ((Rotation(cmath.exp(0.5j * phi), 0.0), "e3"),
+                          (Rotation(math.cos(phi / 2), math.sin(phi / 2)), "e2")):
+            turn = _turn(axis, phi)
+            d_moved, m_moved = line(line_space.apply_rotation(rot, p))
+            worst = max(worst, *abs(d_moved - turn @ d), *abs(m_moved - turn @ m))
+    return worst
+
+
+def test_line_point_is_the_foot_of_the_perpendicular():
+    rng = np.random.default_rng(5152)
+    for _ in range(200):
+        p = ComplexPair(_normal_complex(rng), _normal_complex(rng))
+        d, point = line_point(p)
+        assert abs(d @ d - 1.0) <= 1e-15
+        assert abs(point @ d) <= 1e-15 * (1.0 + np.linalg.norm(point))
+
+
+def test_translation_is_the_rigid_shift_by_twice_alpha1_and_a1():
+    assert translation_error(200) <= 1e-14
+
+
+def test_rotation_turns_the_line_about_its_axis():
+    # a quarter turn takes e1 to e2 about e3, and e3 to e1 about e2
+    assert np.allclose(_turn("e3", math.pi / 2) @ [1, 0, 0], [0, 1, 0], atol=1e-16)
+    assert np.allclose(_turn("e2", math.pi / 2) @ [0, 0, 1], [1, 0, 0], atol=1e-16)
+    assert rotation_error(300) <= 1e-14
+
+
+def _halved_alpha1(exact):
+    return lambda m, p: exact(Translation(m.alpha1 / 2.0, m.a1), p)
+
+
+def _inverse_spinor(exact):
+    return lambda m, p: exact(inverse_rotation(m), p)
+
+
+@pytest.mark.parametrize("name, tamper, error", [
+    ("apply_translation", _halved_alpha1, translation_error),
+    ("apply_rotation", _inverse_spinor, rotation_error),
+], ids=["translation-without-factor-2", "inverse-rotation"])
+def test_the_r3_picture_detects_a_tampered_motion(monkeypatch, name, tamper, error):
+    monkeypatch.setattr(line_space, name, tamper(getattr(line_space, name)))
+    assert error(50) > 0.1
