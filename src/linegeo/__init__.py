@@ -32,9 +32,9 @@ _EXPORTS = {
         "ChartExitError", "ConvergenceError", "DomainError", "LineGeoError", "NoOrbitError",
     ),
     "geodesics": (
-        "EQUATOR_CUTOFF", "FirstIntegrals", "GeodesicState", "OscillationReport", "PolarState",
-        "Termination", "Trajectory", "first_integrals", "first_integrals_arrays", "integrate",
-        "oscillation_check", "state_from_integrals", "write_csv",
+        "EQUATOR_CUTOFF", "FirstIntegrals", "GeodesicState", "OscillationReport", "Termination",
+        "Trajectory", "first_integrals", "first_integrals_arrays", "integrate",
+        "oscillation_check", "state_from_integrals", "state_from_polar", "write_csv",
     ),
     "line_space": (
         "ComplexPair", "Rotation", "TangentVector", "Translation", "apply_rotation",

@@ -106,22 +106,22 @@ def sample_orbit_state(rng):
         theta = rng.uniform(0.0, 2.0 * pi)
         rdot = rng.uniform(-1.0, 1.0)
         thetadot = rng.uniform(-2.0, 2.0)
-        state = geodesics.PolarState(big_r, theta, rdot, thetadot).to_state()
+        state = geodesics.state_from_polar(big_r, theta, rdot, thetadot)
         ints = geodesics.first_integrals(state)
         if ints.I2 != 0.0 and ints.I1 / ints.I2**2 <= MAX_ORBIT_RATIO:
             return state
 
 
-def _orbit_checks(trajectories, tol, t_span, sphere, rng, threshold):
+def _orbit_checks(trajectories, tol, t_span, rng, threshold):
     """conservation_drift and energy_identity in one pass: each orbit is
     drawn and integrated once, and its drift and the residual of
     I1 = U(R) I2^2 + f Rdot^2 (where 1e-3 <= R <= 1 - 1e-3) measured on it."""
     worst_drift = worst_energy = 0.0
     kept = 0
     for _ in range(trajectories):
-        traj = geodesics.integrate(sample_orbit_state(rng), sphere, t_span, tol)
+        traj = geodesics.integrate(sample_orbit_state(rng), t_span, tol)
         worst_drift = max(worst_drift, *traj.max_drift)
-        for xi, xidot, i1, i2 in zip(traj.xi, traj.xidot, *traj.integral_series()):
+        for xi, xidot, i1, i2 in zip(traj.xi, traj.xidot, *traj.integrals):
             big_r = abs(xi)
             if not 1e-3 <= big_r <= 1.0 - 1e-3:
                 continue
@@ -137,12 +137,12 @@ def _orbit_checks(trajectories, tol, t_span, sphere, rng, threshold):
     ]
 
 
-def _triple_agreement_check(sphere, threshold_pair, threshold_ode):
+def _triple_agreement_check(threshold_pair, threshold_ode):
     table = analysis.series_quadrature_table()
     worst_pair = max(abs(diff) for *_, diff in table)
     # one radial blow-up cross-check against the ODE hit time
     state = geodesics.GeodesicState(0.0, 0.0, 1.0)
-    traj = geodesics.integrate(state, sphere, 10.0, 1e-6)
+    traj = geodesics.integrate(state, 10.0, 1e-6)
     reached = traj.termination is geodesics.Termination.EQUATOR_REACHED
     predicted = analysis.blowup_time(1.0)
     # a run that stops short is measured by where it stopped, so that the
@@ -197,12 +197,11 @@ def run_checks(seed: int = 2025) -> list[CheckResult]:
     """Run the full invariant suite on the plan above, drawing from
     ``random.Random(seed)``; returns one result per check."""
     rng = random.Random(seed)
-    sphere = sections.StandardSphere(1.0)
     results = _invariance_checks(SAMPLES, rng, 1e-10)
-    conservation, energy = _orbit_checks(TRAJECTORIES, TOL, T_SPAN, sphere, rng, 1e-8)
+    conservation, energy = _orbit_checks(TRAJECTORIES, TOL, T_SPAN, rng, 1e-8)
     results += [
         conservation,
-        _triple_agreement_check(sphere, 1e-10, 1e-4),
+        _triple_agreement_check(1e-10, 1e-4),
         energy,
         _normalization_check(SAMPLES // 5, rng, 1e-9, 1e-10),
     ]

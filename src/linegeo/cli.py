@@ -7,8 +7,10 @@ summary's ``chart`` key name, with I1 in the xi sense, so negative),
 ``analyze`` (blow-up time, effective potential, turning points, series
 cross-check) and ``check`` (the cross-module invariant suite).  Each
 handler imports the modules it runs, so a cold call loads only those,
-and opens its outputs before it computes, so a path that cannot be
-opened costs no work; the parser is built once per process.  The JSON
+refuses its invalid input (``geodesic``: its launch state) before it
+opens its outputs, so that an existing file is left as it was, and
+opens them before the costly work, so that a path that cannot be opened
+costs none; the parser is built once per process.  The JSON
 outputs write each value type by its fields, in slot order
 (``_fields``).
 
@@ -116,22 +118,21 @@ def _initial_state(args) -> "geodesics.GeodesicState":
         return geodesics.GeodesicState(0.0, complex(*args.xi), complex(*args.xidot))
     if args.polar is not None:
         big_r, theta, rdot, thetadot = args.polar
-        return geodesics.PolarState(big_r, theta, rdot, thetadot).to_state()
+        return geodesics.state_from_polar(big_r, theta, rdot, thetadot)
     i1, i2, r0 = args.integrals
     theta0 = 0.0 if args.theta0 is None else args.theta0  # keeps the sign of -0
     return geodesics.state_from_integrals(i1, i2, r0, theta0=theta0, outward=not args.inward)
 
 
 def cmd_geodesic(args) -> int:
-    from . import geodesics, sections
+    from . import geodesics
 
     state = _initial_state(args)
     # keep the CSV stream clean: summary goes to stderr when the CSV
     # occupies stdout, to stdout once the CSV goes to a file
     fallback = sys.stderr if args.output in (None, "-") else sys.stdout
     with _out_stream(args.output) as csv_fh, _out_stream(args.summary, fallback) as summary_fh:
-        # c > 0 only scales the induced metric by a constant, so c = 1 stands for all
-        traj = geodesics.integrate(state, sections.StandardSphere(1.0), args.t_max, args.tol)
+        traj = geodesics.integrate(state, args.t_max, args.tol)
         _log_info("integrated %d samples, termination %s", len(traj), traj.termination.value)
         geodesics.write_csv(traj, csv_fh)
         big_r = traj.radius
@@ -157,17 +158,24 @@ def cmd_geodesic(args) -> int:
 def cmd_analyze(args) -> int:
     from . import analysis
 
+    # the closed forms are evaluated, and the series table's range checked,
+    # before the output opens; the series is summed once it is open, and in
+    # full before any row is written, so that a row that fails writes none
+    rows = None
+    if args.what == "blowup":
+        text = f"{analysis.blowup_time(args.I1, args.r_start):.17g}\n"
+    elif args.what == "turning-points":
+        text = _json_text(analysis.turning_points(args.I1, args.I2))
+    elif args.what == "potential":
+        header, rows = "R,U_eff", analysis.potential_curve(args.r_lo, args.r_hi, args.num)
+    else:  # series-check
+        header = "R,series,quadrature,diff"
+        rows = analysis.series_quadrature_table(args.r_lo, args.r_hi, args.num)
     with _out_stream(args.output) as fh:
-        if args.what == "blowup":
-            fh.write(f"{analysis.blowup_time(args.I1, args.r_start):.17g}\n")
-        elif args.what == "potential":
-            rows = analysis.potential_curve(args.r_lo, args.r_hi, args.num)
-            _write_csv("R,U_eff", rows, fh)
-        elif args.what == "turning-points":
-            fh.write(_json_text(analysis.turning_points(args.I1, args.I2)))
-        else:  # series-check
-            rows = analysis.series_quadrature_table(args.r_lo, args.r_hi, args.num)
-            _write_csv("R,series,quadrature,diff", rows, fh)
+        if rows is None:
+            fh.write(text)
+        else:
+            _write_csv(header, list(rows), fh)
     return 0
 
 

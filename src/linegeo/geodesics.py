@@ -38,7 +38,6 @@ import cmath
 import enum
 import linecache
 import math
-from collections.abc import Sequence
 
 from .errors import DomainError, Record, finite_complex
 
@@ -72,38 +71,6 @@ class GeodesicState(Record):
             raise DomainError(f"t must be finite, got {t!r}")
         self._init_fields(t, finite_complex("xi", xi), finite_complex("xidot", xidot))
 
-    def to_polar(self) -> "PolarState":
-        """Polar view (R, theta, Rdot, thetadot); requires xi != 0."""
-        big_r = abs(self.xi)
-        if big_r == 0.0:
-            raise DomainError("polar coordinates are singular at xi = 0")
-        theta = cmath.phase(self.xi)
-        w = self.xidot * cmath.exp(-1j * theta)
-        return PolarState(big_r, theta, w.real, w.imag / big_r, t=self.t)
-
-
-class PolarState(Record):
-    """Polar parameterisation xi = R e^{i theta} of a geodesic state."""
-
-    __slots__ = ("R", "theta", "Rdot", "thetadot", "t")
-
-    def __init__(self, R: float, theta: float, Rdot: float, thetadot: float, t: float = 0.0):
-        values = []
-        for name, v in zip(self.__slots__, (R, theta, Rdot, thetadot, t)):
-            v = float(v)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
-            values.append(v)
-        if values[0] < 0.0:
-            raise DomainError(f"radius must be >= 0, got {values[0]}")
-        self._init_fields(*values)
-
-    def to_state(self) -> GeodesicState:
-        phase = cmath.exp(1j * self.theta)
-        xi = self.R * phase
-        xidot = (self.Rdot + 1j * self.R * self.thetadot) * phase
-        return GeodesicState(self.t, xi, xidot)
-
 
 class FirstIntegrals(Record):
     """The conserved pair: I1 the squared speed, I2 the angular momentum."""
@@ -128,6 +95,22 @@ def first_integrals(state: GeodesicState) -> FirstIntegrals:
     except OverflowError:
         i1 = i2 = math.inf
     return FirstIntegrals(i1, i2)
+
+
+def state_from_polar(R: float, theta: float, Rdot: float, thetadot: float) -> GeodesicState:
+    """The state at t = 0 with xi = R e^{i theta} and polar velocity
+    (Rdot, thetadot); DomainError unless all four are finite and R >= 0."""
+    values = []
+    for name, v in (("R", R), ("theta", theta), ("Rdot", Rdot), ("thetadot", thetadot)):
+        v = float(v)
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v!r}")
+        values.append(v)
+    R, theta, Rdot, thetadot = values
+    if R < 0.0:
+        raise DomainError(f"radius must be >= 0, got {R}")
+    phase = cmath.exp(1j * theta)
+    return GeodesicState(0.0, R * phase, (Rdot + 1j * R * thetadot) * phase)
 
 
 def state_from_integrals(
@@ -174,11 +157,11 @@ def state_from_integrals(
         disc = 0.0 if r0 in (tp.R_min, tp.R_max) else i1 - effective_potential(r0) * i2 * i2
     r2 = r0 * r0
     f = _conformal(r2)
-    thetadot = i2 / (f * r2)
+    thetadot = i2 / (f * r2) if i2 != 0.0 else i2  # r0^2 may underflow to 0
     rdot = math.sqrt(max(disc / f, 0.0))
     if not outward:
         rdot = -rdot
-    return PolarState(r0, theta0, rdot, thetadot).to_state()
+    return state_from_polar(r0, theta0, rdot, thetadot)
 
 
 class Trajectory(Record):
@@ -186,8 +169,8 @@ class Trajectory(Record):
 
     ``t``, ``xi``, ``xidot`` are aligned sequences of floats and complex
     numbers with one entry per accepted step (including the initial
-    state), and ``integral_series()`` gives the first integrals at those
-    samples.
+    state), and ``integrals`` holds the lists (I1, I2) of the first
+    integrals at those samples.
     ``chart`` names the coordinate of the samples: ``"xi"`` for an
     upper-hemisphere start, ``"zeta"`` (zeta = 1/xi) for a lower one,
     so ``radius`` is in that chart too, while ``final_state()`` is in
@@ -201,13 +184,13 @@ class Trajectory(Record):
     """
 
     __slots__ = (
-        "t", "xi", "xidot", "integrals0", "max_drift", "termination", "_integrals",
+        "t", "xi", "xidot", "integrals0", "max_drift", "termination", "integrals",
         "t_hit", "rejected_steps", "chart",
     )
 
-    def __init__(self, t, xi, xidot, integrals0, max_drift, termination, _integrals,
+    def __init__(self, t, xi, xidot, integrals0, max_drift, termination, integrals,
                  t_hit=None, rejected_steps=0, chart="xi"):
-        self._init_fields(t, xi, xidot, integrals0, max_drift, termination, _integrals,
+        self._init_fields(t, xi, xidot, integrals0, max_drift, termination, integrals,
                           t_hit, rejected_steps, chart)
 
     def __len__(self):
@@ -216,10 +199,6 @@ class Trajectory(Record):
     @property
     def radius(self) -> list[float]:
         return [abs(xi) for xi in self.xi]
-
-    def integral_series(self) -> tuple[Sequence[float], Sequence[float]]:
-        """(I1, I2) along the samples."""
-        return self._integrals
 
     def final_state(self) -> GeodesicState:
         """The last sample in xi, from which ``integrate`` can continue the
@@ -582,13 +561,12 @@ def _generate_kernel():
 _conformal, first_integrals_arrays, geod_integrate = _generate_kernel()
 
 
-def integrate(
-    initial: GeodesicState, sphere: "sections.StandardSphere", t_max: float, tol: float
-) -> Trajectory:
+def integrate(initial: GeodesicState, t_max: float, tol: float) -> Trajectory:
     """Integrate the geodesic flow from ``initial`` until ``t_max``.
 
-    ``sphere`` must be twisting (c > 0); its c scales the induced metric
-    by a constant factor, so the flow does not depend on it.
+    The flow is that of every twisting sphere eta = c i xi: c > 0 scales
+    the induced metric -4c f dxi dxibar by a constant, which leaves the
+    geodesics and their parameter unchanged.
 
     The chart is chosen once, at launch: xi for |xi0| < 1, else
     zeta = 1/xi from zeta = 1/xi0 and zetadot = -xidot0 zeta^2.  The
@@ -630,14 +608,11 @@ def integrate(
     Raises
     ------
     DomainError
-        If the sphere is not twisting (c <= 0), tol is not positive and
-        finite, t_max is not finite, t_max <= initial.t, t_max - initial.t
-        overflows, the initial point sits inside the cutoff band of its
-        chart, or I1 or I2 is not a finite double at some sample, the
-        first included.
+        If tol is not positive and finite, t_max is not finite,
+        t_max <= initial.t, t_max - initial.t overflows, the initial point
+        sits inside the cutoff band of its chart, or I1 or I2 is not a
+        finite double at some sample, the first included.
     """
-    if sphere.c <= 0.0:
-        raise DomainError("geodesic flow requires a twisting sphere (c > 0)")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if not math.isfinite(t_max):
@@ -679,7 +654,7 @@ def integrate(
         integrals0=FirstIntegrals(i10, i20),
         max_drift=drift,
         termination=termination,
-        _integrals=(i1s, i2s),
+        integrals=(i1s, i2s),
         t_hit=None if t_hit is None else t_hit + initial.t,
         rejected_steps=rejected,
         chart=chart,
@@ -703,7 +678,7 @@ def write_csv(traj: Trajectory, stream):
     Each row is formatted as the stream takes it, R and theta included,
     so the export never holds a copy of the table.
     """
-    i1s, i2s = traj.integral_series()
+    i1s, i2s = traj.integrals
     phase = cmath.phase
     stream.write(CSV_HEADER.replace("xi", traj.chart) + "\n")
     stream.writelines(

@@ -7,12 +7,14 @@ pullback of the metric to the standard sphere, the check suite's
 sampling loops one helper call per draw, the Christoffel symbol, the
 right-hand side and the first integrals as written out in complex
 arithmetic before the stepper's source became their one definition, the
-check suite's orbit pass with the conformal factor written inline, the
-oriented line in R^3 that a chart point names, and the JSON readers of
-the section and certificate wire format (the CLI only writes it)."""
+polar coordinates of a state, the check suite's orbit pass with the
+conformal factor written inline, the oriented line in R^3 that a chart
+point names and the two forms as the lines see them, and the JSON
+readers of the section and certificate wire format (the CLI only writes
+it)."""
 
 import random
-from cmath import rect
+from cmath import exp, phase, rect
 from math import log, pi, sqrt
 
 import numpy as np
@@ -313,6 +315,15 @@ def rhs(state: geodesics.GeodesicState) -> tuple[complex, complex]:
     return state.xidot, -christoffel(state.xi) * state.xidot * state.xidot
 
 
+def polar(state: geodesics.GeodesicState) -> tuple[float, float, float, float]:
+    """(R, theta, Rdot, thetadot) of a state with xi != 0, which
+    ``geodesics.state_from_polar`` maps back to the state."""
+    big_r = abs(state.xi)
+    theta = phase(state.xi)
+    w = state.xidot * exp(-1j * theta)
+    return big_r, theta, w.real, w.imag / big_r
+
+
 def first_integrals_arrays(xis, xidots):
     """(I1, I2) = (f |xidot|^2, f Im(conj(xi) xidot)) along samples, for
     f = (1-|xi|^2)/(1+|xi|^2)^3."""
@@ -326,15 +337,15 @@ def first_integrals_arrays(xis, xidots):
     return i1s, i2s
 
 
-def orbit_checks(trajectories, tol, t_span, sphere, rng, threshold):
+def orbit_checks(trajectories, tol, t_span, rng, threshold):
     """The orbit pass (drift and energy identity) with the conformal
     factor written inline."""
     worst_drift = worst_energy = 0.0
     kept = 0
     for _ in range(trajectories):
-        traj = geodesics.integrate(checks.sample_orbit_state(rng), sphere, t_span, tol)
+        traj = geodesics.integrate(checks.sample_orbit_state(rng), t_span, tol)
         worst_drift = max(worst_drift, *traj.max_drift)
-        for xi, xidot, i1, i2 in zip(traj.xi, traj.xidot, *traj.integral_series()):
+        for xi, xidot, i1, i2 in zip(traj.xi, traj.xidot, *traj.integrals):
             big_r = abs(xi)
             if not 1e-3 <= big_r <= 1.0 - 1e-3:
                 continue
@@ -379,6 +390,27 @@ def line(p: ComplexPair) -> tuple[np.ndarray, np.ndarray]:
     """The Plucker coordinates (D, M = P x D) of the line (xi, eta)."""
     direction, point = line_point(p)
     return direction, np.cross(point, direction)
+
+
+def line_velocity(u: TangentVector, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D', M', P') of the lines along the chart curve base + s (dxi, deta)
+    at s = 0, each by the five-point central difference of step h."""
+    def at(s):
+        p = ComplexPair(u.base.xi + s * u.dxi, u.base.eta + s * u.deta)
+        return np.concatenate([*line(p), line_point(p)[1]])
+
+    w = (at(-2.0 * h) - 8.0 * at(-h) + 8.0 * at(h) - at(2.0 * h)) / (12.0 * h)
+    return w[:3], w[3:6], w[6:]
+
+
+def plucker_forms(u: TangentVector, v: TangentVector, h: float = 1e-3) -> tuple[float, float]:
+    """The two forms as the lines in R^3 see them: the polarised Klein
+    quadric -1/2 (D'_u . M'_v + D'_v . M'_u), which ``metric`` is, and the
+    canonical form P'_u . D'_v - P'_v . D'_u of T*S^2, with P the foot of
+    the perpendicular, which ``symplectic_form`` is."""
+    d_u, m_u, p_u = line_velocity(u, h)
+    d_v, m_v, p_v = line_velocity(v, h)
+    return -0.5 * (d_u @ m_v + d_v @ m_u), p_u @ d_v - p_v @ d_u
 
 
 # -- JSON wire format -------------------------------------------------------

@@ -37,8 +37,6 @@ from linegeo import (
 )
 from linegeo.checks import sample_orbit_state
 
-SPHERE = StandardSphere(1.0)
-
 
 class Budget:
     def __init__(self, name, seconds):
@@ -81,7 +79,7 @@ def test_criterion_2_triple_agreement():
         worst_ode = 0.0
         for i1 in (0.25, 1.0, 4.0):
             traj = integrate(
-                GeodesicState(0.0, 0.0, math.sqrt(i1)), SPHERE, 10.0, 1e-6
+                GeodesicState(0.0, 0.0, math.sqrt(i1)), 10.0, 1e-6
             )
             assert traj.termination is Termination.EQUATOR_REACHED
             predicted = blowup_time(i1)
@@ -101,7 +99,7 @@ def test_criterion_3_conservation():
         worst = 0.0
         for _ in range(50):
             state = sample_orbit_state(rng)
-            traj = integrate(state, SPHERE, 10.0, 1e-10)
+            traj = integrate(state, 10.0, 1e-10)
             worst = max(worst, *traj.max_drift)
         assert worst < 1e-8
     print(
@@ -119,7 +117,7 @@ def test_criterion_4_oscillation_bounds():
             i2 = math.sqrt(i1 / ratio)
             tp = turning_points(i1, i2)
             state = state_from_integrals(i1, i2, tp.R_min)
-            traj = integrate(state, SPHERE, 20.0, 1e-10)
+            traj = integrate(state, 20.0, 1e-10)
             report = oscillation_check(traj)
             assert report.conclusive, f"ratio {ratio}: {report}"
             worst = max(worst, report.discrepancy_min, report.discrepancy_max)
@@ -128,7 +126,7 @@ def test_criterion_4_oscillation_bounds():
         # circular orbit exactly at the potential minimum
         i2c = math.sqrt(1.0 / MIN_ORBIT_RATIO)
         state = state_from_integrals(1.0, i2c, CRITICAL_RADIUS)
-        traj = integrate(state, SPHERE, 10.0, 1e-10)
+        traj = integrate(state, 10.0, 1e-10)
         circular_dev = float(np.max(np.abs(np.asarray(traj.radius) - CRITICAL_RADIUS)))
         assert circular_dev < 1e-6
     print(
@@ -243,10 +241,10 @@ def test_criterion_8_energy_identity():
     worst = 0.0
     total = 0
     trajectories = [
-        integrate(GeodesicState(0.0, 0.0, 1.0), SPHERE, 10.0, 1e-6)  # radial sweep
+        integrate(GeodesicState(0.0, 0.0, 1.0), 10.0, 1e-6)  # radial sweep
     ]
     for _ in range(4):
-        trajectories.append(integrate(sample_orbit_state(rng), SPHERE, 10.0, 1e-10))
+        trajectories.append(integrate(sample_orbit_state(rng), 10.0, 1e-10))
     for traj in trajectories:
         xi, xidot = np.asarray(traj.xi), np.asarray(traj.xidot)
         i1s, i2s = map(np.asarray, first_integrals_arrays(traj.xi, traj.xidot))

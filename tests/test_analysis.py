@@ -14,7 +14,6 @@ from linegeo import (
     DomainError,
     GeodesicState,
     NoOrbitError,
-    StandardSphere,
     Termination,
     appell_f1_series,
     blowup_time,
@@ -29,8 +28,8 @@ from linegeo import (
     turning_points,
 )
 from linegeo import analysis, geodesics
+from oracles import polar
 
-SPHERE = StandardSphere(1.0)
 
 # frozen via adaptive quadrature (and confirmed by the series, the
 # high-precision hypergeometric oracle, and the ODE hit time)
@@ -186,7 +185,7 @@ def test_blowup_time_domain():
 
 
 def test_blowup_time_matches_ode_hit():
-    traj = integrate(GeodesicState(0.0, 0.0, 1.0), SPHERE, 10.0, 1e-6)
+    traj = integrate(GeodesicState(0.0, 0.0, 1.0), 10.0, 1e-6)
     assert traj.termination is Termination.EQUATOR_REACHED
     assert abs(traj.t_hit - blowup_time(1.0)) / blowup_time(1.0) < 1e-4
 
@@ -352,7 +351,7 @@ def test_state_from_integrals_accepts_the_turning_radii():
             tp = turning_points(i1, i2)
             for radius in (tp.R_min, tp.R_max):
                 st = state_from_integrals(i1, i2, radius)
-                assert abs(st.to_polar().Rdot) < 1e-5 * math.sqrt(i1)
+                assert abs(polar(st)[2]) < 1e-5 * math.sqrt(i1)
             for radius in (math.nextafter(tp.R_min, 0.0), math.nextafter(tp.R_max, 1.0)):
                 with pytest.raises(DomainError, match="outside the orbit annulus"):
                     state_from_integrals(i1, i2, radius)
@@ -379,7 +378,7 @@ def test_oscillation_from_inner_turning_point():
     i2 = math.sqrt(i1 / ratio)
     tp = turning_points(i1, i2)
     st = state_from_integrals(i1, i2, tp.R_min)
-    traj = integrate(st, SPHERE, 10.0, 1e-10)
+    traj = integrate(st, 10.0, 1e-10)
     report = oscillation_check(traj)
     assert report.conclusive
     assert report.discrepancy_min < 1e-4
@@ -391,14 +390,14 @@ def test_oscillation_circular_orbit():
     i1 = 1.0
     i2 = math.sqrt(i1 / MIN_ORBIT_RATIO)
     st = state_from_integrals(i1, i2, CRITICAL_RADIUS)
-    traj = integrate(st, SPHERE, 10.0, 1e-10)
+    traj = integrate(st, 10.0, 1e-10)
     assert np.max(np.abs(np.asarray(traj.radius) - CRITICAL_RADIUS)) < 1e-6
     report = oscillation_check(traj)
     assert report.conclusive
 
 
 def test_oscillation_requires_angular_momentum():
-    traj = integrate(GeodesicState(0.0, 0.2, 0.5), SPHERE, 1.0, 1e-8)
+    traj = integrate(GeodesicState(0.0, 0.2, 0.5), 1.0, 1e-8)
     with pytest.raises(DomainError):
         oscillation_check(traj)
 
@@ -408,7 +407,7 @@ def test_oscillation_short_run_flagged_inconclusive():
     i2 = math.sqrt(i1 / (1.5 * MIN_ORBIT_RATIO))
     tp = turning_points(i1, i2)
     st = state_from_integrals(i1, i2, tp.R_min)
-    traj = integrate(st, SPHERE, 0.05, 1e-10)  # far less than a radial period
+    traj = integrate(st, 0.05, 1e-10)  # far less than a radial period
     report = oscillation_check(traj)
     assert not report.conclusive
 
@@ -422,7 +421,7 @@ def test_energy_identity_along_trajectories():
         st = state_from_integrals(
             1.0, math.sqrt(1.0 / (rng.uniform(1.2, 4.0) * MIN_ORBIT_RATIO)), 0.45
         )
-        traj = integrate(st, SPHERE, 8.0, 1e-10)
+        traj = integrate(st, 8.0, 1e-10)
         xi, xidot = np.asarray(traj.xi), np.asarray(traj.xidot)
         i1s, i2s = map(np.asarray, first_integrals_arrays(traj.xi, traj.xidot))
         big_r = np.abs(xi)
@@ -458,7 +457,11 @@ def test_potential_curve_rows():
 
 
 def test_series_quadrature_table():
-    rows = np.asarray(series_quadrature_table(0.1, 0.9, 3))
+    rows = np.asarray(list(series_quadrature_table(0.1, 0.9, 3)))
     assert rows.shape == (3, 4)
     assert np.all(np.abs(rows[:, 3]) < 1e-10)
     assert np.all(np.abs(rows[:, 1] - rows[:, 2] - rows[:, 3]) == 0.0)
+    # the range is checked on call, before any row is summed
+    for r_lo, r_hi, num in ((0.5, 0.4, 3), (0.1, 1.0, 3), (0.1, 0.9, 0)):
+        with pytest.raises(DomainError):
+            series_quadrature_table(r_lo, r_hi, num)

@@ -265,11 +265,7 @@ def test_geodesic_at_a_loose_tol_keeps_to_its_side_of_the_equator(tmp_path, caps
 def test_check_at_a_loose_tol_reports_its_drift(tol):
     # the suite's thresholds hold for its one plan: an orbit pass at a
     # looser tol fails conservation_drift, with a finite drift to report
-    from linegeo import sections
-
-    drift, _ = checks._orbit_checks(
-        1, float(tol), checks.T_SPAN, sections.StandardSphere(1.0), random.Random(2025), 1e-8
-    )
+    drift, _ = checks._orbit_checks(1, float(tol), checks.T_SPAN, random.Random(2025), 1e-8)
     assert drift.name == "conservation_drift" and not drift.passed
     assert math.isfinite(drift.observed)
 
@@ -447,18 +443,39 @@ def test_an_output_path_that_cannot_be_opened_is_a_usage_error(
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "blowup", "--I1", "nan"],
-    ["analyze", "turning-points", "--I1", "10", "--I2", "1"],
+    # I1 overflows at the second sample of the run
+    ["geodesic", "--integrals", "1.797e308", "1", "7.459778999860975e-155", "--t-max", "1"],
+    # with at most 10 anti-diagonals the series at R = 0.9 does not converge
+    ["analyze", "series-check", "--r-lo", "0.1", "--r-hi", "0.9", "--num", "2"],
 ])
-def test_a_run_that_fails_after_opening_its_output(tmp_path, capsys, argv):
+def test_a_run_that_fails_after_opening_its_output(tmp_path, capsys, monkeypatch, argv):
     # the output is opened before the run: a file the run created is
-    # removed again, and one that was already there is left empty
+    # removed again, and one that was already there is left empty, with
+    # none of the rows before the failure written
+    monkeypatch.setattr(analysis, "SERIES_MAX_DIAGONALS", 10)
     created, existing = tmp_path / "created.txt", tmp_path / "existing.txt"
     existing.write_text("kept\n")
     for path in (created, existing):
         code, out, _ = run_cli(capsys, *argv, "--output", str(path))
         assert (code, out) == (3, "")
     assert not created.exists() and existing.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "blowup", "--I1", "nan"],
+    ["analyze", "turning-points", "--I1", "10", "--I2", "1"],
+    ["analyze", "potential", "--r-lo", "1e-200"],
+    ["analyze", "series-check", "--r-lo", "0.5", "--r-hi", "0.4"],
+])
+def test_invalid_input_is_refused_before_the_output_opens(tmp_path, capsys, argv):
+    # as normalize and geodesic do with their launch data: no file is
+    # created, and one that was already there keeps what it held
+    created, existing = tmp_path / "created.txt", tmp_path / "existing.txt"
+    existing.write_text("kept\n")
+    for path in (created, existing):
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert (code, out) == (3, "") and err.startswith("linegeo: ")
+    assert not created.exists() and existing.read_text() == "kept\n"
 
 
 def test_geodesic_integrals_overflowing_along_the_run_exit_3(tmp_path, capsys):
@@ -620,6 +637,35 @@ def test_analyze_potential_writes_a_finite_table_or_exits_3(radii, num):
         assert all(len(row) == 2 and all(map(math.isfinite, row)) for row in rows)
         column = [big_r for big_r, _ in rows]
         assert all(0.0 < big_r < 1.0 for big_r in column) and column == sorted(column)
+    else:
+        assert (code, out) == (3, "") and err.startswith("linegeo: ")
+
+
+#: each launch mode of ``geodesic``, as the flags it takes from four doubles
+LAUNCH_MODES = {
+    "polar": lambda v: ["--polar", *v],
+    "xi": lambda v: ["--xi", v[0], v[1], "--xidot", v[2], v[3]],
+    "integrals": lambda v: ["--integrals", v[0], v[1], v[2], "--theta0", v[3]],
+}
+
+
+@pytest.mark.parametrize("mode", LAUNCH_MODES)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[ANY_FLOAT] * 4), ANY_FLOAT)
+# a radial --integrals launch where R0^2 underflows to 0 (it exited 1)
+@example((1.0, -0.0, 1e-300, 0.0), 1.0)
+def test_geodesic_prints_a_strict_json_summary_or_exits_3(mode, values, t_max):
+    # the plain form of the multi-value flags, as normalize's; 500 step
+    # attempts bound each run, and a run that they cut short still exits 0
+    argv = ["geodesic", *LAUNCH_MODES[mode]([repr(v) for v in values]), f"--t-max={t_max!r}",
+            "--output", os.devnull]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geodesics, "MAX_STEPS", 500)
+        code, out, err = _run_quiet(*argv)
+    if code == 0:
+        summary = json.loads(out, parse_constant=_reject_constant)
+        assert summary["termination"] in {t.value for t in geodesics.Termination}
+        assert math.isfinite(summary["t_final"]) and err == ""
     else:
         assert (code, out) == (3, "") and err.startswith("linegeo: ")
 
@@ -854,9 +900,7 @@ def test_check_reports_a_radial_run_that_stops_short(capsys, monkeypatch):
     # the report stays valid JSON: the error of a run that never reached
     # the equator is measured where it stopped
     exact = geodesics.integrate
-    monkeypatch.setattr(
-        geodesics, "integrate", lambda state, sphere, t_max, tol: exact(state, sphere, 0.3, tol)
-    )
+    monkeypatch.setattr(geodesics, "integrate", lambda state, t_max, tol: exact(state, 0.3, tol))
     code, out, _ = run_cli(capsys, "check")
     assert code == 1
     triple = next(c for c in json.loads(out)["checks"] if c["name"] == "triple_agreement")
@@ -881,14 +925,11 @@ def test_energy_identity_squares_r_as_the_potential_does(monkeypatch):
     class Samples:
         max_drift = (0.0, 0.0)
 
-        def integral_series(self):
-            return i1, [0.0] * len(radii)
-
     samples = Samples()
-    samples.xi, samples.xidot = xi, xidot
+    samples.xi, samples.xidot, samples.integrals = xi, xidot, (i1, [0.0] * len(radii))
     monkeypatch.setattr(checks, "sample_orbit_state", lambda rng: None)
-    monkeypatch.setattr(geodesics, "integrate", lambda state, sphere, t_max, tol: samples)
-    _, result = checks._orbit_checks(1, 1e-10, 1.0, None, random.Random(0), 1e-8)
+    monkeypatch.setattr(geodesics, "integrate", lambda state, t_max, tol: samples)
+    _, result = checks._orbit_checks(1, 1e-10, 1.0, random.Random(0), 1e-8)
     assert result.observed == 0.0 and result.detail == "3 samples"
 
 
@@ -1054,9 +1095,7 @@ def test_check_sampling_loops_match_their_oracle_copies(seed, samples):
 def test_energy_identity_check_matches_its_inline_f_copy(seed):
     # the orbit pass takes f from the flow's one definition; its drift and
     # residuals are those of the copy that writes f out
-    from linegeo import sections
-
-    args = (checks.TRAJECTORIES, checks.TOL, checks.T_SPAN, sections.StandardSphere(1.0))
+    args = (checks.TRAJECTORIES, checks.TOL, checks.T_SPAN)
     assert checks._orbit_checks(*args, random.Random(seed), 1e-8) == (
         orbit_checks(*args, random.Random(seed), 1e-8)
     )
@@ -1169,15 +1208,9 @@ LOADED_LAZY_MODULES = (
         (["analyze", "turning-points", "--I1", "20", "--I2", "1"], ["linegeo.analysis"]),
         (["analyze", "series-check"], ["linegeo.analysis"]),
         (["analyze", "potential"], ["linegeo.analysis"]),
-        (
-            ["geodesic", "--xi", "0", "0", "--xidot", "1", "0"],
-            ["linegeo.geodesics", "linegeo.line_space"],
-        ),
+        (["geodesic", "--xi", "0", "0", "--xidot", "1", "0"], ["linegeo.geodesics"]),
         # a radial launch from its integrals needs no orbit annulus
-        (
-            ["geodesic", "--integrals", "1", "0", "0.5"],
-            ["linegeo.geodesics", "linegeo.line_space"],
-        ),
+        (["geodesic", "--integrals", "1", "0", "0.5"], ["linegeo.geodesics"]),
         (
             ["check"],
             ["linegeo.analysis", "linegeo.checks", "linegeo.geodesics", "linegeo.line_space"],
@@ -1215,7 +1248,8 @@ def test_cold_package_names_resolve_on_first_access():
 
 
 def test_cold_geodesics_import_loads_no_line_space_geometry():
-    # integrate's sphere annotation names sections lazily
+    # the flow is the same on every twisting sphere, so geodesics names no
+    # sphere and loads no module of the line-space geometry
     code = (
         "import sys, linegeo.geodesics\n"
         "assert not {'linegeo.sections', 'linegeo.line_space'} & set(sys.modules)\n"

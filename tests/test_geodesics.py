@@ -18,32 +18,30 @@ from linegeo import (
     DomainError,
     GeodesicState,
     NoOrbitError,
-    PolarState,
-    StandardSphere,
     Termination,
     blowup_time,
     first_integrals,
     integrate,
     state_from_integrals,
+    state_from_polar,
     turning_points,
     write_csv,
 )
 from linegeo import geodesics
 from linegeo.geodesics import CSV_HEADER, EQUATOR_CUTOFF, MIN_STEP
 from linegeo.geodesics import _A as DOP853_A, _B as DOP853_B, _BHH as DOP853_BHH, _E5 as DOP853_E5
-from oracles import christoffel, rhs
+from oracles import christoffel, polar, rhs
 from oracles import first_integrals_arrays as complex_first_integrals_arrays
 
 RNG = np.random.default_rng(91003)
-SPHERE = StandardSphere(1.0)
 
 
 def random_orbit_state(max_ratio=60.0):
     while True:
         big_r = RNG.uniform(0.15, 0.8)
-        st = PolarState(
+        st = state_from_polar(
             big_r, RNG.uniform(0, 2 * math.pi), RNG.uniform(-1, 1), RNG.uniform(-2, 2)
-        ).to_state()
+        )
         ints = first_integrals(st)
         if ints.I2 != 0.0 and ints.I1 / ints.I2**2 <= max_ratio:
             return st
@@ -148,10 +146,10 @@ def test_first_integrals_tangential_exact_value():
 def test_first_integrals_polar_oracle():
     for _ in range(100):
         st = random_orbit_state()
-        p = st.to_polar()
-        f = (1.0 - p.R**2) / (1.0 + p.R**2) ** 3
-        i1 = f * (p.Rdot**2 + p.R**2 * p.thetadot**2)
-        i2 = f * p.R**2 * p.thetadot
+        big_r, _, rdot, thetadot = polar(st)
+        f = (1.0 - big_r**2) / (1.0 + big_r**2) ** 3
+        i1 = f * (rdot**2 + big_r**2 * thetadot**2)
+        i2 = f * big_r**2 * thetadot
         ints = first_integrals(st)
         assert abs(ints.I1 - i1) < 1e-13 * max(1.0, abs(i1))
         assert abs(ints.I2 - i2) < 1e-13 * max(1.0, abs(i2))
@@ -164,11 +162,22 @@ def test_radial_data_has_zero_angular_momentum():
 
 def test_polar_round_trip():
     st = random_orbit_state()
-    back = st.to_polar().to_state()
+    back = state_from_polar(*polar(st))
     assert abs(back.xi - st.xi) < 1e-14
     assert abs(back.xidot - st.xidot) < 1e-14
-    with pytest.raises(DomainError):
-        GeodesicState(0.0, 0.0, 1.0).to_polar()
+
+
+@pytest.mark.parametrize("polar_values, message", [
+    ((math.nan, 0.0, 0.0, 1.0), "R must be finite, got nan"),
+    ((0.5, math.inf, 0.0, 1.0), "theta must be finite, got inf"),
+    ((0.5, 0.0, -math.inf, 1.0), "Rdot must be finite, got -inf"),
+    ((-1.0, 0.0, 0.0, math.nan), "thetadot must be finite, got nan"),  # named before the sign
+    ((-1.0, 0.0, 0.0, 1.0), "radius must be >= 0, got -1.0"),
+])
+def test_state_from_polar_refuses_bad_values(polar_values, message):
+    with pytest.raises(DomainError) as info:
+        state_from_polar(*polar_values)
+    assert str(info.value) == message
 
 
 # -- state_from_integrals ---------------------------------------------------------
@@ -211,7 +220,7 @@ def test_state_from_integrals_names_non_finite_integrals(i1, i2, r0):
 
 def test_state_from_integrals_inward_sign():
     st = state_from_integrals(1.0, 0.2, 0.5, outward=False)
-    assert st.to_polar().Rdot <= 0.0
+    assert polar(st)[2] <= 0.0
 
 
 @pytest.mark.parametrize("k", [12.0, 1e4, 1e8, 1e12])
@@ -222,7 +231,7 @@ def test_state_from_integrals_launches_at_a_turning_radius_at_rest_radially(k):
     for r0 in (tp.R_min, tp.R_max):
         for outward in (True, False):
             st = state_from_integrals(k, 1.0, r0, outward=outward)
-            assert st.to_polar().Rdot == 0.0
+            assert polar(st)[2] == 0.0
             assert abs(st.xi) == r0
 
 
@@ -335,7 +344,7 @@ def test_energy_momentum_integrals_are_independent_off_the_critical_set():
 
 
 def test_integrate_radial_blowup_hit_time():
-    traj = integrate(GeodesicState(0.0, 0.0, 1.0), SPHERE, 10.0, 1e-6)
+    traj = integrate(GeodesicState(0.0, 0.0, 1.0), 10.0, 1e-6)
     assert traj.termination is Termination.EQUATOR_REACHED
     predicted = blowup_time(1.0)
     assert abs(traj.t_hit - predicted) / predicted < 1e-4
@@ -343,7 +352,7 @@ def test_integrate_radial_blowup_hit_time():
 
 
 def test_integrate_constant_solution():
-    traj = integrate(GeodesicState(0.0, 0.3 + 0.1j, 0.0), SPHERE, 5.0, 1e-10)
+    traj = integrate(GeodesicState(0.0, 0.3 + 0.1j, 0.0), 5.0, 1e-10)
     assert traj.termination is Termination.TIME_LIMIT
     assert np.all(np.abs(np.asarray(traj.xi) - (0.3 + 0.1j)) < 1e-14)
     assert traj.t[-1] == 5.0
@@ -352,7 +361,7 @@ def test_integrate_constant_solution():
 def test_integrate_conservation_drift():
     for _ in range(5):
         st = random_orbit_state()
-        traj = integrate(st, SPHERE, 10.0, 1e-10)
+        traj = integrate(st, 10.0, 1e-10)
         assert traj.termination is Termination.TIME_LIMIT
         assert traj.max_drift[0] < 1e-8
         assert traj.max_drift[1] < 1e-8
@@ -364,9 +373,9 @@ def test_integrate_endpoint_error_follows_tolerance(xi0, xidot0):
     # the global error at t = 10, against a tol-1e-13 run, stays within a
     # small multiple of the requested tolerance (at most 4.9 x tol here)
     st = GeodesicState(0.0, xi0, xidot0)
-    ref = integrate(st, SPHERE, 10.0, 1e-13).final_state()
+    ref = integrate(st, 10.0, 1e-13).final_state()
     for tol in (1e-6, 1e-8, 1e-10):
-        end = integrate(st, SPHERE, 10.0, tol).final_state()
+        end = integrate(st, 10.0, tol).final_state()
         assert end.t == ref.t == 10.0
         assert abs(end.xi - ref.xi) <= 10.0 * tol
         assert abs(end.xidot - ref.xidot) <= 10.0 * tol
@@ -378,7 +387,7 @@ def test_integrate_eccentric_orbit_drift_to_t_100():
     i2 = math.sqrt(i1 / 22.0)
     tp = turning_points(i1, i2)
     st = state_from_integrals(i1, i2, 0.5 * (tp.R_min + tp.R_max))
-    traj = integrate(st, SPHERE, 100.0, 1e-10)
+    traj = integrate(st, 100.0, 1e-10)
     assert traj.termination is Termination.TIME_LIMIT
     assert max(traj.max_drift) < 1e-8
 
@@ -386,7 +395,7 @@ def test_integrate_eccentric_orbit_drift_to_t_100():
 def test_integrate_radial_invariance_of_argument():
     st = GeodesicState(0.0, 0.3 * cmath.exp(0.7j), 0.5 * cmath.exp(0.7j))
     assert abs(first_integrals(st).I2) < 1e-16
-    traj = integrate(st, SPHERE, 10.0, 1e-10)
+    traj = integrate(st, 10.0, 1e-10)
     args = np.angle(traj.xi)
     assert np.max(np.abs(args - 0.7)) < 1e-9
 
@@ -394,9 +403,9 @@ def test_integrate_radial_invariance_of_argument():
 def test_integrate_time_reversal():
     st = random_orbit_state()
     for tol in (1e-10, 1e-8):
-        fwd = integrate(st, SPHERE, 3.0, tol)
+        fwd = integrate(st, 3.0, tol)
         end = fwd.final_state()
-        back = integrate(GeodesicState(0.0, end.xi, -end.xidot), SPHERE, 3.0, tol)
+        back = integrate(GeodesicState(0.0, end.xi, -end.xidot), 3.0, tol)
         rec = back.final_state()
         assert abs(rec.xi - st.xi) < 100.0 * tol
         assert abs(-rec.xidot - st.xidot) < 100.0 * tol
@@ -406,7 +415,7 @@ def test_integrate_hemisphere_confinement():
     st = random_orbit_state()
     ints = first_integrals(st)
     tp = turning_points(ints.I1, ints.I2)
-    traj = integrate(st, SPHERE, 10.0, 1e-10)
+    traj = integrate(st, 10.0, 1e-10)
     r2 = np.abs(traj.xi) ** 2
     assert np.min(r2) >= tp.R_min**2 - 1e-6
     assert np.max(r2) <= tp.R_max**2 + 1e-6
@@ -414,7 +423,7 @@ def test_integrate_hemisphere_confinement():
 
 def test_integrate_lower_hemisphere():
     # radially inward from R = 1.5: negative I1, equator reached
-    traj = integrate(GeodesicState(0.0, 1.5, -1.0), SPHERE, 10.0, 1e-6)
+    traj = integrate(GeodesicState(0.0, 1.5, -1.0), 10.0, 1e-6)
     assert traj.integrals0.I1 < 0.0
     assert traj.termination is Termination.EQUATOR_REACHED
     assert traj.max_drift[0] < 1e-4
@@ -423,19 +432,19 @@ def test_integrate_lower_hemisphere():
 def test_integrate_orbit_running_out_stays_in_the_zeta_chart():
     # radially outward from R = 1.5: the orbit runs out towards xi = infinity,
     # which in zeta = 1/xi is an ordinary passage through the pole zeta = 0
-    traj = integrate(GeodesicState(0.0, 1.5, 1.0), SPHERE, 10.0, 1e-6)
+    traj = integrate(GeodesicState(0.0, 1.5, 1.0), 10.0, 1e-6)
     assert traj.chart == "zeta"
     assert traj.termination is Termination.EQUATOR_REACHED
     assert min(traj.radius) < 0.1 and max(traj.radius) < 1.0
     assert traj.xi[0] == 1.0 / 1.5 and traj.xidot[0] == -(1.0 / 1.5) ** 2
     # starts far out, at |xi| = 1e9 and 1e50, are ordinary points near zeta = 0
     for xi0 in (1e9, 1e50):
-        traj = integrate(GeodesicState(0.0, xi0, 1.0), SPHERE, 1.0, 1e-6)
+        traj = integrate(GeodesicState(0.0, xi0, 1.0), 1.0, 1e-6)
         assert traj.chart == "zeta"
         assert traj.termination is Termination.TIME_LIMIT
         assert traj.xi[0] == 1.0 / xi0
     # an upper-hemisphere start keeps the xi chart
-    assert integrate(GeodesicState(0.0, 0.5, 1.0), SPHERE, 0.1, 1e-6).chart == "xi"
+    assert integrate(GeodesicState(0.0, 0.5, 1.0), 0.1, 1e-6).chart == "xi"
 
 
 def test_lower_hemisphere_orbit_agrees_with_the_xi_chart():
@@ -450,7 +459,7 @@ def test_lower_hemisphere_orbit_agrees_with_the_xi_chart():
     ]
     tol = 1e-10
     for xi0, xidot0, t_max in starts:
-        traj = integrate(GeodesicState(0.0, xi0, xidot0), SPHERE, t_max, tol)
+        traj = integrate(GeodesicState(0.0, xi0, xidot0), t_max, tol)
         assert traj.chart == "zeta" and traj.termination is Termination.TIME_LIMIT
         t, xis, xds, status, _, _, _, _ = geodesics.geod_integrate(
             xi0, xidot0, t_max, tol, EQUATOR_CUTOFF, MIN_STEP, 1_000_000
@@ -473,7 +482,7 @@ def test_lower_hemisphere_sweep_stays_inside_the_zeta_chart():
         xi0 = 10.0 ** rng.uniform(math.log10(1.01), 12.0) * cmath.exp(2j * math.pi * rng.random())
         speed = rng.uniform(0.1, 3.0) * abs(xi0) ** 2
         xidot0 = speed * cmath.exp(2j * math.pi * rng.random())
-        traj = integrate(GeodesicState(0.0, xi0, xidot0), SPHERE, 3.0, 1e-6)
+        traj = integrate(GeodesicState(0.0, xi0, xidot0), 3.0, 1e-6)
         assert traj.chart == "zeta"
         assert traj.termination in (Termination.TIME_LIMIT, Termination.EQUATOR_REACHED)
         assert max(traj.radius) < 1.0
@@ -484,17 +493,17 @@ def test_restart_from_final_state_keeps_the_chart_and_the_sign_of_i1():
     # final_state() is in xi, so integrate continues a zeta run in zeta with
     # the same integrals, starting from the run's last sample
     for xi0, xidot0 in ((1.5, 1.0 + 0.2j), (0.3, 0.2 + 0.1j)):
-        first = integrate(GeodesicState(0.0, xi0, xidot0), SPHERE, 1.0, 1e-8)
+        first = integrate(GeodesicState(0.0, xi0, xidot0), 1.0, 1e-8)
         end = first.final_state()
         assert end.t == 1.0 and (abs(end.xi) > 1.0) == (first.chart == "zeta")
-        again = integrate(end, SPHERE, 2.0, 1e-8)
+        again = integrate(end, 2.0, 1e-8)
         assert again.chart == first.chart
         assert abs(again.xi[0] - first.xi[-1]) <= 1e-15 * abs(first.xi[-1])
         assert abs(again.xidot[0] - first.xidot[-1]) <= 1e-15 * abs(first.xidot[-1])
         assert math.isclose(again.integrals0.I1, first.integrals0.I1, rel_tol=1e-7)
         assert (again.integrals0.I1 < 0.0) == (first.chart == "zeta")
     # a zeta run that ends at the pole zeta = 0 has no finite xi state
-    traj = integrate(GeodesicState(0.0, 1e308 + 1e308j, 1.0), SPHERE, 1.0, 1e-6)
+    traj = integrate(GeodesicState(0.0, 1e308 + 1e308j, 1.0), 1.0, 1e-6)
     assert traj.chart == "zeta" and traj.xi[-1] == 0.0
     with pytest.raises(DomainError):
         traj.final_state()
@@ -515,27 +524,14 @@ def test_integrate_stays_on_its_side_of_the_equator_at_any_tol(
         rho = 1.0 / max(rho, 1e-3)
     start = GeodesicState(0.0, cmath.rect(rho, theta), cmath.rect(speed, phi))
     try:
-        traj = integrate(start, SPHERE, t_max, 10.0 ** log_tol)
+        traj = integrate(start, t_max, 10.0 ** log_tol)
     except DomainError:
         return
     assert min(1.0 - abs(z) ** 2 for z in traj.xi) >= -EQUATOR_CUTOFF
 
 
-def test_integrate_does_not_depend_on_c():
-    # c > 0 only scales the induced metric by a constant, which leaves the flow alone
-    start = GeodesicState(0.0, 0.3j, 0.5 - 0.2j)
-    ref = integrate(start, SPHERE, 5.0, 1e-10)
-    for c in (0.001, 1.0, 2.0):
-        traj = integrate(start, StandardSphere(c), 5.0, 1e-10)
-        assert (traj.t, traj.xi, traj.xidot) == (ref.t, ref.xi, ref.xidot)
-        assert traj.integral_series() == ref.integral_series()
-        assert traj.max_drift == ref.max_drift
-        assert traj.termination is ref.termination
-        assert traj.rejected_steps == ref.rejected_steps
-
-
 def test_integrate_samples_strictly_increasing():
-    traj = integrate(random_orbit_state(), SPHERE, 4.0, 1e-8)
+    traj = integrate(random_orbit_state(), 4.0, 1e-8)
     assert np.all(np.diff(traj.t) > 0.0)
     assert len(traj.xi) == len(traj.xidot) == len(traj)
     assert traj.t[0] == 0.0 and isinstance(traj.final_state(), GeodesicState)
@@ -545,7 +541,7 @@ def test_integrate_step_underflow_reported(monkeypatch):
     # this orbit's natural steps at tol 1e-10 range from 5e-3 to 0.5: the run
     # grows its step past MIN_STEP, then underflows where the orbit curves
     monkeypatch.setattr(geodesics, "MIN_STEP", 5e-2)
-    traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 10.0, 1e-10)
+    traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), 10.0, 1e-10)
     assert traj.termination is Termination.STEP_UNDERFLOW
     assert traj.t_hit is None
     assert len(traj) > 2 and 0.0 < traj.t[-1] < 10.0
@@ -554,18 +550,16 @@ def test_integrate_step_underflow_reported(monkeypatch):
 def test_integrate_preconditions():
     st = GeodesicState(0.0, 0.2, 1.0)
     with pytest.raises(DomainError):
-        integrate(st, StandardSphere(0.0), 1.0, 1e-8)
+        integrate(st, 1.0, 0.0)
     with pytest.raises(DomainError):
-        integrate(st, SPHERE, 1.0, 0.0)
+        integrate(st, -1.0, 1e-8)
     with pytest.raises(DomainError):
-        integrate(st, SPHERE, -1.0, 1e-8)
-    with pytest.raises(DomainError):
-        integrate(GeodesicState(0.0, 1.0, 1.0), SPHERE, 1.0, 1e-8)  # on the equator
+        integrate(GeodesicState(0.0, 1.0, 1.0), 1.0, 1e-8)  # on the equator
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
-            integrate(st, SPHERE, bad, 1e-8)
+            integrate(st, bad, 1e-8)
         with pytest.raises(DomainError):
-            integrate(st, SPHERE, 1.0, bad)
+            integrate(st, 1.0, bad)
 
 
 def test_a_non_finite_start_time_is_a_domain_error(monkeypatch):
@@ -573,20 +567,20 @@ def test_a_non_finite_start_time_is_a_domain_error(monkeypatch):
     monkeypatch.setattr(geodesics, "MAX_STEPS", 50)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="t must be finite"):
-            integrate(GeodesicState(bad, 0.3, 0.1j), SPHERE, 1.0, 1e-8)
+            integrate(GeodesicState(bad, 0.3, 0.1j), 1.0, 1e-8)
 
 
 def test_integrate_rejects_a_span_that_overflows(monkeypatch):
     monkeypatch.setattr(geodesics, "MAX_STEPS", 50)
     with pytest.raises(DomainError, match="overflows"):
-        integrate(GeodesicState(-1e308, 0.3, 0.1j), SPHERE, 1e308, 1e-8)
+        integrate(GeodesicState(-1e308, 0.3, 0.1j), 1e308, 1e-8)
     with pytest.raises(DomainError, match="t_max must be finite"):
-        integrate(GeodesicState(-1e308, 0.3, 0.1j), SPHERE, math.inf, 1e-8)
+        integrate(GeodesicState(-1e308, 0.3, 0.1j), math.inf, 1e-8)
 
 
 def test_integrate_nonzero_start_time():
     st = GeodesicState(2.0, 0.2, 0.5j)
-    traj = integrate(st, SPHERE, 3.0, 1e-8)
+    traj = integrate(st, 3.0, 1e-8)
     assert traj.t[0] == 2.0
     assert traj.t[-1] == 3.0
 
@@ -594,7 +588,7 @@ def test_integrate_nonzero_start_time():
 def test_integrate_max_steps_returns_partial_trajectory(monkeypatch):
     # the first 50 step attempts from this start are all accepted
     monkeypatch.setattr(geodesics, "MAX_STEPS", 50)
-    traj = integrate(GeodesicState(0.0, 0.6, 0.1j), SPHERE, 100.0, 1e-10)
+    traj = integrate(GeodesicState(0.0, 0.6, 0.1j), 100.0, 1e-10)
     assert traj.termination is Termination.MAX_STEPS
     assert traj.termination.value == "max_steps"
     assert len(traj) == 51
@@ -607,7 +601,7 @@ def test_integrate_max_steps_counts_rejected_attempts(monkeypatch):
     # from this start the controller rejects some of the first 50 attempts;
     # accepted and rejected attempts together spend the cap exactly
     monkeypatch.setattr(geodesics, "MAX_STEPS", 50)
-    traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 100.0, 1e-10)
+    traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), 100.0, 1e-10)
     assert traj.termination is Termination.MAX_STEPS
     stats = traj.stats
     assert stats["rejected_steps"] > 0
@@ -862,12 +856,12 @@ def test_integral_series_is_first_integrals_arrays_bit_for_bit(xi0, xidot0, tol,
     # the stepper takes the integrals from its 13th evaluation; they are
     # the floats first_integrals_arrays gives on the samples, with I1
     # negated in zeta
-    traj = integrate(GeodesicState(0.0, xi0, xidot0), SPHERE, 10.0, tol)
+    traj = integrate(GeodesicState(0.0, xi0, xidot0), 10.0, tol)
     assert traj.chart == chart and len(traj) > 5
     i1s, i2s = geodesics.first_integrals_arrays(traj.xi, traj.xidot)
     if chart == "zeta":
         i1s = [-i1 for i1 in i1s]
-    got_i1s, got_i2s = traj.integral_series()
+    got_i1s, got_i2s = traj.integrals
     assert bits(got_i1s) == bits(i1s)
     assert bits(got_i2s) == bits(i2s)
 
@@ -933,8 +927,8 @@ def reference_csv(traj):
 
 
 def test_csv_bytes_match_per_value_formatting():
-    long_traj = integrate(state_from_integrals(0.6, 0.16, 0.5), SPHERE, 80.0, 1e-10)
-    short_traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), SPHERE, 1e-3, 1e-10)
+    long_traj = integrate(state_from_integrals(0.6, 0.16, 0.5), 80.0, 1e-10)
+    short_traj = integrate(GeodesicState(0.0, 0.3, 0.2 + 0.1j), 1e-3, 1e-10)
     assert len(short_traj) == 2
     for traj in (long_traj, short_traj):
         buf = io.StringIO()
@@ -959,7 +953,7 @@ class _WriteLog(io.StringIO):
 
 def test_csv_is_written_at_most_one_row_per_write():
     # the export streams its rows: no call passes the stream more than one
-    traj = integrate(state_from_integrals(0.6, 0.16, 0.5), SPHERE, 20.0, 1e-10)
+    traj = integrate(state_from_integrals(0.6, 0.16, 0.5), 20.0, 1e-10)
     log = _WriteLog()
     write_csv(traj, log)
     assert log.getvalue() == reference_csv(traj)
@@ -967,7 +961,7 @@ def test_csv_is_written_at_most_one_row_per_write():
 
 
 def test_csv_schema_and_round_trip():
-    traj = integrate(random_orbit_state(), SPHERE, 2.0, 1e-8)
+    traj = integrate(random_orbit_state(), 2.0, 1e-8)
     buf = io.StringIO()
     write_csv(traj, buf)
     lines = buf.getvalue().strip().split("\n")
@@ -980,7 +974,7 @@ def test_csv_schema_and_round_trip():
     assert float(first[4]) == traj.xi[0].imag
     last = lines[-1].split(",")
     assert float(last[5]) == traj.xidot[-1].real
-    i1s, i2s = traj.integral_series()
+    i1s, i2s = traj.integrals
     assert float(last[7]) == i1s[-1]
     assert float(last[8]) == i2s[-1]
     assert float(last[1]) == traj.radius[-1]
@@ -989,7 +983,7 @@ def test_csv_schema_and_round_trip():
 def test_csv_of_a_zeta_run_names_its_chart():
     # the coordinate columns are zeta's; I1 is in the xi sense, so the
     # negation of the first integral evaluated on the zeta sample
-    traj = integrate(GeodesicState(0.0, 1.5, 1.0 + 0.2j), SPHERE, 2.0, 1e-8)
+    traj = integrate(GeodesicState(0.0, 1.5, 1.0 + 0.2j), 2.0, 1e-8)
     assert traj.chart == "zeta"
     buf = io.StringIO()
     write_csv(traj, buf)
@@ -1004,8 +998,8 @@ def test_csv_of_a_zeta_run_names_its_chart():
 
 
 def test_max_drift_definition():
-    traj = integrate(random_orbit_state(), SPHERE, 5.0, 1e-9)
-    i1s, i2s = map(np.asarray, traj.integral_series())
+    traj = integrate(random_orbit_state(), 5.0, 1e-9)
+    i1s, i2s = map(np.asarray, traj.integrals)
     d1 = np.max(np.abs(i1s - i1s[0])) / max(abs(i1s[0]), 1e-30)
     d2 = np.max(np.abs(i2s - i2s[0])) / max(abs(i2s[0]), 1e-30)
     assert traj.max_drift == (d1, d2)

@@ -13,7 +13,6 @@ from linegeo import (
     GeodesicState,
     NormalizationCertificate,
     OscillationReport,
-    PolarState,
     QuadraticSection,
     Rotation,
     StandardSphere,
@@ -25,7 +24,7 @@ from linegeo import (
 )
 from linegeo.checks import CheckResult
 
-_TRAJ = integrate(GeodesicState(0.0, 0.3, 0.5j), StandardSphere(1.0), 0.5, 1e-8)
+_TRAJ = integrate(GeodesicState(0.0, 0.3, 0.5j), 0.5, 1e-8)
 _TP = TurningPoints(R_min=0.2, R_max=0.6, ratio=12.5)
 
 #: (type, keyword arguments, values of the fields left out: defaults, or
@@ -50,7 +49,6 @@ RECORDS = [
         {},
     ),
     (GeodesicState, {"t": 0.5, "xi": 0.2 + 0.1j, "xidot": 1.0j}, {}),
-    (PolarState, {"R": 0.4, "theta": 0.3, "Rdot": 0.2, "thetadot": 1.1}, {"t": 0.0}),
     (FirstIntegrals, {"I1": 0.6, "I2": 0.16}, {}),
     (
         Trajectory,
@@ -135,9 +133,7 @@ def test_record_contract(cls, kwargs, defaults):
 
 def test_record_repr_matches_the_dataclass_format():
     assert repr(ComplexPair(1.0, 2.0j)) == "ComplexPair(xi=(1+0j), eta=2j)"
-    assert repr(PolarState(0.5, 0.0, 0.0, 1.0)) == (
-        "PolarState(R=0.5, theta=0.0, Rdot=0.0, thetadot=1.0, t=0.0)"
-    )
+    assert repr(GeodesicState(0.5, 0.0, 1.0)) == "GeodesicState(t=0.5, xi=0j, xidot=(1+0j))"
 
 
 def test_copies_are_not_validated_again(monkeypatch):
