@@ -16,7 +16,6 @@ The module loads no other module of the package than ``errors``.
 """
 
 import math
-from collections.abc import Iterator
 
 from .errors import ConvergenceError, DomainError, NoOrbitError, Record
 
@@ -245,22 +244,16 @@ def potential_curve(
 
 def series_quadrature_table(
     r_lo: float = 0.05, r_hi: float = 0.95, num: int = 19
-) -> Iterator[tuple[float, float, float, float]]:
+) -> list[tuple[float, float, float, float]]:
     """Rows (R, series, quadrature, difference) comparing the two
-    evaluations of the travel-time primitive at ``num`` evenly spaced R.
-
-    The arguments are checked on call; each row is evaluated as it is
-    taken, so a caller can refuse bad input before it does any work.
-    """
+    evaluations of the travel-time primitive at ``num`` evenly spaced R."""
     if not (0.0 <= r_lo < r_hi < 1.0):
         raise DomainError(f"need 0 <= r_lo < r_hi < 1, got ({r_lo}, {r_hi})")
     if num < 1:
         raise DomainError(f"need at least 1 sample, got {num}")
-
-    def rows(radii):
-        for big_r in radii:
-            s = appell_f1_series(big_r)
-            q = radial_quadrature(big_r)
-            yield big_r, s, q, s - q
-
-    return rows(linspace(r_lo, r_hi, num))
+    rows = []
+    for big_r in linspace(r_lo, r_hi, num):
+        s = appell_f1_series(big_r)
+        q = radial_quadrature(big_r)
+        rows.append((big_r, s, q, s - q))
+    return rows

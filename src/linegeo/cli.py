@@ -6,13 +6,13 @@ integrated and exported in zeta = 1/xi, which the CSV header and the
 summary's ``chart`` key name, with I1 in the xi sense, so negative),
 ``analyze`` (blow-up time, effective potential, turning points, series
 cross-check) and ``check`` (the cross-module invariant suite).  Each
-handler imports the modules it runs, so a cold call loads only those,
-refuses its invalid input (``geodesic``: its launch state) before it
-opens its outputs, so that an existing file is left as it was, and
-opens them before the costly work, so that a path that cannot be opened
-costs none; the parser is built once per process.  The JSON
-outputs write each value type by its fields, in slot order
-(``_fields``).
+handler imports the modules it runs, so a cold call loads only those;
+the parser is built once per process.  ``main`` opens every output path
+for appending, which truncates nothing, before the handler runs, so a
+path that cannot be opened costs no work; a handler refuses its input
+and computes before it opens an output, so a run that exits 3 leaves
+every existing output as it was.  The JSON outputs write each value type
+by its fields, in slot order (``_fields``).
 
 Exit codes: 0 success, 1 internal error, failed checks or a stdout
 closed by its reader, 2 usage errors or an unwritable output, 3 domain
@@ -58,6 +58,11 @@ def _out_stream(path, fallback=None):
         raise
 
 
+def _write_text(path, text, fallback=None):
+    with _out_stream(path, fallback) as fh:
+        fh.write(text)
+
+
 def _fields(obj):
     """The JSON form of a value type: a ``Record`` as the dict of its
     fields in slot order, a complex as [re, im]."""
@@ -90,10 +95,9 @@ def cmd_normalize(args) -> int:
     sec = sections.QuadraticSection(
         complex(*args.beta1), complex(*args.beta2), complex(*args.beta3)
     )
-    with _out_stream(args.output) as fh:
-        cert = sections.normalize(sec)
-        _log_info("normalized section to c = %.17g", cert.result.c)
-        fh.write(_json_text(cert))
+    cert = sections.normalize(sec)
+    _log_info("normalized section to c = %.17g", cert.result.c)
+    _write_text(args.output, _json_text(cert))
     return 0
 
 
@@ -127,72 +131,56 @@ def _initial_state(args) -> "geodesics.GeodesicState":
 def cmd_geodesic(args) -> int:
     from . import geodesics
 
-    state = _initial_state(args)
-    # keep the CSV stream clean: summary goes to stderr when the CSV
-    # occupies stdout, to stdout once the CSV goes to a file
-    fallback = sys.stderr if args.output in (None, "-") else sys.stdout
-    with _out_stream(args.output) as csv_fh, _out_stream(args.summary, fallback) as summary_fh:
-        traj = geodesics.integrate(state, args.t_max, args.tol)
-        _log_info("integrated %d samples, termination %s", len(traj), traj.termination.value)
-        geodesics.write_csv(traj, csv_fh)
-        big_r = traj.radius
-        summary = {
-            "termination": traj.termination.value,
-            "t_hit": traj.t_hit,
-            "t_final": traj.t[-1],
-            "I1": traj.integrals0.I1,
-            "I2": traj.integrals0.I2,
-            "max_drift_I1": traj.max_drift[0],
-            "max_drift_I2": traj.max_drift[1],
-            "n_samples": len(traj),
-            "observed_R_min": min(big_r),
-            "observed_R_max": max(big_r),
-            "rejected_steps": traj.rejected_steps,
-            "rhs_evals": traj.stats["rhs_evals"],
-            "chart": traj.chart,
-        }
-        summary_fh.write(_json_text(summary))
+    traj = geodesics.integrate(_initial_state(args), args.t_max, args.tol)
+    _log_info("integrated %d samples, termination %s", len(traj), traj.termination.value)
+    big_r = traj.radius
+    text = _json_text({
+        "termination": traj.termination.value,
+        "t_hit": traj.t_hit, "t_final": traj.t[-1],
+        "I1": traj.integrals0.I1, "I2": traj.integrals0.I2,
+        "max_drift_I1": traj.max_drift[0], "max_drift_I2": traj.max_drift[1],
+        "n_samples": len(traj),
+        "observed_R_min": min(big_r), "observed_R_max": max(big_r),
+        "rejected_steps": traj.rejected_steps,
+        "rhs_evals": traj.stats["rhs_evals"],
+        "chart": traj.chart,
+    })
+    # the CSV is closed, and so flushed, before the summary opens; the
+    # summary goes to stderr when the CSV occupies stdout
+    with _out_stream(args.output) as fh:
+        geodesics.write_csv(traj, fh)
+    _write_text(args.summary, text, sys.stderr if args.output in (None, "-") else sys.stdout)
     return 0
 
 
 def cmd_analyze(args) -> int:
     from . import analysis
 
-    # the closed forms are evaluated, and the series table's range checked,
-    # before the output opens; the series is summed once it is open, and in
-    # full before any row is written, so that a row that fails writes none
-    rows = None
     if args.what == "blowup":
-        text = f"{analysis.blowup_time(args.I1, args.r_start):.17g}\n"
-    elif args.what == "turning-points":
-        text = _json_text(analysis.turning_points(args.I1, args.I2))
-    elif args.what == "potential":
+        _write_text(args.output, f"{analysis.blowup_time(args.I1, args.r_start):.17g}\n")
+        return 0
+    if args.what == "turning-points":
+        _write_text(args.output, _json_text(analysis.turning_points(args.I1, args.I2)))
+        return 0
+    if args.what == "potential":
         header, rows = "R,U_eff", analysis.potential_curve(args.r_lo, args.r_hi, args.num)
     else:  # series-check
         header = "R,series,quadrature,diff"
         rows = analysis.series_quadrature_table(args.r_lo, args.r_hi, args.num)
     with _out_stream(args.output) as fh:
-        if rows is None:
-            fh.write(text)
-        else:
-            _write_csv(header, list(rows), fh)
+        _write_csv(header, rows, fh)
     return 0
 
 
 def cmd_check(args) -> int:
     from . import checks  # only this subcommand needs the invariant suite
 
-    with _out_stream(args.output) as fh:
-        results = checks.run_checks(args.seed)
-        all_passed = all(r.passed for r in results)
-        config = {
-            "samples": checks.SAMPLES,
-            "trajectories": checks.TRAJECTORIES,
-            "tol": checks.TOL,
-            "t_span": checks.T_SPAN,
-            "seed": args.seed,
-        }
-        fh.write(_json_text({"config": config, "all_passed": all_passed, "checks": results}))
+    results = checks.run_checks(args.seed)
+    all_passed = all(r.passed for r in results)
+    config = {"samples": checks.SAMPLES, "trajectories": checks.TRAJECTORIES,
+              "tol": checks.TOL, "t_span": checks.T_SPAN, "seed": args.seed}
+    _write_text(args.output, _json_text({"config": config, "all_passed": all_passed,
+                                         "checks": results}))
     return 0 if all_passed else 1
 
 
@@ -318,6 +306,14 @@ def main(argv=None) -> int:
         if problem is not None:
             parser.error(problem)  # exits with code 2
     try:
+        # open each output for appending, which truncates nothing, so that a
+        # path that cannot be opened costs no work; remove a file this makes
+        for path in (args.output, getattr(args, "summary", None)):
+            if path not in (None, "-"):
+                created = not os.path.exists(path)
+                open(path, "a").close()
+                if created:
+                    os.remove(path)
         return args.handler(args)
     except LineGeoError as exc:
         print(f"linegeo: {exc}", file=sys.stderr)

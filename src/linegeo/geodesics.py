@@ -250,10 +250,12 @@ def oscillation_check(traj: Trajectory) -> OscillationReport:
     """
     from .analysis import turning_points
 
-    i2 = traj.integrals0.I2
+    i1, i2 = traj.integrals0.I1, traj.integrals0.I2
     if i2 == 0.0:
         raise DomainError("oscillation check requires nonzero angular momentum")
-    predicted = turning_points(traj.integrals0.I1, i2)
+    # the radii are those of the run's chart, which its own integrals bound:
+    # in zeta = 1/xi those are (-I1, I2)
+    predicted = turning_points(-i1 if traj.chart == "zeta" else i1, i2)
 
     big_r = traj.radius
     obs_min, obs_max = min(big_r), max(big_r)

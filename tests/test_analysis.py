@@ -386,6 +386,20 @@ def test_oscillation_from_inner_turning_point():
     assert report.radial_turnings >= 2
 
 
+def test_oscillation_in_the_zeta_chart_matches_the_mirrored_xi_orbit():
+    # the orbit launched at xi -> 1/xi runs in zeta = 1/xi, whose radii
+    # |zeta| are bounded by the zeta-sense integrals (-I1, I2): its report
+    # is the xi orbit's
+    st = state_from_integrals(20.0, 1.0, 0.5)
+    mirrored = GeodesicState(0.0, 1.0 / st.xi, -st.xidot / st.xi**2)
+    reports = [oscillation_check(integrate(s, 10.0, 1e-10)) for s in (st, mirrored)]
+    assert reports[0].conclusive and reports[1].conclusive
+    assert reports[1].predicted == reports[0].predicted == turning_points(20.0, 1.0)
+    for name in ("observed_min", "observed_max", "discrepancy_min", "discrepancy_max"):
+        assert abs(getattr(reports[1], name) - getattr(reports[0], name)) <= 1e-12
+    assert reports[1].radial_turnings == reports[0].radial_turnings
+
+
 def test_oscillation_circular_orbit():
     i1 = 1.0
     i2 = math.sqrt(i1 / MIN_ORBIT_RATIO)
@@ -457,11 +471,10 @@ def test_potential_curve_rows():
 
 
 def test_series_quadrature_table():
-    rows = np.asarray(list(series_quadrature_table(0.1, 0.9, 3)))
+    rows = np.asarray(series_quadrature_table(0.1, 0.9, 3))
     assert rows.shape == (3, 4)
     assert np.all(np.abs(rows[:, 3]) < 1e-10)
     assert np.all(np.abs(rows[:, 1] - rows[:, 2] - rows[:, 3]) == 0.0)
-    # the range is checked on call, before any row is summed
     for r_lo, r_hi, num in ((0.5, 0.4, 3), (0.1, 1.0, 3), (0.1, 0.9, 0)):
         with pytest.raises(DomainError):
             series_quadrature_table(r_lo, r_hi, num)

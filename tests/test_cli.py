@@ -11,6 +11,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -443,39 +444,42 @@ def test_an_output_path_that_cannot_be_opened_is_a_usage_error(
 
 
 @pytest.mark.parametrize("argv", [
-    # I1 overflows at the second sample of the run
-    ["geodesic", "--integrals", "1.797e308", "1", "7.459778999860975e-155", "--t-max", "1"],
-    # with at most 10 anti-diagonals the series at R = 0.9 does not converge
-    ["analyze", "series-check", "--r-lo", "0.1", "--r-hi", "0.9", "--num", "2"],
-])
-def test_a_run_that_fails_after_opening_its_output(tmp_path, capsys, monkeypatch, argv):
-    # the output is opened before the run: a file the run created is
-    # removed again, and one that was already there is left empty, with
-    # none of the rows before the failure written
-    monkeypatch.setattr(analysis, "SERIES_MAX_DIAGONALS", 10)
-    created, existing = tmp_path / "created.txt", tmp_path / "existing.txt"
-    existing.write_text("kept\n")
-    for path in (created, existing):
-        code, out, _ = run_cli(capsys, *argv, "--output", str(path))
-        assert (code, out) == (3, "")
-    assert not created.exists() and existing.read_text() == ""
-
-
-@pytest.mark.parametrize("argv", [
     ["analyze", "blowup", "--I1", "nan"],
     ["analyze", "turning-points", "--I1", "10", "--I2", "1"],
     ["analyze", "potential", "--r-lo", "1e-200"],
     ["analyze", "series-check", "--r-lo", "0.5", "--r-hi", "0.4"],
+    # I1 overflows at the second sample of the run
+    ["geodesic", "--integrals", "1.797e308", "1", "7.459778999860975e-155", "--t-max", "1"],
+    # with at most 10 anti-diagonals the series at R = 0.9 does not converge
+    ["analyze", "series-check", "--r-lo", "0.1", "--r-hi", "0.9", "--num", "2"],
+    # c overflows
+    ["normalize", "--beta1", "1e308", "0", "--beta2", "0", "1e308", "--beta3", "1e308", "0"],
+    ["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--tol", "0"],
+    ["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--t-max", "nan"],
+    # a range that runs up to R close to 1, where the series needs more
+    # anti-diagonals than its cap
+    ["analyze", "series-check", "--r-lo", "0.9", "--r-hi", "0.999999", "--num", "2"],
 ])
-def test_invalid_input_is_refused_before_the_output_opens(tmp_path, capsys, argv):
-    # as normalize and geodesic do with their launch data: no file is
-    # created, and one that was already there keeps what it held
+def test_invalid_input_is_refused_before_the_output_opens(tmp_path, capsys, monkeypatch, argv):
+    # each subcommand refuses and computes before it opens an output: no
+    # file is created, and one that was already there keeps what it held
+    monkeypatch.setattr(analysis, "SERIES_MAX_DIAGONALS", 10)
     created, existing = tmp_path / "created.txt", tmp_path / "existing.txt"
     existing.write_text("kept\n")
     for path in (created, existing):
         code, out, err = run_cli(capsys, *argv, "--output", str(path))
         assert (code, out) == (3, "") and err.startswith("linegeo: ")
     assert not created.exists() and existing.read_text() == "kept\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_csv_that_cannot_be_written_leaves_no_summary(capsys):
+    # the CSV is flushed and closed before the summary opens, so the
+    # failed write is the only output of the run
+    code, out, err = run_cli(capsys, "geodesic", "--xi", "0", "0", "--xidot", "1", "0",
+                             "--output", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "linegeo: [Errno 28] No space left on device\n"
 
 
 def test_geodesic_integrals_overflowing_along_the_run_exit_3(tmp_path, capsys):
@@ -564,6 +568,20 @@ def _run_quiet(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _run_over_kept(*argv):
+    """``_run_quiet`` with ``--output`` a new file that holds "kept\\n":
+    the exit code, what the file holds after the run, stdout and stderr."""
+    fd, path = tempfile.mkstemp()
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write("kept\n")
+        code, out, err = _run_quiet(*argv, "--output", path)
+        with open(path) as fh:
+            return code, fh.read(), out, err
+    finally:
+        os.remove(path)
+
+
 def _reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
@@ -580,22 +598,26 @@ ANY_FLOAT = st.floats() | st.floats(-2.0, 2.0) | st.sampled_from(
 @given(ANY_FLOAT, ANY_FLOAT)
 def test_analyze_blowup_prints_a_finite_time_or_exits_3(i1, r_start):
     # --name=value; the plain "--I1 -inf" is read as a value too
-    code, out, err = _run_quiet("analyze", "blowup", f"--I1={i1!r}", f"--r-start={r_start!r}")
+    code, written, out, err = _run_over_kept(
+        "analyze", "blowup", f"--I1={i1!r}", f"--r-start={r_start!r}"
+    )
     if code == 0:
-        assert math.isfinite(float(out)) and err == ""
+        assert math.isfinite(float(written)) and out == err == ""
     else:
-        assert (code, out) == (3, "") and err.startswith("linegeo: ")
+        assert (code, written, out) == (3, "kept\n", "") and err.startswith("linegeo: ")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(ANY_FLOAT, ANY_FLOAT)
 def test_analyze_turning_points_prints_strict_json_or_exits_3(i1, i2):
-    code, out, err = _run_quiet("analyze", "turning-points", f"--I1={i1!r}", f"--I2={i2!r}")
+    code, written, out, err = _run_over_kept(
+        "analyze", "turning-points", f"--I1={i1!r}", f"--I2={i2!r}"
+    )
     if code == 0:
-        assert set(json.loads(out, parse_constant=_reject_constant)) == {"R_min", "R_max", "ratio"}
-        assert err == ""
+        fields = json.loads(written, parse_constant=_reject_constant)
+        assert set(fields) == {"R_min", "R_max", "ratio"} and out == err == ""
     else:
-        assert (code, out) == (3, "") and err.startswith("linegeo: ")
+        assert (code, written, out) == (3, "kept\n", "") and err.startswith("linegeo: ")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -608,12 +630,12 @@ def test_normalize_prints_strict_json_or_exits_3(parts):
     argv = ["normalize"]
     for n in range(3):
         argv += [f"--beta{n + 1}", repr(parts[2 * n]), repr(parts[2 * n + 1])]
-    code, out, err = _run_quiet(*argv)
+    code, written, out, err = _run_over_kept(*argv)
     if code == 0:
-        c = json.loads(out, parse_constant=_reject_constant)["result"]["c"]
-        assert math.isfinite(c) and c >= 0.0 and err == ""
+        c = json.loads(written, parse_constant=_reject_constant)["result"]["c"]
+        assert math.isfinite(c) and c >= 0.0 and out == err == ""
     else:
-        assert (code, out) == (3, "") and err.startswith("linegeo: ")
+        assert (code, written, out) == (3, "kept\n", "") and err.startswith("linegeo: ")
 
 
 #: (r_lo, r_hi): any two doubles, with as many draws again of an ordered
@@ -627,18 +649,18 @@ RADIUS_PAIRS = st.tuples(ANY_FLOAT, ANY_FLOAT) | st.tuples(
 @given(RADIUS_PAIRS, st.integers(-2, 40))
 def test_analyze_potential_writes_a_finite_table_or_exits_3(radii, num):
     r_lo, r_hi = radii
-    code, out, err = _run_quiet(
+    code, written, out, err = _run_over_kept(
         "analyze", "potential", f"--r-lo={r_lo!r}", f"--r-hi={r_hi!r}", f"--num={num}"
     )
     if code == 0:
-        header, *lines = out.splitlines()
+        header, *lines = written.splitlines()
         rows = [[float(value) for value in line.split(",")] for line in lines]
-        assert (header, len(rows), err) == ("R,U_eff", num, "")
+        assert (header, len(rows), out, err) == ("R,U_eff", num, "", "")
         assert all(len(row) == 2 and all(map(math.isfinite, row)) for row in rows)
         column = [big_r for big_r, _ in rows]
         assert all(0.0 < big_r < 1.0 for big_r in column) and column == sorted(column)
     else:
-        assert (code, out) == (3, "") and err.startswith("linegeo: ")
+        assert (code, written, out) == (3, "kept\n", "") and err.startswith("linegeo: ")
 
 
 #: each launch mode of ``geodesic``, as the flags it takes from four doubles
@@ -657,17 +679,19 @@ LAUNCH_MODES = {
 def test_geodesic_prints_a_strict_json_summary_or_exits_3(mode, values, t_max):
     # the plain form of the multi-value flags, as normalize's; 500 step
     # attempts bound each run, and a run that they cut short still exits 0
-    argv = ["geodesic", *LAUNCH_MODES[mode]([repr(v) for v in values]), f"--t-max={t_max!r}",
-            "--output", os.devnull]
+    argv = ["geodesic", *LAUNCH_MODES[mode]([repr(v) for v in values]), f"--t-max={t_max!r}"]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geodesics, "MAX_STEPS", 500)
-        code, out, err = _run_quiet(*argv)
+        code, written, out, err = _run_over_kept(*argv)
     if code == 0:
         summary = json.loads(out, parse_constant=_reject_constant)
         assert summary["termination"] in {t.value for t in geodesics.Termination}
         assert math.isfinite(summary["t_final"]) and err == ""
+        lines = written.splitlines()
+        assert lines[0] == geodesics.CSV_HEADER.replace("xi", summary["chart"])
+        assert len(lines) == summary["n_samples"] + 1
     else:
-        assert (code, out) == (3, "") and err.startswith("linegeo: ")
+        assert (code, written, out) == (3, "kept\n", "") and err.startswith("linegeo: ")
 
 
 @pytest.mark.parametrize("i1", ["nan", "inf"])
