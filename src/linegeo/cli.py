@@ -9,10 +9,12 @@ cross-check) and ``check`` (the cross-module invariant suite).  Each
 handler imports the modules it runs, so a cold call loads only those;
 the parser is built once per process.  ``main`` opens every output path
 for appending, which truncates nothing, before the handler runs, so a
-path that cannot be opened costs no work; a handler refuses its input
-and computes before it opens an output, so a run that exits 3 leaves
-every existing output as it was.  The JSON outputs write each value type
-by its fields, in slot order (``_fields``).
+path that cannot be opened costs no work.  A handler refuses its input
+and computes, then returns its exit code and outputs; ``main`` writes
+them in order, each file closed before the next opens, and a failed
+write removes every file the run created.  So a run that exits 3 leaves
+every existing output as it was.  JSON writes each value type by its
+fields, in slot order (``_fields``).
 
 Exit codes: 0 success, 1 internal error, failed checks or a stdout
 closed by its reader, 2 usage errors or an unwritable output, 3 domain
@@ -26,7 +28,6 @@ import functools
 import os
 import re
 import sys
-from contextlib import contextmanager
 
 from .errors import LineGeoError, Record
 
@@ -39,28 +40,27 @@ def _log_info(msg, *args):
         logging.getLogger("linegeo.cli").info(msg, *args)
 
 
-@contextmanager
-def _out_stream(path, fallback=None):
-    """The file at ``path``, or ``fallback`` (default the current
-    ``sys.stdout``) when the path is None or "-".  A file that this call
-    creates is removed again if the block raises."""
-    if path is None or path == "-":
-        yield sys.stdout if fallback is None else fallback
-        return
-    created = not os.path.exists(path)
-    fh = open(path, "w", newline="")
+def _write_outputs(outputs):
+    """Write each ``(path, fallback, content)`` in turn, ``content`` text or
+    a callable that writes to a stream; a None or "-" path goes to
+    ``fallback`` (default the current ``sys.stdout``).  A failed write
+    removes every file this call created."""
+    created = []
     try:
-        with fh:
-            yield fh
+        for path, fallback, content in outputs:
+            write = content if callable(content) else lambda fh, text=content: fh.write(text)
+            if path is None or path == "-":
+                write(sys.stdout if fallback is None else fallback)
+                continue
+            new = not os.path.exists(path)
+            with open(path, "w", newline="") as fh:
+                if new:
+                    created.append(path)
+                write(fh)
     except BaseException:
-        if created:
+        for path in created:
             os.remove(path)
         raise
-
-
-def _write_text(path, text, fallback=None):
-    with _out_stream(path, fallback) as fh:
-        fh.write(text)
 
 
 def _fields(obj):
@@ -89,7 +89,7 @@ def _write_csv(header, rows, fh):
 # -- subcommand handlers ------------------------------------------------------
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args):
     from . import sections
 
     sec = sections.QuadraticSection(
@@ -97,13 +97,13 @@ def cmd_normalize(args) -> int:
     )
     cert = sections.normalize(sec)
     _log_info("normalized section to c = %.17g", cert.result.c)
-    _write_text(args.output, _json_text(cert))
-    return 0
+    return 0, [(args.output, None, _json_text(cert))]
 
 
-def _initial_state_usage_error(args) -> str | None:
+def _geodesic_usage_error(args) -> str | None:
     """What is wrong with the flags that go with ``geodesic``'s launch mode,
-    if anything (argparse makes the modes exclusive, but ties no flag to one)."""
+    if anything (argparse makes the modes exclusive, but ties no flag to
+    one), or with its two output paths."""
     if args.xidot is not None and args.xi is None:
         return "--xidot requires --xi"
     if args.xi is not None and args.xidot is None:
@@ -112,6 +112,9 @@ def _initial_state_usage_error(args) -> str | None:
         return "--theta0 requires --integrals"
     if args.integrals is None and args.inward:
         return "--inward requires --integrals"
+    paths = [p for p in (args.output, args.summary) if p not in (None, "-")]
+    if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        return "--summary names the --output file"
     return None
 
 
@@ -128,7 +131,7 @@ def _initial_state(args) -> "geodesics.GeodesicState":
     return geodesics.state_from_integrals(i1, i2, r0, theta0=theta0, outward=not args.inward)
 
 
-def cmd_geodesic(args) -> int:
+def cmd_geodesic(args):
     from . import geodesics
 
     traj = geodesics.integrate(_initial_state(args), args.t_max, args.tol)
@@ -145,43 +148,35 @@ def cmd_geodesic(args) -> int:
         "rhs_evals": traj.stats["rhs_evals"],
         "chart": traj.chart,
     })
-    # the CSV is closed, and so flushed, before the summary opens; the
-    # summary goes to stderr when the CSV occupies stdout
-    with _out_stream(args.output) as fh:
-        geodesics.write_csv(traj, fh)
-    _write_text(args.summary, text, sys.stderr if args.output in (None, "-") else sys.stdout)
-    return 0
+    # the summary goes to stderr when the CSV occupies stdout
+    return 0, [(args.output, None, functools.partial(geodesics.write_csv, traj)),
+               (args.summary, sys.stderr if args.output in (None, "-") else None, text)]
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     from . import analysis
 
     if args.what == "blowup":
-        _write_text(args.output, f"{analysis.blowup_time(args.I1, args.r_start):.17g}\n")
-        return 0
+        return 0, [(args.output, None, f"{analysis.blowup_time(args.I1, args.r_start):.17g}\n")]
     if args.what == "turning-points":
-        _write_text(args.output, _json_text(analysis.turning_points(args.I1, args.I2)))
-        return 0
+        return 0, [(args.output, None, _json_text(analysis.turning_points(args.I1, args.I2)))]
     if args.what == "potential":
         header, rows = "R,U_eff", analysis.potential_curve(args.r_lo, args.r_hi, args.num)
     else:  # series-check
         header = "R,series,quadrature,diff"
         rows = analysis.series_quadrature_table(args.r_lo, args.r_hi, args.num)
-    with _out_stream(args.output) as fh:
-        _write_csv(header, rows, fh)
-    return 0
+    return 0, [(args.output, None, functools.partial(_write_csv, header, rows))]
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     from . import checks  # only this subcommand needs the invariant suite
 
     results = checks.run_checks(args.seed)
     all_passed = all(r.passed for r in results)
     config = {"samples": checks.SAMPLES, "trajectories": checks.TRAJECTORIES,
               "tol": checks.TOL, "t_span": checks.T_SPAN, "seed": args.seed}
-    _write_text(args.output, _json_text({"config": config, "all_passed": all_passed,
-                                         "checks": results}))
-    return 0 if all_passed else 1
+    text = _json_text({"config": config, "all_passed": all_passed, "checks": results})
+    return 0 if all_passed else 1, [(args.output, None, text)]
 
 
 # -- parser -------------------------------------------------------------------
@@ -302,7 +297,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "geodesic":
-        problem = _initial_state_usage_error(args)
+        problem = _geodesic_usage_error(args)
         if problem is not None:
             parser.error(problem)  # exits with code 2
     try:
@@ -314,7 +309,9 @@ def main(argv=None) -> int:
                 open(path, "a").close()
                 if created:
                     os.remove(path)
-        return args.handler(args)
+        code, outputs = args.handler(args)
+        _write_outputs(outputs)
+        return code
     except LineGeoError as exc:
         print(f"linegeo: {exc}", file=sys.stderr)
         return 3

@@ -284,7 +284,8 @@ def test_geodesic_csv_to_stdout_summary_to_stderr(capsys):
 def test_geodesic_output_file_matches_stdout_bytes(tmp_path, capsys):
     args = ["geodesic", "--integrals", "0.6", "0.16", "0.5", "--t-max", "10", "--tol", "1e-10"]
     path = tmp_path / "t.csv"
-    code, csv_text, summary_to_stderr = run_cli(capsys, *args, "--output", "-")
+    # "-" for both is no clash: the summary then goes to stderr
+    code, csv_text, summary_to_stderr = run_cli(capsys, *args, "--output", "-", "--summary", "-")
     assert code == 0
     code, summary_to_stdout, _ = run_cli(capsys, *args, "--output", str(path))
     assert code == 0
@@ -384,11 +385,14 @@ def test_geodesic_inadmissible_integrals_exit_3(capsys):
     assert "no orbit" in err
 
 
-def test_geodesic_conflicting_initial_conditions_exit_2(capsys):
+def test_geodesic_conflicting_initial_conditions_exit_2(tmp_path, capsys):
     # a usage error exits through argparse, as a malformed flag does: the
     # launch modes are its exclusive group, under the geodesic usage line,
-    # and a flag that only goes with one mode is refused with any other
+    # a flag that only goes with one mode is refused with any other, and
+    # a summary written over the CSV is refused before any work
     xi, polar = ["--xi", "0.3", "0", "--xidot", "0", "1"], ["--polar", "0.5", "0", "0", "1"]
+    csv_path = str(tmp_path / "orbit.csv")
+    same = "--summary names the --output file"
     for argv, prog, message in [
         ([*xi, *polar], "linegeo geodesic", "argument --polar: not allowed with argument --xi"),
         ([], "linegeo geodesic", "one of the arguments --xi --polar --integrals is required"),
@@ -399,6 +403,9 @@ def test_geodesic_conflicting_initial_conditions_exit_2(capsys):
         ([*polar, "--theta0", "1"], "linegeo", "--theta0 requires --integrals"),
         ([*xi, "--inward"], "linegeo", "--inward requires --integrals"),
         ([*polar, "--inward"], "linegeo", "--inward requires --integrals"),
+        ([*xi, "--output", csv_path, "--summary", csv_path], "linegeo", same),
+        ([*xi, "--output", csv_path, "--summary", os.path.join(tmp_path, ".", "orbit.csv")],
+         "linegeo", same),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(["geodesic", *argv])
@@ -407,6 +414,7 @@ def test_geodesic_conflicting_initial_conditions_exit_2(capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"usage: {prog} ")
         assert captured.err.endswith(f"\n{prog}: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, kind", [
@@ -423,7 +431,7 @@ def test_an_output_path_that_cannot_be_opened_is_a_usage_error(
     tmp_path, capsys, monkeypatch, argv, kind
 ):
     # one line naming the path, exit 2, as argparse's own "can't open";
-    # every subcommand opens its outputs before it computes, so none
+    # main opens every output path before the handler computes, so none
     # reaches the stepper, the push-forward or the series, and geodesic
     # leaves no CSV behind
     from linegeo import line_space
@@ -480,6 +488,22 @@ def test_a_csv_that_cannot_be_written_leaves_no_summary(capsys):
                              "--output", "/dev/full")
     assert (code, out) == (2, "")
     assert err == "linegeo: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_summary_that_cannot_be_written_leaves_no_csv_the_run_created(tmp_path, capsys):
+    # the CSV is written and closed before the summary opens; when the
+    # summary write then fails, the CSV is removed if this run created it,
+    # and a file that was already there keeps the CSV written over it
+    argv = ["geodesic", "--xi", "0", "0", "--xidot", "1", "0"]
+    created, existing = tmp_path / "created.csv", tmp_path / "existing.csv"
+    existing.write_text("kept\n")
+    for path in (created, existing):
+        code, out, err = run_cli(capsys, *argv, "--output", str(path), "--summary", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err == "linegeo: [Errno 28] No space left on device\n"
+    assert not created.exists()
+    assert existing.read_text() == run_cli(capsys, *argv)[1]
 
 
 def test_geodesic_integrals_overflowing_along_the_run_exit_3(tmp_path, capsys):
