@@ -7,12 +7,13 @@ summary's ``chart`` key name, with I1 in the xi sense, so negative),
 ``analyze`` (blow-up time, effective potential, turning points, series
 cross-check) and ``check`` (the cross-module invariant suite).  Each
 handler imports the modules it runs, so a cold call loads only those;
-the parser is built once per process.  ``main`` opens every output path
-for appending, which truncates nothing, before the handler runs, so a
-path that cannot be opened costs no work.  A handler refuses its input
-and computes, then returns its exit code and outputs; ``main`` writes
-them in order, each file closed before the next opens, and a failed
-write removes every file the run created.  So a run that exits 3 leaves
+the parser is built once per process.  ``main`` opens each output path
+once, for appending, before the handler runs, so a path that cannot be
+opened costs no work.  A handler refuses and computes, then returns its
+exit code and outputs, which ``main`` writes in order (a regular file
+emptied only then, a FIFO or a device as a stream, a symlink through to
+its target).  A refusal, a failed write or an interrupt removes every
+file the run created (at a link's target), so a run that exits 3 leaves
 every existing output as it was.  JSON writes each value type by its
 fields, in slot order (``_fields``).
 
@@ -27,6 +28,7 @@ import argparse
 import functools
 import os
 import re
+import stat
 import sys
 
 from .errors import LineGeoError, Record
@@ -40,27 +42,19 @@ def _log_info(msg, *args):
         logging.getLogger("linegeo.cli").info(msg, *args)
 
 
-def _write_outputs(outputs):
+def _write_outputs(outputs, files):
     """Write each ``(path, fallback, content)`` in turn, ``content`` text or
-    a callable that writes to a stream; a None or "-" path goes to
-    ``fallback`` (default the current ``sys.stdout``).  A failed write
-    removes every file this call created."""
-    created = []
-    try:
-        for path, fallback, content in outputs:
-            write = content if callable(content) else lambda fh, text=content: fh.write(text)
-            if path is None or path == "-":
-                write(sys.stdout if fallback is None else fallback)
-                continue
-            new = not os.path.exists(path)
-            with open(path, "w", newline="") as fh:
-                if new:
-                    created.append(path)
-                write(fh)
-    except BaseException:
-        for path in created:
-            os.remove(path)
-        raise
+    a callable that writes to a stream, into the open ``files[path]``; a
+    None or "-" path goes to ``fallback``, default the current stdout."""
+    for path, fallback, content in outputs:
+        write = content if callable(content) else lambda fh, text=content: fh.write(text)
+        if path is None or path == "-":
+            write(sys.stdout if fallback is None else fallback)
+            continue
+        with files[path] as fh:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a FIFO or a device
+                fh.truncate(0)  # appending, the writes then start at 0
+            write(fh)
 
 
 def _fields(obj):
@@ -300,17 +294,18 @@ def main(argv=None) -> int:
         problem = _geodesic_usage_error(args)
         if problem is not None:
             parser.error(problem)  # exits with code 2
+    files, created = {}, []
     try:
-        # open each output for appending, which truncates nothing, so that a
-        # path that cannot be opened costs no work; remove a file this makes
+        # each output opened once, truncating nothing: a bad path costs no work
         for path in (args.output, getattr(args, "summary", None)):
             if path not in (None, "-"):
-                created = not os.path.exists(path)
-                open(path, "a").close()
-                if created:
-                    os.remove(path)
+                new = not os.path.exists(path)
+                files[path] = open(path, "a", newline="")
+                if new:
+                    created.append(os.path.realpath(path))
         code, outputs = args.handler(args)
-        _write_outputs(outputs)
+        _write_outputs(outputs, files)
+        created = []  # every output is written: keep them
         return code
     except LineGeoError as exc:
         print(f"linegeo: {exc}", file=sys.stderr)
@@ -326,6 +321,11 @@ def main(argv=None) -> int:
         logging.getLogger("linegeo.cli").exception("internal error")
         print(f"linegeo: internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for fh in files.values():
+            fh.close()
+        for path in created:
+            os.remove(path)
 
 
 def main_entry():

@@ -85,16 +85,26 @@ class FirstIntegrals(Record):
         self._init_fields(I1, I2)
 
 
+def _in_chart(state: GeodesicState) -> tuple[complex, complex, str]:
+    """(z, zdot, chart) of ``state`` in the chart a run from it keeps: xi
+    for |xi| <= 1, else zeta = 1/xi with zetadot = -xidot zeta^2."""
+    z, zdot = state.xi, state.xidot
+    if (z * z.conjugate()).real > 1.0:  # |xi|^2, which may overflow to inf
+        z = 1.0 / z
+        return z, -zdot * z * z, "zeta"  # -xidot/xi^2 without forming xi^2
+    return z, zdot, "xi"
+
+
 def first_integrals(state: GeodesicState) -> FirstIntegrals:
-    """Evaluate both conserved quantities at a state.
+    """Evaluate both conserved quantities at a state, in the chart that
+    ``integrate`` runs it in, so that they equal a run's ``integrals0``;
+    I1 is in the xi sense, negated in zeta.
 
     Raises DomainError when either is not a finite double.
     """
-    try:
-        (i1,), (i2,) = first_integrals_arrays((state.xi,), (state.xidot,))
-    except OverflowError:
-        i1 = i2 = math.inf
-    return FirstIntegrals(i1, i2)
+    z, zdot, chart = _in_chart(state)
+    (i1,), (i2,) = first_integrals_arrays((z,), (zdot,))
+    return FirstIntegrals(-i1 if chart == "zeta" else i1, i2)
 
 
 def state_from_polar(R: float, theta: float, Rdot: float, thetadot: float) -> GeodesicState:
@@ -623,10 +633,7 @@ def integrate(initial: GeodesicState, t_max: float, tol: float) -> Trajectory:
         raise DomainError(f"t_max = {t_max} does not exceed initial time {initial.t}")
     if not math.isfinite(t_max - initial.t):
         raise DomainError(f"the span from t = {initial.t} to t_max = {t_max} overflows")
-    z0, zdot0, chart = initial.xi, initial.xidot, "xi"
-    if (z0 * z0.conjugate()).real > 1.0:  # |xi|^2, which may overflow to inf
-        z0 = 1.0 / z0
-        zdot0, chart = -zdot0 * z0 * z0, "zeta"  # -xidot/xi^2 without forming xi^2
+    z0, zdot0, chart = _in_chart(initial)
     s0 = 1.0 - abs(z0) ** 2
     if abs(s0) <= EQUATOR_CUTOFF:
         raise DomainError(

@@ -426,6 +426,19 @@ def test_oscillation_short_run_flagged_inconclusive():
     assert not report.conclusive
 
 
+def test_oscillation_cut_short_by_the_step_cap_is_inconclusive(monkeypatch):
+    # uncapped, the run ends at t_max with 69 turnings; after 200 step
+    # attempts it has 7, enough for a conclusive report, but the orbit was
+    # cut short, so the report is not
+    st = state_from_integrals(20.0, 1.0, 0.5)
+    assert oscillation_check(integrate(st, 10.0, 1e-10)).radial_turnings == 69
+    monkeypatch.setattr(geodesics, "MAX_STEPS", 200)
+    traj = integrate(st, 10.0, 1e-10)
+    report = oscillation_check(traj)
+    assert traj.termination is Termination.MAX_STEPS
+    assert report.radial_turnings == 7 and not report.conclusive
+
+
 # -- energy identity ----------------------------------------------------------------------
 
 

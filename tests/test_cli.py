@@ -506,6 +506,34 @@ def test_a_summary_that_cannot_be_written_leaves_no_csv_the_run_created(tmp_path
     assert existing.read_text() == run_cli(capsys, *argv)[1]
 
 
+def test_a_dangling_symlink_output_is_written_through(tmp_path, capsys):
+    # the link is kept, and the file the run writes is its target
+    link, target = tmp_path / "link.txt", tmp_path / "target.txt"
+    link.symlink_to(target.name)
+    code, out, err = run_cli(capsys, "analyze", "blowup", "--I1", "1", "--output", str(link))
+    assert (code, out, err) == (0, "", "")
+    assert link.is_symlink() and target.read_text() == "0.59907011736779614\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["analyze", "blowup", "--I1", "-1", "--output", "{}"], 3),
+    pytest.param(["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--output", "{}",
+                  "--summary", "/dev/full"], 2,
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="needs /dev/full")),
+])
+def test_a_failed_run_leaves_a_dangling_symlink_output_dangling(
+    tmp_path, capsys, argv, expected
+):
+    # a refusal or a failed write removes the file the run created, which
+    # is the link's target, not the link
+    link = tmp_path / "link.txt"
+    link.symlink_to("target.txt")
+    code, out, err = run_cli(capsys, *[arg.format(link) for arg in argv])
+    assert (code, out) == (expected, "") and err.startswith("linegeo: ")
+    assert link.is_symlink() and os.listdir(tmp_path) == ["link.txt"]
+
+
 def test_geodesic_integrals_overflowing_along_the_run_exit_3(tmp_path, capsys):
     # a launch at R_min for k = 1.797e308, where U(R_min) is still finite:
     # I1 overflows at the second sample; neither the CSV nor a summary
@@ -1204,6 +1232,30 @@ def test_a_reader_that_closes_stdout_ends_the_run_quietly():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_output_is_opened_once_and_written_as_a_stream(tmp_path):
+    # one reader opens the FIFO once and reads to the end of the stream, as
+    # `cat fifo` does: a second open of the output would leave it an empty
+    # stream, then block with no reader left, so the run has a time limit
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+    read = "import sys; sys.stdout.write(open(sys.argv[1]).read())"
+    argv = [sys.executable, "-m", "linegeo.cli", "analyze", "blowup", "--I1", "1",
+            "--output", fifo]
+    with subprocess.Popen([sys.executable, "-c", read, fifo], stdout=subprocess.PIPE,
+                          text=True) as reader, \
+            subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env=_child_env()) as proc:
+        try:
+            got = reader.communicate(timeout=30)[0]
+            out, err = proc.communicate(timeout=30)
+        finally:
+            reader.kill()
+            proc.kill()
+    assert (proc.returncode, out, err) == (0, "", "")
+    assert got == "0.59907011736779614\n"
 
 
 def test_cli_outputs_are_deterministic():

@@ -160,6 +160,21 @@ def test_radial_data_has_zero_angular_momentum():
     assert first_integrals(st).I2 == 0.0
 
 
+def test_first_integrals_are_evaluated_in_the_chart_of_the_run():
+    # a lower-hemisphere state is evaluated in zeta = 1/xi, where integrate
+    # runs it, with I1 negated into the xi sense: the run's integrals0 bit
+    # for bit, where the xi chart differed in most draws
+    rng = random.Random(3512)
+    for _ in range(300):
+        xi = cmath.rect(rng.uniform(1.02, 5.0), rng.uniform(-math.pi, math.pi))
+        st = GeodesicState(0.0, xi, complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        assert first_integrals(st) == integrate(st, 1e-3, 1e-8).integrals0
+    # (1 + |xi|^2)^3 overflows in xi, not in zeta = 1e-103, where both
+    # integrals underflow to zero
+    ints = first_integrals(GeodesicState(0.0, 1e103, 1.0))
+    assert (ints.I1, math.copysign(1.0, ints.I1), ints.I2) == (0.0, -1.0, 0.0)
+
+
 def test_polar_round_trip():
     st = random_orbit_state()
     back = state_from_polar(*polar(st))
