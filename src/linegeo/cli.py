@@ -7,15 +7,16 @@ summary's ``chart`` key name, with I1 in the xi sense, so negative),
 ``analyze`` (blow-up time, effective potential, turning points, series
 cross-check) and ``check`` (the cross-module invariant suite).  Each
 handler imports the modules it runs, so a cold call loads only those;
-the parser is built once per process.  ``main`` opens each output path
-once, for appending, before the handler runs, so a path that cannot be
-opened costs no work.  A handler refuses and computes, then returns its
-exit code and outputs, which ``main`` writes in order (a regular file
-emptied only then, a FIFO or a device as a stream, a symlink through to
-its target).  A refusal, a failed write or an interrupt removes every
-file the run created (at a link's target), so a run that exits 3 leaves
-every existing output as it was.  JSON writes each value type by its
-fields, in slot order (``_fields``).
+the parser is built once per process.  ``main`` opens each output
+flag's path once, for appending, before the handler runs, so a path that
+cannot be opened costs no work, and refuses two flags on one regular
+file.  A handler refuses and computes, then returns its exit code and
+outputs, which ``main`` writes in order (a regular file emptied only
+then, a FIFO or a device as a stream, a symlink through to its target).
+A refusal, a failed write or an interrupt removes every file the run
+created (at a link's target), so a run that exits 3 leaves every
+existing output as it was.  JSON writes each value type by its fields,
+in slot order (``_fields``).
 
 Exit codes: 0 success, 1 internal error, failed checks or a stdout
 closed by its reader, 2 usage errors or an unwritable output, 3 domain
@@ -43,15 +44,15 @@ def _log_info(msg, *args):
 
 
 def _write_outputs(outputs, files):
-    """Write each ``(path, fallback, content)`` in turn, ``content`` text or
-    a callable that writes to a stream, into the open ``files[path]``; a
-    None or "-" path goes to ``fallback``, default the current stdout."""
-    for path, fallback, content in outputs:
+    """Write each ``(flag, fallback, content)`` in turn, ``content`` text or
+    a callable that writes to a stream, into the open ``files[flag]``; a
+    flag with no file goes to ``fallback``, default the current stdout."""
+    for flag, fallback, content in outputs:
         write = content if callable(content) else lambda fh, text=content: fh.write(text)
-        if path is None or path == "-":
+        if flag not in files:
             write(sys.stdout if fallback is None else fallback)
             continue
-        with files[path] as fh:
+        with files[flag] as fh:
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a FIFO or a device
                 fh.truncate(0)  # appending, the writes then start at 0
             write(fh)
@@ -91,13 +92,13 @@ def cmd_normalize(args):
     )
     cert = sections.normalize(sec)
     _log_info("normalized section to c = %.17g", cert.result.c)
-    return 0, [(args.output, None, _json_text(cert))]
+    return 0, [("output", None, _json_text(cert))]
 
 
 def _geodesic_usage_error(args) -> str | None:
     """What is wrong with the flags that go with ``geodesic``'s launch mode,
     if anything (argparse makes the modes exclusive, but ties no flag to
-    one), or with its two output paths."""
+    one)."""
     if args.xidot is not None and args.xi is None:
         return "--xidot requires --xi"
     if args.xi is not None and args.xidot is None:
@@ -106,9 +107,6 @@ def _geodesic_usage_error(args) -> str | None:
         return "--theta0 requires --integrals"
     if args.integrals is None and args.inward:
         return "--inward requires --integrals"
-    paths = [p for p in (args.output, args.summary) if p not in (None, "-")]
-    if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
-        return "--summary names the --output file"
     return None
 
 
@@ -143,23 +141,23 @@ def cmd_geodesic(args):
         "chart": traj.chart,
     })
     # the summary goes to stderr when the CSV occupies stdout
-    return 0, [(args.output, None, functools.partial(geodesics.write_csv, traj)),
-               (args.summary, sys.stderr if args.output in (None, "-") else None, text)]
+    return 0, [("output", None, functools.partial(geodesics.write_csv, traj)),
+               ("summary", sys.stderr if args.output in (None, "-") else None, text)]
 
 
 def cmd_analyze(args):
     from . import analysis
 
     if args.what == "blowup":
-        return 0, [(args.output, None, f"{analysis.blowup_time(args.I1, args.r_start):.17g}\n")]
+        return 0, [("output", None, f"{analysis.blowup_time(args.I1, args.r_start):.17g}\n")]
     if args.what == "turning-points":
-        return 0, [(args.output, None, _json_text(analysis.turning_points(args.I1, args.I2)))]
+        return 0, [("output", None, _json_text(analysis.turning_points(args.I1, args.I2)))]
     if args.what == "potential":
         header, rows = "R,U_eff", analysis.potential_curve(args.r_lo, args.r_hi, args.num)
     else:  # series-check
         header = "R,series,quadrature,diff"
         rows = analysis.series_quadrature_table(args.r_lo, args.r_hi, args.num)
-    return 0, [(args.output, None, functools.partial(_write_csv, header, rows))]
+    return 0, [("output", None, functools.partial(_write_csv, header, rows))]
 
 
 def cmd_check(args):
@@ -170,7 +168,7 @@ def cmd_check(args):
     config = {"samples": checks.SAMPLES, "trajectories": checks.TRAJECTORIES,
               "tol": checks.TOL, "t_span": checks.T_SPAN, "seed": args.seed}
     text = _json_text({"config": config, "all_passed": all_passed, "checks": results})
-    return 0 if all_passed else 1, [(args.output, None, text)]
+    return 0 if all_passed else 1, [("output", None, text)]
 
 
 # -- parser -------------------------------------------------------------------
@@ -296,13 +294,17 @@ def main(argv=None) -> int:
             parser.error(problem)  # exits with code 2
     files, created = {}, []
     try:
-        # each output opened once, truncating nothing: a bad path costs no work
-        for path in (args.output, getattr(args, "summary", None)):
-            if path not in (None, "-"):
+        # each flag's path opened once, truncating nothing: a bad one costs no work
+        for flag in ("output", "summary"):
+            if (path := getattr(args, flag, None)) not in (None, "-"):
                 new = not os.path.exists(path)
-                files[path] = open(path, "a", newline="")
+                files[flag] = open(path, "a", newline="")
                 if new:
                     created.append(os.path.realpath(path))
+        # a summary written over the CSV; a device such as /dev/null takes both
+        stats = [os.fstat(fh.fileno()) for fh in files.values()]
+        if len(stats) == 2 and os.path.samestat(*stats) and stat.S_ISREG(stats[0].st_mode):
+            parser.error("--summary names the --output file")  # exits with code 2
         code, outputs = args.handler(args)
         _write_outputs(outputs, files)
         created = []  # every output is written: keep them

@@ -21,7 +21,7 @@ class DomainError(LineGeoError, ValueError):
 
 class ChartExitError(DomainError):
     """The result leaves the stereographic chart: a rotation sends the
-    direction to the south pole, or |xi| overflows the chart bound."""
+    direction past the chart bound, the south pole included."""
 
 
 class NoOrbitError(DomainError):

@@ -379,11 +379,11 @@ def first_integrals_arrays(xis, xidots):
     return i1s, i2s
 
 
-def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
+def geod_integrate(xi0, xidot0, t_span, tol):
     """Adaptive Dormand-Prince 8(5,3) integration of the geodesic system.
 
-    Integrates from t=0 to t=t_span, recording every accepted step;
-    ``max_steps`` caps the step attempts, accepted or rejected.  Returns
+    Integrates from xi0 in the unit disk, t=0, to t=t_span, recording every
+    accepted step; ``MAX_STEPS`` caps the step attempts.  Returns
     (t, xi, xidot, termination, t_hit, rejected, I1, I2): the samples as
     lists, ``termination`` a ``Termination``, ``t_hit`` the linear
     interpolation of the equator crossing 1-|xi|^2 = 0 (None unless the
@@ -402,11 +402,11 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     (``_FAC_MIN``, ``_SAFETY``), or by facmax when err = 0, with facmax
     6 (``_FAC_MAX``) and 1 after a rejection.  An attempt is rejected,
     and the step shrinks fivefold, when a stage lands exactly on the
-    equator, which divides by zero, or when its proposed point lies past
-    the cutoff band on the far side of the equator from the start.  So
-    no sample crosses the equator at any tol: a loose tol costs
-    rejections, not a crossing.  A start exactly on the equator raises
-    ZeroDivisionError; ``integrate`` refuses starts in the cutoff band.
+    equator, which divides by zero, or when its proposed point lies
+    outside the unit disk past the cutoff band.  So no sample leaves the
+    disk at any tol: a loose tol costs rejections, not a crossing.  A
+    start on the equator raises ZeroDivisionError; ``integrate`` refuses
+    starts in the cutoff band, and runs one outside the disk in zeta.
 
     ``_generate_kernel`` writes this function once per process.  The
     stages come from the tableau rows, each nonzero weight as the literal
@@ -418,14 +418,15 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     (ac - bd, ad + bc), CPython's formula and operand order, and each
     weighted sum takes its nonzero terms in tableau order; folding a
     conjugate's sign into a product (x x - y (-y) = x x + y y) is exact.
-    So every float, step, termination and ``t_hit`` equals that of the
-    same stepper on complex scalars (the tableau loop in the tests), up
-    to the sign of a component that is exactly zero, which that
-    stepper's c + 0i weights can flip only when every term of a weighted
-    sum underflows.  In the norm and the controller |x|, max and min are
-    conditional expressions, not calls; a signed zero or a NaN leaves err
-    unchanged.
+    So from every start inside the unit disk each float, step,
+    termination and ``t_hit`` equals that of the same stepper on complex
+    scalars (the tableau loop in the tests), up to the sign of a
+    component that is exactly zero, which that stepper's c + 0i weights
+    can flip only when every term of a weighted sum underflows.  In the
+    norm and the controller |x|, max and min are conditional
+    expressions, not calls; a signed zero or a NaN leaves err unchanged.
     """
+    equator_cut, h_min, max_steps = EQUATOR_CUTOFF, MIN_STEP, MAX_STEPS
     t = 0.0
     y0, y1 = complex(xi0), complex(xidot0)
     ts, xis, xds = [0.0], [y0], [y1]
@@ -439,7 +440,6 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     {stage1}
     i1s, i2s = [], []
     {integrals0}
-    side = 1.0 if m < 1.0 else -1.0  # the sign of 1 - |xi|^2 at the start
     status, t_hit, rejected = Termination.MAX_STEPS, None, 0
 
     for _ in range(max_steps):
@@ -455,7 +455,7 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
             e5 *= e5
             deno = e5 + 0.01 * e3 * e3
             err = h * e5 / math.sqrt(deno) / tol if deno else 0.0
-            if side * (1.0 - m) < -equator_cut:  # past the band, across the equator
+            if 1.0 - m < -equator_cut:  # outside the disk, past the band
                 err = math.nan
 
         if err <= 1.0:
@@ -466,7 +466,7 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
             # m = |xi|^2 at the new point, from the 13th evaluation
             {integrals}
             s_new = 1.0 - m
-            if (-s_new if s_new < 0.0 else s_new) <= equator_cut:
+            if s_new <= equator_cut:  # no accepted point lies below -equator_cut
                 s_old = 1.0 - (a0 * a0 + b0 * b0)
                 t_hit = t + s_new * (ts[-1] - ts[-2]) / (s_old - s_new)
                 status = Termination.EQUATOR_REACHED
@@ -480,7 +480,7 @@ def geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
         else:
             rejected += 1
             next_facmax = 1.0  # the step after a rejection does not grow
-        if err != err:  # NaN: a stage on the equator, or a proposed point across it
+        if err != err:  # NaN: a stage on the equator, or a proposed point outside the disk
             fac = 0.2
         elif err == 0.0:
             fac = facmax
@@ -611,11 +611,11 @@ def integrate(initial: GeodesicState, t_max: float, tol: float) -> Trajectory:
     * ``MAX_STEPS`` -- ``MAX_STEPS`` step attempts (accepted or rejected)
       ran out first; the trajectory holds the steps accepted until then.
 
-    The three limits are the module constants, read at each call.  No
-    tol carries the run across the equator: the stepper rejects an
-    attempt whose proposed point lies past the cutoff band on the far
-    side, so every sample keeps 1 - |z|^2 >= -``EQUATOR_CUTOFF``, and a
-    loose tol shows in ``max_drift`` and the rejected steps instead.
+    The three limits are the module constants, which the stepper reads at
+    each call.  No tol carries the run across the equator: the stepper
+    rejects a proposed point outside the unit disk past the cutoff band,
+    so every sample keeps 1 - |z|^2 >= -``EQUATOR_CUTOFF``, and a loose
+    tol shows in ``max_drift`` and the rejected steps instead.
 
     Raises
     ------
@@ -641,8 +641,7 @@ def integrate(initial: GeodesicState, t_max: float, tol: float) -> Trajectory:
         )
 
     ts, zs, zds, termination, t_hit, rejected, i1s, i2s = geod_integrate(
-        z0, zdot0, t_max - initial.t, tol, EQUATOR_CUTOFF, MIN_STEP, MAX_STEPS
-    )
+        z0, zdot0, t_max - initial.t, tol)
     if chart == "zeta":
         i1s = [-i1 for i1 in i1s]
     if not (all(map(math.isfinite, i1s)) and all(map(math.isfinite, i2s))):

@@ -20,9 +20,6 @@ from .errors import ChartExitError, DomainError, Record, finite_complex
 #: |xi| beyond this is treated as having left the chart
 CHART_BOUND = 1e8
 
-#: rotation denominators smaller than this map to the south pole
-SOUTH_POLE_TOL = 1e-14
-
 
 class ComplexPair(Record):
     """An oriented line in chart coordinates (xi, eta)."""
@@ -114,15 +111,15 @@ def apply_translation(m: Translation, p: ComplexPair) -> ComplexPair:
 
 def _rotate(m: Rotation, p: ComplexPair):
     # the rotated point and its Mobius denominator d, which push_forward reuses
+    # xi' = n / d; for a unit spinor |n|^2 + |d|^2 = 1 + |xi|^2, so one test,
+    # without a division, also refuses the south pole d = 0
+    n = m.alpha2 * p.xi + m.alpha3
     d = -m.alpha3.conjugate() * p.xi + m.alpha2.conjugate()
-    if abs(d) < SOUTH_POLE_TOL:
+    if abs(n) > CHART_BOUND * abs(d):
         raise ChartExitError(
-            f"rotation sends direction {p.xi!r} to the south pole (denominator {d!r})"
+            f"rotation sends direction {p.xi!r} out of the chart |xi'| <= {CHART_BOUND:g}"
         )
-    xi = (m.alpha2 * p.xi + m.alpha3) / d
-    if abs(xi) > CHART_BOUND:
-        raise ChartExitError(f"rotated direction |xi'| = {abs(xi):.3e} leaves the chart")
-    return ComplexPair(xi, p.eta / (d * d)), d
+    return ComplexPair(n / d, p.eta / (d * d)), d
 
 
 def apply_rotation(m: Rotation, p: ComplexPair) -> ComplexPair:
@@ -135,8 +132,8 @@ def apply_rotation(m: Rotation, p: ComplexPair) -> ComplexPair:
     Raises
     ------
     ChartExitError
-        If the image direction is (numerically) the south pole, or |xi'|
-        exceeds the chart bound.
+        If |xi'| exceeds the chart bound ``CHART_BOUND``, the south pole
+        included.
     """
     return _rotate(m, p)[0]
 

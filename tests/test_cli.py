@@ -417,6 +417,26 @@ def test_geodesic_conflicting_initial_conditions_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_geodesic_outputs_on_one_regular_file_exit_2_and_a_device_twice_is_written(
+    tmp_path, capsys
+):
+    # the refusal is of one regular file behind both flags, by any names:
+    # two hard links to it are refused and left as they were, while
+    # /dev/null given twice discards both outputs
+    xi = ["geodesic", "--xi", "0", "0", "--xidot", "1", "0"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.write_text("kept\n")
+    os.link(a, b)
+    with pytest.raises(SystemExit) as exc:
+        main([*xi, "--output", str(a), "--summary", str(b)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\nlinegeo: error: --summary names the --output file\n")
+    assert a.read_text() == b.read_text() == "kept\n" and os.path.samefile(a, b)
+    assert run_cli(capsys, *xi, "--output", os.devnull, "--summary", os.devnull) == (0, "", "")
+
+
 @pytest.mark.parametrize("argv, kind", [
     (["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0",
       "--output", "{}"], "missing"),
@@ -918,10 +938,18 @@ def test_analyze_series_check_of_one_sample(capsys):
 # -- check ---------------------------------------------------------------------
 
 
-def test_check_passes(capsys):
-    code, out, _ = run_cli(capsys, "check")
+def run_check(capsys, tmp_path, *argv):
+    """Exit code and report of ``check``, written through ``--output`` and
+    parsed strictly: no NaN or Infinity."""
+    path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "check", *argv, "--output", str(path))
+    assert out == ""
+    return code, json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def test_check_passes(capsys, tmp_path):
+    code, report = run_check(capsys, tmp_path)
     assert code == 0
-    report = json.loads(out)
     assert report["all_passed"] is True
     assert report["config"] == {
         "samples": 1000, "trajectories": 6, "tol": 1e-10, "t_span": 6.0, "seed": 2025,
@@ -955,7 +983,7 @@ def test_retired_flags_are_usage_errors(capsys, argv):
     assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in captured.err
 
 
-def test_check_detects_injected_bias(capsys, monkeypatch):
+def test_check_detects_injected_bias(capsys, tmp_path, monkeypatch):
     # bias the I2 samples the stepper returns, which ``integrate`` reports
     exact = geodesics.geod_integrate
 
@@ -964,22 +992,21 @@ def test_check_detects_injected_bias(capsys, monkeypatch):
         return (*result, [i2 + 1e-3 for i2 in i2s])
 
     monkeypatch.setattr(geodesics, "geod_integrate", biased)
-    code, out, _ = run_cli(capsys, "check")
+    code, report = run_check(capsys, tmp_path)
     assert code == 1
-    report = json.loads(out)
     assert report["all_passed"] is False
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "energy_identity" in failed
 
 
-def test_check_reports_a_radial_run_that_stops_short(capsys, monkeypatch):
+def test_check_reports_a_radial_run_that_stops_short(capsys, tmp_path, monkeypatch):
     # the report stays valid JSON: the error of a run that never reached
     # the equator is measured where it stopped
     exact = geodesics.integrate
     monkeypatch.setattr(geodesics, "integrate", lambda state, t_max, tol: exact(state, 0.3, tol))
-    code, out, _ = run_cli(capsys, "check")
+    code, report = run_check(capsys, tmp_path)
     assert code == 1
-    triple = next(c for c in json.loads(out)["checks"] if c["name"] == "triple_agreement")
+    triple = next(c for c in report["checks"] if c["name"] == "triple_agreement")
     assert not triple["passed"]
     assert triple["observed"] == abs(0.3 - blowup_time(1.0)) / blowup_time(1.0)
     assert triple["detail"].endswith("; radial run terminated by time_limit")
@@ -1054,18 +1081,15 @@ def test_near_cancelling_seed_draws_a_near_cancelling_pairing(capsys, monkeypatc
 
 
 @pytest.mark.parametrize("seed", INVARIANCE_SEEDS)
-def test_check_invariance_passes_near_cancelling_seeds(capsys, seed):
-    code, out, _ = run_cli(
-        capsys, "check", "--seed", str(seed)
-    )
-    report = json.loads(out)
+def test_check_invariance_passes_near_cancelling_seeds(capsys, tmp_path, seed):
+    code, report = run_check(capsys, tmp_path, "--seed", str(seed))
     assert code == 0 and report["all_passed"] is True
     for c in report["checks"]:
         if c["name"] in INVARIANCE_CHECKS:
             assert c["observed"] < 1e-13
 
 
-def test_check_detects_tampered_push_forward(capsys, monkeypatch):
+def test_check_detects_tampered_push_forward(capsys, tmp_path, monkeypatch):
     from linegeo import TangentVector, line_space
 
     exact = line_space.push_forward
@@ -1076,11 +1100,9 @@ def test_check_detects_tampered_push_forward(capsys, monkeypatch):
 
     monkeypatch.setattr(line_space, "push_forward", tampered)
     for seed in INVARIANCE_SEEDS:
-        code, out, _ = run_cli(
-            capsys, "check", "--seed", str(seed)
-        )
+        code, report = run_check(capsys, tmp_path, "--seed", str(seed))
         assert code == 1
-        failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failed == INVARIANCE_CHECKS
 
 
@@ -1108,14 +1130,14 @@ def _raise_series(monkeypatch):
     (_raise_series, "triple_agreement"), (_raise_c, "normalization_residual"),
 ])
 def test_a_check_failing_its_second_criterion_reports_no_headroom(
-    capsys, monkeypatch, tamper, name
+    capsys, tmp_path, monkeypatch, tamper, name
 ):
     # the error that fails the check lies below the threshold the margin
     # is taken against: threshold/observed would read as headroom
     tamper(monkeypatch)
-    code, out, _ = run_cli(capsys, "check")
+    code, report = run_check(capsys, tmp_path)
     assert code == 1
-    checks = json.loads(out)["checks"]
+    checks = report["checks"]
     assert {c["name"] for c in checks if not c["passed"]} == {name}
     failed = next(c for c in checks if c["name"] == name)
     assert failed["observed"] < failed["threshold"]
@@ -1125,7 +1147,7 @@ def test_a_check_failing_its_second_criterion_reports_no_headroom(
 
 
 @pytest.mark.parametrize("form", ["metric", "symplectic_form"])
-def test_check_detects_a_tampered_form_alone(capsys, monkeypatch, form):
+def test_check_detects_a_tampered_form_alone(capsys, tmp_path, monkeypatch, form):
     # the two invariance checks share their samples, not their verdicts: a
     # pairing that is not invariant fails its own check and no other
     from linegeo import line_space
@@ -1138,11 +1160,9 @@ def test_check_detects_a_tampered_form_alone(capsys, monkeypatch, form):
     monkeypatch.setattr(line_space, form, tampered)
     expected = {"metric": "isometry_metric", "symplectic_form": "symplectomorphism"}[form]
     for seed in INVARIANCE_SEEDS:
-        code, out, _ = run_cli(
-            capsys, "check", "--seed", str(seed)
-        )
+        code, report = run_check(capsys, tmp_path, "--seed", str(seed))
         assert code == 1
-        failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failed == {expected}
 
 
@@ -1178,9 +1198,9 @@ def test_energy_identity_check_matches_its_inline_f_copy(seed):
 
 
 @pytest.mark.parametrize("seed", range(0, 600, 37))
-def test_check_passes_across_seeds(capsys, seed):
-    code, out, _ = run_cli(capsys, "check", "--seed", str(seed))
-    assert code == 0 and json.loads(out)["all_passed"] is True
+def test_check_passes_across_seeds(capsys, tmp_path, seed):
+    code, report = run_check(capsys, tmp_path, "--seed", str(seed))
+    assert code == 0 and report["all_passed"] is True
 
 
 # -- determinism and logging (subprocess level) ----------------------------------

@@ -464,8 +464,10 @@ def test_integrate_orbit_running_out_stays_in_the_zeta_chart():
 
 def test_lower_hemisphere_orbit_agrees_with_the_xi_chart():
     # orbits that stay finite in xi: integrated directly in xi with the
-    # kernel, and by ``integrate`` in zeta = 1/xi; the two agree to a few
-    # times tol, and the integrals map as (I1, I2) -> (-I1, I2)
+    # tableau loop, whose equator rule keeps either side (the kernel takes
+    # only starts inside the unit disk), and by ``integrate`` in
+    # zeta = 1/xi; the two agree to a few times tol, and the integrals map
+    # as (I1, I2) -> (-I1, I2)
     zeta_orbit = state_from_integrals(0.6, 0.16, 0.5)  # an annulus orbit in zeta
     starts = [
         (1.5, -1.0, 0.4),  # radially inward, 0.03 before the equator
@@ -476,7 +478,7 @@ def test_lower_hemisphere_orbit_agrees_with_the_xi_chart():
     for xi0, xidot0, t_max in starts:
         traj = integrate(GeodesicState(0.0, xi0, xidot0), t_max, tol)
         assert traj.chart == "zeta" and traj.termination is Termination.TIME_LIMIT
-        t, xis, xds, status, _, _, _, _ = geodesics.geod_integrate(
+        t, xis, xds, status, _, _ = reference_geod_integrate(
             xi0, xidot0, t_max, tol, EQUATOR_CUTOFF, MIN_STEP, 1_000_000
         )
         assert status is Termination.TIME_LIMIT and t[-1] == traj.t[-1] == t_max
@@ -682,10 +684,10 @@ def weighted_sum(weights, stages, part):
 
 def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_steps):
     """The DOP853 stepper as a generic loop over the tableau tuples;
-    ``geod_integrate`` must reproduce it bit for bit.  A NaN stage (a
-    point exactly on the equator) rejects the attempt, and so does a
-    proposed point past the cutoff band on the far side of the equator
-    from the start."""
+    ``geod_integrate`` must reproduce it bit for bit from every start
+    inside the unit disk.  A NaN stage (a point exactly on the equator)
+    rejects the attempt, and so does a proposed point past the cutoff
+    band on the far side of the equator from the start, on either side."""
     t = 0.0
     y0, y1 = complex(xi0), complex(xidot0)
     ts = [0.0]
@@ -831,7 +833,7 @@ _ORACLE_RUNS = [
 @pytest.mark.parametrize("xi0, xidot0, t_span, tol, status", _ORACLE_RUNS)
 def test_kernel_matches_generic_tableau_loop(xi0, xidot0, t_span, tol, status):
     args = (xi0, xidot0, t_span, tol, EQUATOR_CUTOFF, MIN_STEP, 1_000_000)
-    t, xi, xidot, got_status, t_hit, rejected, _, _ = geodesics.geod_integrate(*args)
+    t, xi, xidot, got_status, t_hit, rejected, _, _ = geodesics.geod_integrate(*args[:4])
     t_ref, xi_ref, xidot_ref, ref_status, t_hit_ref, rejected_ref = reference_geod_integrate(*args)
     assert got_status is ref_status is status
     assert bits(t) == bits(t_ref)
@@ -842,17 +844,30 @@ def test_kernel_matches_generic_tableau_loop(xi0, xidot0, t_span, tol, status):
     assert (t_hit is None) == (status is not Termination.EQUATOR_REACHED)
 
 
-def test_kernel_matches_generic_tableau_loop_at_step_cap():
+def test_kernel_matches_generic_tableau_loop_at_step_cap(monkeypatch):
     # the controller rejects several of the first attempts from this start
-    args = (0.2, 0.5j, 100.0, 1e-8, EQUATOR_CUTOFF, MIN_STEP, 50)
-    got = geodesics.geod_integrate(*args)
-    ref = reference_geod_integrate(*args)
+    monkeypatch.setattr(geodesics, "MAX_STEPS", 50)
+    got = geodesics.geod_integrate(0.2, 0.5j, 100.0, 1e-8)
+    ref = reference_geod_integrate(0.2, 0.5j, 100.0, 1e-8, EQUATOR_CUTOFF, MIN_STEP, 50)
     assert got[3] is ref[3] is Termination.MAX_STEPS
     assert len(got[0]) < 51
     assert len(got[0]) - 1 + got[5] == 50
     assert got[5] == ref[5]
     for a, b in zip(got[:3], ref[:3]):
         assert bits(a) == bits(b)
+
+
+def test_kernel_rejects_every_point_outside_the_disk_from_a_start_outside_it():
+    # outside the unit disk past the cutoff band is one rule, whatever the
+    # start: from xi0 = 2 every attempt is rejected until the step
+    # underflows, where a two-sided rule once accepted points flung far out
+    # until (1 + |xi|^2)^3 overflowed
+    t, xi, xidot, status, t_hit, rejected, i1s, i2s = geodesics.geod_integrate(
+        2.0, -1.0, 10.0, 0.5
+    )
+    assert status is Termination.STEP_UNDERFLOW
+    assert (t, xi, xidot) == ([0.0], [2.0], [-1.0]) and t_hit is None
+    assert rejected > 0 and len(i1s) == len(i2s) == 1
 
 
 _INTEGRAL_SERIES_STARTS = [
@@ -912,7 +927,8 @@ def test_kernel_source_is_the_generated_text():
         sources.append(inspect.getsource(function))
         assert sources[-1].startswith(f"def {name}(")
     assert text == "\n\n".join(sources)
-    assert sources[-1].startswith("def geod_integrate(xi0, xidot0, t_span, tol, equator_cut,")
+    assert sources[-1].startswith("def geod_integrate(xi0, xidot0, t_span, tol):\n")
+    assert "side" not in geodesics.geod_integrate.__code__.co_varnames  # one equator rule
     assert f"{DOP853_A[11][10]!r} * q11i" in sources[-1]
     assert "{" not in text  # every field of the template is filled
     # Gamma, f and (I1, I2) are the lines of the stepper's stage 1 and integrals

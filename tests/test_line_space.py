@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from linegeo import (
+    CRITICAL_RADIUS,
     ChartExitError,
     ComplexPair,
     DomainError,
@@ -19,10 +20,13 @@ from linegeo import (
     apply_translation,
     evaluate,
     first_integrals,
+    integrate,
     metric,
     normalize,
     push_forward,
+    state_from_integrals,
     symplectic_form,
+    turning_points,
 )
 from linegeo import line_space
 from linegeo.checks import _pairing_scale
@@ -122,11 +126,24 @@ def test_rotation_to_pole_direction():
     assert abs(q.xi) < 1e-15 and abs(q.eta) < 1e-15
 
 
-def test_rotation_south_pole_exit():
-    # denominator -conj(a3) xi + conj(a2) = 0 at xi = conj(a2)/conj(a3)
+@pytest.mark.parametrize("xi, denominator", [
+    (1.0, 0.0),  # exactly the south pole
+    (1.0 + 2.0**-50, 6.661338147750939e-16),
+    (1.0 + 1e-9, 7.071068175434903e-10),
+], ids=["zero", "6.7e-16", "7.1e-10"])
+def test_rotation_south_pole_exit(xi, denominator):
+    # denominator -conj(a3) xi + conj(a2) = 0 at xi = conj(a2)/conj(a3); the
+    # chart bound alone refuses it and every point near it, since
+    # |xi'| = |numerator|/|denominator| with |numerator| near sqrt(2)
     rot = Rotation(1, 1)
-    with pytest.raises(ChartExitError):
-        apply_rotation(rot, ComplexPair(1.0, 0.5))
+    assert abs(-rot.alpha3.conjugate() * xi + rot.alpha2.conjugate()) == denominator
+    with pytest.raises(ChartExitError, match="out of the chart"):
+        apply_rotation(rot, ComplexPair(xi, 0.5))
+
+
+def test_rotation_just_inside_the_chart_bound_maps():
+    q = apply_rotation(Rotation(1, 1), ComplexPair(1.0 + 2.001e-8, 0.5))
+    assert 0.999 * line_space.CHART_BOUND < abs(q.xi) < line_space.CHART_BOUND
 
 
 def test_rotation_chart_bound_exit():
@@ -594,3 +611,94 @@ def _inverse_spinor(exact):
 def test_the_r3_picture_detects_a_tampered_motion(monkeypatch, name, tamper, error):
     monkeypatch.setattr(line_space, name, tamper(getattr(line_space, name)))
     assert error(50) > 0.1
+
+
+# -- I2: the Noether charge of the axis, and the coaxial hyperboloids -----------
+
+E1, E3 = np.eye(3)[0], np.eye(3)[2]
+
+
+def _rotation_about_e3(p):
+    """(dxi, deta) at p of the turn about e3, xi -> e^{i phi} xi and
+    eta -> e^{i phi} eta, which maps every eta = c i xi to itself."""
+    return 1j * p.xi, 1j * p.eta
+
+
+def _rotation_about_e1(p):
+    """(dxi, deta) at p of the turn about e1, which moves eta = c i xi."""
+    return -0.5j * (1.0 - p.xi * p.xi), 1j * p.xi * p.eta
+
+
+def _section_draws(seed, n):
+    """(c, u): n seeded tangents u = (xidot, c i xidot) of eta = c i xi at
+    base points away from the equator, where I2 vanishes with f."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        xi, xidot, c = _normal_complex(rng), _normal_complex(rng), rng.uniform(0.1, 3.0)
+        if abs(1.0 - abs(xi) ** 2) >= 1e-2:
+            yield c, TangentVector(ComplexPair(xi, 1j * c * xi), xidot, 1j * c * xidot)
+
+
+def _i2(u):
+    return first_integrals(GeodesicState(0.0, u.base.xi, u.dxi)).I2
+
+
+@pytest.mark.parametrize("generator, axis, conserved", [
+    (_rotation_about_e3, E3, True), (_rotation_about_e1, E1, False),
+], ids=["e3", "tampered-e1"])
+def test_i2_is_the_noether_charge_of_the_rotation_about_the_axis(generator, axis, conserved):
+    # X turns every line about its axis (five-point differences at
+    # h = 1e-4 leave 1.1e-11); the turn about e3 is a symmetry of the
+    # section, so g(X, u) = -4c I2 is its conserved charge, to 1.0e-14
+    # relative on these draws, while the turn about e1 misses it by up to 80-fold
+    worst_turn = worst_charge = 0.0
+    for c, u in _section_draws(5156, 300):
+        x = TangentVector(u.base, *generator(u.base))
+        d, m = line(u.base)
+        d_dot, m_dot, _ = line_velocity(x, 1e-4)
+        worst_turn = max(worst_turn, *abs(d_dot - np.cross(axis, d)),
+                         *abs(m_dot - np.cross(axis, m)))
+        charge = -4.0 * c * _i2(u)
+        worst_charge = max(worst_charge, abs(metric(x, u) - charge) / abs(charge))
+    assert worst_turn <= 1e-10
+    assert (worst_charge <= 1e-13) is conserved
+    if not conserved:
+        assert worst_charge > 0.1
+
+
+def test_i2_is_the_axial_angular_momentum_of_the_lines():
+    # g(X, u) = -1/2 e3.(D x M' - D' x M), so e3.(D x M' - D' x M) = 8c I2;
+    # the differences leave 2.3e-10 relative on these draws
+    worst = 0.0
+    for c, u in _section_draws(5157, 300):
+        d, m = line(u.base)
+        d_dot, m_dot, _ = line_velocity(u, 1e-4)
+        moment = E3 @ (np.cross(d, m_dot) - np.cross(d_dot, m))
+        worst = max(worst, abs(moment - 8.0 * c * _i2(u)) / abs(8.0 * c * _i2(u)))
+    assert worst <= 1e-8
+
+
+def test_an_orbit_stays_between_the_hyperboloids_of_its_turning_radii():
+    # the lines at chart radius R make the angle 2 atan R with the axis and
+    # pass at c sin(2 atan R) from it: a hyperboloid of revolution, nested
+    # in R; an orbit's lines stay between those of R_min and R_max, and come
+    # within 5.2e-5 relative of each edge in these runs
+    for i1, i2, c in ((20.0, 1.0, 1.5), (10.6667, -1.0, 0.3)):
+        tp = turning_points(i1, i2)
+        traj = integrate(state_from_integrals(i1, i2, 0.5 * (tp.R_min + tp.R_max)), 10.0, 1e-10)
+        lo, hi = 2.0 * math.atan(tp.R_min), 2.0 * math.atan(tp.R_max)
+        angles = []
+        for xi in traj.xi:
+            d, point = line_point(ComplexPair(xi, 1j * c * xi))
+            angles.append(math.acos(d[2]))
+            assert abs(math.hypot(point[0], point[1]) - c * math.sin(angles[-1])) <= 1e-14 * c
+        assert lo <= min(angles) <= lo * (1.0 + 1e-4)
+        assert hi * (1.0 - 1e-4) <= max(angles) <= hi
+
+
+def test_the_circular_orbit_is_at_the_magic_angle():
+    # cos(2 atan R) = (1 - R^2)/(1 + R^2) = 1/sqrt(3) at R = sqrt(2 - sqrt(3)):
+    # the angle between a cube's body diagonal and its edges
+    d, _ = line_point(ComplexPair(CRITICAL_RADIUS, 1j * CRITICAL_RADIUS))
+    assert abs(d[2] - 1.0 / math.sqrt(3.0)) <= 2 * math.ulp(d[2])
+    assert round(math.degrees(math.acos(d[2])), 4) == 54.7356
