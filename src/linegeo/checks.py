@@ -3,13 +3,11 @@
 Each check samples randomly (seeded), records the worst observed error
 against its threshold, and reports a margin; the two invariance checks
 share their samples, and the two orbit checks (conservation_drift and
-energy_identity) their orbits.  Results are logged on ``linegeo.checks``
-at info level once ``logging`` is loaded (the CLI loads it when
-``GEODESIC_LOG`` is set).
+energy_identity) their orbits.  The suite only returns its results; the
+CLI reports and logs them.
 """
 
 import random
-import sys
 from cmath import rect
 from math import hypot, log, pi, sqrt, tau
 
@@ -205,12 +203,4 @@ def run_checks(seed: int = 2025) -> list[CheckResult]:
         energy,
         _normalization_check(SAMPLES // 5, rng, 1e-9, 1e-10),
     ]
-    logging = sys.modules.get("logging")  # unloaded, it has no handler to show them
-    if logging is not None:
-        logger = logging.getLogger("linegeo.checks")
-        for r in results:
-            logger.info(
-                "check %-24s %s observed=%.3e threshold=%.1e",
-                r.name, "PASS" if r.passed else "FAIL", r.observed, r.threshold,
-            )
     return results

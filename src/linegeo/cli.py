@@ -21,8 +21,9 @@ in slot order (``_fields``).
 Exit codes: 0 success, 1 internal error, failed checks or a stdout
 closed by its reader, 2 usage errors or an unwritable output, 3 domain
 errors (invalid region, no orbit).  Set ``GEODESIC_LOG=debug`` or
-``info`` for diagnostics on stderr; ``logging`` is imported only then or
-on an internal error.
+``info`` for diagnostics on stderr, all on the ``linegeo.cli`` logger
+(the library logs nothing); ``logging`` is imported only then or on an
+internal error.
 """
 
 import argparse
@@ -32,7 +33,7 @@ import re
 import stat
 import sys
 
-from .errors import LineGeoError, Record
+from .errors import LineGeoError, Record, write_table
 
 
 def _log_info(msg, *args):
@@ -72,13 +73,6 @@ def _json_text(obj):
     import json
 
     return json.dumps(obj, indent=2, allow_nan=False, default=_fields) + "\n"
-
-
-def _write_csv(header, rows, fh):
-    """``header``, then a line of each row's values to 17 significant digits."""
-    row = ",".join(["%.17g"] * len(header.split(","))) + "\n"
-    fh.write(header + "\n")
-    fh.writelines(row % values for values in rows)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -157,13 +151,16 @@ def cmd_analyze(args):
     else:  # series-check
         header = "R,series,quadrature,diff"
         rows = analysis.series_quadrature_table(args.r_lo, args.r_hi, args.num)
-    return 0, [("output", None, functools.partial(_write_csv, header, rows))]
+    return 0, [("output", None, functools.partial(write_table, header, rows))]
 
 
 def cmd_check(args):
     from . import checks  # only this subcommand needs the invariant suite
 
     results = checks.run_checks(args.seed)
+    for r in results:
+        _log_info("check %-24s %s observed=%.3e threshold=%.1e",
+                  r.name, "PASS" if r.passed else "FAIL", r.observed, r.threshold)
     all_passed = all(r.passed for r in results)
     config = {"samples": checks.SAMPLES, "trajectories": checks.TRAJECTORIES,
               "tol": checks.TOL, "t_span": checks.T_SPAN, "seed": args.seed}

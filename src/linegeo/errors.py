@@ -1,5 +1,5 @@
-"""Exception types, the finite-input check and the value-type base
-shared across the package.
+"""Exception types, the finite-input check, the value-type base and the
+CSV table writer shared across the package.
 
 The package's value types derive from ``Record``: slotted classes whose
 fields are validated and set once, at construction.  They live here,
@@ -40,6 +40,16 @@ def finite_complex(name, value) -> complex:
     if not cmath.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def write_table(header, rows, stream):
+    """Write a CSV table to ``stream``: ``header``, then one line per row
+    of ``rows`` (tuples, as many values as the header names columns), each
+    value to 17 significant digits (round-trips).  Each row is formatted
+    as the stream takes it, so the table is never copied."""
+    row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    stream.write(header + "\n")
+    stream.writelines(row % values for values in rows)
 
 
 class Record:

@@ -39,7 +39,7 @@ import enum
 import linecache
 import math
 
-from .errors import DomainError, Record, finite_complex
+from .errors import DomainError, Record, finite_complex, write_table
 
 #: integration stops once |1 - |xi|^2| falls below this
 EQUATOR_CUTOFF = 1e-8
@@ -673,8 +673,6 @@ def integrate(initial: GeodesicState, t_max: float, tol: float) -> Trajectory:
 #: its coordinate columns zeta_re, zeta_im, zetadot_re and zetadot_im
 CSV_HEADER = "t,R,theta,xi_re,xi_im,xidot_re,xidot_im,I1,I2"
 
-_CSV_ROW = ",".join(["%.17g"] * 9) + "\n"
-
 
 def write_csv(traj: Trajectory, stream):
     """Write the trajectory CSV to a file-like object.
@@ -688,8 +686,7 @@ def write_csv(traj: Trajectory, stream):
     """
     i1s, i2s = traj.integrals
     phase = cmath.phase
-    stream.write(CSV_HEADER.replace("xi", traj.chart) + "\n")
-    stream.writelines(
-        _CSV_ROW % (t, abs(xi), phase(xi), xi.real, xi.imag, xidot.real, xidot.imag, i1, i2)
+    write_table(CSV_HEADER.replace("xi", traj.chart), (
+        (t, abs(xi), phase(xi), xi.real, xi.imag, xidot.real, xidot.imag, i1, i2)
         for t, xi, xidot, i1, i2 in zip(traj.t, traj.xi, traj.xidot, i1s, i2s)
-    )
+    ), stream)

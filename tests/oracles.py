@@ -9,14 +9,15 @@ right-hand side and the first integrals as written out in complex
 arithmetic before the stepper's source became their one definition, the
 polar coordinates of a state, the check suite's orbit pass with the
 conformal factor written inline, the oriented line in R^3 that a chart
-point names and the two forms as the lines see them, and the JSON
-readers of the section and certificate wire format (the CLI only writes
-it)."""
+point names and the two forms as the lines see them, the JSON readers
+of the section and certificate wire format (the CLI only writes it), and
+the table of the paper's numbers that the README quotes."""
 
 import random
 from cmath import exp, phase, rect
-from math import log, pi, sqrt
+from math import atan, cos, log, pi, sqrt
 
+import mpmath
 import numpy as np
 
 from linegeo import (
@@ -448,3 +449,29 @@ def certificate_from_dict(d: dict) -> NormalizationCertificate:
         )
     except KeyError as missing:
         raise DomainError(f"certificate object lacks field {missing}") from None
+
+
+# -- the paper's numbers -----------------------------------------------------
+
+
+#: each headline number of the paper: its name, which is the library call
+#: as the README's "The paper's numbers" table names it, the call, the
+#: exact value as an mpmath expression (evaluated at 30 digits) and the
+#: bound on the call's error in ulps of the value
+PAPER_NUMBERS = (
+    ("blowup_time(1.0)", lambda: analysis.blowup_time(1.0),
+     lambda: mpmath.ellipe(-1) - mpmath.ellipk(-1), 1),
+    ("radial_quadrature(1.0)", lambda: analysis.radial_quadrature(1.0),
+     lambda: mpmath.ellipe(-1) - mpmath.ellipk(-1), 1),
+    ("MIN_ORBIT_RATIO", lambda: analysis.MIN_ORBIT_RATIO, lambda: 6 * mpmath.sqrt(3), 1),
+    ("effective_potential(CRITICAL_RADIUS)",
+     lambda: analysis.effective_potential(analysis.CRITICAL_RADIUS),
+     lambda: 6 * mpmath.sqrt(3), 2),
+    ("CRITICAL_RADIUS", lambda: analysis.CRITICAL_RADIUS,
+     lambda: mpmath.sqrt(2 - mpmath.sqrt(3)), 1),
+    ("cos(2 atan CRITICAL_RADIUS)", lambda: cos(2.0 * atan(analysis.CRITICAL_RADIUS)),
+     lambda: 1 / mpmath.sqrt(3), 2),
+    ("normalize(1, 2i, 3).c",
+     lambda: sections.normalize(QuadraticSection(1.0, 2.0j, 3.0)).result.c,
+     lambda: mpmath.sqrt(20), 1),
+)

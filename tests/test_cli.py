@@ -889,6 +889,9 @@ def test_analyze_potential_csv(capsys):
     for line in lines[1:]:
         big_r, u = map(float, line.split(","))
         assert abs(u - effective_potential(big_r)) < 1e-12
+    # the bytes: each value of the library's table to 17 significant digits
+    rows = analysis.potential_curve(0.2, 0.8, 7)
+    assert lines == ["R,U_eff", *(",".join(format(v, ".17g") for v in row) for row in rows)]
 
 
 def test_analyze_series_check_csv(capsys):
@@ -899,6 +902,10 @@ def test_analyze_series_check_csv(capsys):
     for line in lines[1:]:
         fields = list(map(float, line.split(",")))
         assert abs(fields[3]) < 1e-10
+    rows = analysis.series_quadrature_table(0.05, 0.95, 7)
+    assert lines == [
+        "R,series,quadrature,diff", *(",".join(format(v, ".17g") for v in row) for row in rows)
+    ]
 
 
 def test_analyze_series_check_close_to_one(capsys):
@@ -965,6 +972,13 @@ def test_check_passes(capsys, tmp_path):
     } <= names
     for c in report["checks"]:
         assert c["passed"] and c["margin"] > 1.0
+
+
+def test_the_check_suite_itself_logs_nothing(caplog):
+    # the library only returns its results; the CLI logs them
+    caplog.set_level(logging.DEBUG)
+    checks.run_checks(3)
+    assert caplog.records == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -1300,6 +1314,19 @@ def test_geodesic_log_env_controls_stderr():
     noisy = _run(args, {"GEODESIC_LOG": "info"})
     assert "linegeo.cli" in noisy.stderr
     assert _run(args).stderr == ""
+
+
+def test_check_logs_each_result_on_the_cli_logger(tmp_path):
+    path = tmp_path / "report.json"
+    result = _run(["check", "--output", str(path)], {"GEODESIC_LOG": "info"})
+    assert (result.returncode, result.stdout) == (0, "")
+    report = json.loads(path.read_text())
+    assert len(report["checks"]) == 6
+    assert result.stderr.splitlines() == [
+        f"linegeo.cli INFO: check {c['name']:<24} PASS "
+        f"observed={c['observed']:.3e} threshold={c['threshold']:.1e}"
+        for c in report["checks"]
+    ]
 
 
 #: modules a cold call should load only when its subcommand runs them: the

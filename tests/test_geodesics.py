@@ -407,6 +407,34 @@ def test_integrate_eccentric_orbit_drift_to_t_100():
     assert max(traj.max_drift) < 1e-8
 
 
+#: the closed orbit of rotation number W = 2/3 at I2 = 1: I1/I2^2 = k, and
+#: its radial period T = 2 * integral of dR/Rdot between the turning radii,
+#: the roots in (0, 1) of the cubic x^3 + (3+k) x^2 + (3-k) x + 1 in x = R^2
+#: (mpmath polyroots and quad at 40 digits; the same script gives
+#: W = 0.666666666666666681)
+W_TWO_THIRDS_K, W_TWO_THIRDS_T = 19.027516150818762, 0.30032967009934616663
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_closure_error_of_a_closed_orbit_grows_like_the_square_of_the_periods(tol):
+    # after 3n radial periods the W = 2/3 orbit is back at its start; the
+    # stepper neither keeps the integrals nor is symmetric, so its phase
+    # error grows like t^2 (measured exponents 2.09 at tol 1e-8 and 2.15 at
+    # 1e-10); a method that kept the integrals would grow like t
+    start = state_from_integrals(
+        W_TWO_THIRDS_K, 1.0, turning_points(W_TWO_THIRDS_K, 1.0).R_max
+    )
+    errors = []
+    for n in (1, 4, 16, 64):
+        traj = integrate(start, 3 * n * W_TWO_THIRDS_T, tol)
+        assert traj.termination is Termination.TIME_LIMIT
+        errors.append(abs(traj.xi[-1] - start.xi))
+    assert errors[0] <= 100 * tol  # one revolution closes
+    assert errors == sorted(errors)
+    exponent = math.log(errors[3] / errors[1]) / math.log(16.0)
+    assert 1.8 <= exponent <= 2.4
+
+
 def test_integrate_radial_invariance_of_argument():
     st = GeodesicState(0.0, 0.3 * cmath.exp(0.7j), 0.5 * cmath.exp(0.7j))
     assert abs(first_integrals(st).I2) < 1e-16
