@@ -45,13 +45,15 @@ def _log_info(msg, *args):
 
 
 def _write_outputs(outputs, files):
-    """Write each ``(flag, fallback, content)`` in turn, ``content`` text or
-    a callable that writes to a stream, into the open ``files[flag]``; a
-    flag with no file goes to ``fallback``, default the current stdout."""
-    for flag, fallback, content in outputs:
+    """Write each ``(flag, content)`` in turn, ``content`` text or a
+    callable that writes to a stream, into the open ``files[flag]``; the
+    first flag with no file goes to the current stdout, a later one to the
+    current stderr."""
+    consoles = iter((sys.stdout, sys.stderr))
+    for flag, content in outputs:
         write = content if callable(content) else lambda fh, text=content: fh.write(text)
         if flag not in files:
-            write(sys.stdout if fallback is None else fallback)
+            write(next(consoles))
             continue
         with files[flag] as fh:
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a FIFO or a device
@@ -86,7 +88,7 @@ def cmd_normalize(args):
     )
     cert = sections.normalize(sec)
     _log_info("normalized section to c = %.17g", cert.result.c)
-    return 0, [("output", None, _json_text(cert))]
+    return 0, [("output", _json_text(cert))]
 
 
 def _geodesic_usage_error(args) -> str | None:
@@ -134,24 +136,22 @@ def cmd_geodesic(args):
         "rhs_evals": traj.stats["rhs_evals"],
         "chart": traj.chart,
     })
-    # the summary goes to stderr when the CSV occupies stdout
-    return 0, [("output", None, functools.partial(geodesics.write_csv, traj)),
-               ("summary", sys.stderr if args.output in (None, "-") else None, text)]
+    return 0, [("output", functools.partial(geodesics.write_csv, traj)), ("summary", text)]
 
 
 def cmd_analyze(args):
     from . import analysis
 
     if args.what == "blowup":
-        return 0, [("output", None, f"{analysis.blowup_time(args.I1, args.r_start):.17g}\n")]
+        return 0, [("output", f"{analysis.blowup_time(args.I1, args.r_start):.17g}\n")]
     if args.what == "turning-points":
-        return 0, [("output", None, _json_text(analysis.turning_points(args.I1, args.I2)))]
+        return 0, [("output", _json_text(analysis.turning_points(args.I1, args.I2)))]
     if args.what == "potential":
         header, rows = "R,U_eff", analysis.potential_curve(args.r_lo, args.r_hi, args.num)
     else:  # series-check
         header = "R,series,quadrature,diff"
         rows = analysis.series_quadrature_table(args.r_lo, args.r_hi, args.num)
-    return 0, [("output", None, functools.partial(write_table, header, rows))]
+    return 0, [("output", functools.partial(write_table, header, rows))]
 
 
 def cmd_check(args):
@@ -165,7 +165,7 @@ def cmd_check(args):
     config = {"samples": checks.SAMPLES, "trajectories": checks.TRAJECTORIES,
               "tol": checks.TOL, "t_span": checks.T_SPAN, "seed": args.seed}
     text = _json_text({"config": config, "all_passed": all_passed, "checks": results})
-    return 0 if all_passed else 1, [("output", None, text)]
+    return 0 if all_passed else 1, [("output", text)]
 
 
 # -- parser -------------------------------------------------------------------

@@ -4,11 +4,10 @@ refit of its coefficients, the inverse and the composite rotation, a
 bit-for-bit copy of the push-forward, the wedge and symmetrised
 expressions of the two pairings and their 4x4 matrices, the numeric
 pullback of the metric to the standard sphere, the check suite's
-sampling loops one helper call per draw, the Christoffel symbol, the
+invariance pass one helper call per draw, the Christoffel symbol, the
 right-hand side and the first integrals as written out in complex
 arithmetic before the stepper's source became their one definition, the
-polar coordinates of a state, the check suite's orbit pass with the
-conformal factor written inline, the oriented line in R^3 that a chart
+polar coordinates of a state, the oriented line in R^3 that a chart
 point names and the two forms as the lines see them, the JSON readers
 of the section and certificate wire format (the CLI only writes it), and
 the table of the paper's numbers that the README quotes."""
@@ -212,12 +211,12 @@ def pullback_consistency_check(s: StandardSphere, xi: complex) -> float:
     return abs(induced_metric_factor(s, xi) - numeric)
 
 
-# -- the check suite's sampling loops, one helper call per draw ---------------
+# -- the check suite's invariance pass, one helper call per draw --------------
 #
-# The invariance and normalization checks as they were written before their
-# loops were inlined: each draw through a helper, each worst value through
-# max().  checks' loops must give equal results and leave the seeded stream
-# in an equal state.
+# The invariance pass as it was written before its loop was inlined for
+# speed: each draw through a helper, each worst value through max().
+# checks' loop must give equal results and leave the seeded stream in an
+# equal state.
 
 
 def normal_pair(rng):
@@ -251,43 +250,16 @@ def invariance_checks(samples, rng, threshold):
             for name, worst in (("isometry_metric", worst_g), ("symplectomorphism", worst_w))]
 
 
-def normalization_check(samples, rng, threshold_resid, threshold_inv):
-    worst_resid = 0.0
-    worst_inv = 0.0
-    for _ in range(samples):
-        z = [rng.uniform(-10.0, 10.0) for _ in range(6)]
-        sec = QuadraticSection(complex(z[0], z[1]), complex(z[2], z[3]), complex(z[4], z[5]))
-        cert = sections.normalize(sec)
-        moved = transform_section(transform_section(sec, cert.translation), cert.rotation)
-        worst_resid = max(
-            worst_resid,
-            abs(moved.beta1),
-            abs(moved.beta3),
-            abs(moved.beta2.real),
-            abs(moved.beta2.imag - cert.result.c),
-        )
-        invariant = sqrt(sec.beta2.imag ** 2 + abs(sec.beta1 + sec.beta3.conjugate()) ** 2)
-        worst_inv = max(worst_inv, abs(cert.result.c - invariant))
-    passed = worst_resid < threshold_resid and worst_inv < threshold_inv
-    return checks.CheckResult(
-        "normalization_residual",
-        passed,
-        threshold_resid,
-        max(worst_resid, worst_inv),
-        f"{samples} sections; invariant worst {worst_inv:.3e} (limit {threshold_inv:g})",
-    )
-
-
-def sampling_loops(seed, samples, invariance, normalization):
-    """The invariance checks of ``samples`` draws and then the
-    normalization check of ``samples // 5`` sections (the suite's count
-    at ``checks.SAMPLES``), at least 10, with the suite's thresholds, from
+def sampling_loops(seed, samples, invariance):
+    """The given invariance pass of ``samples`` draws and then checks'
+    normalization pass of ``samples // 5`` sections (the suite's count at
+    ``checks.SAMPLES``), at least 10, with the suite's thresholds, from
     ``random.Random(seed)``: their results and the stream's state after
     them."""
     rng = random.Random(seed)
     results = [
         *invariance(samples, rng, 1e-10),
-        normalization(max(samples // 5, 10), rng, 1e-9, 1e-10),
+        checks._normalization_check(max(samples // 5, 10), rng, 1e-9, 1e-10),
     ]
     return results, rng.getstate()
 
@@ -297,7 +269,7 @@ def sampling_loops(seed, samples, invariance, normalization):
 # As each was written before _rhs and _integrals became the package's one
 # source of Gamma, f and (I1, I2).  The tests' reference right-hand side,
 # which the stepper matches bit for bit, is -Gamma here at unit velocity;
-# the first integrals and the energy-identity check agree bit for bit.
+# the first integrals agree bit for bit.
 
 
 def christoffel(xi: complex) -> complex:
@@ -336,32 +308,6 @@ def first_integrals_arrays(xis, xidots):
         i1s.append(f * (xidot * xidot.conjugate()).real)
         i2s.append(f * (xb * xidot).imag)
     return i1s, i2s
-
-
-def orbit_checks(trajectories, tol, t_span, rng, threshold):
-    """The orbit pass (drift and energy identity) with the conformal
-    factor written inline."""
-    worst_drift = worst_energy = 0.0
-    kept = 0
-    for _ in range(trajectories):
-        traj = geodesics.integrate(checks.sample_orbit_state(rng), t_span, tol)
-        worst_drift = max(worst_drift, *traj.max_drift)
-        for xi, xidot, i1, i2 in zip(traj.xi, traj.xidot, *traj.integrals):
-            big_r = abs(xi)
-            if not 1e-3 <= big_r <= 1.0 - 1e-3:
-                continue
-            u = analysis.effective_potential(big_r)
-            r2 = big_r * big_r
-            f = (1.0 - r2) / (1.0 + r2) ** 3
-            rdot = (xi.conjugate() * xidot).real / big_r
-            worst_energy = max(worst_energy, abs(i1 - u * i2**2 - f * rdot**2))
-            kept += 1
-    return [
-        checks.CheckResult("conservation_drift", worst_drift < threshold, threshold, worst_drift,
-                           f"{trajectories} trajectories, tol={tol:g}, span={t_span:g}"),
-        checks.CheckResult("energy_identity", worst_energy < threshold, threshold, worst_energy,
-                           f"{kept} samples"),
-    ]
 
 
 # -- the oriented line in R^3 -------------------------------------------------

@@ -28,12 +28,7 @@ from linegeo import (
 )
 from linegeo import cli
 from linegeo.cli import main
-from oracles import (
-    invariance_checks,
-    normalization_check,
-    orbit_checks,
-    sampling_loops,
-)
+from oracles import invariance_checks, sampling_loops
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +274,38 @@ def test_geodesic_csv_to_stdout_summary_to_stderr(capsys):
     assert out.startswith("t,R,theta,")
     summary = json.loads(err)
     assert summary["termination"] == "time_limit"
+
+
+#: where `geodesic` writes its CSV and its summary for each use of the two
+#: output flags: the first output without a file goes to stdout, the
+#: second to stderr
+GEODESIC_ROUTES = {
+    "": ("stdout", "stderr"),
+    "--output=-": ("stdout", "stderr"),
+    "--output=- --summary=-": ("stdout", "stderr"),
+    "--output=f": ("f", "stdout"),
+    "--output=f --summary=-": ("f", "stdout"),
+    "--summary=s": ("stdout", "s"),
+    "--output=f --summary=s": ("f", "s"),
+}
+
+
+@pytest.mark.parametrize("flags", GEODESIC_ROUTES,
+                         ids=lambda flags: flags.replace(" ", ",") or "no_flags")
+def test_geodesic_routes_each_output_by_its_flags(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "geodesic", "--xi", "0.2", "0", "--xidot", "0", "0.5",
+                             "--t-max", "1", *flags.split())
+    assert code == 0
+    written = {"stdout": out, "stderr": err}
+    written.update((p.name, p.read_text()) for p in tmp_path.iterdir())
+    traj = geodesics.integrate(geodesics.GeodesicState(0.0, 0.2, 0.5j), 1.0, 1e-6)
+    csv = io.StringIO()
+    geodesics.write_csv(traj, csv)
+    csv_to, summary_to = GEODESIC_ROUTES[flags]
+    assert written.pop(csv_to) == csv.getvalue()
+    assert json.loads(written.pop(summary_to))["n_samples"] == len(traj)
+    assert not any(written.values())  # nothing else written anywhere
 
 
 def test_geodesic_output_file_matches_stdout_bytes(tmp_path, capsys):
@@ -1050,6 +1077,13 @@ def test_energy_identity_squares_r_as_the_potential_does(monkeypatch):
     assert result.observed == 0.0 and result.detail == "3 samples"
 
 
+def test_the_most_eccentric_sampled_orbit_stays_inside_the_unit_disk():
+    # the orbit pass divides by R and evaluates U(R) at every sample, so
+    # the annulus of every orbit it samples must lie inside (0, 1)
+    tp = turning_points(checks.MAX_ORBIT_RATIO, 1.0)
+    assert 0.1 < tp.R_min and tp.R_max < 0.95
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1194,20 +1228,10 @@ def test_normal_pair_parts_are_independent_standard_normals():
 @pytest.mark.parametrize("samples", [1, 7, checks.SAMPLES])
 @pytest.mark.parametrize("seed", INVARIANCE_SEEDS + list(range(0, 600, 50)))
 def test_check_sampling_loops_match_their_oracle_copies(seed, samples):
-    # the inlined loops draw the stream in the same order as one helper
-    # call per draw, and score every sample as max() would
-    assert sampling_loops(
-        seed, samples, checks._invariance_checks, checks._normalization_check
-    ) == sampling_loops(seed, samples, invariance_checks, normalization_check)
-
-
-@pytest.mark.parametrize("seed", range(0, 600, 30))
-def test_energy_identity_check_matches_its_inline_f_copy(seed):
-    # the orbit pass takes f from the flow's one definition; its drift and
-    # residuals are those of the copy that writes f out
-    args = (checks.TRAJECTORIES, checks.TOL, checks.T_SPAN)
-    assert checks._orbit_checks(*args, random.Random(seed), 1e-8) == (
-        orbit_checks(*args, random.Random(seed), 1e-8)
+    # the inlined loop draws the stream in the same order as one helper
+    # call per draw, and scores every sample as max() would
+    assert sampling_loops(seed, samples, checks._invariance_checks) == (
+        sampling_loops(seed, samples, invariance_checks)
     )
 
 

@@ -407,26 +407,31 @@ def test_integrate_eccentric_orbit_drift_to_t_100():
     assert max(traj.max_drift) < 1e-8
 
 
-#: the closed orbit of rotation number W = 2/3 at I2 = 1: I1/I2^2 = k, and
-#: its radial period T = 2 * integral of dR/Rdot between the turning radii,
-#: the roots in (0, 1) of the cubic x^3 + (3+k) x^2 + (3-k) x + 1 in x = R^2
-#: (mpmath polyroots and quad at 40 digits; the same script gives
-#: W = 0.666666666666666681)
-W_TWO_THIRDS_K, W_TWO_THIRDS_T = 19.027516150818762, 0.30032967009934616663
+#: closed orbits at I2 = 1 of rotation number W = p/q, each as (q, k, T):
+#: the orbit closes after q radial periods; I1/I2^2 = k, and its radial
+#: period T = 2 * integral of dR/Rdot between the turning radii, the roots
+#: in (0, 1) of the cubic x^3 + (3+k) x^2 + (3-k) x + 1 in x = R^2 (mpmath
+#: polyroots and quad at 40 digits; the same script gives
+#: W = 0.666666666666666681 and 0.600000000000000001)
+CLOSED_ORBITS = {
+    "two_thirds": (3, 19.027516150818762, 0.30032967009934616663),
+    "three_fifths": (5, 63.384242984687944, 0.15533344277268387758),
+}
 
 
+@pytest.mark.parametrize("w", CLOSED_ORBITS)
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
-def test_closure_error_of_a_closed_orbit_grows_like_the_square_of_the_periods(tol):
-    # after 3n radial periods the W = 2/3 orbit is back at its start; the
-    # stepper neither keeps the integrals nor is symmetric, so its phase
-    # error grows like t^2 (measured exponents 2.09 at tol 1e-8 and 2.15 at
-    # 1e-10); a method that kept the integrals would grow like t
-    start = state_from_integrals(
-        W_TWO_THIRDS_K, 1.0, turning_points(W_TWO_THIRDS_K, 1.0).R_max
-    )
+def test_closure_error_of_a_closed_orbit_grows_like_the_square_of_the_periods(w, tol):
+    # after q n radial periods the orbit is back at its start; the stepper
+    # neither keeps the integrals nor is symmetric, so its phase error grows
+    # like t^2 (measured exponents 2.09 and 2.15 for W = 2/3, 1.96 and 2.02
+    # for 3/5, at tol 1e-8 and 1e-10); a method that kept the integrals
+    # would grow like t
+    q, k, period = CLOSED_ORBITS[w]
+    start = state_from_integrals(k, 1.0, turning_points(k, 1.0).R_max)
     errors = []
     for n in (1, 4, 16, 64):
-        traj = integrate(start, 3 * n * W_TWO_THIRDS_T, tol)
+        traj = integrate(start, q * n * period, tol)
         assert traj.termination is Termination.TIME_LIMIT
         errors.append(abs(traj.xi[-1] - start.xi))
     assert errors[0] <= 100 * tol  # one revolution closes
