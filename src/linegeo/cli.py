@@ -21,9 +21,9 @@ in slot order (``_fields``).
 Exit codes: 0 success, 1 internal error, failed checks or a stdout
 closed by its reader, 2 usage errors or an unwritable output, 3 domain
 errors (invalid region, no orbit).  Set ``GEODESIC_LOG=debug`` or
-``info`` for diagnostics on stderr, all on the ``linegeo.cli`` logger
-(the library logs nothing); ``logging`` is imported only then or on an
-internal error.
+``info`` for diagnostics: ``linegeo.cli INFO: ...`` lines that the CLI
+writes to the current stderr (both values print the same lines; the
+library writes nothing).
 """
 
 import argparse
@@ -36,12 +36,17 @@ import sys
 from .errors import LineGeoError, Record, write_table
 
 
+def _diagnostics_on() -> bool:
+    return os.environ.get("GEODESIC_LOG", "").strip().lower() in ("debug", "info")
+
+
 def _log_info(msg, *args):
-    # without `logging` loaded no handler exists that could show the record;
-    # _configure_logging loads it when GEODESIC_LOG asks, or a host program has
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("linegeo.cli").info(msg, *args)
+    # sys.stderr is None in a process started with fd 2 closed (`2>&-`)
+    if _diagnostics_on() and sys.stderr is not None:
+        try:
+            print("linegeo.cli INFO: " + msg % args, file=sys.stderr)
+        except OSError:  # a closed stderr loses the line, not the run
+            pass
 
 
 def _write_outputs(outputs, files):
@@ -269,20 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging():
-    level_name = os.environ.get("GEODESIC_LOG", "").strip().lower()
-    if level_name in ("debug", "info"):
-        import logging
-
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=level_name.upper(),
-            format="%(name)s %(levelname)s: %(message)s",
-        )
-
-
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "geodesic":
@@ -315,9 +307,12 @@ def main(argv=None) -> int:
         print(f"linegeo: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure
-        import logging  # with no handler configured, its last resort prints to stderr
+        if sys.stderr is not None:  # else print would send the report to stdout
+            import traceback
 
-        logging.getLogger("linegeo.cli").exception("internal error")
+            print(("linegeo.cli ERROR: " if _diagnostics_on() else "") + "internal error",
+                  file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
         print(f"linegeo: internal error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -8,9 +8,9 @@ invariance pass one helper call per draw, the Christoffel symbol, the
 right-hand side and the first integrals as written out in complex
 arithmetic before the stepper's source became their one definition, the
 polar coordinates of a state, the oriented line in R^3 that a chart
-point names and the two forms as the lines see them, the JSON readers
-of the section and certificate wire format (the CLI only writes it), and
-the table of the paper's numbers that the README quotes."""
+point names and the two forms as the lines see them, the JSON reader of
+the certificate that the CLI's ``normalize`` writes, and the table of
+the paper's numbers that the README quotes."""
 
 import random
 from cmath import exp, phase, rect
@@ -360,28 +360,13 @@ def plucker_forms(u: TangentVector, v: TangentVector, h: float = 1e-3) -> tuple[
     return -0.5 * (d_u @ m_v + d_v @ m_u), p_u @ d_v - p_v @ d_u
 
 
-# -- JSON wire format -------------------------------------------------------
-
-
-def _c2j(z: complex):
-    return [z.real, z.imag]
+# -- the certificate JSON ----------------------------------------------------
 
 
 def _j2c(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise DomainError(f"expected [re, im] pair, got {pair!r}")
     return complex(float(pair[0]), float(pair[1]))
-
-
-def section_to_dict(s: QuadraticSection) -> dict:
-    return {"beta1": _c2j(s.beta1), "beta2": _c2j(s.beta2), "beta3": _c2j(s.beta3)}
-
-
-def section_from_dict(d: dict) -> QuadraticSection:
-    try:
-        return QuadraticSection(_j2c(d["beta1"]), _j2c(d["beta2"]), _j2c(d["beta3"]))
-    except KeyError as missing:
-        raise DomainError(f"section object lacks field {missing}") from None
 
 
 def certificate_from_dict(d: dict) -> NormalizationCertificate:

@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import logging
 import math
 import os
 import random
@@ -865,15 +864,24 @@ def _boom(*args):
 
 def test_internal_error_exit_1_with_traceback(capsys, monkeypatch):
     monkeypatch.delenv("GEODESIC_LOG", raising=False)
-    # as in a process that configured no logging (pytest's capture handlers
-    # sit on the root logger): the last-resort handler writes to stderr
-    monkeypatch.setattr(logging.root, "handlers", [])
     monkeypatch.setattr(analysis, "blowup_time", _boom)
     code, out, err = run_cli(capsys, "analyze", "blowup", "--I1", "1")
     assert code == 1
     assert out == ""
     assert err.startswith("internal error\nTraceback (most recent call last):\n")
     assert err.endswith("\nRuntimeError: boom\nlinegeo: internal error: boom\n")
+
+
+def test_each_call_logs_to_the_stderr_of_its_own_time(monkeypatch):
+    monkeypatch.setenv("GEODESIC_LOG", "info")
+    argv = ["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0",
+            "--output", os.devnull]
+    line = f"linegeo.cli INFO: normalized section to c = {math.sqrt(20.0):.17g}\n"
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 0
+        assert err.getvalue() == line
 
 
 # -- analyze ------------------------------------------------------------------
@@ -1001,11 +1009,11 @@ def test_check_passes(capsys, tmp_path):
         assert c["passed"] and c["margin"] > 1.0
 
 
-def test_the_check_suite_itself_logs_nothing(caplog):
+def test_the_check_suite_itself_logs_nothing(capfd, monkeypatch):
     # the library only returns its results; the CLI logs them
-    caplog.set_level(logging.DEBUG)
+    monkeypatch.setenv("GEODESIC_LOG", "debug")
     checks.run_checks(3)
-    assert caplog.records == []
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1340,6 +1348,33 @@ def test_geodesic_log_env_controls_stderr():
     assert _run(args).stderr == ""
 
 
+def _python_without_stderr(code, env_extra):
+    """Run ``python -c code`` started with fd 2 closed, as under ``2>&-``
+    (the interpreter then sets ``sys.stderr`` to None)."""
+    return subprocess.run(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+        env=_child_env(env_extra), preexec_fn=lambda: os.close(2),
+    )
+
+
+def test_a_closed_stderr_loses_the_diagnostics_not_the_run():
+    # `GEODESIC_LOG=info linegeo normalize ... 2>&-`
+    argv = ["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0"]
+    code = f"import sys; from linegeo.cli import main; sys.exit(main({argv!r}))"
+    result = _python_without_stderr(code, {"GEODESIC_LOG": "info"})
+    assert (result.returncode, result.stdout) == (0, _run(argv).stdout)
+    # an internal error: its report and traceback go nowhere, not to stdout
+    code = (
+        "import sys; from linegeo import analysis; from linegeo.cli import main\n"
+        "def boom(*args): raise RuntimeError('boom')\n"
+        "analysis.blowup_time = boom\n"
+        "sys.exit(main(['analyze', 'blowup', '--I1', '1']))"
+    )
+    result = _python_without_stderr(code, {"GEODESIC_LOG": "info"})
+    assert result.returncode == 1
+    assert "linegeo.cli" not in result.stdout and "Traceback" not in result.stdout
+
+
 def test_check_logs_each_result_on_the_cli_logger(tmp_path):
     path = tmp_path / "report.json"
     result = _run(["check", "--output", str(path)], {"GEODESIC_LOG": "info"})
@@ -1354,9 +1389,9 @@ def test_check_logs_each_result_on_the_cli_logger(tmp_path):
 
 
 #: modules a cold call should load only when its subcommand runs them: the
-#: dataclasses machinery (with the inspect import it brings), logging (only
-#: for GEODESIC_LOG), the stepper, the radial analysis, the invariant suite
-#: and the line-space geometry; numpy and scipy, which no call loads
+#: dataclasses machinery (with the inspect import it brings), the stepper,
+#: the radial analysis, the invariant suite and the line-space geometry;
+#: logging, numpy and scipy, which no call loads
 LAZY_MODULES = (
     "dataclasses", "inspect", "logging", "linegeo.analysis", "linegeo.checks",
     "linegeo.geodesics", "linegeo.line_space", "numpy", "scipy",
@@ -1387,7 +1422,7 @@ LOADED_LAZY_MODULES = (
             ["linegeo.analysis", "linegeo.checks", "linegeo.geodesics", "linegeo.line_space"],
         ),
         # leading NAME=value items set the environment, as in a shell
-        (["GEODESIC_LOG=debug", "analyze", "blowup", "--I1", "1"], ["linegeo.analysis", "logging"]),
+        (["GEODESIC_LOG=debug", "analyze", "blowup", "--I1", "1"], ["linegeo.analysis"]),
     ],
 )
 def test_cold_calls_import_only_what_they_use(argv, loaded):
@@ -1429,19 +1464,21 @@ def test_cold_geodesics_import_loads_no_line_space_geometry():
     assert result.returncode == 0, result.stderr
 
 
-def test_cold_internal_error_exit_1_with_traceback():
-    # the failure path imports logging on demand; unconfigured, its
-    # last-resort handler prints the traceback
+@pytest.mark.parametrize("level, first_line", [
+    pytest.param("", "internal error", id="quiet"),
+    pytest.param("info", "linegeo.cli ERROR: internal error", id="info"),
+])
+def test_cold_internal_error_exit_1_with_traceback(level, first_line):
     code = (
         "import sys; from linegeo import analysis; from linegeo.cli import main\n"
         "def boom(*args): raise RuntimeError('boom')\n"
         "analysis.blowup_time = boom\n"
         "sys.exit(main(['analyze', 'blowup', '--I1', '1']))"
     )
-    result = _python(["-c", code], {"GEODESIC_LOG": ""})
+    result = _python(["-c", code], {"GEODESIC_LOG": level})
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr.startswith("internal error\nTraceback (most recent call last):\n")
+    assert result.stderr.startswith(f"{first_line}\nTraceback (most recent call last):\n")
     assert result.stderr.endswith("\nRuntimeError: boom\nlinegeo: internal error: boom\n")
 
 

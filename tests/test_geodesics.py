@@ -27,24 +27,13 @@ from linegeo import (
     turning_points,
     write_csv,
 )
-from linegeo import geodesics
+from linegeo import checks, geodesics
 from linegeo.geodesics import CSV_HEADER, EQUATOR_CUTOFF, MIN_STEP
 from linegeo.geodesics import _A as DOP853_A, _B as DOP853_B, _BHH as DOP853_BHH, _E5 as DOP853_E5
 from oracles import christoffel, polar, rhs
 from oracles import first_integrals_arrays as complex_first_integrals_arrays
 
 RNG = np.random.default_rng(91003)
-
-
-def random_orbit_state(max_ratio=60.0):
-    while True:
-        big_r = RNG.uniform(0.15, 0.8)
-        st = state_from_polar(
-            big_r, RNG.uniform(0, 2 * math.pi), RNG.uniform(-1, 1), RNG.uniform(-2, 2)
-        )
-        ints = first_integrals(st)
-        if ints.I2 != 0.0 and ints.I1 / ints.I2**2 <= max_ratio:
-            return st
 
 
 # -- the Christoffel symbol and the rhs, in complex arithmetic -----------------
@@ -145,7 +134,7 @@ def test_first_integrals_tangential_exact_value():
 
 def test_first_integrals_polar_oracle():
     for _ in range(100):
-        st = random_orbit_state()
+        st = checks.sample_orbit_state(RNG)
         big_r, _, rdot, thetadot = polar(st)
         f = (1.0 - big_r**2) / (1.0 + big_r**2) ** 3
         i1 = f * (rdot**2 + big_r**2 * thetadot**2)
@@ -176,7 +165,7 @@ def test_first_integrals_are_evaluated_in_the_chart_of_the_run():
 
 
 def test_polar_round_trip():
-    st = random_orbit_state()
+    st = checks.sample_orbit_state(RNG)
     back = state_from_polar(*polar(st))
     assert abs(back.xi - st.xi) < 1e-14
     assert abs(back.xidot - st.xidot) < 1e-14
@@ -375,7 +364,7 @@ def test_integrate_constant_solution():
 
 def test_integrate_conservation_drift():
     for _ in range(5):
-        st = random_orbit_state()
+        st = checks.sample_orbit_state(RNG)
         traj = integrate(st, 10.0, 1e-10)
         assert traj.termination is Termination.TIME_LIMIT
         assert traj.max_drift[0] < 1e-8
@@ -449,7 +438,7 @@ def test_integrate_radial_invariance_of_argument():
 
 
 def test_integrate_time_reversal():
-    st = random_orbit_state()
+    st = checks.sample_orbit_state(RNG)
     for tol in (1e-10, 1e-8):
         fwd = integrate(st, 3.0, tol)
         end = fwd.final_state()
@@ -460,7 +449,7 @@ def test_integrate_time_reversal():
 
 
 def test_integrate_hemisphere_confinement():
-    st = random_orbit_state()
+    st = checks.sample_orbit_state(RNG)
     ints = first_integrals(st)
     tp = turning_points(ints.I1, ints.I2)
     traj = integrate(st, 10.0, 1e-10)
@@ -497,10 +486,10 @@ def test_integrate_orbit_running_out_stays_in_the_zeta_chart():
 
 def test_lower_hemisphere_orbit_agrees_with_the_xi_chart():
     # orbits that stay finite in xi: integrated directly in xi with the
-    # tableau loop, whose equator rule keeps either side (the kernel takes
-    # only starts inside the unit disk), and by ``integrate`` in
-    # zeta = 1/xi; the two agree to a few times tol, and the integrals map
-    # as (I1, I2) -> (-I1, I2)
+    # tableau loop, its equator rule turned off by a NaN cutoff (the rule
+    # takes only starts inside the unit disk, and these orbits stay outside
+    # it), and by ``integrate`` in zeta = 1/xi; the two agree to a few
+    # times tol, and the integrals map as (I1, I2) -> (-I1, I2)
     zeta_orbit = state_from_integrals(0.6, 0.16, 0.5)  # an annulus orbit in zeta
     starts = [
         (1.5, -1.0, 0.4),  # radially inward, 0.03 before the equator
@@ -512,7 +501,7 @@ def test_lower_hemisphere_orbit_agrees_with_the_xi_chart():
         traj = integrate(GeodesicState(0.0, xi0, xidot0), t_max, tol)
         assert traj.chart == "zeta" and traj.termination is Termination.TIME_LIMIT
         t, xis, xds, status, _, _ = reference_geod_integrate(
-            xi0, xidot0, t_max, tol, EQUATOR_CUTOFF, MIN_STEP, 1_000_000
+            xi0, xidot0, t_max, tol, math.nan, MIN_STEP, 1_000_000
         )
         assert status is Termination.TIME_LIMIT and t[-1] == traj.t[-1] == t_max
         zeta, zetadot = traj.xi[-1], traj.xidot[-1]
@@ -581,7 +570,7 @@ def test_integrate_stays_on_its_side_of_the_equator_at_any_tol(
 
 
 def test_integrate_samples_strictly_increasing():
-    traj = integrate(random_orbit_state(), 4.0, 1e-8)
+    traj = integrate(checks.sample_orbit_state(RNG), 4.0, 1e-8)
     assert np.all(np.diff(traj.t) > 0.0)
     assert len(traj.xi) == len(traj.xidot) == len(traj)
     assert traj.t[0] == 0.0 and isinstance(traj.final_state(), GeodesicState)
@@ -720,7 +709,8 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
     ``geod_integrate`` must reproduce it bit for bit from every start
     inside the unit disk.  A NaN stage (a point exactly on the equator)
     rejects the attempt, and so does a proposed point past the cutoff
-    band on the far side of the equator from the start, on either side."""
+    band outside the disk.  A NaN ``equator_cut`` turns the cutoff and
+    that rejection off, for starts outside the disk."""
     t = 0.0
     y0, y1 = complex(xi0), complex(xidot0)
     ts = [0.0]
@@ -729,7 +719,6 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
     h = min(1e-2, 1e-2 * (1.0 + abs(y0)) / (1.0 + abs(y1)), t_span)
     facmax = 6.0
     k = [reference_rhs(y0, y1)]
-    side = 1.0 if (y0 * y0.conjugate()).real < 1.0 else -1.0
     status = Termination.MAX_STEPS
     t_hit = None
     rejected = 0
@@ -765,7 +754,7 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
             n5 *= n5
             deno = n5 + 0.01 * n3 * n3
             err = h * n5 / math.sqrt(deno) / tol if deno else 0.0
-        if side * (1.0 - (y0n * y0n.conjugate()).real) < -equator_cut:
+        if 1.0 - (y0n * y0n.conjugate()).real < -equator_cut:
             err = math.nan
         if err <= 1.0:
             y0o = y0
@@ -776,7 +765,7 @@ def reference_geod_integrate(xi0, xidot0, t_span, tol, equator_cut, h_min, max_s
             xis.append(y0)
             xds.append(y1)
             s_new = 1.0 - (y0 * y0.conjugate()).real
-            if abs(s_new) <= equator_cut:
+            if s_new <= equator_cut:
                 s_old = 1.0 - (y0o * y0o.conjugate()).real
                 t_hit = t + s_new * (ts[-1] - ts[-2]) / (s_old - s_new)
                 status = Termination.EQUATOR_REACHED
@@ -1025,7 +1014,7 @@ def test_csv_is_written_at_most_one_row_per_write():
 
 
 def test_csv_schema_and_round_trip():
-    traj = integrate(random_orbit_state(), 2.0, 1e-8)
+    traj = integrate(checks.sample_orbit_state(RNG), 2.0, 1e-8)
     buf = io.StringIO()
     write_csv(traj, buf)
     lines = buf.getvalue().strip().split("\n")
@@ -1062,7 +1051,7 @@ def test_csv_of_a_zeta_run_names_its_chart():
 
 
 def test_max_drift_definition():
-    traj = integrate(random_orbit_state(), 5.0, 1e-9)
+    traj = integrate(checks.sample_orbit_state(RNG), 5.0, 1e-9)
     i1s, i2s = map(np.asarray, traj.integrals)
     d1 = np.max(np.abs(i1s - i1s[0])) / max(abs(i1s[0]), 1e-30)
     d2 = np.max(np.abs(i2s - i2s[0])) / max(abs(i2s[0]), 1e-30)

@@ -28,8 +28,6 @@ from oracles import (
     certificate_from_dict,
     pullback_consistency_check,
     refit_quadratic,
-    section_from_dict,
-    section_to_dict,
     transform_pointwise,
     transform_section,
 )
@@ -331,13 +329,6 @@ def test_refit_recovers_known_quadratic():
 # -- JSON wire format -----------------------------------------------------------
 
 
-def test_section_json_round_trip():
-    sec = random_section()
-    d = json.loads(json.dumps(section_to_dict(sec)))
-    back = section_from_dict(d)
-    assert back == sec
-
-
 def test_certificate_json_round_trip():
     cert = normalize(random_section())
     d = json.loads(json.dumps(cert, default=cli._fields))
@@ -349,9 +340,3 @@ def test_certificate_json_round_trip():
     assert back.translation.a1 == cert.translation.a1
     assert abs(back.intermediate_gamma - cert.intermediate_gamma) < 1e-15
 
-
-def test_json_schema_fields():
-    d = section_to_dict(QuadraticSection(1 + 2j, 3, -1j))
-    assert d == {"beta1": [1.0, 2.0], "beta2": [3.0, 0.0], "beta3": [0.0, -1.0]}
-    with pytest.raises(DomainError):
-        section_from_dict({"beta1": [0, 0], "beta2": [0, 0]})
