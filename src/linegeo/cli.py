@@ -18,16 +18,17 @@ created (at a link's target), so a run that exits 3 leaves every
 existing output as it was.  JSON writes each value type by its fields,
 in slot order (``_fields``).
 
-Exit codes: 0 success, 1 internal error, failed checks or a stdout
-closed by its reader, 2 usage errors or an unwritable output, 3 domain
-errors (invalid region, no orbit).  Set ``GEODESIC_LOG=debug`` or
-``info`` for diagnostics: ``linegeo.cli INFO: ...`` lines that the CLI
-writes to the current stderr (both values print the same lines; the
-library writes nothing).
+Exit codes: 0 success, 1 internal error, failed checks or a closed
+stdout, 2 usage errors or an unwritable output file, 3 domain errors
+(invalid region, no orbit).  A closed or refusing stderr loses the
+diagnostics, the refusal line and a summary routed there, never the exit
+code or stdout.  ``GEODESIC_LOG=debug`` or ``info`` (the same lines; the
+library writes nothing) gives ``linegeo.cli INFO: ...`` diagnostics.
 """
 
 import argparse
 import functools
+import io
 import os
 import re
 import stat
@@ -40,25 +41,35 @@ def _diagnostics_on() -> bool:
     return os.environ.get("GEODESIC_LOG", "").strip().lower() in ("debug", "info")
 
 
-def _log_info(msg, *args):
-    # sys.stderr is None in a process started with fd 2 closed (`2>&-`)
-    if _diagnostics_on() and sys.stderr is not None:
+class _Stderr(io.TextIOBase):
+    def write(self, text):
+        """To the current sys.stderr; a None (``2>&-``) or refusing one loses the text."""
         try:
-            print("linegeo.cli INFO: " + msg % args, file=sys.stderr)
-        except OSError:  # a closed stderr loses the line, not the run
-            pass
+            sys.stderr.write(text)
+        except (AttributeError, OSError):  # dropped, or its buffer fails the exit flush (120)
+            sys.stderr = None
+
+
+_STDERR = _Stderr()  # every byte the CLI writes to stderr goes through it
+
+
+def _log_info(msg, *args):
+    if _diagnostics_on():
+        _STDERR.write("linegeo.cli INFO: " + msg % args + "\n")
 
 
 def _write_outputs(outputs, files):
     """Write each ``(flag, content)`` in turn, ``content`` text or a
     callable that writes to a stream, into the open ``files[flag]``; the
-    first flag with no file goes to the current stdout, a later one to the
-    current stderr."""
-    consoles = iter((sys.stdout, sys.stderr))
+    first flag with no file goes to the current stdout (None, under ``>&-``,
+    is a closed pipe), a later one to ``_STDERR``, which may lose it."""
+    consoles = iter((sys.stdout, _STDERR))
     for flag, content in outputs:
         write = content if callable(content) else lambda fh, text=content: fh.write(text)
         if flag not in files:
-            write(next(consoles))
+            if (console := next(consoles)) is None:
+                raise BrokenPipeError
+            write(console)
             continue
         with files[flag] as fh:
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a FIFO or a device
@@ -257,6 +268,10 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
+    def error(self, message):  # argparse's usage and error lines, through _STDERR
+        _STDERR.write(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        sys.exit(2)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -298,22 +313,16 @@ def main(argv=None) -> int:
         _write_outputs(outputs, files)
         created = []  # every output is written: keep them
         return code
-    except LineGeoError as exc:
-        print(f"linegeo: {exc}", file=sys.stderr)
-        return 3
     except BrokenPipeError:  # a reader that closed the output early (`| head`)
         return 1
-    except OSError as exc:  # an unwritable output: one line, as argparse's "can't open"
-        print(f"linegeo: {exc}", file=sys.stderr)
-        return 2
+    except (LineGeoError, OSError) as exc:  # a refusal, or an unwritable output: one line
+        _STDERR.write(f"linegeo: {exc}\n")
+        return 3 if isinstance(exc, LineGeoError) else 2
     except Exception as exc:  # internal failure
-        if sys.stderr is not None:  # else print would send the report to stdout
-            import traceback
+        import traceback
 
-            print(("linegeo.cli ERROR: " if _diagnostics_on() else "") + "internal error",
-                  file=sys.stderr)
-            traceback.print_exc(file=sys.stderr)
-        print(f"linegeo: internal error: {exc}", file=sys.stderr)
+        _STDERR.write(("linegeo.cli ERROR: " if _diagnostics_on() else "") + "internal error\n"
+                      + traceback.format_exc() + f"linegeo: internal error: {exc}\n")
         return 1
     finally:
         for fh in files.values():
@@ -325,7 +334,8 @@ def main(argv=None) -> int:
 def main_entry():
     code = main()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when started with fd 1 closed (`>&-`)
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: exit quietly, and send the interpreter's
         # last flush of what is still buffered to devnull

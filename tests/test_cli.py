@@ -1348,31 +1348,68 @@ def test_geodesic_log_env_controls_stderr():
     assert _run(args).stderr == ""
 
 
-def _python_without_stderr(code, env_extra):
-    """Run ``python -c code`` started with fd 2 closed, as under ``2>&-``
-    (the interpreter then sets ``sys.stderr`` to None)."""
-    return subprocess.run(
-        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
-        env=_child_env(env_extra), preexec_fn=lambda: os.close(2),
-    )
+def _read_only_fd2():
+    """Leave fd 2 open for reading only, so that each write to stderr fails
+    with an OSError (a ``preexec_fn``)."""
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(fd, 2)
+    os.close(fd)
 
 
-def test_a_closed_stderr_loses_the_diagnostics_not_the_run():
-    # `GEODESIC_LOG=info linegeo normalize ... 2>&-`
-    argv = ["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0"]
-    code = f"import sys; from linegeo.cli import main; sys.exit(main({argv!r}))"
-    result = _python_without_stderr(code, {"GEODESIC_LOG": "info"})
-    assert (result.returncode, result.stdout) == (0, _run(argv).stdout)
-    # an internal error: its report and traceback go nowhere, not to stdout
-    code = (
-        "import sys; from linegeo import analysis; from linegeo.cli import main\n"
-        "def boom(*args): raise RuntimeError('boom')\n"
-        "analysis.blowup_time = boom\n"
-        "sys.exit(main(['analyze', 'blowup', '--I1', '1']))"
-    )
-    result = _python_without_stderr(code, {"GEODESIC_LOG": "info"})
-    assert result.returncode == 1
-    assert "linegeo.cli" not in result.stdout and "Traceback" not in result.stdout
+#: an internal error, injected before the console script's entry point runs
+_BOOM = (
+    "from linegeo import analysis\n"
+    "def boom(*args): raise RuntimeError('boom')\n"
+    "analysis.blowup_time = boom\n"
+)
+
+
+def _console(argv, env_extra=None, inject=False, **kwargs):
+    """Run ``main_entry``, as the console script does, in a child
+    interpreter that imports the same linegeo as this process, with the
+    default buffered streams: unbuffered, a refusing stderr keeps no bytes
+    for the interpreter's last flush to fail on."""
+    code = (_BOOM if inject else "") + "from linegeo.cli import main_entry; main_entry()"
+    env = _child_env(env_extra)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          stdout=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("close_stderr", [
+    # `2>&-`: the interpreter starts with sys.stderr None
+    pytest.param(lambda: os.close(2), id="closed"),
+    pytest.param(_read_only_fd2, id="read-only"),
+])
+@pytest.mark.parametrize("env_extra, inject, argv, exit_code", [
+    pytest.param({"GEODESIC_LOG": "info"}, False,
+                 ["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0"], 0,
+                 id="diagnostics"),
+    pytest.param({}, False, ["analyze", "blowup", "--I1", "nan"], 3, id="refusal"),
+    pytest.param({}, False, ["geodesic", "--polar", "0.4", "0.3", "0.2", "1.1", "--t-max", "2"],
+                 0, id="summary-on-stderr"),
+    pytest.param({"GEODESIC_LOG": "info"}, True, ["analyze", "blowup", "--I1", "1"], 1,
+                 id="internal-error"),
+    pytest.param({}, False, ["bogus"], 2, id="usage-error"),
+    pytest.param({}, False, ["analyze", "blowup", "--I1", "1", "--output", "{tmp}/missing/f"], 2,
+                 id="unwritable-output"),
+])
+def test_a_closed_stderr_loses_its_text_not_the_exit_code_or_stdout(
+    tmp_path, close_stderr, env_extra, inject, argv, exit_code
+):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    with_stderr = _console(argv, env_extra, inject, stderr=subprocess.PIPE)
+    assert with_stderr.returncode == exit_code and with_stderr.stderr
+    without = _console(argv, env_extra, inject, preexec_fn=close_stderr)
+    assert (without.returncode, without.stdout) == (exit_code, with_stderr.stdout)
+
+
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr():
+    # `linegeo analyze blowup --I1 1 >&-`: the interpreter starts with
+    # sys.stdout None, which takes the output as a closed pipe does
+    result = _console(["analyze", "blowup", "--I1", "1"], stderr=subprocess.PIPE,
+                      preexec_fn=lambda: os.close(1))
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 def test_check_logs_each_result_on_the_cli_logger(tmp_path):
@@ -1391,10 +1428,11 @@ def test_check_logs_each_result_on_the_cli_logger(tmp_path):
 #: modules a cold call should load only when its subcommand runs them: the
 #: dataclasses machinery (with the inspect import it brings), the stepper,
 #: the radial analysis, the invariant suite and the line-space geometry;
-#: logging, numpy and scipy, which no call loads
+#: traceback, which only an internal error loads; logging, numpy and scipy,
+#: which no call loads
 LAZY_MODULES = (
     "dataclasses", "inspect", "logging", "linegeo.analysis", "linegeo.checks",
-    "linegeo.geodesics", "linegeo.line_space", "numpy", "scipy",
+    "linegeo.geodesics", "linegeo.line_space", "numpy", "scipy", "traceback",
 )
 LOADED_LAZY_MODULES = (
     f"import sys; print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules), "
@@ -1469,13 +1507,8 @@ def test_cold_geodesics_import_loads_no_line_space_geometry():
     pytest.param("info", "linegeo.cli ERROR: internal error", id="info"),
 ])
 def test_cold_internal_error_exit_1_with_traceback(level, first_line):
-    code = (
-        "import sys; from linegeo import analysis; from linegeo.cli import main\n"
-        "def boom(*args): raise RuntimeError('boom')\n"
-        "analysis.blowup_time = boom\n"
-        "sys.exit(main(['analyze', 'blowup', '--I1', '1']))"
-    )
-    result = _python(["-c", code], {"GEODESIC_LOG": level})
+    result = _console(["analyze", "blowup", "--I1", "1"], {"GEODESIC_LOG": level}, inject=True,
+                      stderr=subprocess.PIPE, text=True)
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr.startswith(f"{first_line}\nTraceback (most recent call last):\n")
