@@ -19,11 +19,13 @@ existing output as it was.  JSON writes each value type by its fields,
 in slot order (``_fields``).
 
 Exit codes: 0 success, 1 internal error, failed checks or a closed
-stdout, 2 usage errors or an unwritable output file, 3 domain errors
-(invalid region, no orbit).  A closed or refusing stderr loses the
-diagnostics, the refusal line and a summary routed there, never the exit
-code or stdout.  ``GEODESIC_LOG=debug`` or ``info`` (the same lines; the
-library writes nothing) gives ``linegeo.cli INFO: ...`` diagnostics.
+stdout (``>&-`` is refused before any work), 2 usage errors or an
+unwritable output (a stdout that refuses writes too, under any
+buffering), 3 domain errors (invalid region, no orbit).  A closed or
+refusing stderr loses the diagnostics, the refusal line and a summary
+routed there, never the exit code or stdout.  ``GEODESIC_LOG=debug`` or
+``info`` (the same lines; the library writes nothing) gives
+``linegeo.cli INFO: ...`` diagnostics.
 """
 
 import argparse
@@ -61,15 +63,14 @@ def _log_info(msg, *args):
 def _write_outputs(outputs, files):
     """Write each ``(flag, content)`` in turn, ``content`` text or a
     callable that writes to a stream, into the open ``files[flag]``; the
-    first flag with no file goes to the current stdout (None, under ``>&-``,
-    is a closed pipe), a later one to ``_STDERR``, which may lose it."""
+    first flag with no file goes to the current stdout, a later one to
+    ``_STDERR``, which may lose it."""
     consoles = iter((sys.stdout, _STDERR))
     for flag, content in outputs:
         write = content if callable(content) else lambda fh, text=content: fh.write(text)
         if flag not in files:
-            if (console := next(consoles)) is None:
-                raise BrokenPipeError
-            write(console)
+            write(console := next(consoles))
+            console.flush()  # a stdout that refuses the bytes fails here under any buffering
             continue
         with files[flag] as fh:
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a FIFO or a device
@@ -309,6 +310,8 @@ def main(argv=None) -> int:
         stats = [os.fstat(fh.fileno()) for fh in files.values()]
         if len(stats) == 2 and os.path.samestat(*stats) and stat.S_ISREG(stats[0].st_mode):
             parser.error("--summary names the --output file")  # exits with code 2
+        if sys.stdout is None and any(f not in files for f in ("output", "summary") if f in args):
+            return 1  # started with fd 1 closed (`>&-`): as a closed pipe, before any work
         code, outputs = args.handler(args)
         _write_outputs(outputs, files)
         created = []  # every output is written: keep them
@@ -336,11 +339,10 @@ def main_entry():
     try:
         if sys.stdout is not None:  # None when started with fd 1 closed (`>&-`)
             sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: exit quietly, and send the interpreter's
-        # last flush of what is still buffered to devnull
+    except OSError:
+        # main reported the failed write; send the interpreter's last flush
+        # of what is still buffered to devnull, which keeps main's exit code
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
     sys.exit(code)
 
 

@@ -7,10 +7,13 @@ import math
 import os
 import random
 import re
+import stat
 import statistics
 import subprocess
 import sys
 import tempfile
+import threading
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -265,61 +268,6 @@ def test_check_at_a_loose_tol_reports_its_drift(tol):
     assert math.isfinite(drift.observed)
 
 
-def test_geodesic_csv_to_stdout_summary_to_stderr(capsys):
-    code, out, err = run_cli(
-        capsys, "geodesic", "--xi", "0.2", "0", "--xidot", "0", "0.5", "--t-max", "1"
-    )
-    assert code == 0
-    assert out.startswith("t,R,theta,")
-    summary = json.loads(err)
-    assert summary["termination"] == "time_limit"
-
-
-#: where `geodesic` writes its CSV and its summary for each use of the two
-#: output flags: the first output without a file goes to stdout, the
-#: second to stderr
-GEODESIC_ROUTES = {
-    "": ("stdout", "stderr"),
-    "--output=-": ("stdout", "stderr"),
-    "--output=- --summary=-": ("stdout", "stderr"),
-    "--output=f": ("f", "stdout"),
-    "--output=f --summary=-": ("f", "stdout"),
-    "--summary=s": ("stdout", "s"),
-    "--output=f --summary=s": ("f", "s"),
-}
-
-
-@pytest.mark.parametrize("flags", GEODESIC_ROUTES,
-                         ids=lambda flags: flags.replace(" ", ",") or "no_flags")
-def test_geodesic_routes_each_output_by_its_flags(tmp_path, capsys, monkeypatch, flags):
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(capsys, "geodesic", "--xi", "0.2", "0", "--xidot", "0", "0.5",
-                             "--t-max", "1", *flags.split())
-    assert code == 0
-    written = {"stdout": out, "stderr": err}
-    written.update((p.name, p.read_text()) for p in tmp_path.iterdir())
-    traj = geodesics.integrate(geodesics.GeodesicState(0.0, 0.2, 0.5j), 1.0, 1e-6)
-    csv = io.StringIO()
-    geodesics.write_csv(traj, csv)
-    csv_to, summary_to = GEODESIC_ROUTES[flags]
-    assert written.pop(csv_to) == csv.getvalue()
-    assert json.loads(written.pop(summary_to))["n_samples"] == len(traj)
-    assert not any(written.values())  # nothing else written anywhere
-
-
-def test_geodesic_output_file_matches_stdout_bytes(tmp_path, capsys):
-    args = ["geodesic", "--integrals", "0.6", "0.16", "0.5", "--t-max", "10", "--tol", "1e-10"]
-    path = tmp_path / "t.csv"
-    # "-" for both is no clash: the summary then goes to stderr
-    code, csv_text, summary_to_stderr = run_cli(capsys, *args, "--output", "-", "--summary", "-")
-    assert code == 0
-    code, summary_to_stdout, _ = run_cli(capsys, *args, "--output", str(path))
-    assert code == 0
-    assert path.read_bytes() == csv_text.encode()
-    assert summary_to_stdout == summary_to_stderr
-    assert len(csv_text.splitlines()) == json.loads(summary_to_stdout)["n_samples"] + 1
-
-
 def test_geodesic_summary_reports_max_steps(tmp_path, capsys, monkeypatch):
     # the first 50 step attempts from this start are all accepted
     monkeypatch.setattr(geodesics, "MAX_STEPS", 50)
@@ -370,14 +318,6 @@ def test_geodesic_oscillation_range(tmp_path, capsys):
     assert abs(summary["observed_R_max"] - tp.R_max) < 1e-4
 
 
-def test_geodesic_constant_trajectory(capsys):
-    code, out, err = run_cli(
-        capsys, "geodesic", "--xi", "0.3", "0.1", "--xidot", "0", "0", "--t-max", "2"
-    )
-    assert code == 0
-    assert json.loads(err)["termination"] == "time_limit"
-
-
 def test_geodesic_polar_input(capsys):
     code, out, err = run_cli(
         capsys, "geodesic", "--polar", "0.4", "0", "0.2", "1.2", "--t-max", "1"
@@ -411,14 +351,11 @@ def test_geodesic_inadmissible_integrals_exit_3(capsys):
     assert "no orbit" in err
 
 
-def test_geodesic_conflicting_initial_conditions_exit_2(tmp_path, capsys):
+def test_geodesic_conflicting_initial_conditions_exit_2(capsys):
     # a usage error exits through argparse, as a malformed flag does: the
     # launch modes are its exclusive group, under the geodesic usage line,
-    # a flag that only goes with one mode is refused with any other, and
-    # a summary written over the CSV is refused before any work
+    # and a flag that only goes with one mode is refused with any other
     xi, polar = ["--xi", "0.3", "0", "--xidot", "0", "1"], ["--polar", "0.5", "0", "0", "1"]
-    csv_path = str(tmp_path / "orbit.csv")
-    same = "--summary names the --output file"
     for argv, prog, message in [
         ([*xi, *polar], "linegeo geodesic", "argument --polar: not allowed with argument --xi"),
         ([], "linegeo geodesic", "one of the arguments --xi --polar --integrals is required"),
@@ -429,9 +366,6 @@ def test_geodesic_conflicting_initial_conditions_exit_2(tmp_path, capsys):
         ([*polar, "--theta0", "1"], "linegeo", "--theta0 requires --integrals"),
         ([*xi, "--inward"], "linegeo", "--inward requires --integrals"),
         ([*polar, "--inward"], "linegeo", "--inward requires --integrals"),
-        ([*xi, "--output", csv_path, "--summary", csv_path], "linegeo", same),
-        ([*xi, "--output", csv_path, "--summary", os.path.join(tmp_path, ".", "orbit.csv")],
-         "linegeo", same),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(["geodesic", *argv])
@@ -440,144 +374,6 @@ def test_geodesic_conflicting_initial_conditions_exit_2(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"usage: {prog} ")
         assert captured.err.endswith(f"\n{prog}: error: {message}\n")
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_geodesic_outputs_on_one_regular_file_exit_2_and_a_device_twice_is_written(
-    tmp_path, capsys
-):
-    # the refusal is of one regular file behind both flags, by any names:
-    # two hard links to it are refused and left as they were, while
-    # /dev/null given twice discards both outputs
-    xi = ["geodesic", "--xi", "0", "0", "--xidot", "1", "0"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    a.write_text("kept\n")
-    os.link(a, b)
-    with pytest.raises(SystemExit) as exc:
-        main([*xi, "--output", str(a), "--summary", str(b)])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith("\nlinegeo: error: --summary names the --output file\n")
-    assert a.read_text() == b.read_text() == "kept\n" and os.path.samefile(a, b)
-    assert run_cli(capsys, *xi, "--output", os.devnull, "--summary", os.devnull) == (0, "", "")
-
-
-@pytest.mark.parametrize("argv, kind", [
-    (["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0",
-      "--output", "{}"], "missing"),
-    (["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--output", "{}"], "missing"),
-    (["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--output", "{csv}",
-      "--summary", "{}"], "missing"),
-    (["analyze", "blowup", "--I1", "1", "--output", "{}"], "directory"),
-    (["analyze", "series-check", "--num", "400", "--r-hi", "0.99", "--output", "{}"], "missing"),
-    (["check", "--output", "{}"], "missing"),
-])
-def test_an_output_path_that_cannot_be_opened_is_a_usage_error(
-    tmp_path, capsys, monkeypatch, argv, kind
-):
-    # one line naming the path, exit 2, as argparse's own "can't open";
-    # main opens every output path before the handler computes, so none
-    # reaches the stepper, the push-forward or the series, and geodesic
-    # leaves no CSV behind
-    from linegeo import line_space
-
-    for owner, name in ((geodesics, "geod_integrate"), (line_space, "push_forward"),
-                        (analysis, "appell_f1_series")):
-        def ran(*args, name=name):
-            raise AssertionError(f"{name} ran")
-
-        monkeypatch.setattr(owner, name, ran)
-    path = str(tmp_path / "missing" / "out" if kind == "missing" else tmp_path)
-    csv_path = tmp_path / "orbit.csv"
-    code, out, err = run_cli(capsys, *[arg.format(path, csv=csv_path) for arg in argv])
-    assert (code, out) == (2, "")
-    assert "Traceback" not in err
-    assert re.fullmatch(rf"linegeo: \[Errno \d+\] .*: '{re.escape(path)}'\n", err)
-    assert not csv_path.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["analyze", "blowup", "--I1", "nan"],
-    ["analyze", "turning-points", "--I1", "10", "--I2", "1"],
-    ["analyze", "potential", "--r-lo", "1e-200"],
-    ["analyze", "series-check", "--r-lo", "0.5", "--r-hi", "0.4"],
-    # I1 overflows at the second sample of the run
-    ["geodesic", "--integrals", "1.797e308", "1", "7.459778999860975e-155", "--t-max", "1"],
-    # with at most 10 anti-diagonals the series at R = 0.9 does not converge
-    ["analyze", "series-check", "--r-lo", "0.1", "--r-hi", "0.9", "--num", "2"],
-    # c overflows
-    ["normalize", "--beta1", "1e308", "0", "--beta2", "0", "1e308", "--beta3", "1e308", "0"],
-    ["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--tol", "0"],
-    ["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--t-max", "nan"],
-    # a range that runs up to R close to 1, where the series needs more
-    # anti-diagonals than its cap
-    ["analyze", "series-check", "--r-lo", "0.9", "--r-hi", "0.999999", "--num", "2"],
-])
-def test_invalid_input_is_refused_before_the_output_opens(tmp_path, capsys, monkeypatch, argv):
-    # each subcommand refuses and computes before it opens an output: no
-    # file is created, and one that was already there keeps what it held
-    monkeypatch.setattr(analysis, "SERIES_MAX_DIAGONALS", 10)
-    created, existing = tmp_path / "created.txt", tmp_path / "existing.txt"
-    existing.write_text("kept\n")
-    for path in (created, existing):
-        code, out, err = run_cli(capsys, *argv, "--output", str(path))
-        assert (code, out) == (3, "") and err.startswith("linegeo: ")
-    assert not created.exists() and existing.read_text() == "kept\n"
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_a_csv_that_cannot_be_written_leaves_no_summary(capsys):
-    # the CSV is flushed and closed before the summary opens, so the
-    # failed write is the only output of the run
-    code, out, err = run_cli(capsys, "geodesic", "--xi", "0", "0", "--xidot", "1", "0",
-                             "--output", "/dev/full")
-    assert (code, out) == (2, "")
-    assert err == "linegeo: [Errno 28] No space left on device\n"
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_a_summary_that_cannot_be_written_leaves_no_csv_the_run_created(tmp_path, capsys):
-    # the CSV is written and closed before the summary opens; when the
-    # summary write then fails, the CSV is removed if this run created it,
-    # and a file that was already there keeps the CSV written over it
-    argv = ["geodesic", "--xi", "0", "0", "--xidot", "1", "0"]
-    created, existing = tmp_path / "created.csv", tmp_path / "existing.csv"
-    existing.write_text("kept\n")
-    for path in (created, existing):
-        code, out, err = run_cli(capsys, *argv, "--output", str(path), "--summary", "/dev/full")
-        assert (code, out) == (2, "")
-        assert err == "linegeo: [Errno 28] No space left on device\n"
-    assert not created.exists()
-    assert existing.read_text() == run_cli(capsys, *argv)[1]
-
-
-def test_a_dangling_symlink_output_is_written_through(tmp_path, capsys):
-    # the link is kept, and the file the run writes is its target
-    link, target = tmp_path / "link.txt", tmp_path / "target.txt"
-    link.symlink_to(target.name)
-    code, out, err = run_cli(capsys, "analyze", "blowup", "--I1", "1", "--output", str(link))
-    assert (code, out, err) == (0, "", "")
-    assert link.is_symlink() and target.read_text() == "0.59907011736779614\n"
-
-
-@pytest.mark.parametrize("argv, expected", [
-    (["analyze", "blowup", "--I1", "-1", "--output", "{}"], 3),
-    pytest.param(["geodesic", "--xi", "0", "0", "--xidot", "1", "0", "--output", "{}",
-                  "--summary", "/dev/full"], 2,
-                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
-                                          reason="needs /dev/full")),
-])
-def test_a_failed_run_leaves_a_dangling_symlink_output_dangling(
-    tmp_path, capsys, argv, expected
-):
-    # a refusal or a failed write removes the file the run created, which
-    # is the link's target, not the link
-    link = tmp_path / "link.txt"
-    link.symlink_to("target.txt")
-    code, out, err = run_cli(capsys, *[arg.format(link) for arg in argv])
-    assert (code, out) == (expected, "") and err.startswith("linegeo: ")
-    assert link.is_symlink() and os.listdir(tmp_path) == ["link.txt"]
 
 
 def test_geodesic_integrals_overflowing_along_the_run_exit_3(tmp_path, capsys):
@@ -1249,7 +1045,7 @@ def test_check_passes_across_seeds(capsys, tmp_path, seed):
     assert code == 0 and report["all_passed"] is True
 
 
-# -- determinism and logging (subprocess level) ----------------------------------
+# -- child interpreters ---------------------------------------------------------
 
 
 def _child_env(env_extra=None):
@@ -1270,159 +1066,353 @@ def _python(args, env_extra=None):
     )
 
 
-def _run(args, env_extra=None):
-    return _python(["-m", "linegeo.cli", *args], env_extra)
-
-
-def test_a_reader_that_closes_stdout_ends_the_run_quietly():
-    # stdout block-buffered, as by default on a pipe
+def test_a_reader_that_closes_stdout_ends_the_run_quietly(tmp_path):
+    # `linegeo analyze potential --num 200000 | head -1`, stdout
+    # block-buffered as by default on a pipe: the CSV is far larger than a
+    # pipe holds, so the run meets the closed pipe mid-write, while its
+    # reader is still reading, which no row of IO_CONTRACT can express;
+    # stderr goes to a file, which no unread pipe can block
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
-    # `linegeo analyze potential --num 200000 | head -1`: the CSV is far
-    # larger than a pipe holds, so the run meets the closed pipe mid-write
     argv = [sys.executable, "-m", "linegeo.cli", "analyze", "potential", "--num", "200000"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    err = tmp_path / "err"
+    with open(err, "wb") as fh, subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=fh,
+                                                 env=env) as proc:
         assert proc.stdout.readline() == b"R,U_eff\n"
         proc.stdout.close()
-        err = proc.stderr.read()
-    assert (proc.returncode, err) == (1, b"")
-    # a pipe closed before the run starts: the one buffered line meets it
-    # only at the final flush
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "linegeo.cli", "analyze", "blowup", "--I1", "1"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env,
-        )
-    finally:
-        os.close(write_end)
-    assert (done.returncode, done.stderr) == (1, b"")
+    assert (proc.returncode, err.read_bytes()) == (1, b"")
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
-def test_a_fifo_output_is_opened_once_and_written_as_a_stream(tmp_path):
-    # one reader opens the FIFO once and reads to the end of the stream, as
-    # `cat fifo` does: a second open of the output would leave it an empty
-    # stream, then block with no reader left, so the run has a time limit
-    fifo = str(tmp_path / "fifo")
-    os.mkfifo(fifo)
-    read = "import sys; sys.stdout.write(open(sys.argv[1]).read())"
-    argv = [sys.executable, "-m", "linegeo.cli", "analyze", "blowup", "--I1", "1",
-            "--output", fifo]
-    with subprocess.Popen([sys.executable, "-c", read, fifo], stdout=subprocess.PIPE,
-                          text=True) as reader, \
-            subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                             env=_child_env()) as proc:
-        try:
-            got = reader.communicate(timeout=30)[0]
-            out, err = proc.communicate(timeout=30)
-        finally:
-            reader.kill()
-            proc.kill()
-    assert (proc.returncode, out, err) == (0, "", "")
-    assert got == "0.59907011736779614\n"
+# -- the I/O contract, one row per run -------------------------------------------
+
+OPEN, CLOSED, READ_ONLY, NO_READER = "open", "closed", "read-only", "no-reader"
 
 
-def test_cli_outputs_are_deterministic():
-    args = ["geodesic", "--polar", "0.4", "0.3", "0.2", "1.1", "--t-max", "2", "--tol", "1e-8"]
-    first = _run(args)
-    second = _run(args)
-    assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
-    assert first.stderr == second.stderr
+class Run(NamedTuple):
+    """One row of the CLI's I/O contract: ``argv``, run in a new directory
+    holding ``before``, with fd 1 and fd 2 in the states ``fds``, exits
+    ``code``, writes exactly ``out`` to stdout and ``err`` to stderr (a fd
+    that is not open catches nothing), and leaves the directory holding
+    ``after`` (by default ``before``).  A file is its text, or ("symlink",
+    target), ("hardlink", an earlier name) or ("fifo", what one reader read
+    from it to the end).  ``patch`` is Python run first, whose
+    ``patch(owner, name, value)`` replaces a library attribute.  A run with
+    both fds open calls ``main`` in this process; any other runs
+    ``main_entry`` in a child with default (buffered) streams, as the
+    console script does."""
 
-    assert _run(["check"]).stdout == _run(["check"]).stdout
-
-
-def test_geodesic_log_env_controls_stderr():
-    args = ["analyze", "blowup", "--I1", "1"]
-    quiet = _run(args)
-    noisy = _run(args, {"GEODESIC_LOG": "debug"})
-    assert quiet.returncode == noisy.returncode == 0
-    assert quiet.stderr == ""
-    # the normalize path logs at info level; blowup may not, so use normalize
-    args = ["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0"]
-    noisy = _run(args, {"GEODESIC_LOG": "info"})
-    assert "linegeo.cli" in noisy.stderr
-    assert _run(args).stderr == ""
-
-
-def _read_only_fd2():
-    """Leave fd 2 open for reading only, so that each write to stderr fails
-    with an OSError (a ``preexec_fn``)."""
-    fd = os.open(os.devnull, os.O_RDONLY)
-    os.dup2(fd, 2)
-    os.close(fd)
+    argv: str
+    code: int = 0
+    out: str = ""
+    err: str = ""
+    fds: tuple = (OPEN, OPEN)
+    before: dict = {}
+    after: dict | None = None
+    env: dict = {}
+    patch: str = ""
 
 
-#: an internal error, injected before the console script's entry point runs
-_BOOM = (
-    "from linegeo import analysis\n"
-    "def boom(*args): raise RuntimeError('boom')\n"
-    "analysis.blowup_time = boom\n"
+#: a start at rest, which the stepper carries to t_max in four steps
+AT_REST = "geodesic --xi 0.3 0.1 --xidot 0 0 --t-max 2"
+REST_CSV = "t,R,theta,xi_re,xi_im,xidot_re,xidot_im,I1,I2\n" + "".join(
+    f"{t},0.31622776601683794,0.32175055439664224,0.29999999999999999,0.10000000000000001,"
+    "0,0,0,0\n" for t in ("0", "0.01", "0.069999999999999993", "0.42999999999999999", "2")
 )
+REST_SUMMARY = json.dumps({
+    "termination": "time_limit", "t_hit": None, "t_final": 2.0, "I1": 0.0, "I2": 0.0,
+    "max_drift_I1": 0.0, "max_drift_I2": 0.0, "n_samples": 5,
+    "observed_R_min": 0.31622776601683794, "observed_R_max": 0.31622776601683794,
+    "rejected_steps": 0, "rhs_evals": 49, "chart": "xi",
+}, indent=2) + "\n"
+Q1 = "0.59907011736779614\n"  # `analyze blowup --I1 1`
+NORMALIZE = "normalize --beta1 1 0 --beta2 0 2 --beta3 3 0"
+QUIET_NORMALIZE = f"{NORMALIZE} --output /dev/null"
+NORMALIZED = "linegeo.cli INFO: normalized section to c = 4.4721359549995796\n"
+USAGE = cli.build_parser().format_usage()  # argparse's, which differs between Pythons
+SAME_FILE = f"{USAGE}linegeo: error: --summary names the --output file\n"
+ENOENT = "linegeo: [Errno 2] No such file or directory: 'missing/out'\n"
+ENOSPC = "linegeo: [Errno 28] No space left on device\n"
+EBADF = "linegeo: [Errno 9] Bad file descriptor\n"
+INFO = {"GEODESIC_LOG": "info"}
+KEPT = {"kept": "kept\n"}
+LINK = {"link": ("symlink", "target")}
+#: the stdout of a run that ``main`` makes in this process with both fds open
+IN_PROCESS = object()
+#: every subcommand's work raises: a row that expects no internal error
+#: shows that its run did none
+BOOM = (
+    "from linegeo import analysis, checks, geodesics, sections\n"
+    "def boom(*args): raise RuntimeError('boom')\n"
+    "for owner, name in [(sections, 'normalize'), (geodesics, 'integrate'),\n"
+    "                    (analysis, 'blowup_time'), (analysis, 'series_quadrature_table'),\n"
+    "                    (checks, 'run_checks')]:\n"
+    "    patch(owner, name, boom)\n"
+)
+#: ``check`` gets two made-up results, the second failing
+TWO_CHECKS = (
+    "from linegeo import checks\n"
+    "patch(checks, 'run_checks', lambda seed: [\n"
+    "    checks.CheckResult('isometry_metric', True, 1e-10, 2.5e-12),\n"
+    "    checks.CheckResult('triple_agreement', False, 1e-8, 3e-8)])\n"
+)
+#: inputs that each subcommand refuses, and the line that names the fault
+REFUSALS = [
+    ("analyze blowup --I1 nan", "I1 must be positive and finite, got nan"),
+    ("analyze turning-points --I1 10 --I2 1",
+     "no orbit: I1/I2^2 = 10.000000 below 6*sqrt(3) = 10.392305"),
+    ("analyze potential --r-lo 1e-200",
+     "effective potential must be a finite double; U(1e-200) overflows"),
+    ("analyze series-check --r-lo 0.5 --r-hi 0.4", "need 0 <= r_lo < r_hi < 1, got (0.5, 0.4)"),
+    # I1 overflows at the second sample of the run
+    ("geodesic --integrals 1.797e308 1 7.459778999860975e-155 --t-max 1",
+     "first integrals must be finite doubles along the run, got I1 = inf, "
+     "I2 = 1.0000000000000002 at t = 7.459778999860975e-157"),
+    # with at most 10 anti-diagonals (FEW_DIAGONALS) the series does not
+    # converge at R = 0.9
+    ("analyze series-check --r-lo 0.1 --r-hi 0.9 --num 2",
+     "series did not meet the tail threshold within 10 anti-diagonals at R = 0.9"),
+    ("normalize --beta1 1e308 0 --beta2 0 1e308 --beta3 1e308 0",
+     "the standard form does not fit in doubles: c overflows"),
+    ("geodesic --xi 0 0 --xidot 1 0 --tol 0", "tolerance must be positive and finite, got 0.0"),
+    ("geodesic --xi 0 0 --xidot 1 0 --t-max nan", "t_max must be finite, got nan"),
+    ("analyze series-check --r-lo 0.9 --r-hi 0.999999 --num 2",
+     "series did not meet the tail threshold within 10 anti-diagonals at R = 0.9"),
+]
+FEW_DIAGONALS = "from linegeo import analysis\npatch(analysis, 'SERIES_MAX_DIAGONALS', 10)\n"
+
+#: the CLI's I/O contract: each entry is the test of that name, a dict of
+#: its cases by id, or a tuple of the runs it makes in turn
+IO_CONTRACT = {
+    # the first output with no file goes to stdout, the second to stderr
+    "test_geodesic_routes_each_output_by_its_flags": {
+        "no_flags": Run(AT_REST, out=REST_CSV, err=REST_SUMMARY),
+        "--output=-": Run(f"{AT_REST} --output=-", out=REST_CSV, err=REST_SUMMARY),
+        "--output=-,--summary=-": Run(f"{AT_REST} --output=- --summary=-",
+                                      out=REST_CSV, err=REST_SUMMARY),
+        "--output=f": Run(f"{AT_REST} --output=f", out=REST_SUMMARY, after={"f": REST_CSV}),
+        "--output=f,--summary=-": Run(f"{AT_REST} --output=f --summary=-",
+                                      out=REST_SUMMARY, after={"f": REST_CSV}),
+        "--summary=s": Run(f"{AT_REST} --summary=s", out=REST_CSV, after={"s": REST_SUMMARY}),
+        "--output=f,--summary=s": Run(f"{AT_REST} --output=f --summary=s",
+                                      after={"f": REST_CSV, "s": REST_SUMMARY}),
+    },
+    # one regular file behind both flags, by any names, is refused before
+    # any work and left as it was; a device given twice takes both outputs
+    "test_geodesic_outputs_on_one_regular_file_exit_2_and_a_device_twice_is_written": (
+        Run(f"{AT_REST} --output orbit.csv --summary orbit.csv", 2, err=SAME_FILE, patch=BOOM),
+        Run(f"{AT_REST} --output orbit.csv --summary ./orbit.csv", 2, err=SAME_FILE, patch=BOOM),
+        Run(f"{AT_REST} --output kept --summary link", 2, err=SAME_FILE, patch=BOOM,
+            before={**KEPT, "link": ("hardlink", "kept")}),
+        Run(f"{AT_REST} --output /dev/null --summary /dev/null"),
+    ),
+    # one line naming the path, exit 2, as argparse's own "can't open",
+    # before any work; the CSV path opened first is removed
+    "test_an_output_path_that_cannot_be_opened_is_a_usage_error": {
+        "argv0-missing": Run(f"{NORMALIZE} --output missing/out", 2, err=ENOENT, patch=BOOM),
+        "argv1-missing": Run(f"{AT_REST} --output missing/out", 2, err=ENOENT, patch=BOOM),
+        "argv2-missing": Run(f"{AT_REST} --output orbit.csv --summary missing/out", 2,
+                             err=ENOENT, patch=BOOM),
+        "argv3-directory": Run("analyze blowup --I1 1 --output .", 2,
+                               err="linegeo: [Errno 21] Is a directory: '.'\n", patch=BOOM),
+        "argv4-missing": Run("analyze series-check --num 400 --r-hi 0.99 --output missing/out", 2,
+                             err=ENOENT, patch=BOOM),
+        "argv5-missing": Run("check --output missing/out", 2, err=ENOENT, patch=BOOM),
+    },
+    # a refusal comes before any output is written: no file is created,
+    # and one that was there keeps what it held
+    "test_invalid_input_is_refused_before_the_output_opens": {
+        f"argv{i}": tuple(
+            Run(f"{argv} --output {name}", 3, err=f"linegeo: {message}\n", before=before,
+                patch=FEW_DIAGONALS) for name, before in (("new", {}), ("kept", KEPT))
+        ) for i, (argv, message) in enumerate(REFUSALS)
+    },
+    # the CSV is written and closed before the summary opens: a failed CSV
+    # write is the run's only output, and a failed summary write removes a
+    # CSV the run created and leaves an existing file holding the CSV
+    "test_a_csv_that_cannot_be_written_leaves_no_summary": (
+        Run(f"{AT_REST} --output /dev/full", 2, err=ENOSPC),
+    ),
+    "test_a_summary_that_cannot_be_written_leaves_no_csv_the_run_created": (
+        Run(f"{AT_REST} --output new --summary /dev/full", 2, err=ENOSPC),
+        Run(f"{AT_REST} --output kept --summary /dev/full", 2, err=ENOSPC, before=KEPT,
+            after={"kept": REST_CSV}),
+    ),
+    # a symlink is written through, and a failed run removes the file it
+    # created, the link's target, not the link
+    "test_a_dangling_symlink_output_is_written_through": (
+        Run("analyze blowup --I1 1 --output link", before=LINK, after={**LINK, "target": Q1}),
+    ),
+    "test_a_failed_run_leaves_a_dangling_symlink_output_dangling": {
+        "argv0-3": Run("analyze blowup --I1 -1 --output link", 3, before=LINK,
+                       err="linegeo: I1 must be positive and finite, got -1.0\n"),
+        "argv1-2": Run(f"{AT_REST} --output link --summary /dev/full", 2, err=ENOSPC,
+                       before=LINK),
+    },
+    # opened once and written as a stream: a second open, or a truncation,
+    # would fail or leave the one reader an empty stream
+    "test_a_fifo_output_is_opened_once_and_written_as_a_stream": (
+        Run("analyze blowup --I1 1 --output fifo", before={"fifo": ("fifo", "")},
+            after={"fifo": ("fifo", Q1)}),
+    ),
+    # GEODESIC_LOG=info or debug, in any case and padding, adds the CLI's
+    # diagnostics on stderr; blowup has none
+    "test_geodesic_log_env_controls_stderr": (
+        Run(QUIET_NORMALIZE),
+        Run(QUIET_NORMALIZE, err=NORMALIZED, env=INFO),
+        Run(QUIET_NORMALIZE, err=NORMALIZED, env={"GEODESIC_LOG": " DEBUG "}),
+        Run(QUIET_NORMALIZE, env={"GEODESIC_LOG": "warning"}),
+        Run("analyze blowup --I1 1", out=Q1, env={"GEODESIC_LOG": "debug"}),
+    ),
+    "test_check_logs_each_result_on_the_cli_logger": (
+        Run("check --output /dev/null", 1, env=INFO, patch=TWO_CHECKS, err=(
+            "linegeo.cli INFO: check isometry_metric          PASS "
+            "observed=2.500e-12 threshold=1.0e-10\n"
+            "linegeo.cli INFO: check triple_agreement         FAIL "
+            "observed=3.000e-08 threshold=1.0e-08\n")),
+    ),
+    # a closed stdout (`>&-`), or a pipe whose reader left before the run,
+    # is a closed pipe: exit 1, quietly
+    "test_a_closed_stdout_exits_1_with_nothing_on_stderr": (
+        Run("analyze blowup --I1 1", 1, fds=(CLOSED, OPEN)),
+        Run("analyze blowup --I1 1", 1, fds=(NO_READER, OPEN)),
+    ),
+    # ... refused before any work, where an output would go to stdout; the
+    # file the run created for the CSV is removed
+    "test_a_closed_stdout_is_refused_before_any_work": {
+        "check": Run("check", 1, fds=(CLOSED, OPEN), patch=BOOM),
+        "summary": Run(f"{AT_REST} --output new", 1, fds=(CLOSED, OPEN), patch=BOOM),
+    },
+    # a stdout that refuses the bytes is an unwritable output, whether they
+    # meet it at a write (unbuffered) or at the flush (buffered)
+    "test_a_stdout_that_refuses_writes_exits_2": {
+        "buffered": Run("analyze blowup --I1 1", 2, err=EBADF, fds=(READ_ONLY, OPEN)),
+        "unbuffered": Run("analyze blowup --I1 1", 2, err=EBADF, fds=(READ_ONLY, OPEN),
+                          env={"PYTHONUNBUFFERED": "1"}),
+    },
+    # a closed or refusing stderr loses its text, not the exit code or stdout
+    "test_a_closed_stderr_loses_its_text_not_the_exit_code_or_stdout": {
+        f"{case}-{state}": run._replace(fds=(OPEN, state)) for case, run in {
+            "diagnostics": Run(AT_REST, out=REST_CSV, env=INFO),
+            "refusal": Run("analyze blowup --I1 nan", 3),
+            "summary-on-stderr": Run(AT_REST, out=REST_CSV),
+            "internal-error": Run("analyze blowup --I1 1", 1, env=INFO, patch=BOOM),
+            "usage-error": Run("bogus", 2),
+            "unwritable-output": Run("analyze blowup --I1 1 --output missing/out", 2),
+        }.items() for state in (CLOSED, READ_ONLY)
+    },
+    # a run in a new process writes what this one writes; with every output
+    # in a file, a closed stdout and stderr take nothing from the run
+    "test_cli_outputs_are_deterministic": (
+        Run(f"{AT_REST} --output f --summary s", fds=(CLOSED, CLOSED),
+            after={"f": REST_CSV, "s": REST_SUMMARY}),
+        Run("check", out=IN_PROCESS, fds=(OPEN, CLOSED)),
+    ),
+}
 
 
-def _console(argv, env_extra=None, inject=False, **kwargs):
-    """Run ``main_entry``, as the console script does, in a child
-    interpreter that imports the same linegeo as this process, with the
-    default buffered streams: unbuffered, a refusing stderr keeps no bytes
-    for the interpreter's last flush to fail on."""
-    code = (_BOOM if inject else "") + "from linegeo.cli import main_entry; main_entry()"
-    env = _child_env(env_extra)
-    env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          stdout=subprocess.PIPE, **kwargs)
+def _child(run):
+    """Run ``main_entry`` in a child interpreter that imports the same
+    linegeo as this process: its exit code, stdout and stderr."""
+    read_only, (read_end, no_reader) = os.open(os.devnull, os.O_RDONLY), os.pipe()
+    os.close(read_end)
+    # a closed fd is inherited, then closed in the child
+    stream = {OPEN: subprocess.PIPE, CLOSED: None, READ_ONLY: read_only, NO_READER: no_reader}
+    closed = [fd for fd, state in zip((1, 2), run.fds) if state == CLOSED]
+    code = f"patch = setattr\n{run.patch}from linegeo.cli import main_entry; main_entry()"
+    try:
+        done = subprocess.run([sys.executable, "-c", code, *run.argv.split()],
+                              env=_child_env(run.env), stdout=stream[run.fds[0]],
+                              stderr=stream[run.fds[1]],
+                              preexec_fn=lambda: [os.close(fd) for fd in closed], timeout=60)
+    finally:
+        os.close(read_only)
+        os.close(no_reader)
+    return done.returncode, (done.stdout or b"").decode(), (done.stderr or b"").decode()
 
 
-@pytest.mark.parametrize("close_stderr", [
-    # `2>&-`: the interpreter starts with sys.stderr None
-    pytest.param(lambda: os.close(2), id="closed"),
-    pytest.param(_read_only_fd2, id="read-only"),
-])
-@pytest.mark.parametrize("env_extra, inject, argv, exit_code", [
-    pytest.param({"GEODESIC_LOG": "info"}, False,
-                 ["normalize", "--beta1", "1", "0", "--beta2", "0", "2", "--beta3", "3", "0"], 0,
-                 id="diagnostics"),
-    pytest.param({}, False, ["analyze", "blowup", "--I1", "nan"], 3, id="refusal"),
-    pytest.param({}, False, ["geodesic", "--polar", "0.4", "0.3", "0.2", "1.1", "--t-max", "2"],
-                 0, id="summary-on-stderr"),
-    pytest.param({"GEODESIC_LOG": "info"}, True, ["analyze", "blowup", "--I1", "1"], 1,
-                 id="internal-error"),
-    pytest.param({}, False, ["bogus"], 2, id="usage-error"),
-    pytest.param({}, False, ["analyze", "blowup", "--I1", "1", "--output", "{tmp}/missing/f"], 2,
-                 id="unwritable-output"),
-])
-def test_a_closed_stderr_loses_its_text_not_the_exit_code_or_stdout(
-    tmp_path, close_stderr, env_extra, inject, argv, exit_code
-):
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    with_stderr = _console(argv, env_extra, inject, stderr=subprocess.PIPE)
-    assert with_stderr.returncode == exit_code and with_stderr.stderr
-    without = _console(argv, env_extra, inject, preexec_fn=close_stderr)
-    assert (without.returncode, without.stdout) == (exit_code, with_stderr.stdout)
+def _files(root, fifo_reads):
+    """What ``root`` holds, in the form of ``Run.before``."""
+    files, names = {}, {}
+    for path in sorted(root.iterdir()):
+        if path.is_symlink():
+            files[path.name] = ("symlink", os.readlink(path))
+        elif stat.S_ISFIFO((st := path.stat()).st_mode):
+            files[path.name] = ("fifo", fifo_reads.get(path.name))
+        elif (st.st_dev, st.st_ino) in names:
+            files[path.name] = ("hardlink", names[st.st_dev, st.st_ino])
+        else:
+            names[st.st_dev, st.st_ino] = path.name
+            files[path.name] = path.read_bytes().decode()
+    return files
 
 
-def test_a_closed_stdout_exits_1_with_nothing_on_stderr():
-    # `linegeo analyze blowup --I1 1 >&-`: the interpreter starts with
-    # sys.stdout None, which takes the output as a closed pipe does
-    result = _console(["analyze", "blowup", "--I1", "1"], stderr=subprocess.PIPE,
-                      preexec_fn=lambda: os.close(1))
-    assert (result.returncode, result.stderr) == (1, b"")
+def _outcome(run, root, monkeypatch, capsys):
+    """Make ``run`` in the new directory ``root``: its exit code, stdout,
+    stderr and the files it leaves."""
+    root.mkdir()
+    fifo_reads, readers = {}, []
+    for name, spec in run.before.items():
+        path = root / name
+        if isinstance(spec, str):
+            path.write_bytes(spec.encode())
+        elif spec[0] == "symlink":
+            path.symlink_to(spec[1])
+        elif spec[0] == "hardlink":
+            os.link(root / spec[1], path)
+        else:  # one reader reads the FIFO to the end, as `cat` does
+            os.mkfifo(path)
+            readers.append(threading.Thread(
+                target=lambda path=path: fifo_reads.update({path.name: path.read_text()}),
+                daemon=True))
+            readers[-1].start()
+    with monkeypatch.context() as patch:
+        patch.chdir(root)
+        for name in ("GEODESIC_LOG", "PYTHONUNBUFFERED"):  # a child's streams stay buffered
+            patch.delenv(name, raising=False)
+        if run.fds != (OPEN, OPEN):
+            outcome = _child(run)
+        else:
+            for name, value in run.env.items():
+                patch.setenv(name, value)
+            exec(run.patch, {"patch": patch.setattr})
+            capsys.readouterr()
+            try:
+                code = main(run.argv.split())
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+            outcome = (code, *capsys.readouterr())
+    for reader in readers:
+        reader.join(timeout=30)
+    return (*outcome, _files(root, fifo_reads))
 
 
-def test_check_logs_each_result_on_the_cli_logger(tmp_path):
-    path = tmp_path / "report.json"
-    result = _run(["check", "--output", str(path)], {"GEODESIC_LOG": "info"})
-    assert (result.returncode, result.stdout) == (0, "")
-    report = json.loads(path.read_text())
-    assert len(report["checks"]) == 6
-    assert result.stderr.splitlines() == [
-        f"linegeo.cli INFO: check {c['name']:<24} PASS "
-        f"observed={c['observed']:.3e} threshold={c['threshold']:.1e}"
-        for c in report["checks"]
-    ]
+def _contract_test(cells):
+    """The test of one entry of ``IO_CONTRACT``: a dict's cases by id, as
+    parameters, or a tuple's runs in turn; each run gets a new directory."""
+
+    def check(runs, tmp_path, monkeypatch, capsys):
+        for i, run in enumerate((runs,) if isinstance(runs, Run) else runs):
+            if "/dev/full" in run.argv and not os.path.exists("/dev/full"):
+                pytest.skip("needs /dev/full")
+            out = run.out
+            if out is IN_PROCESS:
+                same = run._replace(fds=(OPEN, OPEN))
+                out = _outcome(same, tmp_path / f"{i}-in-process", monkeypatch, capsys)[1]
+            files = run.before if run.after is None else run.after
+            assert _outcome(run, tmp_path / str(i), monkeypatch, capsys) == (
+                run.code, out, run.err, files
+            ), run
+
+    if isinstance(cells, dict):
+        return pytest.mark.parametrize("runs", list(cells.values()), ids=list(cells))(check)
+    return lambda tmp_path, monkeypatch, capsys: check(cells, tmp_path, monkeypatch, capsys)
+
+
+# each entry of the table is the test of that name
+globals().update((name, _contract_test(cells)) for name, cells in IO_CONTRACT.items())
+
+
+# -- cold calls and the console script ------------------------------------------
 
 
 #: modules a cold call should load only when its subcommand runs them: the
@@ -1507,16 +1497,14 @@ def test_cold_geodesics_import_loads_no_line_space_geometry():
     pytest.param("info", "linegeo.cli ERROR: internal error", id="info"),
 ])
 def test_cold_internal_error_exit_1_with_traceback(level, first_line):
-    result = _console(["analyze", "blowup", "--I1", "1"], {"GEODESIC_LOG": level}, inject=True,
-                      stderr=subprocess.PIPE, text=True)
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith(f"{first_line}\nTraceback (most recent call last):\n")
-    assert result.stderr.endswith("\nRuntimeError: boom\nlinegeo: internal error: boom\n")
+    code, out, err = _child(Run("analyze blowup --I1 1", env={"GEODESIC_LOG": level}, patch=BOOM))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{first_line}\nTraceback (most recent call last):\n")
+    assert err.endswith("\nRuntimeError: boom\nlinegeo: internal error: boom\n")
 
 
 def test_console_entry_point_exists():
-    result = _run(["--help"])
+    result = _python(["-m", "linegeo.cli", "--help"])
     assert result.returncode == 0
     assert "normalize" in result.stdout and "geodesic" in result.stdout
 
